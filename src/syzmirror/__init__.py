@@ -6,7 +6,6 @@ in both directions, Aganagic-Vafa brane mirror coordinates, and disc
 invariants via multiple-cover inversion.
 """
 
-from ._backend import KERNEL_IMPLEMENTATION
 from .errors import (
     BranchError,
     FixedPointDivergence,

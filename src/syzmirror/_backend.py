@@ -1,20 +1,29 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Sparse convolution kernel: the hot loop of every series product."""
 
-Set ``SYZMIRROR_KERNEL=python`` to force the fallback (used by the
-benchmark and by tests that pin a backend).
-"""
 
-import os
+def grade_of(exponents, grading):
+    return sum(g * e for g, e in zip(grading, exponents))
 
-from . import _kernel_py
 
-if os.environ.get("SYZMIRROR_KERNEL", "").lower() == "python":
-    _impl = _kernel_py
-else:
-    try:
-        from . import _kernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _kernel_py
+def mul_terms(a, b, grading, order):
+    """Convolve two exponent->coefficient maps, dropping grades > order.
 
-mul_terms = _impl.mul_terms
-KERNEL_IMPLEMENTATION = _impl.IMPLEMENTATION
+    Exponent vectors are tuples of non-negative ints, coefficients exact
+    rationals.  Zero coefficients are pruned from the result.
+    """
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    graded = sorted((grade_of(e, grading), e) for e in b)
+    out = {}
+    for ea, ca in a.items():
+        ga = grade_of(ea, grading)
+        for gb, eb in graded:
+            if ga + gb > order:
+                break
+            e = tuple(x + y for x, y in zip(ea, eb))
+            prev = out.get(e)
+            prod = ca * b[eb]
+            out[e] = prod if prev is None else prev + prod
+    return {e: c for e, c in out.items() if c != 0}

@@ -53,12 +53,19 @@ def _int_matrix(raw, where):
         raise InputError(f"bad integer matrix in {where}: {exc}") from None
 
 
+def _int_vector(raw, where):
+    try:
+        return tuple(int(x) for x in raw)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad integer vector in {where}: {exc}") from None
+
+
 def parse_job(doc) -> Job:
     if not isinstance(doc, dict):
         raise InputError("job document must be a JSON object")
     toric_doc = _require(doc, "toric", "job document")
     rays = _int_matrix(_require(toric_doc, "rays", "toric"), "toric.rays")
-    u = tuple(int(x) for x in _require(toric_doc, "u", "toric"))
+    u = _int_vector(_require(toric_doc, "u", "toric"), "toric.u")
     offsets = tuple(parse_rational(x) for x in toric_doc.get("lambda", []))
     max_cones = None
     if "max_cones" in toric_doc:
@@ -81,7 +88,7 @@ def parse_job(doc) -> Job:
         phases = tuple(parse_rational(x) for x in bdoc.get("phases", ["0"] * len(charges)))
         av_indices = None
         if "av_indices" in bdoc:
-            av_indices = tuple(int(x) for x in bdoc["av_indices"])
+            av_indices = _int_vector(bdoc["av_indices"], "brane.av_indices")
             if len(av_indices) != 3:
                 raise InputError("brane.av_indices must have 3 entries")
         m0 = tuple(parse_rational(x) for x in bdoc["m0"]) if "m0" in bdoc else None
@@ -90,7 +97,7 @@ def parse_job(doc) -> Job:
             frame_generators = _int_matrix(bdoc["frame"], "brane.frame")
         boundary = None
         if "boundary_grading" in bdoc:
-            boundary = tuple(int(x) for x in bdoc["boundary_grading"])
+            boundary = _int_vector(bdoc["boundary_grading"], "brane.boundary_grading")
         try:
             brane = lattice.BraneSpec(
                 charges=charges,
@@ -104,13 +111,15 @@ def parse_job(doc) -> Job:
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad brane data: {exc}") from None
 
-    truncation = int(doc.get("truncation", 8))
+    (truncation,) = _int_vector([doc.get("truncation", 8)], "truncation")
     if truncation < 1:
         raise InputError("truncation must be >= 1")
-    corrected = bool(doc.get("corrected", True))
+    corrected = doc.get("corrected", True)
+    if not isinstance(corrected, bool):
+        raise InputError("corrected must be true or false")
     normalization = None
     if doc.get("normalization") is not None:
-        normalization = tuple(int(x) for x in doc["normalization"])
+        normalization = _int_vector(doc["normalization"], "normalization")
         if len(normalization) != 2 or any(x not in (1, -1) for x in normalization):
             raise InputError("normalization must be a pair of +-1")
     return Job(toric, brane, truncation, corrected, normalization)
@@ -187,32 +196,22 @@ def cmd_curve(job):
     return payload, ["W = " + " + ".join(pretty_terms)], EXIT_OK
 
 
-def _map_payload(mapdata):
-    return {
-        "direction": mapdata.direction,
-        "order": mapdata.order,
-        "A": [series_to_records(a) for a in mapdata.a_series],
-        "closed": [series_to_records(s) for s in mapdata.closed],
+def cmd_map(job, compute):
+    """Shared body of mirror-map and inverse-map; ``compute`` picks the direction."""
+    data = compute(job.toric, job.truncation, brane=job.brane)
+    payload = {
+        "direction": data.direction,
+        "order": data.order,
+        "A": [series_to_records(a) for a in data.a_series],
+        "closed": [series_to_records(s) for s in data.closed],
         "open_unit": (
-            series_to_records(mapdata.open_unit) if mapdata.open_unit is not None else None
+            series_to_records(data.open_unit) if data.open_unit is not None else None
         ),
     }
-
-
-def cmd_mirror_map(job):
-    data = mirror.mirror_map(job.toric, job.truncation, brane=job.brane)
     lines = [f"{data.direction}: closed image {i + 1}: {s}" for i, s in enumerate(data.closed)]
     if data.open_unit is not None:
         lines.append(f"open unit: {data.open_unit}")
-    return _map_payload(data), lines, EXIT_OK
-
-
-def cmd_inverse_map(job):
-    data = mirror.inverse_mirror_map(job.toric, job.truncation, brane=job.brane)
-    lines = [f"{data.direction}: closed image {i + 1}: {s}" for i, s in enumerate(data.closed)]
-    if data.open_unit is not None:
-        lines.append(f"open unit: {data.open_unit}")
-    return _map_payload(data), lines, EXIT_OK
+    return payload, lines, EXIT_OK
 
 
 def cmd_fiber_invariants(job):
@@ -309,8 +308,8 @@ def cmd_compare_naive(job):
 COMMANDS = {
     "validate": cmd_validate,
     "curve": cmd_curve,
-    "mirror-map": cmd_mirror_map,
-    "inverse-map": cmd_inverse_map,
+    "mirror-map": lambda job: cmd_map(job, mirror.mirror_map),
+    "inverse-map": lambda job: cmd_map(job, mirror.inverse_mirror_map),
     "fiber-invariants": cmd_fiber_invariants,
     "brane-mirror": cmd_brane_mirror,
     "disc-invariants": cmd_disc_invariants,

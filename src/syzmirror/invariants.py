@@ -101,14 +101,12 @@ def _mobius(n: int) -> int:
     return result
 
 
-def _divisor_closure(keys):
-    closed = set()
-    for beta in keys:
-        top = min((x for x in beta if x), default=0)
-        for p in range(1, top + 1):
-            if all(x % p == 0 for x in beta):
-                closed.add(tuple(x // p for x in beta))
-    return closed
+def _divisors(beta):
+    """(p, beta/p) for every p >= 1 dividing each entry of beta."""
+    top = min((x for x in beta if x), default=0)
+    for p in range(1, top + 1):
+        if all(x % p == 0 for x in beta):
+            yield p, tuple(x // p for x in beta)
 
 
 def multiple_cover_inversion(table: InvariantTable) -> InvariantTable:
@@ -119,13 +117,12 @@ def multiple_cover_inversion(table: InvariantTable) -> InvariantTable:
     exactly on the divisor closure of the support.
     """
     instanton = {}
-    for beta in _divisor_closure(table.n):
-        total = Fraction(0)
-        top = min((x for x in beta if x), default=0)
-        for p in range(1, top + 1):
-            if all(x % p == 0 for x in beta):
-                reduced = tuple(x // p for x in beta)
-                total += Fraction(_mobius(p), p * p) * table.n.get(reduced, Fraction(0))
+    for beta in {reduced for key in table.n for _, reduced in _divisors(key)}:
+        total = sum(
+            (Fraction(_mobius(p), p * p) * table.n.get(reduced, Fraction(0))
+             for p, reduced in _divisors(beta)),
+            Fraction(0),
+        )
         if total != 0:
             instanton[beta] = total
     return InvariantTable(frame=table.frame, order=table.order, n=dict(table.n), N=instanton)
@@ -135,13 +132,10 @@ def cover_sum(table: InvariantTable, beta) -> Fraction:
     """Forward multiple-cover sum at beta from the filled N."""
     if table.N is None:
         raise MathDomainError("cover_sum needs a table with N filled")
-    total = Fraction(0)
-    top = min((x for x in beta if x), default=0)
-    for p in range(1, top + 1):
-        if all(x % p == 0 for x in beta):
-            reduced = tuple(x // p for x in beta)
-            total += table.N.get(reduced, Fraction(0)) / (p * p)
-    return total
+    return sum(
+        (table.N.get(reduced, Fraction(0)) / (p * p) for p, reduced in _divisors(beta)),
+        Fraction(0),
+    )
 
 
 @dataclass(frozen=True)

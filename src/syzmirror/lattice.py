@@ -21,48 +21,63 @@ def _dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def solve_exact(matrix, rhs):
-    """Solve a square rational system exactly; None if singular.
+def row_reduce(matrix):
+    """Gauss-Jordan elimination over Fractions.
 
-    Plain Gaussian elimination over Fractions; the systems here are
-    tiny (lattice rank times lattice rank).
+    Returns ``(rows, pivots, det)``: the reduced row echelon form, the
+    pivot column of each nonzero row, and the signed product of the
+    pivots, which is the determinant when the matrix is square and
+    nonsingular.  Each pivot sits in the first column that the columns
+    before it do not span, so ``pivots`` is the lexicographically first
+    set of independent columns.
     """
-    n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    det = Fraction(1)
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        lead = rows[rank][col]
+        det *= lead
+        rows[rank] = [v / lead for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return rows, pivots, det
+
+
+def solve_exact(matrix, rhs):
+    """Solve a square rational system exactly; None if singular."""
+    n = len(matrix)
+    rows, pivots, _ = row_reduce([list(row) + [rhs[i]] for i, row in enumerate(matrix)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n] for row in rows]
 
 
 def det_int(matrix) -> int:
-    """Determinant of an integer matrix via fraction-free elimination."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
+    """Determinant of an integer matrix."""
+    _, pivots, det = row_reduce(matrix)
+    if len(pivots) < len(matrix):
+        return 0
     assert det.denominator == 1
     return int(det)
+
+
+def independent_columns(rows) -> tuple[int, ...] | None:
+    """First len(rows) linearly independent columns, or None if rank-deficient."""
+    _, pivots, _ = row_reduce(rows)
+    return tuple(pivots) if len(pivots) == len(rows) else None
 
 
 @dataclass(frozen=True)
@@ -232,28 +247,18 @@ def _spans_over_z(rows, targets) -> bool:
     if not targets:
         return True
     k = len(rows)
+    cols = independent_columns(rows)
+    if cols is None:
+        return False
+    sub = [[rows[a][c] for a in range(k)] for c in cols]
     for target in targets:
-        cols = _independent_columns(rows)
-        if cols is None:
-            return False
-        sub = [[Fraction(rows[a][c]) for a in range(k)] for c in cols]
-        sol = solve_exact(sub, [Fraction(target[c]) for c in cols])
+        sol = solve_exact(sub, [target[c] for c in cols])
         if sol is None or any(x.denominator != 1 for x in sol):
             return False
         recon = [sum(sol[a] * rows[a][j] for a in range(k)) for j in range(len(target))]
         if any(r != t for r, t in zip(recon, target)):
             return False
     return True
-
-
-def _independent_columns(rows):
-    k = len(rows)
-    m = len(rows[0]) if rows else 0
-    for cols in itertools.combinations(range(m), k):
-        sub = [[rows[a][c] for c in cols] for a in range(k)]
-        if det_int(sub) != 0:
-            return cols
-    return None
 
 
 def dual_exponents(data: ToricCYData) -> list[list[int]]:
@@ -265,12 +270,15 @@ def dual_exponents(data: ToricCYData) -> list[list[int]]:
     exponents of the mirror curve monomials.
     """
     n = data.n
-    basis_cols = [[Fraction(data.rays[j][coord]) for j in range(n)] for coord in range(n)]
+    # One reduction of [leading rays | all rays], rays as columns.
+    reduced, pivots, _ = row_reduce(
+        [[ray[coord] for ray in data.rays[:n] + data.rays] for coord in range(n)]
+    )
+    if pivots != list(range(n)):
+        raise MathDomainError("leading rays are not a basis")
     table = []
-    for i, ray in enumerate(data.rays):
-        sol = solve_exact(basis_cols, [Fraction(x) for x in ray])
-        if sol is None:
-            raise MathDomainError("leading rays are not a basis")
+    for i in range(data.m):
+        sol = [row[n + i] for row in reduced]
         if any(c.denominator != 1 for c in sol):
             raise MathDomainError(
                 f"ray {i} is not an integer combination of the leading rays"
@@ -360,30 +368,11 @@ def validate_brane(data: ToricCYData, brane: BraneSpec) -> ValidationReport:
     if len(brane.constants) != brane.k or len(brane.phases) != brane.k:
         failures.append("need one constant and one phase per charge row")
     if brane.charges and all(len(r) == m for r in brane.charges):
-        if _rank(brane.charges) != brane.k:
+        if independent_columns(brane.charges) is None:
             failures.append("charge rows are linearly dependent")
     if brane.av_indices is not None:
         failures.extend(_check_av_shape(data, brane))
     return ValidationReport(tuple(failures))
-
-
-def _rank(rows) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 def _check_av_shape(data: ToricCYData, brane: BraneSpec) -> list[str]:

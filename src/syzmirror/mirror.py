@@ -30,10 +30,10 @@ from .fps import (
 from .lattice import (
     BraneSpec,
     ToricCYData,
-    det_int,
     divisor_pairing,
     dual_exponents,
     effective_charge_basis,
+    independent_columns,
     solve_exact,
     unit_vector,
     validate_brane,
@@ -300,13 +300,10 @@ class BraneFrame:
         self._solver = self._build_solver()
 
     def _build_solver(self):
-        k = len(self.generators)
-        width = len(self.generators[0])
-        for cols in itertools.combinations(range(width), k):
-            sub = [[Fraction(self.generators[a][c]) for a in range(k)] for c in cols]
-            if det_int([[int(x) for x in row] for row in sub]) != 0:
-                return cols, sub
-        raise MathDomainError("brane frame generators are linearly dependent")
+        cols = independent_columns(self.generators)
+        if cols is None:
+            raise MathDomainError("brane frame generators are linearly dependent")
+        return cols, [[g[c] for g in self.generators] for c in cols]
 
     def closed_order_for(self, order: int) -> int:
         """Closed-frame order resolving every brane grade <= order.
@@ -325,7 +322,7 @@ class BraneFrame:
         """Frame exponents of a Kahler monomial, or None if it escapes."""
         cols, sub = self._solver
         vec = tuple(int(x) for x in vec)
-        sol = solve_exact(sub, [Fraction(vec[c]) for c in cols])
+        sol = solve_exact(sub, [vec[c] for c in cols])
         if sol is None:
             return None
         exps = []

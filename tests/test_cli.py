@@ -232,3 +232,44 @@ class TestDeterminism:
         result = av_mirror_brane(data, brane, 8)
         assert series_from_json(payload["z2"]) == result.z2
         assert series_from_json(payload["z1"]) == result.z1
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with the field at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            pytest.param(("truncation",), "abc", id="truncation"),
+            pytest.param(("toric", "u"), ["x", 0, 1], id="u"),
+            pytest.param(("normalization",), ["a", 1], id="normalization"),
+            pytest.param(("brane", "av_indices"), ["x", 2, 3], id="av_indices"),
+            pytest.param(("brane", "boundary_grading"), [None, 1], id="boundary_grading"),
+            pytest.param(("corrected",), "false", id="corrected"),
+        ],
+    )
+    def test_bad_field_exits_four(self, capsys, tmp_path, path, value):
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(_with(CONIFOLD_DOC, path, value)))
+        code, out, err = run(capsys, "curve", "--input", str(file))
+        assert code == 4
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"]["code"] == "parse"
+        assert path[-1] in record["error"]["message"]
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_corrected_json_bool(self, capsys, tmp_path, value):
+        file = tmp_path / "job.json"
+        file.write_text(json.dumps(_with(CONIFOLD_DOC, ("corrected",), value)))
+        code, out, _ = run(capsys, "curve", "--input", str(file), "--order", "2")
+        assert code == 0
+        assert json.loads(out)["corrected"] is value
