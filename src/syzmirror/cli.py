@@ -41,6 +41,8 @@ class Job:
 
 
 def _require(doc, key, where):
+    if not isinstance(doc, dict):
+        raise InputError(f"{where} must be a JSON object")
     if key not in doc:
         raise InputError(f"missing field {key!r} in {where}")
     return doc[key]
@@ -60,13 +62,19 @@ def _int_vector(raw, where):
         raise InputError(f"bad integer vector in {where}: {exc}") from None
 
 
+def _rational_vector(raw, where):
+    if not isinstance(raw, list):
+        raise InputError(f"{where} must be a list of rational literals")
+    return tuple(parse_rational(x) for x in raw)
+
+
 def parse_job(doc) -> Job:
     if not isinstance(doc, dict):
         raise InputError("job document must be a JSON object")
     toric_doc = _require(doc, "toric", "job document")
     rays = _int_matrix(_require(toric_doc, "rays", "toric"), "toric.rays")
     u = _int_vector(_require(toric_doc, "u", "toric"), "toric.u")
-    offsets = tuple(parse_rational(x) for x in toric_doc.get("lambda", []))
+    offsets = _rational_vector(toric_doc.get("lambda", []), "toric.lambda")
     max_cones = None
     if "max_cones" in toric_doc:
         max_cones = _int_matrix(toric_doc["max_cones"], "toric.max_cones")
@@ -84,14 +92,14 @@ def parse_job(doc) -> Job:
     if doc.get("brane") is not None:
         bdoc = doc["brane"]
         charges = _int_matrix(_require(bdoc, "charges", "brane"), "brane.charges")
-        constants = tuple(parse_rational(x) for x in _require(bdoc, "constants", "brane"))
-        phases = tuple(parse_rational(x) for x in bdoc.get("phases", ["0"] * len(charges)))
+        constants = _rational_vector(_require(bdoc, "constants", "brane"), "brane.constants")
+        phases = _rational_vector(bdoc.get("phases", ["0"] * len(charges)), "brane.phases")
         av_indices = None
         if "av_indices" in bdoc:
             av_indices = _int_vector(bdoc["av_indices"], "brane.av_indices")
             if len(av_indices) != 3:
                 raise InputError("brane.av_indices must have 3 entries")
-        m0 = tuple(parse_rational(x) for x in bdoc["m0"]) if "m0" in bdoc else None
+        m0 = _rational_vector(bdoc["m0"], "brane.m0") if "m0" in bdoc else None
         frame_generators = None
         if "frame" in bdoc:
             frame_generators = _int_matrix(bdoc["frame"], "brane.frame")
@@ -250,7 +258,9 @@ def cmd_disc_invariants(job):
     result = mirror.av_mirror_brane(
         job.toric, brane, job.truncation, normalization=job.normalization
     )
-    table = inv.multiple_cover_inversion(inv.extract_open_gw(result.z2))
+    table = inv.multiple_cover_inversion(
+        inv.extract_open_gw(result.z2, neg_log=result.neg_log_z2)
+    )
     report = inv.integrality_check(table)
     rows = []
     for beta in table.sorted_classes():

@@ -285,34 +285,45 @@ def exp_series(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def log_series(s: TruncatedSeries) -> TruncatedSeries:
-    """log of a series with constant term one."""
+    """log of a series with constant term one.
+
+    The graded Euler operator E (x^e -> grade(e) x^e) is a derivation,
+    so E(log s) = E(s) / s: one inverse and one product, then each
+    coefficient is divided by its grade, which is >= 1 off the constant
+    term (Brent & Kung, J. ACM 25, 1978).
+    """
     if s.constant_term() != 1:
         raise NonUnitSeries("log requires constant term 1")
-    u = s - 1
-    acc = TruncatedSeries.zero(s.frame, s.order)
-    power = TruncatedSeries.one(s.frame, s.order)
-    for k in range(1, s.order + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        acc = acc + power * Fraction((-1) ** (k + 1), k)
-    return acc
+    frame = s.frame
+    euler = s.map_coefficients(lambda e, c: c * frame.grade(e))
+    quotient = euler * inverse(s)
+    return quotient.map_coefficients(lambda e, c: c / frame.grade(e))
+
+
+def _lift(s: TruncatedSeries, order: int) -> TruncatedSeries:
+    """The terms of ``s`` read at a higher truncation order.
+
+    The grades between ``s.order`` and ``order`` read as zero; callers
+    use this only where a Newton or fixed-point step settles them.
+    """
+    return TruncatedSeries(s.frame, order, s.terms)
 
 
 def inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse of a unit series (geometric expansion)."""
+    """Multiplicative inverse of a unit series by Newton iteration.
+
+    Each step g <- g + g*(1 - s*g) raises the precision p to
+    min(2p + 1, order); every generator has grade >= 1, so the settled
+    grades double and O(log order) products suffice.
+    """
     c0 = s.constant_term()
     if c0 == 0:
         raise NonUnitSeries("cannot invert a series with zero constant term")
-    t = TruncatedSeries.one(s.frame, s.order) - s * (1 / c0)
-    acc = TruncatedSeries.one(s.frame, s.order)
-    power = acc
-    for _ in range(s.order):
-        power = power * t
-        if power.is_zero():
-            break
-        acc = acc + power
-    return acc * (1 / c0)
+    g = TruncatedSeries.constant(s.frame, 0, 1 / c0)
+    while g.order < s.order:
+        g = _lift(g, min(2 * g.order + 1, s.order))
+        g = g + g * (1 - s.truncate(g.order) * g)
+    return g
 
 
 def pow_int(s: TruncatedSeries, k: int) -> TruncatedSeries:
@@ -321,16 +332,16 @@ def pow_int(s: TruncatedSeries, k: int) -> TruncatedSeries:
         raise TypeError("exponent must be an integer")
     if k < 0:
         return pow_int(inverse(s), -k)
-    result = TruncatedSeries.one(s.frame, s.order)
+    result = None
     base = s
     e = k
     while e:
         if e & 1:
-            result = result * base
+            result = base if result is None else result * base
         e >>= 1
         if e:
             base = base * base
-    return result
+    return TruncatedSeries.one(s.frame, s.order) if result is None else result
 
 
 def substitute(
@@ -368,25 +379,43 @@ def substitute(
                 "the truncated composition would not be exact"
             )
 
-    powers: list[list[TruncatedSeries]] = [
-        [TruncatedSeries.one(target, target_order)] for _ in images
-    ]
+    # powers[i][e] = images[i]**e, grown on demand
+    powers = [[None, im.truncate(target_order)] for im in images]
 
     def power(i: int, e: int) -> TruncatedSeries:
         cache = powers[i]
         while len(cache) <= e:
-            cache.append(cache[-1] * images[i])
+            cache.append(cache[-1] * cache[1])
         return cache[e]
 
-    acc = TruncatedSeries.zero(target, target_order)
+    # Lexicographic order lets consecutive monomials share the product
+    # of their common exponent prefix: prefix[i] is the image of the
+    # current monomial's generators 0..i (None while that is 1).
+    nvars = s.frame.nvars
+    prefix: list[TruncatedSeries | None] = [None] * nvars
+    previous = None
+    acc: dict[tuple[int, ...], Fraction] = {}
     for exps in sorted(s.terms):
+        if s.frame.grade(exps) > target_order:
+            continue  # every image has valuation >= its source grading
+        start = 0
+        if previous is not None:
+            while exps[start] == previous[start]:
+                start += 1
+        mono = prefix[start - 1] if start else None
+        for i in range(start, nvars):
+            if exps[i]:
+                mono = power(i, exps[i]) if mono is None else mono * power(i, exps[i])
+            prefix[i] = mono
+        previous = exps
         coeff = s.terms[exps]
-        mono = TruncatedSeries.constant(target, target_order, coeff)
-        for i, e in enumerate(exps):
-            if e:
-                mono = mono * power(i, e)
-        acc = acc + mono
-    return acc
+        if mono is None:
+            origin = target.zero_exponent()
+            acc[origin] = acc.get(origin, ZERO) + coeff
+            continue
+        for e, c in mono.terms.items():
+            acc[e] = acc.get(e, ZERO) + coeff * c
+    return TruncatedSeries(target, target_order, acc)
 
 
 def log_derivative(s: TruncatedSeries, var_index: int) -> TruncatedSeries:
@@ -413,15 +442,19 @@ def fixed_point_system(
 ) -> list[TruncatedSeries]:
     """Solve x_a = gen_a * U_a(x) for unit-valued update maps U_a.
 
-    Each pass of the iteration fixes at least one further grade, so the
-    unique solution with x_a = gen_a * (1 + higher grade) is reached in
-    at most ``order`` passes; a system that keeps rewriting
-    already-fixed grades is rejected.
+    Pass k lifts the previous solution, which is exact through grade k,
+    and recomputes it at truncation min(k + 1, order); it is then exact
+    through grade k + 1, so only the last passes run at full order.  A
+    pass that alters a grade <= k rewrites an already-settled grade and
+    is rejected.  The iteration stops at the first full-order pass that
+    reproduces its input, at most ``order + 2`` passes.
     """
     if len(updates) != frame.nvars:
         raise ValueError("one update map per frame generator is required")
-    xs = [TruncatedSeries.generator(frame, order, a) for a in range(frame.nvars)]
-    for round_no in range(order + 2):
+    xs = [TruncatedSeries.generator(frame, min(1, order), a) for a in range(frame.nvars)]
+    for pass_no in range(order + 2):
+        precision = min(pass_no + 1, order)
+        xs = [_lift(x, precision) for x in xs]
         new_xs = []
         for a, update in enumerate(updates):
             u = update(list(xs))
@@ -429,15 +462,14 @@ def fixed_point_system(
                 raise FrameMismatch("update map changed frames")
             if u.constant_term() != 1:
                 raise NonUnitSeries(f"update map {a} is not a unit series")
-            new_xs.append(TruncatedSeries.generator(frame, order, a) * u)
-        settled = round_no  # grades <= settled must no longer move
+            new_xs.append(TruncatedSeries.generator(frame, precision, a) * u)
         for old, new in zip(xs, new_xs):
             diff = old - new
-            if any(frame.grade(e) <= settled for e in diff.terms):
+            if any(frame.grade(e) <= pass_no for e in diff.terms):
                 raise FixedPointDivergence(
                     "fixed-point pass altered an already-settled grade"
                 )
-        if new_xs == xs:
+        if precision == order and new_xs == xs:
             return xs
         xs = new_xs
     raise FixedPointDivergence(f"no stabilization after {order + 2} passes")

@@ -46,14 +46,20 @@ def _neg_log(z2: TruncatedSeries) -> TruncatedSeries:
     return -log_series(z2)
 
 
-def extract_open_gw(z2: TruncatedSeries, frame: Frame | None = None) -> InvariantTable:
+def extract_open_gw(
+    z2: TruncatedSeries,
+    frame: Frame | None = None,
+    neg_log: TruncatedSeries | None = None,
+) -> InvariantTable:
     """n_beta = (coefficient of Q^beta in -log z2) / boundary(beta).
 
     A monomial with zero boundary grading cannot be divided out and
-    signals a wrong frame or a non-Aganagic-Vafa input.
+    signals a wrong frame or a non-Aganagic-Vafa input.  A caller that
+    already holds -log z2 (``BraneMirrorSeries.neg_log_z2``) passes it
+    as ``neg_log``.
     """
     frame = frame or z2.frame
-    log_part = _neg_log(z2)
+    log_part = _neg_log(z2) if neg_log is None else neg_log
     table = {}
     offenders = []
     for exps, coeff in log_part.terms.items():

@@ -21,8 +21,8 @@ from .fps import (
     Frame,
     TruncatedSeries,
     exp_series,
+    _lift,
     fixed_point_system,
-    inverse,
     log_series,
     pow_int,
     substitute,
@@ -184,13 +184,17 @@ def inverse_mirror_map(
     return MirrorMapData("Q_to_q", a_list, closed, open_unit, order)
 
 
-def fiber_open_gw(data: ToricCYData, order: int) -> list[TruncatedSeries]:
+def fiber_open_gw(
+    data: ToricCYData, order: int, inverse_map: MirrorMapData | None = None
+) -> list[TruncatedSeries]:
     """Fiber disc-generating functions 1 + delta_i = exp(-A_i(q(Q))).
 
     Satisfies Q_a * prod_j (1+delta_j)^{iota_j^(a)} = q_a(Q) exactly,
-    which is the defining identity of the inverse map route.
+    which is the defining identity of the inverse map route.  A caller
+    that already holds ``inverse_mirror_map(data, order)`` passes it as
+    ``inverse_map``.
     """
-    inv = inverse_mirror_map(data, order)
+    inv = inverse_mirror_map(data, order) if inverse_map is None else inverse_map
     frame = closed_frame(data)
     out = []
     for a in inv.a_series:
@@ -219,12 +223,18 @@ class MirrorCurve:
     terms: tuple[CurveTerm, ...]
 
 
-def build_curve(data: ToricCYData, order: int, corrected: bool = True) -> MirrorCurve:
+def build_curve(
+    data: ToricCYData,
+    order: int,
+    corrected: bool = True,
+    inverse_map: MirrorMapData | None = None,
+) -> MirrorCurve:
+    """The curve W at closed order ``order``; ``inverse_map`` as in fiber_open_gw."""
     require_valid(data)
     frame = closed_frame(data)
     n, m = data.n, data.m
     if corrected:
-        coefficients = fiber_open_gw(data, order)
+        coefficients = fiber_open_gw(data, order, inverse_map)
     else:
         coefficients = [TruncatedSeries.one(frame, order) for _ in range(m)]
     duals = dual_exponents(data)
@@ -359,6 +369,11 @@ def brane_frame(data: ToricCYData, brane: BraneSpec) -> BraneFrame:
         raise MathDomainError(
             f"brane frame generators must have {width} entries (Q0 and closed variables)"
         )
+    count = len(brane.frame_generators)
+    if brane.boundary_grading is not None and len(brane.boundary_grading) != count:
+        raise MathDomainError(
+            f"brane boundary grading must have {count} entries, one per frame generator"
+        )
     return BraneFrame(brane.frame_generators, boundary=brane.boundary_grading)
 
 
@@ -380,14 +395,18 @@ def map_closed_series(series: TruncatedSeries, bframe: BraneFrame, order: int) -
     return TruncatedSeries(bframe.frame, order, terms)
 
 
-def open_series(data, brane, bframe, order) -> TruncatedSeries:
+def open_series(data, brane, bframe, order, inverse_map=None) -> TruncatedSeries:
     """z_1 as a brane-frame series: Q0 times the open inverse-map unit.
 
     This is the composition form of the open mirror map: the open
     complex parameter expressed in the Kahler variables,
-    q_0 = Q_0 * exp(- sum_j l_j^(0) A_j(q(Q))).
+    q_0 = Q_0 * exp(- sum_j l_j^(0) A_j(q(Q))).  A caller that already
+    holds ``inverse_mirror_map(data, bframe.closed_order_for(order),
+    brane)`` passes it as ``inverse_map``.
     """
-    inv = inverse_mirror_map(data, bframe.closed_order_for(order), brane)
+    inv = inverse_map
+    if inv is None:
+        inv = inverse_mirror_map(data, bframe.closed_order_for(order), brane)
     q0_exps = bframe.pack((1,) + (0,) * data.n_closed)
     if q0_exps is None:
         raise FrameEscape("the open variable Q0 is not representable in the brane frame")
@@ -446,6 +465,17 @@ def _curve_in_brane_frame(curve, z1, bframe, order, n_closed):
     return collected
 
 
+def _horner(table, point, order) -> TruncatedSeries:
+    """sum_e table[e] * point**e at truncation ``order``, by Horner's rule."""
+    degree = max(table)
+    acc = table[degree].truncate(order)
+    for e in range(degree - 1, -1, -1):
+        acc = acc * point
+        if e in table:
+            acc = acc + table[e].truncate(order)
+    return acc
+
+
 def solve_curve_root(
     curve: MirrorCurve,
     z1_series: TruncatedSeries,
@@ -456,9 +486,12 @@ def solve_curve_root(
     """Newton-solve W(z1, z2) = 0 for z2 in the brane frame.
 
     The start value is the grade-0 simple root (-1, the branch
-    continuously connected to -(1+delta_0) - z1); Newton doubles the
-    settled grade each step, and the residual is exactly zero at the
-    truncation order on success.
+    continuously connected to -(1+delta_0) - z1).  Newton runs at
+    doubling precision 1, 3, 7, ..., order: a root exact through grade
+    p becomes exact through 2p + 1 after z2 <- z2 - W(z2) * h, where h
+    is 1/W'(z2) through grade p, itself kept up by one Newton inversion
+    step per iteration.  The residual must then be exactly zero at the
+    truncation order.
     """
     if curve.n_z != 2:
         raise MathDomainError("the curve root solve expects a threefold curve (z1, z2)")
@@ -475,24 +508,19 @@ def solve_curve_root(
             f"grade-0 part has no simple root at {root0} (value {value}, slope {slope})"
         )
 
-    z2 = TruncatedSeries.constant(frame, order, root0)
-
-    def evaluate(point, table):
-        acc = TruncatedSeries.zero(frame, order)
-        for e2, coeff in table.items():
-            acc = acc + coeff * pow_int(point, e2)
-        return acc
-
     derivative = {e2 - 1: s * e2 for e2, s in poly.items() if e2}
-    for _ in range(order.bit_length() + 2):
-        residual = evaluate(z2, poly)
-        if residual.is_zero():
-            return z2
-        z2 = z2 - residual * inverse(evaluate(z2, derivative))
-    residual = evaluate(z2, poly)
-    if residual.is_zero():
-        return z2
-    raise BranchError("Newton iteration failed to settle every grade")
+    z2 = TruncatedSeries.constant(frame, 0, root0)
+    h = TruncatedSeries.constant(frame, 0, 1 / slope)
+    while z2.order < order:
+        if z2.order:
+            h = _lift(h, z2.order)
+            h = h + h * (1 - _horner(derivative, z2, z2.order) * h)
+        precision = min(2 * z2.order + 1, order)
+        z2 = _lift(z2, precision)
+        z2 = z2 - _horner(poly, z2, precision) * _lift(h, precision)
+    if not _horner(poly, z2, order).is_zero():
+        raise BranchError("Newton iteration failed to settle every grade")
+    return z2
 
 
 def evaluate_curve(curve, z1, z2, bframe, order) -> TruncatedSeries:
@@ -513,13 +541,17 @@ class BraneMirrorSeries:
     eps2 rescales z2; they are chosen so z2 has constant term +1 and
     -log z2 is supported on nonzero boundary grading, with the basic
     disc class entering positively.  ``residual`` is W evaluated on the
-    solution pair and must be identically zero.
+    solution pair and must be identically zero.  ``neg_log_z2`` is
+    -log z2, which the normalization already needs, and ``bframe`` the
+    brane frame both series live over.
     """
 
     z1: TruncatedSeries
     z2: TruncatedSeries
     signs: tuple[int, int]
     residual: TruncatedSeries
+    neg_log_z2: TruncatedSeries
+    bframe: BraneFrame
 
 
 def _twist(series: TruncatedSeries, eps1: int) -> TruncatedSeries:
@@ -529,28 +561,32 @@ def _twist(series: TruncatedSeries, eps1: int) -> TruncatedSeries:
     return series.map_coefficients(lambda e, c: c * (eps1 ** (frame.boundary_grade(e) % 2)))
 
 
-def _normalize_root(z1, z2_raw, bframe, order, override=None):
+def _normalize_root(z2_raw, bframe, override=None):
+    """Pick the signs (eps1, eps2); return them, z2 and -log z2.
+
+    The twist by eps1 is a ring automorphism that fixes constant terms,
+    so eps2 is the same for both candidates and the second candidate's
+    -log z2 is the twist of the first one's: one log serves both.
+    """
     frame = bframe.frame
     const = z2_raw.constant_term()
     if const not in (Fraction(1), Fraction(-1)):
         raise BranchError(f"curve root has non-unit constant term {const}")
     q0_exps = bframe.pack((1,) + (0,) * (len(bframe.generators[0]) - 1))
 
+    eps2 = override[1] if override else int(const)
+    base = z2_raw * eps2
+    if base.constant_term() != 1:
+        raise BranchError(
+            f"normalization override {override} leaves z2 constant term "
+            f"{base.constant_term()}, expected 1"
+        )
+    base_log = -log_series(base)
     candidates = []
     rejected = []
     eps1_options = [override[0]] if override else [1, -1]
     for eps1 in eps1_options:
-        twisted = _twist(z2_raw, eps1)
-        eps2 = override[1] if override else (1 if twisted.constant_term() == 1 else -1)
-        z2 = twisted * eps2
-        if z2.constant_term() != 1:
-            if override:
-                raise BranchError(
-                    f"normalization override {override} leaves z2 constant term "
-                    f"{z2.constant_term()}, expected 1"
-                )
-            continue
-        log_part = -log_series(z2)
+        log_part = _twist(base_log, eps1)
         offenders = [e for e in log_part.terms if frame.boundary_grade(e) == 0]
         if offenders:
             if override:
@@ -560,18 +596,15 @@ def _normalize_root(z1, z2_raw, bframe, order, override=None):
             rejected.extend(offenders)
             continue
         basic = log_part.terms.get(q0_exps, Fraction(0)) if q0_exps else Fraction(0)
-        candidates.append((eps1, eps2, z2, basic))
-    if override:
-        eps1, eps2, z2, _ = candidates[0]
-        return (eps1, eps2), z2
+        candidates.append((eps1, log_part, basic))
     if not candidates:
         raise BranchError(
             "no sign normalization gives constant term 1 with -log z2 supported "
             f"on nonzero boundary grading; offending monomials {sorted(set(rejected))[:6]}"
         )
-    positive = [c for c in candidates if c[3] > 0]
-    chosen = positive[0] if positive else candidates[0]
-    return (chosen[0], chosen[1]), chosen[2]
+    positive = [c for c in candidates if c[2] > 0]
+    eps1, log_part, _ = positive[0] if positive else candidates[0]
+    return (eps1, eps2), _twist(base, eps1), log_part
 
 
 def av_mirror_brane(
@@ -593,14 +626,23 @@ def av_mirror_brane(
     if brane.av_indices is None:
         raise MathDomainError("av_mirror_brane needs Aganagic-Vafa indices")
     bframe = brane_frame(data, brane)
-    curve = build_curve(data, bframe.closed_order_for(order), corrected=True)
-    z1 = open_series(data, brane, bframe, order)
+    closed_order = bframe.closed_order_for(order)
+    inv = inverse_mirror_map(data, closed_order, brane)
+    curve = build_curve(data, closed_order, corrected=True, inverse_map=inv)
+    z1 = open_series(data, brane, bframe, order, inverse_map=inv)
     z2_raw = solve_curve_root(curve, z1, bframe, order)
     residual = evaluate_curve(curve, z1, z2_raw, bframe, order)
-    signs, z2 = _normalize_root(z1, z2_raw, bframe, order, override=normalization)
+    signs, z2, neg_log_z2 = _normalize_root(z2_raw, bframe, override=normalization)
     eps1 = signs[0]
     z1_normalized = _twist(z1, eps1) * eps1
-    return BraneMirrorSeries(z1=z1_normalized, z2=z2, signs=signs, residual=residual)
+    return BraneMirrorSeries(
+        z1=z1_normalized,
+        z2=z2,
+        signs=signs,
+        residual=residual,
+        neg_log_z2=neg_log_z2,
+        bframe=bframe,
+    )
 
 
 @dataclass(frozen=True)
@@ -637,7 +679,7 @@ def compare_naive(
     normalization: tuple[int, int] | None = None,
 ) -> NaiveComparison:
     mirror = av_mirror_brane(data, brane, order, normalization=normalization)
-    bframe = brane_frame(data, brane)
+    bframe = mirror.bframe
     frame = bframe.frame
     q0_exps = bframe.pack((1,) + (0,) * data.n_closed)
     z1_corr = mirror.z1 - TruncatedSeries.monomial(frame, order, q0_exps)

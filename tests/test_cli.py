@@ -1,7 +1,9 @@
 """End-to-end CLI checks: exit codes, determinism, output round trips."""
 
 import json
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +275,58 @@ class TestParseErrors:
         code, out, _ = run(capsys, "curve", "--input", str(file), "--order", "2")
         assert code == 0
         assert json.loads(out)["corrected"] is value
+
+
+LOCAL_P2_JOB = Path(__file__).resolve().parent.parent / "jobs" / "local_p2.json"
+
+
+class TestBoundaryGrading:
+    @pytest.mark.parametrize("command", ["brane-mirror", "disc-invariants", "compare-naive"])
+    @pytest.mark.parametrize("grading", [[1], [1, 1, 1], []], ids=["short", "long", "empty"])
+    def test_wrong_length_exits_three(self, capsys, tmp_path, command, grading):
+        doc = json.loads(LOCAL_P2_JOB.read_text())
+        file = tmp_path / "job.json"
+        file.write_text(json.dumps(_with(doc, ("brane", "boundary_grading"), grading)))
+        code, out, err = run(capsys, command, "--input", str(file), "--order", "3")
+        assert code == 3
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"]["code"] == "math"
+        assert "boundary grading must have 2 entries" in record["error"]["message"]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every binding in the package."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("syzmirror"):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+class TestRepeatedWork:
+    def test_disc_invariants_computes_each_intermediate_once(self, capsys, monkeypatch):
+        from syzmirror import fps, mirror
+
+        inverse_maps = _count_calls(monkeypatch, mirror, "inverse_mirror_map")
+        logs = _count_calls(monkeypatch, fps, "log_series")
+        code, _, _ = run(capsys, "disc-invariants", "--input", str(LOCAL_P2_JOB), "--order", "6")
+        assert code == 0
+        assert len(inverse_maps) == 1
+        assert len(logs) == 1
+
+    def test_compare_naive_builds_the_brane_frame_once(self, capsys, monkeypatch):
+        from syzmirror import mirror
+
+        frames = _count_calls(monkeypatch, mirror, "brane_frame")
+        code, _, _ = run(capsys, "compare-naive", "--input", str(LOCAL_P2_JOB), "--order", "4")
+        assert code == 0
+        assert len(frames) == 1
