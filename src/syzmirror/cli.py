@@ -49,17 +49,19 @@ def _require(doc, key, where):
 
 
 def _int_matrix(raw, where):
-    try:
-        return tuple(tuple(int(x) for x in row) for row in raw)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad integer matrix in {where}: {exc}") from None
+    if not isinstance(raw, list):
+        raise InputError(f"bad integer matrix in {where}: expected a list of lists")
+    return tuple(_int_vector(row, where) for row in raw)
 
 
 def _int_vector(raw, where):
-    try:
-        return tuple(int(x) for x in raw)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad integer vector in {where}: {exc}") from None
+    """A JSON list of integers; floats, strings and booleans are refused."""
+    if not isinstance(raw, list):
+        raise InputError(f"bad integer vector in {where}: expected a list")
+    bad = [x for x in raw if type(x) is not int]
+    if bad:
+        raise InputError(f"bad integer vector in {where}: {bad[0]!r} is not an integer")
+    return tuple(raw)
 
 
 def _rational_vector(raw, where):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import MathDomainError
@@ -136,6 +137,26 @@ class ToricCYData:
     def n_closed(self) -> int:
         return self.m - self.n
 
+    # Derived lattice data, computed once per object and stored as
+    # tuples so callers can share it.  Each body calls the module
+    # function by name, so a wrapper bound in its place sees the call.
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        return validate_cy(self)
+
+    @cached_property
+    def dual_exponents(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, dual_exponents(self)))
+
+    @cached_property
+    def charge_basis(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, charge_basis(self)))
+
+    @cached_property
+    def effective_charge_basis(self) -> tuple[tuple[int, ...], ...]:
+        return effective_charge_basis(self)
+
 
 @dataclass(frozen=True)
 class BraneSpec:
@@ -237,7 +258,7 @@ def _check_charge_rows(data: ToricCYData) -> list[str]:
     if not failures and rows:
         # Z-basis check: the canonical kernel rows must be integer
         # combinations of the supplied rows and vice versa.
-        canonical = charge_basis(ToricCYData(data.rays, data.u, data.offsets))
+        canonical = data.charge_basis
         if not (_spans_over_z(rows, canonical) and _spans_over_z(canonical, rows)):
             failures.append("charge rows are not a Z-basis of the ray relations")
     return failures
@@ -321,7 +342,7 @@ def charge_basis(data: ToricCYData) -> list[list[int]]:
     the orientation under which effective curve classes have
     non-negative exponents.
     """
-    duals = dual_exponents(data)
+    duals = data.dual_exponents
     n, m = data.n, data.m
     rows = []
     for i in range(n, m):
@@ -340,11 +361,11 @@ def charge_basis(data: ToricCYData) -> list[list[int]]:
     return normalized
 
 
-def effective_charge_basis(data: ToricCYData) -> list[list[int]]:
+def effective_charge_basis(data: ToricCYData) -> tuple[tuple[int, ...], ...]:
     """User-supplied charge rows when present (authoritative), else computed."""
     if data.charge_rows is not None:
-        return [list(r) for r in data.charge_rows]
-    return charge_basis(data)
+        return data.charge_rows
+    return data.charge_basis
 
 
 def divisor_pairing(iota, alpha) -> list[int]:

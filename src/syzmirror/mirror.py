@@ -31,13 +31,10 @@ from .lattice import (
     BraneSpec,
     ToricCYData,
     divisor_pairing,
-    dual_exponents,
-    effective_charge_basis,
     independent_columns,
     solve_exact,
     unit_vector,
     validate_brane,
-    validate_cy,
 )
 
 
@@ -48,9 +45,8 @@ def closed_frame(data: ToricCYData) -> Frame:
 
 
 def require_valid(data: ToricCYData) -> None:
-    report = validate_cy(data)
-    if not report.ok:
-        raise ValidationError(f"invalid toric data: {report}")
+    if not data.validation.ok:
+        raise ValidationError(f"invalid toric data: {data.validation}")
 
 
 def coefficient_E(iota, alpha, i: int) -> Fraction:
@@ -85,7 +81,7 @@ def _effective_classes(frame: Frame, order: int):
 def a_series(data: ToricCYData, i: int, order: int) -> TruncatedSeries:
     """A_i(q) = sum over effective classes alpha > 0 of E_i(alpha) q^alpha."""
     frame = closed_frame(data)
-    iota = effective_charge_basis(data)
+    iota = data.effective_charge_basis
     terms = {}
     for alpha in _effective_classes(frame, order):
         value = coefficient_E(iota, alpha, i)
@@ -121,43 +117,33 @@ class MirrorMapData:
     order: int
 
 
-def _charge_combinations(data, a_list, order):
-    """S_a = sum_j iota_j^(a) A_j for each charge row a."""
-    frame = closed_frame(data)
-    iota = effective_charge_basis(data)
-    combos = []
-    for row in iota:
-        s = TruncatedSeries.zero(frame, order)
-        for j, weight in enumerate(row):
-            if weight:
-                s = s + a_list[j] * weight
-        combos.append(s)
-    return combos
-
-
-def _open_combination(data, brane, a_list, order):
-    frame = closed_frame(data)
-    l0 = open_charge(brane, data.m)
+def _weighted_sum(a_list, weights, frame, order) -> TruncatedSeries:
+    """sum_j weights_j A_j."""
     s = TruncatedSeries.zero(frame, order)
-    for j, weight in enumerate(l0):
+    for a, weight in zip(a_list, weights):
         if weight:
-            s = s + a_list[j] * weight
+            s = s + a * weight
     return s
+
+
+def _map_inputs(data, order, brane):
+    """Validate, then the closed frame, every A_j, S_a = sum_j iota_j^(a) A_j
+    per charge row a, and sum_j l_j^(0) A_j (None without a brane)."""
+    require_valid(data)
+    frame = closed_frame(data)
+    a_list = tuple(a_series(data, j, order) for j in range(data.m))
+    combos = [_weighted_sum(a_list, row, frame, order) for row in data.effective_charge_basis]
+    s0 = None if brane is None else _weighted_sum(a_list, open_charge(brane, data.m), frame, order)
+    return frame, a_list, combos, s0
 
 
 def mirror_map(data: ToricCYData, order: int, brane: BraneSpec | None = None) -> MirrorMapData:
     """Q_a = q_a exp(sum_j iota_j^(a) A_j(q)), open direction likewise."""
-    require_valid(data)
-    frame = closed_frame(data)
-    a_list = tuple(a_series(data, j, order) for j in range(data.m))
-    combos = _charge_combinations(data, a_list, order)
+    frame, a_list, combos, s0 = _map_inputs(data, order, brane)
     closed = tuple(
-        TruncatedSeries.generator(frame, order, a) * exp_series(combos[a])
-        for a in range(data.n_closed)
+        TruncatedSeries.generator(frame, order, a) * exp_series(s) for a, s in enumerate(combos)
     )
-    open_unit = None
-    if brane is not None:
-        open_unit = exp_series(_open_combination(data, brane, a_list, order))
+    open_unit = None if s0 is None else exp_series(s0)
     return MirrorMapData("q_to_Q", a_list, closed, open_unit, order)
 
 
@@ -165,10 +151,7 @@ def inverse_mirror_map(
     data: ToricCYData, order: int, brane: BraneSpec | None = None
 ) -> MirrorMapData:
     """Graded fixed point of q_a = Q_a exp(- sum_j iota_j^(a) A_j(q))."""
-    require_valid(data)
-    frame = closed_frame(data)
-    a_list = tuple(a_series(data, j, order) for j in range(data.m))
-    combos = _charge_combinations(data, a_list, order)
+    frame, a_list, combos, s0 = _map_inputs(data, order, brane)
 
     def make_update(s):
         def update(xs):
@@ -178,8 +161,7 @@ def inverse_mirror_map(
 
     closed = tuple(fixed_point_system([make_update(s) for s in combos], frame, order))
     open_unit = None
-    if brane is not None:
-        s0 = _open_combination(data, brane, a_list, order)
+    if s0 is not None:
         open_unit = exp_series(-substitute(s0, list(closed), frame=frame, order=order))
     return MirrorMapData("Q_to_q", a_list, closed, open_unit, order)
 
@@ -237,7 +219,7 @@ def build_curve(
         coefficients = fiber_open_gw(data, order, inverse_map)
     else:
         coefficients = [TruncatedSeries.one(frame, order) for _ in range(m)]
-    duals = dual_exponents(data)
+    duals = data.dual_exponents
     terms = []
     for i in range(m):
         if i < n:
@@ -272,7 +254,7 @@ def naive_brane(data: ToricCYData, brane: BraneSpec) -> list[BraneEquation]:
     special = [f for f in report.failures if "special" in f or "length" in f]
     if special:
         raise MathDomainError("; ".join(special))
-    duals = dual_exponents(data)
+    duals = data.dual_exponents
     n, m = data.n, data.m
     equations = []
     for row, c, phi in zip(brane.charges, brane.constants, brane.phases):
@@ -293,6 +275,8 @@ class BraneFrame:
     Q1*Q0^-1), but series over the frame only use non-negative powers
     of the generators.  The boundary grading defaults to the
     Q0-exponent of each generator, which is the winding functional.
+    ``q0`` is the frame exponent of the open variable Q0; a frame that
+    cannot hold Q0 is rejected with FrameEscape.
     """
 
     def __init__(self, generators, boundary=None, names=None, grading=None):
@@ -307,13 +291,16 @@ class BraneFrame:
         if names is None:
             names = tuple(f"P{k}" for k in range(1, len(self.generators) + 1))
         self.frame = Frame(names=tuple(names), grading=tuple(grading or ()), boundary=tuple(boundary))
-        self._solver = self._build_solver()
-
-    def _build_solver(self):
         cols = independent_columns(self.generators)
         if cols is None:
             raise MathDomainError("brane frame generators are linearly dependent")
-        return cols, [[g[c] for g in self.generators] for c in cols]
+        self._solver = cols, [[g[c] for g in self.generators] for c in cols]
+        q0_vec = unit_vector(width, 0)
+        self.q0 = self.pack(q0_vec)
+        if self.q0 is None:
+            raise FrameEscape(
+                "the open variable Q0 is not representable in the brane frame", [q0_vec]
+            )
 
     def closed_order_for(self, order: int) -> int:
         """Closed-frame order resolving every brane grade <= order.
@@ -349,9 +336,6 @@ class BraneFrame:
         return tuple(
             sum(e * g[c] for e, g in zip(exps, self.generators)) for c in range(width)
         )
-
-    def q0_exponent(self, exps) -> int:
-        return self.unpack(exps)[0]
 
     def closed_part(self, exps) -> tuple[int, ...]:
         return self.unpack(exps)[1:]
@@ -407,30 +391,25 @@ def open_series(data, brane, bframe, order, inverse_map=None) -> TruncatedSeries
     inv = inverse_map
     if inv is None:
         inv = inverse_mirror_map(data, bframe.closed_order_for(order), brane)
-    q0_exps = bframe.pack((1,) + (0,) * data.n_closed)
-    if q0_exps is None:
-        raise FrameEscape("the open variable Q0 is not representable in the brane frame")
     unit = map_closed_series(inv.open_unit, bframe, order)
-    return TruncatedSeries.monomial(bframe.frame, order, q0_exps) * unit
+    return TruncatedSeries.monomial(bframe.frame, order, bframe.q0) * unit
 
 
-def _curve_in_brane_frame(curve, z1, bframe, order, n_closed):
+def _curve_in_brane_frame(curve, z1, bframe, order):
     """Collect W(z1, z2) as {z2 exponent: brane-frame series}.
 
     z1^e factors through its leading Q0 monomial times a unit, so
     negative powers stay inside the frame monoid as long as the
     combined scalar monomial of each curve term packs.
     """
+    if curve.n_z != 2:
+        raise MathDomainError("the curve root solve expects a threefold curve (z1, z2)")
     frame = bframe.frame
-    q0_vec = (1,) + (0,) * n_closed
-    q0_exps = bframe.pack(q0_vec)
-    if q0_exps is None:
-        raise FrameEscape("the open variable Q0 is not representable in the brane frame")
     unit = TruncatedSeries(
         frame,
         order,
         {
-            tuple(e - q for e, q in zip(exps, q0_exps)): c
+            tuple(e - q for e, q in zip(exps, bframe.q0)): c
             for exps, c in z1.terms.items()
         },
     )
@@ -440,11 +419,8 @@ def _curve_in_brane_frame(curve, z1, bframe, order, n_closed):
     collected: dict[int, TruncatedSeries] = {}
     escapes = []
     for term in curve.terms:
-        e1 = term.z_exponents[0] if curve.n_z >= 1 else 0
-        e2 = term.z_exponents[1] if curve.n_z >= 2 else 0
-        scalar_vec = tuple(
-            e1 * q + v for q, v in zip(q0_vec, (0,) + tuple(term.q_exponents))
-        )
+        e1, e2 = term.z_exponents
+        scalar_vec = (e1,) + tuple(term.q_exponents)
         packed = bframe.pack(scalar_vec)
         if packed is None:
             escapes.append(scalar_vec)
@@ -493,12 +469,14 @@ def solve_curve_root(
     step per iteration.  The residual must then be exactly zero at the
     truncation order.
     """
-    if curve.n_z != 2:
-        raise MathDomainError("the curve root solve expects a threefold curve (z1, z2)")
-    frame = bframe.frame
-    collected = _curve_in_brane_frame(curve, z1_series, bframe, order, len(bframe.generators[0]) - 1)
-    shift = max(0, -min(collected))
-    poly = {e2 + shift: s for e2, s in collected.items()}
+    table = _curve_in_brane_frame(curve, z1_series, bframe, order)
+    return _newton_root(table, bframe.frame, order, root0)
+
+
+def _newton_root(table, frame, order, root0=Fraction(-1)) -> TruncatedSeries:
+    """The Newton solve of solve_curve_root on a built curve table."""
+    shift = max(0, -min(table))
+    poly = {e2 + shift: s for e2, s in table.items()}
 
     grade0 = {e2: s.constant_term() for e2, s in poly.items()}
     value = sum(c * root0**e2 for e2, c in grade0.items())
@@ -525,9 +503,13 @@ def solve_curve_root(
 
 def evaluate_curve(curve, z1, z2, bframe, order) -> TruncatedSeries:
     """Independent re-evaluation of W on a candidate root pair (audit)."""
-    collected = _curve_in_brane_frame(curve, z1, bframe, order, len(bframe.generators[0]) - 1)
-    acc = TruncatedSeries.zero(bframe.frame, order)
-    for e2, coeff in collected.items():
+    return _evaluate_table(_curve_in_brane_frame(curve, z1, bframe, order), z2, bframe.frame, order)
+
+
+def _evaluate_table(table, z2, frame, order) -> TruncatedSeries:
+    """sum_e table[e] * z2**e, the curve W evaluated exactly at z2."""
+    acc = TruncatedSeries.zero(frame, order)
+    for e2, coeff in table.items():
         acc = acc + coeff * pow_int(z2, e2)
     return acc
 
@@ -572,7 +554,6 @@ def _normalize_root(z2_raw, bframe, override=None):
     const = z2_raw.constant_term()
     if const not in (Fraction(1), Fraction(-1)):
         raise BranchError(f"curve root has non-unit constant term {const}")
-    q0_exps = bframe.pack((1,) + (0,) * (len(bframe.generators[0]) - 1))
 
     eps2 = override[1] if override else int(const)
     base = z2_raw * eps2
@@ -595,7 +576,7 @@ def _normalize_root(z2_raw, bframe, override=None):
                 )
             rejected.extend(offenders)
             continue
-        basic = log_part.terms.get(q0_exps, Fraction(0)) if q0_exps else Fraction(0)
+        basic = log_part.terms.get(bframe.q0, Fraction(0))
         candidates.append((eps1, log_part, basic))
     if not candidates:
         raise BranchError(
@@ -630,8 +611,10 @@ def av_mirror_brane(
     inv = inverse_mirror_map(data, closed_order, brane)
     curve = build_curve(data, closed_order, corrected=True, inverse_map=inv)
     z1 = open_series(data, brane, bframe, order, inverse_map=inv)
-    z2_raw = solve_curve_root(curve, z1, bframe, order)
-    residual = evaluate_curve(curve, z1, z2_raw, bframe, order)
+    # One brane-frame table of W serves the Newton solve and the audit.
+    table = _curve_in_brane_frame(curve, z1, bframe, order)
+    z2_raw = _newton_root(table, bframe.frame, order)
+    residual = _evaluate_table(table, z2_raw, bframe.frame, order)
     signs, z2, neg_log_z2 = _normalize_root(z2_raw, bframe, override=normalization)
     eps1 = signs[0]
     z1_normalized = _twist(z1, eps1) * eps1
@@ -662,15 +645,6 @@ class NaiveComparison:
     z2_mixed: TruncatedSeries
     signs: tuple[int, int]
 
-    def leading_terms(self, count: int = 3):
-        out = []
-        for label, series in (("z1", self.z1_correction), ("z2", self.z2_correction)):
-            ranked = sorted(
-                series.terms.items(), key=lambda item: (series.frame.grade(item[0]), item[0])
-            )
-            out.extend((label, e, c) for e, c in ranked[:count])
-        return out
-
 
 def compare_naive(
     data: ToricCYData,
@@ -681,8 +655,7 @@ def compare_naive(
     mirror = av_mirror_brane(data, brane, order, normalization=normalization)
     bframe = mirror.bframe
     frame = bframe.frame
-    q0_exps = bframe.pack((1,) + (0,) * data.n_closed)
-    z1_corr = mirror.z1 - TruncatedSeries.monomial(frame, order, q0_exps)
+    z1_corr = mirror.z1 - TruncatedSeries.monomial(frame, order, bframe.q0)
     z2_corr = mirror.z2 - 1
 
     def pure_open(exps):

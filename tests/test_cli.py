@@ -256,6 +256,13 @@ class TestParseErrors:
             pytest.param(("brane", "av_indices"), ["x", 2, 3], id="av_indices"),
             pytest.param(("brane", "boundary_grading"), [None, 1], id="boundary_grading"),
             pytest.param(("corrected",), "false", id="corrected"),
+            pytest.param(("toric", "u"), [0, 0, 1.9], id="u-float"),
+            pytest.param(
+                ("toric", "rays"), [[0, 0, True], [1, 0, 1], [1, 1, 1], [0, 1, 1]], id="rays-bool"
+            ),
+            pytest.param(("truncation",), True, id="truncation-bool"),
+            pytest.param(("truncation",), 8.0, id="truncation-float"),
+            pytest.param(("brane", "av_indices"), [0, 2.5, 1], id="av_indices-float"),
         ],
     )
     def test_bad_field_exits_four(self, capsys, tmp_path, path, value):
@@ -278,6 +285,7 @@ class TestParseErrors:
 
 
 LOCAL_P2_JOB = Path(__file__).resolve().parent.parent / "jobs" / "local_p2.json"
+LOCAL_DP3_JOB = Path(__file__).resolve().parent.parent / "perfbench" / "jobs" / "local_dp3.json"
 
 
 class TestBoundaryGrading:
@@ -314,14 +322,44 @@ def _count_calls(monkeypatch, module, name):
 
 class TestRepeatedWork:
     def test_disc_invariants_computes_each_intermediate_once(self, capsys, monkeypatch):
-        from syzmirror import fps, mirror
+        from syzmirror import fps, lattice, mirror
 
         inverse_maps = _count_calls(monkeypatch, mirror, "inverse_mirror_map")
         logs = _count_calls(monkeypatch, fps, "log_series")
+        lattice_calls = {
+            name: _count_calls(monkeypatch, lattice, name)
+            for name in ("charge_basis", "dual_exponents", "validate_cy")
+        }
+        curve_tables = _count_calls(monkeypatch, mirror, "_curve_in_brane_frame")
         code, _, _ = run(capsys, "disc-invariants", "--input", str(LOCAL_P2_JOB), "--order", "6")
         assert code == 0
         assert len(inverse_maps) == 1
         assert len(logs) == 1
+        assert {name: len(calls) for name, calls in lattice_calls.items()} == {
+            "charge_basis": 1, "dual_exponents": 1, "validate_cy": 1
+        }
+        assert len(curve_tables) == 1
+
+    def test_fiber_invariants_computes_the_charge_basis_once(self, capsys, monkeypatch):
+        from syzmirror import lattice
+
+        bases = _count_calls(monkeypatch, lattice, "charge_basis")
+        code, _, _ = run(capsys, "fiber-invariants", "--input", str(LOCAL_DP3_JOB), "--order", "3")
+        assert code == 0
+        assert len(bases) == 1
+
+    def test_frame_without_q0_exits_before_the_inverse_map(self, capsys, monkeypatch, tmp_path):
+        from syzmirror import mirror
+
+        inverse_maps = _count_calls(monkeypatch, mirror, "inverse_mirror_map")
+        doc = json.loads(LOCAL_P2_JOB.read_text())
+        file = tmp_path / "job.json"
+        file.write_text(json.dumps(_with(doc, ("brane", "frame"), [[1, 1], [0, 1]])))
+        code, out, err = run(capsys, "disc-invariants", "--input", str(file), "--order", "4")
+        assert code == 3
+        assert out == ""
+        assert "Q0" in json.loads(err)["error"]["message"]
+        assert inverse_maps == []
 
     def test_compare_naive_builds_the_brane_frame_once(self, capsys, monkeypatch):
         from syzmirror import mirror

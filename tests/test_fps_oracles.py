@@ -1,7 +1,8 @@
 """Independent oracles for the Newton-type series solvers.
 
 Univariate ``inverse``, ``log_series``, ``exp_series`` and negative
-``pow_int`` are checked against ``sympy.series``.  Multivariate graded
+``pow_int`` are checked against ``sympy.series``, and bivariate
+``substitute`` against a sympy expansion of the composed polynomials.  Multivariate graded
 frames are checked against the textbook algorithms kept below as
 references: the geometric-series inverse, the Mercator-series log and
 fixed-point passes that all run at full order.  The curve root is
@@ -151,6 +152,48 @@ def test_negative_power_matches_sympy(sympy_t, s, k):
     sympy, t = sympy_t
     expected = sympy_coefficients(sympy, as_sympy(sympy, s, t) ** (-k), t)
     assert pow_int(s, -k).terms == expected
+
+
+XY = Frame(names=("x", "y"))
+
+
+@st.composite
+def bivariate(draw, constant):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        i = draw(st.integers(min_value=0, max_value=SYMPY_ORDER))
+        j = draw(st.integers(min_value=0, max_value=SYMPY_ORDER - i))
+        terms[(i, j)] = draw(rationals())
+    terms[(0, 0)] = constant
+    return TruncatedSeries(XY, SYMPY_ORDER, terms)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    s=rationals().flatmap(lambda c0: bivariate(c0)),
+    f=bivariate(Fraction(0)),
+    g=bivariate(Fraction(0)),
+)
+def test_substitute_matches_sympy(sympy_t, s, f, g):
+    sympy, _ = sympy_t
+    x, y = sympy.symbols("x y")
+
+    def as_poly(series):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * x**i * y**j
+             for (i, j), c in series.terms.items()),
+            sympy.Integer(0),
+        )
+
+    # s(f, g) is a polynomial, so its series expansion through total
+    # degree SYMPY_ORDER is its expansion with higher monomials dropped.
+    composed = sympy.expand(as_poly(s).subs({x: as_poly(f), y: as_poly(g)}, simultaneous=True))
+    expected = {
+        (i, j): Fraction(int(c.p), int(c.q))
+        for (i, j), c in sympy.Poly(composed, x, y).terms()
+        if i + j <= SYMPY_ORDER and c != 0
+    }
+    assert substitute(s, [f, g]).terms == expected
 
 
 # -- multivariate graded frames: the full-order references -------------

@@ -1,5 +1,7 @@
-"""The git checkout tracks no file that .gitignore excludes."""
+"""Repository hygiene: the git checkout tracks no file that .gitignore
+excludes, and every function the benchmark's span tracer wraps exists."""
 
+import importlib.util
 import shutil
 import subprocess
 from pathlib import Path
@@ -22,3 +24,18 @@ def test_no_tracked_file_is_ignored():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
+
+
+def test_traced_targets_resolve():
+    path = ROOT / "perfbench" / "spans.py"
+    if not path.exists():
+        pytest.skip("no benchmark in this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{attr}"
+        for _, module, attr in spans.TARGETS
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []
