@@ -22,15 +22,12 @@ from .fps import (
     Frame,
     Rational,
     TruncatedSeries,
-    add,
     boundary_derivative,
-    coefficient,
     exp_series,
     fixed_point_system,
     inverse,
     log_derivative,
     log_series,
-    mul,
     pow_int,
     substitute,
 )

@@ -329,8 +329,15 @@ COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument errors exit 4 with the JSON parse record, like bad job fields."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="syzmirror",
         description="Exact mirror-curve and open Gromov-Witten series computations",
     )
@@ -344,7 +351,7 @@ def build_parser():
         help="use quantum-corrected curve coefficients (true/false)",
     )
     parser.add_argument(
-        "--normalization", help="override the sign normalization, e.g. -1,-1"
+        "--normalization", help="override the sign normalization, e.g. --normalization=-1,-1"
     )
     parser.add_argument("--output", choices=["json", "pretty"], default="json")
     return parser
@@ -357,7 +364,10 @@ def _emit_error(code, message, exit_code):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except InputError as exc:
+        return _emit_error("parse", str(exc), EXIT_PARSE)
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             try:

@@ -262,14 +262,6 @@ class TruncatedSeries:
 # -- transcendental and structural operations ------------------------
 
 
-def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
 def exp_series(s: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term (sum of s^k / k!)."""
     if s.constant_term() != 0:
@@ -431,16 +423,12 @@ def boundary_derivative(s: TruncatedSeries) -> TruncatedSeries:
     return s.map_coefficients(lambda e, c: c * frame.boundary_grade(e))
 
 
-def coefficient(s: TruncatedSeries, exponents: Sequence[int]) -> Fraction:
-    return s.coefficient(exponents)
-
-
 def fixed_point_system(
-    updates: Sequence[Callable[[list[TruncatedSeries]], TruncatedSeries]],
+    update: Callable[[list[TruncatedSeries]], Sequence[TruncatedSeries]],
     frame: Frame,
     order: int,
 ) -> list[TruncatedSeries]:
-    """Solve x_a = gen_a * U_a(x) for unit-valued update maps U_a.
+    """Solve x_a = gen_a * U_a(x), where ``update(x)`` returns every unit U_a.
 
     Pass k lifts the previous solution, which is exact through grade k,
     and recomputes it at truncation min(k + 1, order); it is then exact
@@ -449,15 +437,15 @@ def fixed_point_system(
     is rejected.  The iteration stops at the first full-order pass that
     reproduces its input, at most ``order + 2`` passes.
     """
-    if len(updates) != frame.nvars:
-        raise ValueError("one update map per frame generator is required")
     xs = [TruncatedSeries.generator(frame, min(1, order), a) for a in range(frame.nvars)]
     for pass_no in range(order + 2):
         precision = min(pass_no + 1, order)
         xs = [_lift(x, precision) for x in xs]
+        units = update(list(xs))
+        if len(units) != frame.nvars:
+            raise ValueError("one unit series per frame generator is required")
         new_xs = []
-        for a, update in enumerate(updates):
-            u = update(list(xs))
+        for a, u in enumerate(units):
             if u.frame != frame:
                 raise FrameMismatch("update map changed frames")
             if u.constant_term() != 1:

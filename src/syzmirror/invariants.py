@@ -47,9 +47,7 @@ def _neg_log(z2: TruncatedSeries) -> TruncatedSeries:
 
 
 def extract_open_gw(
-    z2: TruncatedSeries,
-    frame: Frame | None = None,
-    neg_log: TruncatedSeries | None = None,
+    z2: TruncatedSeries, neg_log: TruncatedSeries | None = None
 ) -> InvariantTable:
     """n_beta = (coefficient of Q^beta in -log z2) / boundary(beta).
 
@@ -58,7 +56,7 @@ def extract_open_gw(
     already holds -log z2 (``BraneMirrorSeries.neg_log_z2``) passes it
     as ``neg_log``.
     """
-    frame = frame or z2.frame
+    frame = z2.frame
     log_part = _neg_log(z2) if neg_log is None else neg_log
     table = {}
     offenders = []
@@ -75,13 +73,13 @@ def extract_open_gw(
     return InvariantTable(frame=frame, order=z2.order, n=table)
 
 
-def disc_potential(z2: TruncatedSeries, frame: Frame | None = None) -> TruncatedSeries:
+def disc_potential(z2: TruncatedSeries) -> TruncatedSeries:
     """The unique F with F(0)=0 whose boundary-weighted derivative is -log z2.
 
     Termwise F = sum n_beta Q^beta, so its coefficients are exactly the
     open invariants of :func:`extract_open_gw`.
     """
-    table = extract_open_gw(z2, frame)
+    table = extract_open_gw(z2)
     return TruncatedSeries(table.frame, z2.order, table.n)
 
 

@@ -230,7 +230,7 @@ def validate_cy(data: ToricCYData) -> ValidationReport:
     if det not in (1, -1):
         failures.append(f"unimodularity: leading rays have determinant {det}")
     if data.charge_rows is not None:
-        failures.extend(_check_charge_rows(data))
+        failures.extend(_check_charge_rows(data, compare_basis=det in (1, -1)))
     if data.max_cones is not None:
         for cone in data.max_cones:
             if len(cone) != n or any(i < 0 or i >= m for i in cone):
@@ -238,7 +238,7 @@ def validate_cy(data: ToricCYData) -> ValidationReport:
     return ValidationReport(tuple(failures))
 
 
-def _check_charge_rows(data: ToricCYData) -> list[str]:
+def _check_charge_rows(data: ToricCYData, compare_basis: bool) -> list[str]:
     failures = []
     rows = data.charge_rows
     if len(rows) != data.n_closed:
@@ -255,9 +255,10 @@ def _check_charge_rows(data: ToricCYData) -> list[str]:
             failures.append(f"charge row {a} does not annihilate the rays")
         if sum(row) != 0:
             failures.append(f"charge row {a} does not sum to zero")
-    if not failures and rows:
+    if compare_basis and not failures and rows:
         # Z-basis check: the canonical kernel rows must be integer
-        # combinations of the supplied rows and vice versa.
+        # combinations of the supplied rows and vice versa.  Building
+        # them needs unimodular leading rays (``compare_basis``).
         canonical = data.charge_basis
         if not (_spans_over_z(rows, canonical) and _spans_over_z(canonical, rows)):
             failures.append("charge rows are not a Z-basis of the ray relations")

@@ -105,83 +105,84 @@ class MirrorMapData:
     ``closed`` holds the image of each closed variable; ``open_unit``
     is the unit factor of the open direction (the open variable itself
     is not a generator of the closed frame), present only when a brane
-    was supplied.  The A_i carry the factorial series the map is built
-    from; each is identically zero whenever every effective pairing
-    <D_i, alpha> is non-negative.
+    was supplied.  ``fiber`` holds 1 + delta_j = exp(-A_j(q(Q))) for
+    every ray j in the Q_to_q direction and is None for q_to_Q.  The
+    A_i carry the factorial series the map is built from; each is
+    identically zero whenever every effective pairing <D_i, alpha> is
+    non-negative.
     """
 
     direction: str  # "q_to_Q" or "Q_to_q"
     a_series: tuple[TruncatedSeries, ...]
     closed: tuple[TruncatedSeries, ...]
     open_unit: TruncatedSeries | None
+    fiber: tuple[TruncatedSeries, ...] | None
     order: int
 
 
 def _weighted_sum(a_list, weights, frame, order) -> TruncatedSeries:
-    """sum_j weights_j A_j."""
+    """sum_j weights_j A_j; an identically zero A_j contributes nothing."""
     s = TruncatedSeries.zero(frame, order)
     for a, weight in zip(a_list, weights):
-        if weight:
+        if weight and not a.is_zero():
             s = s + a * weight
     return s
 
 
 def _map_inputs(data, order, brane):
-    """Validate, then the closed frame, every A_j, S_a = sum_j iota_j^(a) A_j
-    per charge row a, and sum_j l_j^(0) A_j (None without a brane)."""
+    """Validate, then the closed frame, every A_j and the open charge
+    l^(0) (None without a brane)."""
     require_valid(data)
     frame = closed_frame(data)
     a_list = tuple(a_series(data, j, order) for j in range(data.m))
-    combos = [_weighted_sum(a_list, row, frame, order) for row in data.effective_charge_basis]
-    s0 = None if brane is None else _weighted_sum(a_list, open_charge(brane, data.m), frame, order)
-    return frame, a_list, combos, s0
+    l0 = None if brane is None else open_charge(brane, data.m)
+    return frame, a_list, l0
 
 
 def mirror_map(data: ToricCYData, order: int, brane: BraneSpec | None = None) -> MirrorMapData:
     """Q_a = q_a exp(sum_j iota_j^(a) A_j(q)), open direction likewise."""
-    frame, a_list, combos, s0 = _map_inputs(data, order, brane)
+    frame, a_list, l0 = _map_inputs(data, order, brane)
     closed = tuple(
-        TruncatedSeries.generator(frame, order, a) * exp_series(s) for a, s in enumerate(combos)
+        TruncatedSeries.generator(frame, order, a)
+        * exp_series(_weighted_sum(a_list, row, frame, order))
+        for a, row in enumerate(data.effective_charge_basis)
     )
-    open_unit = None if s0 is None else exp_series(s0)
-    return MirrorMapData("q_to_Q", a_list, closed, open_unit, order)
+    open_unit = None if l0 is None else exp_series(_weighted_sum(a_list, l0, frame, order))
+    return MirrorMapData("q_to_Q", a_list, closed, open_unit, None, order)
 
 
 def inverse_mirror_map(
     data: ToricCYData, order: int, brane: BraneSpec | None = None
 ) -> MirrorMapData:
-    """Graded fixed point of q_a = Q_a exp(- sum_j iota_j^(a) A_j(q))."""
-    frame, a_list, combos, s0 = _map_inputs(data, order, brane)
+    """Graded fixed point of q_a = Q_a exp(- sum_j iota_j^(a) A_j(q)).
 
-    def make_update(s):
-        def update(xs):
-            return exp_series(-substitute(s, xs, frame=frame, order=order))
+    Composition is linear: each pass composes every nonzero A_j once,
+    and so does the solution, for the fiber series and the open unit.
+    """
+    frame, a_list, l0 = _map_inputs(data, order, brane)
+    rows = data.effective_charge_basis
 
-        return update
+    def compose(xs):
+        return [a if a.is_zero() else substitute(a, xs) for a in a_list]
 
-    closed = tuple(fixed_point_system([make_update(s) for s in combos], frame, order))
-    open_unit = None
-    if s0 is not None:
-        open_unit = exp_series(-substitute(s0, list(closed), frame=frame, order=order))
-    return MirrorMapData("Q_to_q", a_list, closed, open_unit, order)
+    def update(xs):
+        composed = compose(xs)
+        return [exp_series(-_weighted_sum(composed, row, frame, order)) for row in rows]
+
+    closed = tuple(fixed_point_system(update, frame, order))
+    composed = compose(list(closed))
+    fiber = tuple(exp_series(-a) for a in composed)
+    open_unit = None if l0 is None else exp_series(-_weighted_sum(composed, l0, frame, order))
+    return MirrorMapData("Q_to_q", a_list, closed, open_unit, fiber, order)
 
 
-def fiber_open_gw(
-    data: ToricCYData, order: int, inverse_map: MirrorMapData | None = None
-) -> list[TruncatedSeries]:
+def fiber_open_gw(data: ToricCYData, order: int) -> list[TruncatedSeries]:
     """Fiber disc-generating functions 1 + delta_i = exp(-A_i(q(Q))).
 
     Satisfies Q_a * prod_j (1+delta_j)^{iota_j^(a)} = q_a(Q) exactly,
-    which is the defining identity of the inverse map route.  A caller
-    that already holds ``inverse_mirror_map(data, order)`` passes it as
-    ``inverse_map``.
+    which is the defining identity of the inverse map route.
     """
-    inv = inverse_mirror_map(data, order) if inverse_map is None else inverse_map
-    frame = closed_frame(data)
-    out = []
-    for a in inv.a_series:
-        out.append(exp_series(-substitute(a, list(inv.closed), frame=frame, order=order)))
-    return out
+    return list(inverse_mirror_map(data, order).fiber)
 
 
 @dataclass(frozen=True)
@@ -211,12 +212,14 @@ def build_curve(
     corrected: bool = True,
     inverse_map: MirrorMapData | None = None,
 ) -> MirrorCurve:
-    """The curve W at closed order ``order``; ``inverse_map`` as in fiber_open_gw."""
+    """The curve W at closed order ``order``, with the fiber series of
+    ``inverse_map`` (default ``inverse_mirror_map(data, order)``)."""
     require_valid(data)
     frame = closed_frame(data)
     n, m = data.n, data.m
     if corrected:
-        coefficients = fiber_open_gw(data, order, inverse_map)
+        inv = inverse_mirror_map(data, order) if inverse_map is None else inverse_map
+        coefficients = inv.fiber
     else:
         coefficients = [TruncatedSeries.one(frame, order) for _ in range(m)]
     duals = data.dual_exponents
@@ -253,7 +256,7 @@ def naive_brane(data: ToricCYData, brane: BraneSpec) -> list[BraneEquation]:
     report = validate_brane(data, brane)
     special = [f for f in report.failures if "special" in f or "length" in f]
     if special:
-        raise MathDomainError("; ".join(special))
+        raise ValidationError("; ".join(special))
     duals = data.dual_exponents
     n, m = data.n, data.m
     equations = []
@@ -279,7 +282,7 @@ class BraneFrame:
     cannot hold Q0 is rejected with FrameEscape.
     """
 
-    def __init__(self, generators, boundary=None, names=None, grading=None):
+    def __init__(self, generators, boundary=None):
         self.generators = tuple(tuple(int(x) for x in g) for g in generators)
         if not self.generators:
             raise MathDomainError("a brane frame needs at least one generator")
@@ -288,9 +291,8 @@ class BraneFrame:
             raise MathDomainError("brane frame generators have mixed arity")
         if boundary is None:
             boundary = tuple(g[0] for g in self.generators)
-        if names is None:
-            names = tuple(f"P{k}" for k in range(1, len(self.generators) + 1))
-        self.frame = Frame(names=tuple(names), grading=tuple(grading or ()), boundary=tuple(boundary))
+        names = tuple(f"P{k}" for k in range(1, len(self.generators) + 1))
+        self.frame = Frame(names=names, boundary=tuple(boundary))
         cols = independent_columns(self.generators)
         if cols is None:
             raise MathDomainError("brane frame generators are linearly dependent")
@@ -305,15 +307,11 @@ class BraneFrame:
     def closed_order_for(self, order: int) -> int:
         """Closed-frame order resolving every brane grade <= order.
 
-        A frame exponent of grade g unpacks to a closed monomial of
-        degree at most g times the worst positive closed degree per
-        unit of grading among the generators.
+        Every generator has grade 1, so a frame exponent of grade g
+        unpacks to a closed monomial of degree at most g times the worst
+        positive closed degree among the generators.
         """
-        worst = 1
-        for g, weight in zip(self.generators, self.frame.grading):
-            positive = sum(x for x in g[1:] if x > 0)
-            worst = max(worst, -(-positive // weight))
-        return order * worst
+        return order * max(1, *(sum(x for x in g[1:] if x > 0) for g in self.generators))
 
     def pack(self, vec) -> tuple[int, ...] | None:
         """Frame exponents of a Kahler monomial, or None if it escapes."""
@@ -457,7 +455,6 @@ def solve_curve_root(
     z1_series: TruncatedSeries,
     bframe: BraneFrame,
     order: int,
-    root0: Fraction = Fraction(-1),
 ) -> TruncatedSeries:
     """Newton-solve W(z1, z2) = 0 for z2 in the brane frame.
 
@@ -470,11 +467,12 @@ def solve_curve_root(
     truncation order.
     """
     table = _curve_in_brane_frame(curve, z1_series, bframe, order)
-    return _newton_root(table, bframe.frame, order, root0)
+    return _newton_root(table, bframe.frame, order)
 
 
-def _newton_root(table, frame, order, root0=Fraction(-1)) -> TruncatedSeries:
+def _newton_root(table, frame, order) -> TruncatedSeries:
     """The Newton solve of solve_curve_root on a built curve table."""
+    root0 = Fraction(-1)
     shift = max(0, -min(table))
     poly = {e2 + shift: s for e2, s in table.items()}
 

@@ -33,6 +33,26 @@ def kp2():
     )
 
 
+@pytest.fixture
+def kp1xp1():
+    # total space of the canonical bundle over P^1 x P^1
+    return ToricCYData(
+        rays=((0, 0, 1), (1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)),
+        u=(0, 0, 1),
+        max_cones=((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)),
+    )
+
+
+@pytest.fixture
+def kdp3():
+    # total space of the canonical bundle over dP3; only A_0 is nonzero
+    return ToricCYData(
+        rays=((0, 0, 1), (1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, 1, 1), (-1, -1, 1)),
+        u=(0, 0, 1),
+        max_cones=((0, 1, 5), (0, 5, 2), (0, 2, 3), (0, 3, 6), (0, 6, 4), (0, 4, 1)),
+    )
+
+
 def av_brane(i0, i1, i2, m, c=Fraction(1), frame=((1, 0), (-1, 1)), m0=None):
     """Canonical AV brane: rows (e_i1-e_i0, e_i2-e_i0), constant on the second."""
     def diff(a, b):

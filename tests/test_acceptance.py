@@ -277,7 +277,7 @@ def test_criterion_9_property_suites():
         def update(xs, mult=mult):
             return exp_series(substitute(mult, xs))
 
-        xs = fixed_point_system([update, update], frame, ORDER)
+        xs = fixed_point_system(lambda xs: [update(xs), update(xs)], frame, ORDER)
         for i, x in enumerate(xs):
             assert x == TruncatedSeries.generator(frame, ORDER, i) * update(xs)
         cases += 1

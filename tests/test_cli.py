@@ -71,6 +71,23 @@ class TestValidate:
         payload = json.loads(out)
         assert any("CY condition" in f for f in payload["toric_failures"])
 
+    def test_non_unimodular_rays_with_charge_basis_exit_two(self, capsys, tmp_path):
+        # the Z-basis comparison needs unimodular leading rays; it is
+        # skipped, not raised, when the unimodularity check has failed
+        doc = {
+            "toric": {
+                "rays": [[0, 0, 1], [1, 0, 1], [2, 0, 1], [0, 1, 1]],
+                "u": [0, 0, 1],
+                "charge_basis": [[1, -2, 1, 0]],
+            }
+        }
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", "--input", str(path))
+        assert code == 2
+        payload = json.loads(out)
+        assert any("unimodularity" in f for f in payload["toric_failures"])
+
     def test_malformed_rational_is_parse_error(self, capsys, tmp_path):
         doc = json.loads(json.dumps(CONIFOLD_DOC))
         doc["brane"]["constants"] = ["0", "1/0"]
@@ -209,6 +226,38 @@ class TestPipelines:
         assert fractional
 
 
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--bogus"], id="unknown-flag"),
+            pytest.param(["--order", "x"], id="non-integer-order"),
+            pytest.param(["--normalization", "-1,-1"], id="negative-first-sign"),
+            pytest.param(["--output", "xml"], id="bad-output"),
+            pytest.param(None, id="missing-input"),
+        ],
+    )
+    def test_exits_four_with_parse_record(self, capsys, conifold_path, argv):
+        args = ["brane-mirror"] + (["--input", conifold_path] + argv if argv else [])
+        code, out, err = run(capsys, *args)
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "parse"
+
+    def test_negative_first_sign_with_equals(self, capsys, conifold_path):
+        code, out, _ = run(
+            capsys, "brane-mirror", "--input", conifold_path, "--normalization=-1,-1"
+        )
+        assert code == 0
+        assert json.loads(out)["signs"] == [-1, -1]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out
+
+
 class TestDeterminism:
     def test_identical_bytes(self, conifold_path, capsys):
         outputs = []
@@ -303,6 +352,22 @@ class TestBoundaryGrading:
         assert "boundary grading must have 2 entries" in record["error"]["message"]
 
 
+class TestInvalidBrane:
+    @pytest.mark.parametrize("command", ["brane-mirror", "disc-invariants", "compare-naive"])
+    @pytest.mark.parametrize(
+        "row", [[0, -1, 1], [0, -1, 1, 1]], ids=["wrong-length", "nonzero-sum"]
+    )
+    def test_exits_two(self, capsys, tmp_path, command, row):
+        doc = json.loads(LOCAL_P2_JOB.read_text())
+        doc["brane"]["charges"][0] = row
+        file = tmp_path / "job.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--input", str(file), "--order", "3")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "validation"
+
+
 def _count_calls(monkeypatch, module, name):
     """Count calls of ``module.name`` through every binding in the package."""
     original = getattr(module, name)
@@ -347,6 +412,25 @@ class TestRepeatedWork:
         code, _, _ = run(capsys, "fiber-invariants", "--input", str(LOCAL_DP3_JOB), "--order", "3")
         assert code == 0
         assert len(bases) == 1
+
+    @pytest.mark.parametrize(
+        "command,job,order,expected",
+        [
+            pytest.param("fiber-invariants", LOCAL_DP3_JOB, "3", 5, id="fiber-local-dp3"),
+            pytest.param("disc-invariants", LOCAL_P2_JOB, "6", 8, id="disc-local-p2"),
+        ],
+    )
+    def test_each_a_series_is_composed_once_per_pass(
+        self, capsys, monkeypatch, command, job, order, expected
+    ):
+        # one composition per fixed-point pass plus one at the solution,
+        # shared by the closed update, the fiber series and the open unit
+        from syzmirror import fps
+
+        compositions = _count_calls(monkeypatch, fps, "substitute")
+        code, _, _ = run(capsys, command, "--input", str(job), "--order", order)
+        assert code == 0
+        assert len(compositions) == expected
 
     def test_frame_without_q0_exits_before_the_inverse_map(self, capsys, monkeypatch, tmp_path):
         from syzmirror import mirror

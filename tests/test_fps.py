@@ -157,14 +157,14 @@ class TestFixedPoint:
         def update(xs):
             return TruncatedSeries.one(T, 6) + xs[0]
 
-        (x,) = fixed_point_system([update], T, 6)
+        (x,) = fixed_point_system(lambda xs: [update(xs)], T, 6)
         assert x == series(6, {(k,): 1 for k in range(1, 7)})
 
     def test_trivial_equation(self):
         def update(xs):
             return TruncatedSeries.one(T, 5)
 
-        (x,) = fixed_point_system([update], T, 5)
+        (x,) = fixed_point_system(lambda xs: [update(xs)], T, 5)
         assert x == gen(T, 5)
 
     def test_exponential_update_two_orders(self):
@@ -172,14 +172,14 @@ class TestFixedPoint:
         def update(xs):
             return exp_series(xs[0] * 6)
 
-        (x,) = fixed_point_system([update], T, 2)
+        (x,) = fixed_point_system(lambda xs: [update(xs)], T, 2)
         assert x == series(2, {(1,): 1, (2,): 6})
 
     def test_defining_equation_holds_exactly(self):
         def update(xs):
             return exp_series(xs[0] * -3 + xs[0] * xs[0])
 
-        (x,) = fixed_point_system([update], T, 8)
+        (x,) = fixed_point_system(lambda xs: [update(xs)], T, 8)
         assert x == gen(T, 8) * update([x])
 
     def test_rejects_non_unit_update(self):
@@ -187,7 +187,7 @@ class TestFixedPoint:
             return TruncatedSeries.zero(T, 4)
 
         with pytest.raises(NonUnitSeries):
-            fixed_point_system([update], T, 4)
+            fixed_point_system(lambda xs: [update(xs)], T, 4)
 
     def test_rejects_grade_rewriting_system(self):
         # the update inspects a settled grade and keeps moving it
@@ -200,7 +200,7 @@ class TestFixedPoint:
             )
 
         with pytest.raises(FixedPointDivergence):
-            fixed_point_system([update], T, 4)
+            fixed_point_system(lambda xs: [update(xs)], T, 4)
 
 
 class TestDerivativeAndCoefficient:

@@ -164,7 +164,7 @@ def test_fixed_point_residual_is_zero(case):
         return update
 
     updates = [make_update(m) for m in multipliers]
-    xs = fixed_point_system(updates, frame, ORDER)
+    xs = fixed_point_system(lambda xs: [u(xs) for u in updates], frame, ORDER)
     for a, x in enumerate(xs):
         rhs = TruncatedSeries.generator(frame, ORDER, a) * updates[a](xs)
         assert x == rhs

@@ -140,16 +140,18 @@ class TestFiberInvariants:
         one = TruncatedSeries.one(closed_frame(conifold), 8)
         assert all(s == one for s in fiber_open_gw(conifold, 8))
 
-    def test_syz_product_identity(self, kp2, conifold):
-        # Q_a prod_j (1+delta_j)^{iota_j^(a)} = q_a(Q) exactly
+    def test_syz_product_identity(self, kp2, conifold, kp1xp1, kdp3):
+        # Q_a prod_j (1+delta_j)^{iota_j^(a)} = q_a(Q) exactly; on local
+        # P1 x P1 the charge rows differ, on local dP3 every row reduces
+        # to its weight on A_0, the only nonzero A-series
         from syzmirror import effective_charge_basis
 
-        for data in (kp2, conifold):
+        for data, order in ((kp2, 8), (conifold, 8), (kp1xp1, 4), (kdp3, 4)):
             frame = closed_frame(data)
-            deltas = fiber_open_gw(data, 8)
-            inv = inverse_mirror_map(data, 8)
+            deltas = fiber_open_gw(data, order)
+            inv = inverse_mirror_map(data, order)
             for a, row in enumerate(effective_charge_basis(data)):
-                product = TruncatedSeries.generator(frame, 8, a)
+                product = TruncatedSeries.generator(frame, order, a)
                 for j, weight in enumerate(row):
                     if weight:
                         product = product * pow_int(deltas[j], weight)
@@ -369,35 +371,25 @@ class TestAvMirrorBrane:
 class TestTwoParameterGeometry:
     """Local P1 x P1: two closed Kahler parameters through the full pipeline."""
 
-    @pytest.fixture
-    def pp(self):
-        from syzmirror import ToricCYData
-
-        return ToricCYData(
-            rays=((0, 0, 1), (1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)),
-            u=(0, 0, 1),
-            max_cones=((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)),
-        )
-
-    def test_charge_basis(self, pp):
+    def test_charge_basis(self, kp1xp1):
         from syzmirror import charge_basis
 
-        assert charge_basis(pp) == [[-2, 1, 0, 1, 0], [-2, 0, 1, 0, 1]]
+        assert charge_basis(kp1xp1) == [[-2, 1, 0, 1, 0], [-2, 0, 1, 0, 1]]
 
-    def test_round_trip(self, pp):
-        frame = closed_frame(pp)
-        forward = mirror_map(pp, 6)
-        backward = inverse_mirror_map(pp, 6)
+    def test_round_trip(self, kp1xp1):
+        frame = closed_frame(kp1xp1)
+        forward = mirror_map(kp1xp1, 6)
+        backward = inverse_mirror_map(kp1xp1, 6)
         for a in range(2):
             composed = substitute(
                 forward.closed[a], list(backward.closed), frame=frame, order=6
             )
             assert composed == TruncatedSeries.generator(frame, 6, a)
 
-    def test_fiber_series(self, pp):
-        deltas = fiber_open_gw(pp, 4)
+    def test_fiber_series(self, kp1xp1):
+        deltas = fiber_open_gw(kp1xp1, 4)
         assert deltas[0] == TruncatedSeries(
-            closed_frame(pp),
+            closed_frame(kp1xp1),
             4,
             {
                 (0, 0): F(1), (1, 0): F(1), (0, 1): F(1),
@@ -405,14 +397,14 @@ class TestTwoParameterGeometry:
                 (3, 1): F(7), (2, 2): F(35), (1, 3): F(7),
             },
         )
-        one = TruncatedSeries.one(closed_frame(pp), 4)
+        one = TruncatedSeries.one(closed_frame(kp1xp1), 4)
         assert all(d == one for d in deltas[1:])
 
-    def test_leg_brane_pipeline(self, pp):
+    def test_leg_brane_pipeline(self, kp1xp1):
         from syzmirror import extract_open_gw, integrality_check, multiple_cover_inversion
 
         brane = av_brane(1, 2, 3, m=5, frame=((1, 0, 0), (-1, 1, 0), (0, 0, 1)))
-        result = av_mirror_brane(pp, brane, 5)
+        result = av_mirror_brane(kp1xp1, brane, 5)
         assert result.residual.is_zero()
         assert result.z1 == TruncatedSeries.generator(result.z1.frame, 5, 0)
         table = multiple_cover_inversion(extract_open_gw(result.z2))
