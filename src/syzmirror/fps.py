@@ -104,6 +104,20 @@ class TruncatedSeries:
         self.order = order
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, frame: Frame, order: int, terms: dict) -> "TruncatedSeries":
+        """A series from terms already in normal form, without re-checking.
+
+        Only for the results of ring operations, whose terms hold by
+        construction what ``__init__`` checks: exponent tuples of the
+        frame's arity, grades <= ``order`` and nonzero Fraction values.
+        """
+        series = object.__new__(cls)
+        series.frame = frame
+        series.order = order
+        series.terms = terms
+        return series
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -184,16 +198,22 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             other = TruncatedSeries.constant(self.frame, self.order, other)
         self._check_frame(other)
-        order = min(self.order, other.order)
+        if self.order != other.order:
+            order = min(self.order, other.order)
+            return self.truncate(order) + other.truncate(order)
         merged = dict(self.terms)
         for e, c in other.terms.items():
-            merged[e] = merged.get(e, ZERO) + c
-        return TruncatedSeries(self.frame, order, merged)
+            c = merged.pop(e, ZERO) + c
+            if c:
+                merged[e] = c
+        return TruncatedSeries._trusted(self.frame, self.order, merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.frame, self.order, {e: -c for e, c in self.terms.items()})
+        return TruncatedSeries._trusted(
+            self.frame, self.order, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -208,13 +228,13 @@ class TruncatedSeries:
             scalar = as_rational(other)
             if scalar == 0:
                 return TruncatedSeries.zero(self.frame, self.order)
-            return TruncatedSeries(
+            return TruncatedSeries._trusted(
                 self.frame, self.order, {e: c * scalar for e, c in self.terms.items()}
             )
         self._check_frame(other)
         order = min(self.order, other.order)
         product = mul_terms(self.terms, other.terms, self.frame.grading, order)
-        return TruncatedSeries(self.frame, order, product)
+        return TruncatedSeries._trusted(self.frame, order, product)
 
     __rmul__ = __mul__
 
@@ -298,7 +318,9 @@ def _lift(s: TruncatedSeries, order: int) -> TruncatedSeries:
     The grades between ``s.order`` and ``order`` read as zero; callers
     use this only where a Newton or fixed-point step settles them.
     """
-    return TruncatedSeries(s.frame, order, s.terms)
+    if order < s.order:
+        raise ValueError("a lift cannot lower the truncation order")
+    return TruncatedSeries._trusted(s.frame, order, s.terms)
 
 
 def inverse(s: TruncatedSeries) -> TruncatedSeries:
@@ -451,11 +473,14 @@ def fixed_point_system(
             if u.constant_term() != 1:
                 raise NonUnitSeries(f"update map {a} is not a unit series")
             new_xs.append(TruncatedSeries.generator(frame, precision, a) * u)
-        for old, new in zip(xs, new_xs):
+        for a, (old, new) in enumerate(zip(xs, new_xs)):
             diff = old - new
-            if any(frame.grade(e) <= pass_no for e in diff.terms):
+            moved = [(frame.grade(e), e) for e in diff.terms if frame.grade(e) <= pass_no]
+            if moved:
+                grade, exps = min(moved)
                 raise FixedPointDivergence(
-                    "fixed-point pass altered an already-settled grade"
+                    f"fixed-point pass {pass_no} altered the already-settled grade "
+                    f"{grade} of generator {a} ({frame.names[a]}) at monomial {exps}"
                 )
         if precision == order and new_xs == xs:
             return xs

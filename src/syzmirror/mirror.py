@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .errors import BranchError, FrameEscape, MathDomainError, ValidationError
@@ -105,19 +106,29 @@ class MirrorMapData:
     ``closed`` holds the image of each closed variable; ``open_unit``
     is the unit factor of the open direction (the open variable itself
     is not a generator of the closed frame), present only when a brane
-    was supplied.  ``fiber`` holds 1 + delta_j = exp(-A_j(q(Q))) for
-    every ray j in the Q_to_q direction and is None for q_to_Q.  The
-    A_i carry the factorial series the map is built from; each is
-    identically zero whenever every effective pairing <D_i, alpha> is
-    non-negative.
+    was supplied.  ``composed`` holds A_j(q(Q)) for every ray j in the
+    Q_to_q direction and is None for q_to_Q.  The A_i carry the
+    factorial series the map is built from; each is identically zero
+    whenever every effective pairing <D_i, alpha> is non-negative.
     """
 
     direction: str  # "q_to_Q" or "Q_to_q"
     a_series: tuple[TruncatedSeries, ...]
     closed: tuple[TruncatedSeries, ...]
     open_unit: TruncatedSeries | None
-    fiber: tuple[TruncatedSeries, ...] | None
+    composed: tuple[TruncatedSeries, ...] | None
     order: int
+
+    @cached_property
+    def fiber(self) -> tuple[TruncatedSeries, ...] | None:
+        """1 + delta_j = exp(-A_j(q(Q))) for every ray j (Q_to_q only).
+
+        Derived on first read: a caller that prints only the map
+        (inverse-map) pays no exp per ray.
+        """
+        if self.composed is None:
+            return None
+        return tuple(exp_series(-a) for a in self.composed)
 
 
 def _weighted_sum(a_list, weights, frame, order) -> TruncatedSeries:
@@ -127,6 +138,23 @@ def _weighted_sum(a_list, weights, frame, order) -> TruncatedSeries:
         if weight and not a.is_zero():
             s = s + a * weight
     return s
+
+
+def _common_direction(rows, a_list):
+    """Weights v and factors c with row_a . A = c_a (v . A) for every row a.
+
+    Found when two or more charge rows meet exactly one nonzero A_j
+    (local P1xP1, local dP3): then v is +-e_j, signed so that the first
+    nonzero factor is positive, and exp(-row_a . A) = exp(-v . A)^{c_a}
+    takes one exp per pass, not one per row.  None otherwise.
+    """
+    live = [j for j, a in enumerate(a_list) if not a.is_zero()]
+    if len(rows) < 2 or len(live) != 1:
+        return None
+    j = live[0]
+    sign = -1 if next((row[j] for row in rows if row[j]), 0) < 0 else 1
+    weights = [sign if k == j else 0 for k in range(len(a_list))]
+    return weights, [sign * row[j] for row in rows]
 
 
 def _map_inputs(data, order, brane):
@@ -158,22 +186,28 @@ def inverse_mirror_map(
 
     Composition is linear: each pass composes every nonzero A_j once,
     and so does the solution, for the fiber series and the open unit.
+    Charge rows that meet one nonzero A_j share one exp per pass
+    (``_common_direction``).
     """
     frame, a_list, l0 = _map_inputs(data, order, brane)
     rows = data.effective_charge_basis
+    direction = _common_direction(rows, a_list)
 
     def compose(xs):
         return [a if a.is_zero() else substitute(a, xs) for a in a_list]
 
     def update(xs):
         composed = compose(xs)
-        return [exp_series(-_weighted_sum(composed, row, frame, order)) for row in rows]
+        if direction is None:
+            return [exp_series(-_weighted_sum(composed, row, frame, order)) for row in rows]
+        weights, factors = direction
+        base = exp_series(-_weighted_sum(composed, weights, frame, order))
+        return [pow_int(base, c) for c in factors]
 
     closed = tuple(fixed_point_system(update, frame, order))
-    composed = compose(list(closed))
-    fiber = tuple(exp_series(-a) for a in composed)
+    composed = tuple(compose(list(closed)))
     open_unit = None if l0 is None else exp_series(-_weighted_sum(composed, l0, frame, order))
-    return MirrorMapData("Q_to_q", a_list, closed, open_unit, fiber, order)
+    return MirrorMapData("Q_to_q", a_list, closed, open_unit, composed, order)
 
 
 def fiber_open_gw(data: ToricCYData, order: int) -> list[TruncatedSeries]:

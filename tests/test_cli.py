@@ -335,6 +335,21 @@ class TestParseErrors:
 
 LOCAL_P2_JOB = Path(__file__).resolve().parent.parent / "jobs" / "local_p2.json"
 LOCAL_DP3_JOB = Path(__file__).resolve().parent.parent / "perfbench" / "jobs" / "local_dp3.json"
+LOCAL_P1XP1_JOB = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "jobs" / "local_p1xp1.json"
+)
+
+
+def test_local_p1xp1_disc_invariants_are_integral(capsys):
+    # the integrality gate on a second geometry: two closed parameters,
+    # leg brane
+    code, out, _ = run(
+        capsys, "disc-invariants", "--input", str(LOCAL_P1XP1_JOB), "--order", "8"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["integral"] is True
+    assert payload["flagged"] == []
 
 
 class TestBoundaryGrading:
@@ -431,6 +446,26 @@ class TestRepeatedWork:
         code, _, _ = run(capsys, command, "--input", str(job), "--order", order)
         assert code == 0
         assert len(compositions) == expected
+
+    def test_inverse_map_builds_no_fiber_series(self, capsys, monkeypatch):
+        # one exp per pass and one for the open unit, none per ray: the
+        # fiber series are derived only when read
+        from syzmirror import fps
+
+        exps = _count_calls(monkeypatch, fps, "exp_series")
+        code, _, _ = run(capsys, "inverse-map", "--input", str(LOCAL_P2_JOB), "--order", "6")
+        assert code == 0
+        assert len(exps) == 8
+
+    def test_collinear_charge_rows_share_one_exp_per_pass(self, capsys, monkeypatch):
+        # every local dP3 row is a multiple of A_0: four passes of one exp
+        # each, then one exp per ray for the fiber series
+        from syzmirror import fps
+
+        exps = _count_calls(monkeypatch, fps, "exp_series")
+        code, _, _ = run(capsys, "fiber-invariants", "--input", str(LOCAL_DP3_JOB), "--order", "3")
+        assert code == 0
+        assert len(exps) <= 11
 
     def test_frame_without_q0_exits_before_the_inverse_map(self, capsys, monkeypatch, tmp_path):
         from syzmirror import mirror

@@ -199,8 +199,13 @@ class TestFixedPoint:
                 T, 4, (1,), calls["n"]
             )
 
-        with pytest.raises(FixedPointDivergence):
+        with pytest.raises(FixedPointDivergence) as caught:
             fixed_point_system(lambda xs: [update(xs)], T, 4)
+        # pass 2 moves the coefficient of t^2, settled by pass 1
+        message = str(caught.value)
+        assert "generator 0 (t)" in message
+        assert "monomial (2,)" in message
+        assert "grade 2" in message
 
 
 class TestDerivativeAndCoefficient:

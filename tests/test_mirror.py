@@ -1,9 +1,10 @@
 """Mirror maps, curve construction, brane mirrors: worked geometries.
 
 Expected values come from three independent sources: factorial
-arithmetic done by hand (low orders), the standalone one-variable
-oracle in ``oracle_fiber.py`` (the fiber series), and direct expansion
-of closed forms (the conifold root).
+arithmetic done by hand (low orders), the standalone multivariate
+oracle in ``oracle_fiber.py`` (the fiber series and the inverse map,
+found without composition), and direct expansion of closed forms (the
+conifold root).
 """
 
 from fractions import Fraction as F
@@ -38,6 +39,48 @@ from tests.conftest import av_brane
 
 KP2_IOTA = [[-3, 1, 1, 1]]
 CONIFOLD_IOTA = [[1, -1, 1, -1]]
+KP1XP1_IOTA = ((-2, 1, 0, 1, 0), (-2, 0, 1, 0, 1))
+KDP3_IOTA = (
+    (-2, 1, 0, 1, 0, 0, 0),
+    (-2, 0, 1, 0, 1, 0, 0),
+    (-1, 1, 1, 0, 0, -1, 0),
+    (-3, 1, 1, 0, 0, 0, 1),
+)
+
+# 1 + delta_0 through order 6 (every other 1 + delta_j is 1), from the
+# oracle in oracle_fiber.py; the frozen copies guard the oracle too
+KP1XP1_FIBER_0 = {
+    (0, 0): 1,
+    (0, 1): 1, (1, 0): 1,
+    (1, 1): 3,
+    (1, 2): 5, (2, 1): 5,
+    (1, 3): 7, (2, 2): 35, (3, 1): 7,
+    (1, 4): 9, (2, 3): 135, (3, 2): 135, (4, 1): 9,
+    (1, 5): 11, (2, 4): 385, (3, 3): 1100, (4, 2): 385, (5, 1): 11,
+}
+KDP3_FIBER_0 = {
+    (0, 0, 0, 0): 1,
+    (0, 0, 0, 1): -2, (0, 1, 0, 0): 1, (1, 0, 0, 0): 1,
+    (0, 0, 0, 2): 5, (0, 1, 0, 1): -4, (1, 0, 0, 1): -4, (1, 1, 0, 0): 3,
+    (0, 0, 0, 3): -32, (0, 1, 0, 2): 35, (0, 2, 0, 1): -6, (1, 0, 0, 2): 35,
+    (1, 1, 0, 1): -36, (1, 2, 0, 0): 5, (2, 0, 0, 1): -6, (2, 1, 0, 0): 5,
+    (0, 0, 0, 4): 286, (0, 1, 0, 3): -400, (0, 2, 0, 2): 135, (0, 3, 0, 1): -8,
+    (1, 0, 0, 3): -400, (1, 1, 0, 2): 531, (1, 2, 0, 1): -160, (1, 3, 0, 0): 7,
+    (2, 0, 0, 2): 135, (2, 1, 0, 1): -160, (2, 2, 0, 0): 35, (3, 0, 0, 1): -8,
+    (3, 1, 0, 0): 7,
+    (0, 0, 0, 5): -3038, (0, 1, 0, 4): 5187, (0, 2, 0, 3): -2592, (0, 3, 0, 2): 385,
+    (0, 4, 0, 1): -10, (1, 0, 0, 4): 5187, (1, 1, 0, 3): -8472, (1, 2, 0, 2): 3916,
+    (1, 3, 0, 1): -500, (1, 4, 0, 0): 9, (2, 0, 0, 3): -2592, (2, 1, 0, 2): 3916,
+    (2, 2, 0, 1): -1550, (2, 3, 0, 0): 135, (3, 0, 0, 2): 385, (3, 1, 0, 1): -500,
+    (3, 2, 0, 0): 135, (4, 0, 0, 1): -10, (4, 1, 0, 0): 9,
+    (0, 0, 0, 6): 35870, (0, 1, 0, 5): -72384, (0, 2, 0, 4): 47775, (0, 3, 0, 3): -11760,
+    (0, 4, 0, 2): 910, (0, 5, 0, 1): -12, (1, 0, 0, 5): -72384, (1, 1, 0, 4): 140580,
+    (1, 2, 0, 3): -87416, (1, 3, 0, 2): 19500, (1, 4, 0, 1): -1260, (1, 5, 0, 0): 11,
+    (2, 0, 0, 4): 47775, (2, 1, 0, 3): -87416, (2, 2, 0, 2): 49192, (2, 3, 0, 1): -9120,
+    (2, 4, 0, 0): 385, (3, 0, 0, 3): -11760, (3, 1, 0, 2): 19500, (3, 2, 0, 1): -9120,
+    (3, 3, 0, 0): 1100, (4, 0, 0, 2): 910, (4, 1, 0, 1): -1260, (4, 2, 0, 0): 385,
+    (5, 0, 0, 1): -12, (5, 1, 0, 0): 11,
+}
 
 
 class TestCoefficientE:
@@ -156,6 +199,30 @@ class TestFiberInvariants:
                     if weight:
                         product = product * pow_int(deltas[j], weight)
                 assert product == inv.closed[a]
+
+
+class TestMultivariateOracle:
+    """Local P1 x P1 and local dP3 against the composition-free oracle."""
+
+    @pytest.mark.parametrize(
+        "geometry,iota,frozen",
+        [("kp1xp1", KP1XP1_IOTA, KP1XP1_FIBER_0), ("kdp3", KDP3_IOTA, KDP3_FIBER_0)],
+    )
+    def test_library_matches_oracle_and_frozen_values(self, request, geometry, iota, frozen):
+        from syzmirror import effective_charge_basis
+
+        data = request.getfixturevalue(geometry)
+        # the oracle's input is the library's basis, and its rows are
+        # relations among the rays
+        assert effective_charge_basis(data) == iota
+        for row in iota:
+            assert [sum(x * ray[k] for x, ray in zip(row, data.rays)) for k in range(3)] == [0] * 3
+        q, y = oracle_fiber.fiber_system(iota, 6)
+        inv = inverse_mirror_map(data, 6)
+        assert [s.terms for s in inv.fiber] == y
+        assert y[0] == frozen
+        assert all(s == {(0,) * len(iota): 1} for s in y[1:])
+        assert [x.terms for x in inv.closed] == q
 
 
 class TestBuildCurve:

@@ -39,3 +39,27 @@ def test_traced_targets_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_series_product_calls_the_kernel_once(monkeypatch):
+    # the benchmark's kernel counters wrap fps.mul_terms and unpack its
+    # positional (a, b, grading, order)
+    from syzmirror import Frame, TruncatedSeries, fps
+
+    kernel = fps.mul_terms
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(fps, "mul_terms", counted)
+    frame = Frame(names=("x", "y"))
+    s = TruncatedSeries(frame, 4, {(0, 0): 1, (1, 0): 2})
+    t = TruncatedSeries(frame, 4, {(0, 1): 3})
+    product = s * t
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    assert kwargs == {}
+    assert args == (s.terms, t.terms, frame.grading, 4)
+    assert product.terms == {(0, 1): 3, (1, 1): 6}
