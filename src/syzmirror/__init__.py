@@ -68,6 +68,7 @@ from .mirror import (
     closed_frame,
     coefficient_E,
     compare_naive,
+    curve_in_brane_frame,
     evaluate_curve,
     fiber_open_gw,
     inverse_mirror_map,

@@ -18,6 +18,7 @@ from . import lattice, mirror
 from .errors import InputError, MathDomainError, ValidationError
 from .serialize import (
     format_rational,
+    parse_int_vector,
     parse_rational,
     series_to_json,
     series_to_records,
@@ -51,17 +52,7 @@ def _require(doc, key, where):
 def _int_matrix(raw, where):
     if not isinstance(raw, list):
         raise InputError(f"bad integer matrix in {where}: expected a list of lists")
-    return tuple(_int_vector(row, where) for row in raw)
-
-
-def _int_vector(raw, where):
-    """A JSON list of integers; floats, strings and booleans are refused."""
-    if not isinstance(raw, list):
-        raise InputError(f"bad integer vector in {where}: expected a list")
-    bad = [x for x in raw if type(x) is not int]
-    if bad:
-        raise InputError(f"bad integer vector in {where}: {bad[0]!r} is not an integer")
-    return tuple(raw)
+    return tuple(parse_int_vector(row, where) for row in raw)
 
 
 def _rational_vector(raw, where):
@@ -75,7 +66,7 @@ def parse_job(doc) -> Job:
         raise InputError("job document must be a JSON object")
     toric_doc = _require(doc, "toric", "job document")
     rays = _int_matrix(_require(toric_doc, "rays", "toric"), "toric.rays")
-    u = _int_vector(_require(toric_doc, "u", "toric"), "toric.u")
+    u = parse_int_vector(_require(toric_doc, "u", "toric"), "toric.u")
     offsets = _rational_vector(toric_doc.get("lambda", []), "toric.lambda")
     max_cones = None
     if "max_cones" in toric_doc:
@@ -98,7 +89,7 @@ def parse_job(doc) -> Job:
         phases = _rational_vector(bdoc.get("phases", ["0"] * len(charges)), "brane.phases")
         av_indices = None
         if "av_indices" in bdoc:
-            av_indices = _int_vector(bdoc["av_indices"], "brane.av_indices")
+            av_indices = parse_int_vector(bdoc["av_indices"], "brane.av_indices")
             if len(av_indices) != 3:
                 raise InputError("brane.av_indices must have 3 entries")
         m0 = _rational_vector(bdoc["m0"], "brane.m0") if "m0" in bdoc else None
@@ -107,7 +98,7 @@ def parse_job(doc) -> Job:
             frame_generators = _int_matrix(bdoc["frame"], "brane.frame")
         boundary = None
         if "boundary_grading" in bdoc:
-            boundary = _int_vector(bdoc["boundary_grading"], "brane.boundary_grading")
+            boundary = parse_int_vector(bdoc["boundary_grading"], "brane.boundary_grading")
         try:
             brane = lattice.BraneSpec(
                 charges=charges,
@@ -121,7 +112,7 @@ def parse_job(doc) -> Job:
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad brane data: {exc}") from None
 
-    (truncation,) = _int_vector([doc.get("truncation", 8)], "truncation")
+    (truncation,) = parse_int_vector([doc.get("truncation", 8)], "truncation")
     if truncation < 1:
         raise InputError("truncation must be >= 1")
     corrected = doc.get("corrected", True)
@@ -129,7 +120,7 @@ def parse_job(doc) -> Job:
         raise InputError("corrected must be true or false")
     normalization = None
     if doc.get("normalization") is not None:
-        normalization = _int_vector(doc["normalization"], "normalization")
+        normalization = parse_int_vector(doc["normalization"], "normalization")
         if len(normalization) != 2 or any(x not in (1, -1) for x in normalization):
             raise InputError("normalization must be a pair of +-1")
     return Job(toric, brane, truncation, corrected, normalization)

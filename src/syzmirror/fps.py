@@ -285,7 +285,7 @@ class TruncatedSeries:
 def exp_series(s: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term (sum of s^k / k!)."""
     if s.constant_term() != 0:
-        raise NonUnitSeries("exp requires a zero constant term")
+        raise NonUnitSeries(f"exp requires a zero constant term, got {s.constant_term()}")
     acc = TruncatedSeries.one(s.frame, s.order)
     term = acc
     for k in range(1, s.order + 1):
@@ -305,7 +305,7 @@ def log_series(s: TruncatedSeries) -> TruncatedSeries:
     term (Brent & Kung, J. ACM 25, 1978).
     """
     if s.constant_term() != 1:
-        raise NonUnitSeries("log requires constant term 1")
+        raise NonUnitSeries(f"log requires constant term 1, got {s.constant_term()}")
     frame = s.frame
     euler = s.map_coefficients(lambda e, c: c * frame.grade(e))
     quotient = euler * inverse(s)
@@ -384,13 +384,16 @@ def substitute(
     for i, im in enumerate(images):
         if im.frame != target:
             raise FrameMismatch("images live over different frames")
+        where = f"image {i} (for {s.frame.names[i]}, grading {s.frame.grading[i]})"
         if im.constant_term() != 0:
-            raise NonUnitSeries("substitution image has a nonzero constant term")
+            raise NonUnitSeries(
+                f"substitution image has a nonzero constant term {im.constant_term()}: {where}"
+            )
         val = im.valuation()
         if val is not None and val < s.frame.grading[i]:
             raise NonUnitSeries(
                 "substitution image valuation is below the source grading; "
-                "the truncated composition would not be exact"
+                f"the truncated composition would not be exact: {where} has valuation {val}"
             )
 
     # powers[i][e] = images[i]**e, grown on demand
@@ -471,7 +474,10 @@ def fixed_point_system(
             if u.frame != frame:
                 raise FrameMismatch("update map changed frames")
             if u.constant_term() != 1:
-                raise NonUnitSeries(f"update map {a} is not a unit series")
+                raise NonUnitSeries(
+                    f"update map {a} is not a unit series: constant term "
+                    f"{u.constant_term()} for generator {frame.names[a]}"
+                )
             new_xs.append(TruncatedSeries.generator(frame, precision, a) * u)
         for a, (old, new) in enumerate(zip(xs, new_xs)):
             diff = old - new

@@ -106,10 +106,12 @@ class MirrorMapData:
     ``closed`` holds the image of each closed variable; ``open_unit``
     is the unit factor of the open direction (the open variable itself
     is not a generator of the closed frame), present only when a brane
-    was supplied.  ``composed`` holds A_j(q(Q)) for every ray j in the
-    Q_to_q direction and is None for q_to_Q.  The A_i carry the
-    factorial series the map is built from; each is identically zero
-    whenever every effective pairing <D_i, alpha> is non-negative.
+    was supplied.  Both are monomials in one exp per nonzero A_j.
+    ``composed`` holds A_j(q(Q)) for every ray j in the Q_to_q
+    direction, as composed by the fixed point's confirming pass, and is
+    None for q_to_Q.  The A_i carry the factorial series the map is
+    built from; each is identically zero whenever every effective
+    pairing <D_i, alpha> is non-negative.
     """
 
     direction: str  # "q_to_Q" or "Q_to_q"
@@ -131,30 +133,26 @@ class MirrorMapData:
         return tuple(exp_series(-a) for a in self.composed)
 
 
-def _weighted_sum(a_list, weights, frame, order) -> TruncatedSeries:
-    """sum_j weights_j A_j; an identically zero A_j contributes nothing."""
-    s = TruncatedSeries.zero(frame, order)
-    for a, weight in zip(a_list, weights):
-        if weight and not a.is_zero():
-            s = s + a * weight
-    return s
+def _units(bases, rows, one) -> list[TruncatedSeries]:
+    """prod_j bases[j] ** -row[j] for each row.
 
-
-def _common_direction(rows, a_list):
-    """Weights v and factors c with row_a . A = c_a (v . A) for every row a.
-
-    Found when two or more charge rows meet exactly one nonzero A_j
-    (local P1xP1, local dP3): then v is +-e_j, signed so that the first
-    nonzero factor is positive, and exp(-row_a . A) = exp(-v . A)^{c_a}
-    takes one exp per pass, not one per row.  None otherwise.
+    ``bases[j]`` is None where A_j vanishes identically, and a row that
+    meets no live base gets ``one``.  Each distinct (j, exponent) power
+    is taken once, so rows with equal weights on a ray share it.
     """
-    live = [j for j, a in enumerate(a_list) if not a.is_zero()]
-    if len(rows) < 2 or len(live) != 1:
-        return None
-    j = live[0]
-    sign = -1 if next((row[j] for row in rows if row[j]), 0) < 0 else 1
-    weights = [sign if k == j else 0 for k in range(len(a_list))]
-    return weights, [sign * row[j] for row in rows]
+    powers = {}
+    units = []
+    for row in rows:
+        unit = None
+        for j, weight in enumerate(row):
+            if bases[j] is None or not weight:
+                continue
+            key = (j, weight)
+            if key not in powers:
+                powers[key] = pow_int(bases[j], -weight)
+            unit = powers[key] if unit is None else unit * powers[key]
+        units.append(one if unit is None else unit)
+    return units
 
 
 def _map_inputs(data, order, brane):
@@ -168,14 +166,18 @@ def _map_inputs(data, order, brane):
 
 
 def mirror_map(data: ToricCYData, order: int, brane: BraneSpec | None = None) -> MirrorMapData:
-    """Q_a = q_a exp(sum_j iota_j^(a) A_j(q)), open direction likewise."""
+    """Q_a = q_a exp(sum_j iota_j^(a) A_j(q)), open direction likewise.
+
+    Every unit is a monomial in the bases exp(-A_j(q)).
+    """
     frame, a_list, l0 = _map_inputs(data, order, brane)
+    one = TruncatedSeries.one(frame, order)
+    bases = [None if a.is_zero() else exp_series(-a) for a in a_list]
+    units = _units(bases, data.effective_charge_basis, one)
     closed = tuple(
-        TruncatedSeries.generator(frame, order, a)
-        * exp_series(_weighted_sum(a_list, row, frame, order))
-        for a, row in enumerate(data.effective_charge_basis)
+        TruncatedSeries.generator(frame, order, a) * unit for a, unit in enumerate(units)
     )
-    open_unit = None if l0 is None else exp_series(_weighted_sum(a_list, l0, frame, order))
+    open_unit = None if l0 is None else _units(bases, [l0], one)[0]
     return MirrorMapData("q_to_Q", a_list, closed, open_unit, None, order)
 
 
@@ -184,30 +186,27 @@ def inverse_mirror_map(
 ) -> MirrorMapData:
     """Graded fixed point of q_a = Q_a exp(- sum_j iota_j^(a) A_j(q)).
 
-    Composition is linear: each pass composes every nonzero A_j once,
-    and so does the solution, for the fiber series and the open unit.
-    Charge rows that meet one nonzero A_j share one exp per pass
-    (``_common_direction``).
+    Each pass composes every nonzero A_j once, takes one exp per
+    composition, B_j = exp(A_j(q)), and builds every unit as a monomial
+    in the B_j.  The fixed point returns only after a confirming pass
+    that reproduced its input, so that pass's compositions and bases
+    are those at the solution: they give ``composed`` and the open
+    unit without composing again.
     """
     frame, a_list, l0 = _map_inputs(data, order, brane)
     rows = data.effective_charge_basis
-    direction = _common_direction(rows, a_list)
-
-    def compose(xs):
-        return [a if a.is_zero() else substitute(a, xs) for a in a_list]
+    one = TruncatedSeries.one(frame, order)
+    last = {}
 
     def update(xs):
-        composed = compose(xs)
-        if direction is None:
-            return [exp_series(-_weighted_sum(composed, row, frame, order)) for row in rows]
-        weights, factors = direction
-        base = exp_series(-_weighted_sum(composed, weights, frame, order))
-        return [pow_int(base, c) for c in factors]
+        composed = [a if a.is_zero() else substitute(a, xs) for a in a_list]
+        bases = [None if a.is_zero() else exp_series(c) for a, c in zip(a_list, composed)]
+        last.update(composed=composed, bases=bases)
+        return _units(bases, rows, one)
 
     closed = tuple(fixed_point_system(update, frame, order))
-    composed = tuple(compose(list(closed)))
-    open_unit = None if l0 is None else exp_series(-_weighted_sum(composed, l0, frame, order))
-    return MirrorMapData("Q_to_q", a_list, closed, open_unit, composed, order)
+    open_unit = None if l0 is None else _units(last["bases"], [l0], one)[0]
+    return MirrorMapData("Q_to_q", a_list, closed, open_unit, tuple(last["composed"]), order)
 
 
 def fiber_open_gw(data: ToricCYData, order: int) -> list[TruncatedSeries]:
@@ -427,7 +426,7 @@ def open_series(data, brane, bframe, order, inverse_map=None) -> TruncatedSeries
     return TruncatedSeries.monomial(bframe.frame, order, bframe.q0) * unit
 
 
-def _curve_in_brane_frame(curve, z1, bframe, order):
+def curve_in_brane_frame(curve, z1, bframe, order) -> dict[int, TruncatedSeries]:
     """Collect W(z1, z2) as {z2 exponent: brane-frame series}.
 
     z1^e factors through its leading Q0 monomial times a unit, so
@@ -484,13 +483,8 @@ def _horner(table, point, order) -> TruncatedSeries:
     return acc
 
 
-def solve_curve_root(
-    curve: MirrorCurve,
-    z1_series: TruncatedSeries,
-    bframe: BraneFrame,
-    order: int,
-) -> TruncatedSeries:
-    """Newton-solve W(z1, z2) = 0 for z2 in the brane frame.
+def solve_curve_root(table, frame: Frame, order: int) -> TruncatedSeries:
+    """Newton-solve W(z1, z2) = 0 for z2 on a ``curve_in_brane_frame`` table.
 
     The start value is the grade-0 simple root (-1, the branch
     continuously connected to -(1+delta_0) - z1).  Newton runs at
@@ -500,12 +494,6 @@ def solve_curve_root(
     step per iteration.  The residual must then be exactly zero at the
     truncation order.
     """
-    table = _curve_in_brane_frame(curve, z1_series, bframe, order)
-    return _newton_root(table, bframe.frame, order)
-
-
-def _newton_root(table, frame, order) -> TruncatedSeries:
-    """The Newton solve of solve_curve_root on a built curve table."""
     root0 = Fraction(-1)
     shift = max(0, -min(table))
     poly = {e2 + shift: s for e2, s in table.items()}
@@ -533,13 +521,8 @@ def _newton_root(table, frame, order) -> TruncatedSeries:
     return z2
 
 
-def evaluate_curve(curve, z1, z2, bframe, order) -> TruncatedSeries:
-    """Independent re-evaluation of W on a candidate root pair (audit)."""
-    return _evaluate_table(_curve_in_brane_frame(curve, z1, bframe, order), z2, bframe.frame, order)
-
-
-def _evaluate_table(table, z2, frame, order) -> TruncatedSeries:
-    """sum_e table[e] * z2**e, the curve W evaluated exactly at z2."""
+def evaluate_curve(table, z2, frame: Frame, order: int) -> TruncatedSeries:
+    """sum_e table[e] * z2**e: W re-evaluated exactly at a candidate root (audit)."""
     acc = TruncatedSeries.zero(frame, order)
     for e2, coeff in table.items():
         acc = acc + coeff * pow_int(z2, e2)
@@ -644,9 +627,9 @@ def av_mirror_brane(
     curve = build_curve(data, closed_order, corrected=True, inverse_map=inv)
     z1 = open_series(data, brane, bframe, order, inverse_map=inv)
     # One brane-frame table of W serves the Newton solve and the audit.
-    table = _curve_in_brane_frame(curve, z1, bframe, order)
-    z2_raw = _newton_root(table, bframe.frame, order)
-    residual = _evaluate_table(table, z2_raw, bframe.frame, order)
+    table = curve_in_brane_frame(curve, z1, bframe, order)
+    z2_raw = solve_curve_root(table, bframe.frame, order)
+    residual = evaluate_curve(table, z2_raw, bframe.frame, order)
     signs, z2, neg_log_z2 = _normalize_root(z2_raw, bframe, override=normalization)
     eps1 = signs[0]
     z1_normalized = _twist(z1, eps1) * eps1

@@ -31,6 +31,16 @@ def parse_rational(text) -> Fraction:
     return value
 
 
+def parse_int_vector(raw, where) -> tuple[int, ...]:
+    """A JSON list of integers; floats, strings and booleans are refused."""
+    if not isinstance(raw, list):
+        raise InputError(f"bad integer vector in {where}: expected a list")
+    bad = [x for x in raw if type(x) is not int]
+    if bad:
+        raise InputError(f"bad integer vector in {where}: {bad[0]!r} is not an integer")
+    return tuple(raw)
+
+
 def series_to_records(series: TruncatedSeries) -> list[dict]:
     return [{"e": list(e), "c": format_rational(c)} for e, c in series.items()]
 
@@ -39,10 +49,14 @@ def series_from_records(frame: Frame, order: int, records) -> TruncatedSeries:
     terms = {}
     for rec in records:
         try:
-            exps = tuple(int(x) for x in rec["e"])
+            exps = parse_int_vector(rec["e"], f"series record {rec!r}")
             coeff = parse_rational(rec["c"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed series record {rec!r}: {exc}") from None
+        if len(exps) != frame.nvars or any(e < 0 for e in exps):
+            raise InputError(
+                f"series record {rec!r} needs {frame.nvars} non-negative exponents"
+            )
         if exps in terms:
             raise InputError(f"duplicate exponent {exps} in series records")
         terms[exps] = coeff
@@ -61,8 +75,8 @@ def frame_from_json(doc) -> Frame:
     try:
         return Frame(
             names=tuple(str(n) for n in doc["names"]),
-            grading=tuple(int(g) for g in doc.get("grading", [])),
-            boundary=tuple(int(b) for b in doc.get("boundary", [])),
+            grading=parse_int_vector(doc.get("grading", []), "frame.grading"),
+            boundary=parse_int_vector(doc.get("boundary", []), "frame.boundary"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed frame document: {exc}") from None
@@ -79,7 +93,7 @@ def series_to_json(series: TruncatedSeries) -> dict:
 def series_from_json(doc) -> TruncatedSeries:
     try:
         frame = frame_from_json(doc["frame"])
-        order = int(doc["order"])
+        (order,) = parse_int_vector([doc["order"]], "series order")
         records = doc["terms"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed series document: {exc}") from None

@@ -21,6 +21,7 @@ from syzmirror import (
     coefficient_E,
     compare_naive,
     cover_sum,
+    curve_in_brane_frame,
     evaluate_curve,
     exp_series,
     extract_open_gw,
@@ -132,8 +133,9 @@ def test_criterion_4_curve_root_residual():
         bframe = brane_frame(data, brane)
         curve = build_curve(data, bframe.closed_order_for(ORDER), corrected=True)
         z1 = open_series(data, brane, bframe, ORDER)
-        root = solve_curve_root(curve, z1, bframe, ORDER)
-        residual = evaluate_curve(curve, z1, root, bframe, ORDER)
+        table = curve_in_brane_frame(curve, z1, bframe, ORDER)
+        root = solve_curve_root(table, bframe.frame, ORDER)
+        residual = evaluate_curve(table, root, bframe.frame, ORDER)
         assert residual.is_zero()
 
 
@@ -142,7 +144,8 @@ def test_criterion_5_conifold_closed_form():
     bframe = brane_frame(CONIFOLD, CONIFOLD_BRANE)
     curve = build_curve(CONIFOLD, ORDER)
     z1 = open_series(CONIFOLD, CONIFOLD_BRANE, bframe, ORDER)
-    root = solve_curve_root(curve, z1, bframe, ORDER)
+    table = curve_in_brane_frame(curve, z1, bframe, ORDER)
+    root = solve_curve_root(table, bframe.frame, ORDER)
     # independent expansion of -(1 + q0) / (1 + q1 q0^-1) in the frame
     # generators P1 = q0, P2 = q1 q0^-1 by explicit geometric series
     expected = {}

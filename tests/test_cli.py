@@ -410,7 +410,9 @@ class TestRepeatedWork:
             name: _count_calls(monkeypatch, lattice, name)
             for name in ("charge_basis", "dual_exponents", "validate_cy")
         }
-        curve_tables = _count_calls(monkeypatch, mirror, "_curve_in_brane_frame")
+        curve_tables = _count_calls(monkeypatch, mirror, "curve_in_brane_frame")
+        roots = _count_calls(monkeypatch, mirror, "solve_curve_root")
+        audits = _count_calls(monkeypatch, mirror, "evaluate_curve")
         code, _, _ = run(capsys, "disc-invariants", "--input", str(LOCAL_P2_JOB), "--order", "6")
         assert code == 0
         assert len(inverse_maps) == 1
@@ -419,6 +421,8 @@ class TestRepeatedWork:
             "charge_basis": 1, "dual_exponents": 1, "validate_cy": 1
         }
         assert len(curve_tables) == 1
+        assert len(roots) == 1
+        assert len(audits) == 1
 
     def test_fiber_invariants_computes_the_charge_basis_once(self, capsys, monkeypatch):
         from syzmirror import lattice
@@ -431,15 +435,15 @@ class TestRepeatedWork:
     @pytest.mark.parametrize(
         "command,job,order,expected",
         [
-            pytest.param("fiber-invariants", LOCAL_DP3_JOB, "3", 5, id="fiber-local-dp3"),
-            pytest.param("disc-invariants", LOCAL_P2_JOB, "6", 8, id="disc-local-p2"),
+            pytest.param("fiber-invariants", LOCAL_DP3_JOB, "3", 4, id="fiber-local-dp3"),
+            pytest.param("disc-invariants", LOCAL_P2_JOB, "6", 7, id="disc-local-p2"),
         ],
     )
     def test_each_a_series_is_composed_once_per_pass(
         self, capsys, monkeypatch, command, job, order, expected
     ):
-        # one composition per fixed-point pass plus one at the solution,
-        # shared by the closed update, the fiber series and the open unit
+        # one composition per fixed-point pass; the confirming pass ran at
+        # the solution, so the fiber series and the open unit reuse it
         from syzmirror import fps
 
         compositions = _count_calls(monkeypatch, fps, "substitute")
@@ -448,14 +452,15 @@ class TestRepeatedWork:
         assert len(compositions) == expected
 
     def test_inverse_map_builds_no_fiber_series(self, capsys, monkeypatch):
-        # one exp per pass and one for the open unit, none per ray: the
-        # fiber series are derived only when read
+        # one exp per pass, none per ray: the open unit is a monomial in
+        # the confirming pass's bases and the fiber series are derived
+        # only when read
         from syzmirror import fps
 
         exps = _count_calls(monkeypatch, fps, "exp_series")
         code, _, _ = run(capsys, "inverse-map", "--input", str(LOCAL_P2_JOB), "--order", "6")
         assert code == 0
-        assert len(exps) == 8
+        assert len(exps) == 7
 
     def test_collinear_charge_rows_share_one_exp_per_pass(self, capsys, monkeypatch):
         # every local dP3 row is a multiple of A_0: four passes of one exp
@@ -466,6 +471,18 @@ class TestRepeatedWork:
         code, _, _ = run(capsys, "fiber-invariants", "--input", str(LOCAL_DP3_JOB), "--order", "3")
         assert code == 0
         assert len(exps) <= 11
+
+    def test_forward_map_takes_one_exp_per_live_a_series(self, capsys, monkeypatch):
+        # only A_0 is nonzero on local dP3 and its row weights are
+        # -2, -2, -1, -3: one exp, then one power per distinct weight
+        from syzmirror import fps
+
+        exps = _count_calls(monkeypatch, fps, "exp_series")
+        powers = _count_calls(monkeypatch, fps, "pow_int")
+        code, _, _ = run(capsys, "mirror-map", "--input", str(LOCAL_DP3_JOB), "--order", "3")
+        assert code == 0
+        assert len(exps) == 1
+        assert len(powers) == 3
 
     def test_frame_without_q0_exits_before_the_inverse_map(self, capsys, monkeypatch, tmp_path):
         from syzmirror import mirror

@@ -208,6 +208,48 @@ class TestFixedPoint:
         assert "grade 2" in message
 
 
+GRADED = Frame(names=("s",), grading=(2,))
+
+
+@pytest.mark.parametrize(
+    "call,fragments",
+    [
+        pytest.param(
+            lambda: exp_series(series(3, {(0,): 1, (1,): 1})),
+            ["exp requires a zero constant term", "got 1"],
+            id="exp",
+        ),
+        pytest.param(
+            lambda: log_series(series(3, {(0,): F(2, 3), (1,): 1})),
+            ["log requires constant term 1", "got 2/3"],
+            id="log",
+        ),
+        pytest.param(
+            lambda: substitute(gen(T, 3), [series(3, {(0,): 3, (1,): 1}, UV)]),
+            ["substitution image has a nonzero constant term", "image 0 (for t, grading 1)",
+             "constant term 3"],
+            id="substitute-constant",
+        ),
+        pytest.param(
+            lambda: substitute(gen(GRADED, 4), [gen(UV, 4)]),
+            ["valuation is below the source grading", "image 0 (for s, grading 2)",
+             "valuation 1"],
+            id="substitute-valuation",
+        ),
+        pytest.param(
+            lambda: fixed_point_system(lambda xs: [series(4, {(0,): -5})], T, 4),
+            ["update map 0 is not a unit series", "constant term -5", "generator t"],
+            id="fixed-point-update",
+        ),
+    ],
+)
+def test_non_unit_errors_name_their_cause(call, fragments):
+    with pytest.raises(NonUnitSeries) as info:
+        call()
+    message = str(info.value)
+    assert [f for f in fragments if f not in message] == []
+
+
 class TestDerivativeAndCoefficient:
     def test_scaling_by_exponent(self):
         s = TruncatedSeries.monomial(T, 4, (2,))

@@ -21,6 +21,7 @@ from syzmirror import (
     TruncatedSeries,
     brane_frame,
     build_curve,
+    curve_in_brane_frame,
     evaluate_curve,
     exp_series,
     fixed_point_system,
@@ -280,6 +281,7 @@ def test_curve_vanishes_on_root(geometry, order):
     bframe = brane_frame(data, brane)
     curve = build_curve(data, bframe.closed_order_for(order))
     z1 = open_series(data, brane, bframe, order)
-    root = solve_curve_root(curve, z1, bframe, order)
+    table = curve_in_brane_frame(curve, z1, bframe, order)
+    root = solve_curve_root(table, bframe.frame, order)
     assert root.order == order
-    assert evaluate_curve(curve, z1, root, bframe, order).is_zero()
+    assert evaluate_curve(table, root, bframe.frame, order).is_zero()

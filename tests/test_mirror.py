@@ -24,7 +24,9 @@ from syzmirror import (
     closed_frame,
     coefficient_E,
     compare_naive,
+    curve_in_brane_frame,
     evaluate_curve,
+    exp_series,
     fiber_open_gw,
     inverse_mirror_map,
     mirror_map,
@@ -164,6 +166,64 @@ class TestMirrorMaps:
             KP2_IOTA[0][j] * coefficient_E(KP2_IOTA, (1,), j) for j in range(4)
         )
         assert inv.closed[0].coefficient((2,)) == drift
+
+
+# local P1 x P1 with its second charge row sheared by -2 times the first:
+# that row puts +2 on the live A_0, so its forward unit is a negative
+# power of the base
+SHEARED_KP1XP1_ROWS = ((-2, 1, 0, 1, 0), (2, -2, 1, -2, 1))
+
+
+class TestUnitsAgainstDirectExp:
+    """Every closed and open unit equals exp(+-sum_j row_j A_j), one exp per row."""
+
+    @staticmethod
+    def _direct(a_list, row, sign, frame, order):
+        total = TruncatedSeries.zero(frame, order)
+        for a, weight in zip(a_list, row):
+            total = total + a * (sign * weight)
+        return exp_series(total)
+
+    @pytest.mark.parametrize(
+        "geometry,order",
+        [("c3", 6), ("conifold", 6), ("kp2", 6), ("kp1xp1", 4), ("kdp3", 3), ("sheared", 4)],
+    )
+    @pytest.mark.parametrize("indices", [(1, 2, 0), (2, 0, 1)], ids=["l0-plus", "l0-minus"])
+    def test_both_directions(self, request, geometry, order, indices):
+        from syzmirror import ToricCYData, effective_charge_basis
+
+        if geometry == "sheared":
+            base = request.getfixturevalue("kp1xp1")
+            data = ToricCYData(
+                rays=base.rays, u=base.u, max_cones=base.max_cones,
+                charge_rows=SHEARED_KP1XP1_ROWS,
+            )
+            assert data.validation.ok
+        else:
+            data = request.getfixturevalue(geometry)
+        rows = effective_charge_basis(data)
+        brane = av_brane(*indices, m=data.m)
+        l0 = [0] * data.m
+        l0[indices[2]] += 1
+        l0[indices[1]] -= 1
+        frame = closed_frame(data)
+
+        forward = mirror_map(data, order, brane)
+        a_list = forward.a_series
+        for a, row in enumerate(rows):
+            q_a = TruncatedSeries.generator(frame, order, a)
+            assert forward.closed[a] == q_a * self._direct(a_list, row, 1, frame, order)
+        assert forward.open_unit == self._direct(a_list, l0, 1, frame, order)
+
+        backward = inverse_mirror_map(data, order, brane)
+        composed = [
+            a if a.is_zero() else substitute(a, list(backward.closed)) for a in a_list
+        ]
+        assert list(backward.composed) == composed
+        for a, row in enumerate(rows):
+            big_q = TruncatedSeries.generator(frame, order, a)
+            assert backward.closed[a] == big_q * self._direct(composed, row, -1, frame, order)
+        assert backward.open_unit == self._direct(composed, l0, -1, frame, order)
 
 
 class TestFiberInvariants:
@@ -332,7 +392,8 @@ class TestSolveCurveRoot:
         bframe = brane_frame(conifold, conifold_brane)
         curve = build_curve(conifold, 8)
         z1 = open_series(conifold, conifold_brane, bframe, 8)
-        root = solve_curve_root(curve, z1, bframe, 8)
+        table = curve_in_brane_frame(curve, z1, bframe, 8)
+        root = solve_curve_root(table, bframe.frame, 8)
         expected = conifold_root_expected(8)
         assert root.terms == {e: c for e, c in expected.items() if c != 0}
 
@@ -340,7 +401,8 @@ class TestSolveCurveRoot:
         bframe = brane_frame(c3, c3_brane)
         curve = build_curve(c3, 8)
         z1 = open_series(c3, c3_brane, bframe, 8)
-        root = solve_curve_root(curve, z1, bframe, 8)
+        table = curve_in_brane_frame(curve, z1, bframe, 8)
+        root = solve_curve_root(table, bframe.frame, 8)
         assert root == TruncatedSeries(
             bframe.frame, 8, {(0,): F(-1), (1,): F(-1)}
         )
@@ -349,8 +411,9 @@ class TestSolveCurveRoot:
         bframe = brane_frame(kp2, kp2_leg_brane)
         curve = build_curve(kp2, bframe.closed_order_for(8))
         z1 = open_series(kp2, kp2_leg_brane, bframe, 8)
-        root = solve_curve_root(curve, z1, bframe, 8)
-        assert evaluate_curve(curve, z1, root, bframe, 8).is_zero()
+        table = curve_in_brane_frame(curve, z1, bframe, 8)
+        root = solve_curve_root(table, bframe.frame, 8)
+        assert evaluate_curve(table, root, bframe.frame, 8).is_zero()
 
     def test_wrong_frame_escapes(self, conifold, conifold_brane):
         # a frame missing the Q1 Q0^-1 direction cannot hold the curve
@@ -358,7 +421,7 @@ class TestSolveCurveRoot:
         curve = build_curve(conifold, 8)
         z1 = TruncatedSeries.generator(bad.frame, 8, 0)
         with pytest.raises(FrameEscape):
-            solve_curve_root(curve, z1, bad, 8)
+            solve_curve_root(curve_in_brane_frame(curve, z1, bad, 8), bad.frame, 8)
 
 
 class TestAvMirrorBrane:

@@ -60,3 +60,38 @@ class TestSeriesRecords:
         frame = Frame(names=())
         s = TruncatedSeries.constant(frame, 2, F(3, 4))
         assert series_from_json(series_to_json(s)) == s
+
+
+def _record(e):
+    return {"terms": [{"e": e, "c": "1"}]}
+
+
+class TestStrictIntegers:
+    """Integer fields read only JSON integers; every refusal is an InputError."""
+
+    FRAME = {"names": ["a", "b"], "grading": [1, 2]}
+
+    @pytest.mark.parametrize(
+        "doc,cause",
+        [
+            pytest.param(_record([1.9, 0]), "1.9", id="float-exponent"),
+            pytest.param(_record([True, 0]), "True", id="bool-exponent"),
+            pytest.param(_record(["2", 0]), "'2'", id="string-exponent"),
+            pytest.param(_record(1), "expected a list", id="scalar-exponent"),
+            pytest.param(_record([1]), "record {'e': [1], 'c': '1'} needs 2", id="short-record"),
+            pytest.param(_record([1, 0, 0]), "needs 2 non-negative", id="long-record"),
+            pytest.param(_record([-1, 0]), "needs 2 non-negative", id="negative-exponent"),
+            pytest.param({"frame": {"names": ["a", "b"], "grading": [1.7, 2]}}, "1.7",
+                         id="float-grading"),
+            pytest.param({"frame": {"names": ["a", "b"], "boundary": [0, "1"]}}, "'1'",
+                         id="string-boundary"),
+            pytest.param({"order": 2.9}, "2.9", id="float-order"),
+            pytest.param({"order": True}, "True", id="bool-order"),
+        ],
+    )
+    def test_non_integer_fields_are_refused(self, doc, cause):
+        full = {"frame": self.FRAME, "order": 4, "terms": [{"e": [1, 0], "c": "1"}], **doc}
+        with pytest.raises(InputError) as info:
+            series_from_json(full)
+        assert cause in str(info.value)
+
