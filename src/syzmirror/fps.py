@@ -77,6 +77,25 @@ class Frame:
         return (0,) * self.nvars
 
 
+def _frame_difference(frame: Frame, other: Frame) -> str:
+    """Both frames' generators and the first generator where they differ."""
+
+    def generator(f, i):
+        if i >= f.nvars:
+            return "absent"
+        return f"{f.names[i]!r} (grading {f.grading[i]}, boundary {f.boundary[i]})"
+
+    i = next(
+        i
+        for i in range(max(frame.nvars, other.nvars))
+        if generator(frame, i) != generator(other, i)
+    )
+    return (
+        f"{frame.names} vs {other.names}, generator {i}: "
+        f"{generator(frame, i)} vs {generator(other, i)}"
+    )
+
+
 class TruncatedSeries:
     """Sparse truncated series: exponent tuple -> nonzero Fraction.
 
@@ -190,9 +209,7 @@ class TruncatedSeries:
 
     def _check_frame(self, other: "TruncatedSeries"):
         if self.frame != other.frame:
-            raise FrameMismatch(
-                f"frames differ: {self.frame.names} vs {other.frame.names}"
-            )
+            raise FrameMismatch(f"frames differ: {_frame_difference(self.frame, other.frame)}")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -332,7 +349,9 @@ def inverse(s: TruncatedSeries) -> TruncatedSeries:
     """
     c0 = s.constant_term()
     if c0 == 0:
-        raise NonUnitSeries("cannot invert a series with zero constant term")
+        raise NonUnitSeries(
+            f"cannot invert a series with zero constant term over generators {s.frame.names}"
+        )
     g = TruncatedSeries.constant(s.frame, 0, 1 / c0)
     while g.order < s.order:
         g = _lift(g, min(2 * g.order + 1, s.order))
@@ -383,7 +402,10 @@ def substitute(
         target_order = min(target_order, order)
     for i, im in enumerate(images):
         if im.frame != target:
-            raise FrameMismatch("images live over different frames")
+            raise FrameMismatch(
+                "images live over different frames: image 0 vs image "
+                f"{i}: {_frame_difference(target, im.frame)}"
+            )
         where = f"image {i} (for {s.frame.names[i]}, grading {s.frame.grading[i]})"
         if im.constant_term() != 0:
             raise NonUnitSeries(
@@ -472,7 +494,10 @@ def fixed_point_system(
         new_xs = []
         for a, u in enumerate(units):
             if u.frame != frame:
-                raise FrameMismatch("update map changed frames")
+                raise FrameMismatch(
+                    f"update map changed frames: unit {a} (for {frame.names[a]}): "
+                    f"{_frame_difference(frame, u.frame)}"
+                )
             if u.constant_term() != 1:
                 raise NonUnitSeries(
                     f"update map {a} is not a unit series: constant term "

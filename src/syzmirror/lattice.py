@@ -67,12 +67,30 @@ def solve_exact(matrix, rhs):
 
 
 def det_int(matrix) -> int:
-    """Determinant of an integer matrix."""
-    _, pivots, det = row_reduce(matrix)
-    if len(pivots) < len(matrix):
-        return 0
-    assert det.denominator == 1
-    return int(det)
+    """Determinant of an integer matrix by fraction-free Bareiss elimination.
+
+    Every division in the update is exact (Bareiss, Math. Comp. 22,
+    1968), so the entries stay integers throughout.
+    """
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for r in range(k + 1, n):
+            lead = rows[r][k]
+            rows[r][k + 1 :] = [
+                (x * pivot - lead * y) // previous
+                for x, y in zip(rows[r][k + 1 :], rows[k][k + 1 :])
+            ]
+        previous = pivot
+    return sign * rows[-1][-1] if rows else 1
 
 
 def independent_columns(rows) -> tuple[int, ...] | None:
@@ -313,22 +331,23 @@ def _interior_ray_index(data: ToricCYData) -> int | None:
     """The unique ray that is not a vertex of the hull of the others.
 
     Rays live on the affine hyperplane <u, .> = 1; a ray is interior
-    when it is a convex combination of n of the remaining rays.  Returns
-    None unless exactly one such ray exists.
+    when it is a convex combination of n of the remaining rays.  By
+    Cramer's rule, rays M combine to v_i with weights t >= 0 iff
+    det(M) != 0 and det(M_k) * det(M) >= 0 for every k, where M_k has
+    its k-th ray replaced by v_i.  Returns None unless exactly one such
+    ray exists.
     """
     interior = []
-    indices = range(data.m)
-    for i in indices:
-        others = [j for j in indices if j != i]
-        found = False
+    for i, ray in enumerate(data.rays):
+        others = [v for j, v in enumerate(data.rays) if j != i]
         for combo in itertools.combinations(others, data.n):
-            mat = [[Fraction(data.rays[j][coord]) for j in combo] for coord in range(data.n)]
-            sol = solve_exact(mat, [Fraction(x) for x in data.rays[i]])
-            if sol is not None and all(t >= 0 for t in sol):
-                found = True
+            det = det_int(combo)
+            if det != 0 and all(
+                det_int(combo[:k] + (ray,) + combo[k + 1 :]) * det >= 0
+                for k in range(data.n)
+            ):
+                interior.append(i)
                 break
-        if found:
-            interior.append(i)
     return interior[0] if len(interior) == 1 else None
 
 

@@ -11,11 +11,10 @@ reproduce 1 + delta_0 = 1 - 2Q + 5Q^2 - ... for local P^2.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
 
 from .errors import BranchError, FrameEscape, MathDomainError, ValidationError
 from .fps import (
@@ -33,7 +32,7 @@ from .lattice import (
     ToricCYData,
     divisor_pairing,
     independent_columns,
-    solve_exact,
+    row_reduce,
     unit_vector,
     validate_brane,
 )
@@ -50,6 +49,20 @@ def require_valid(data: ToricCYData) -> None:
         raise ValidationError(f"invalid toric data: {data.validation}")
 
 
+def _factorial_coefficient(pairings, i: int) -> Fraction:
+    """E_i(alpha) from the pairings <D_j, alpha> of every ray j."""
+    top = -pairings[i] - 1
+    if top < 0:
+        return Fraction(0)
+    denominator = 1
+    for j, p in enumerate(pairings):
+        if j != i:
+            if p < 0:
+                return Fraction(0)
+            denominator *= factorial(p)
+    return Fraction((-1) ** top * factorial(top), denominator)
+
+
 def coefficient_E(iota, alpha, i: int) -> Fraction:
     """Factorial coefficient of the hypergeometric-type series A_i.
 
@@ -57,38 +70,45 @@ def coefficient_E(iota, alpha, i: int) -> Fraction:
     with the reciprocal factorial of a negative integer taken to be 0,
     and 0 as well unless -<D_i,alpha> - 1 >= 0.
     """
-    pairings = divisor_pairing(iota, alpha)
-    top = -pairings[i] - 1
-    if top < 0:
-        return Fraction(0)
-    for j, p in enumerate(pairings):
-        if j != i and p < 0:
-            return Fraction(0)
-    denominator = 1
-    for j, p in enumerate(pairings):
-        if j != i:
-            denominator *= factorial(p)
-    return Fraction((-1) ** top * factorial(top), denominator)
+    return _factorial_coefficient(divisor_pairing(iota, alpha), i)
 
 
-def _effective_classes(frame: Frame, order: int):
-    """Nonzero componentwise >= 0 exponent vectors of grade <= order."""
-    ranges = [range(order // g + 1) for g in frame.grading]
-    for alpha in itertools.product(*ranges):
-        if any(alpha) and frame.grade(alpha) <= order:
-            yield alpha
+def _classes(iota, order):
+    """(alpha, pairings) for every class 0 <= alpha of degree <= order.
+
+    Classes come in lexicographic order, each with its pairings
+    <D_j, alpha>, which are updated by one charge row per step instead
+    of recomputed.
+    """
+    k = len(iota)
+    m = len(iota[0]) if iota else 0
+
+    def walk(prefix, pairings, budget):
+        if len(prefix) == k:
+            yield prefix, pairings
+            return
+        row = iota[len(prefix)]
+        for e in range(budget + 1):
+            yield from walk(prefix + (e,), pairings, budget - e)
+            pairings = [p + r for p, r in zip(pairings, row)]
+
+    return walk((), [0] * m, order)
 
 
-def a_series(data: ToricCYData, i: int, order: int) -> TruncatedSeries:
-    """A_i(q) = sum over effective classes alpha > 0 of E_i(alpha) q^alpha."""
+def a_series(data: ToricCYData, order: int) -> tuple[TruncatedSeries, ...]:
+    """A_j(q) = sum over effective classes alpha > 0 of E_j(alpha) q^alpha, every ray j.
+
+    E_j(alpha) vanishes unless <D_j, alpha> is the only negative
+    pairing of alpha, so each class feeds at most one series.
+    """
     frame = closed_frame(data)
-    iota = data.effective_charge_basis
-    terms = {}
-    for alpha in _effective_classes(frame, order):
-        value = coefficient_E(iota, alpha, i)
-        if value != 0:
-            terms[alpha] = value
-    return TruncatedSeries(frame, order, terms)
+    terms = [{} for _ in range(data.m)]
+    for alpha, pairings in _classes(data.effective_charge_basis, order):
+        negative = [j for j, p in enumerate(pairings) if p < 0]
+        if len(negative) == 1:
+            j = negative[0]
+            terms[j][alpha] = _factorial_coefficient(pairings, j)
+    return tuple(TruncatedSeries(frame, order, t) for t in terms)
 
 
 def open_charge(brane: BraneSpec, m: int) -> tuple[int, ...]:
@@ -160,7 +180,7 @@ def _map_inputs(data, order, brane):
     l^(0) (None without a brane)."""
     require_valid(data)
     frame = closed_frame(data)
-    a_list = tuple(a_series(data, j, order) for j in range(data.m))
+    a_list = a_series(data, order)
     l0 = None if brane is None else open_charge(brane, data.m)
     return frame, a_list, l0
 
@@ -329,7 +349,15 @@ class BraneFrame:
         cols = independent_columns(self.generators)
         if cols is None:
             raise MathDomainError("brane frame generators are linearly dependent")
-        self._solver = cols, [[g[c] for g in self.generators] for c in cols]
+        # Invert the generators' block on the pivot columns once, as
+        # integer rows over one common denominator: packing a monomial
+        # is then one integer matrix-vector product.
+        k = len(self.generators)
+        block = [[g[c] for g in self.generators] for c in cols]
+        reduced, _, _ = row_reduce([row + list(unit_vector(k, r)) for r, row in enumerate(block)])
+        inverse = [row[k:] for row in reduced]
+        denominator = lcm(*(x.denominator for row in inverse for x in row))
+        self._solver = cols, [[int(x * denominator) for x in row] for row in inverse], denominator
         q0_vec = unit_vector(width, 0)
         self.q0 = self.pack(q0_vec)
         if self.q0 is None:
@@ -348,16 +376,15 @@ class BraneFrame:
 
     def pack(self, vec) -> tuple[int, ...] | None:
         """Frame exponents of a Kahler monomial, or None if it escapes."""
-        cols, sub = self._solver
+        cols, inverse, denominator = self._solver
         vec = tuple(int(x) for x in vec)
-        sol = solve_exact(sub, [vec[c] for c in cols])
-        if sol is None:
-            return None
+        rhs = [vec[c] for c in cols]
         exps = []
-        for x in sol:
-            if x.denominator != 1 or x < 0:
+        for row in inverse:
+            x, remainder = divmod(sum(a * b for a, b in zip(row, rhs)), denominator)
+            if remainder or x < 0:
                 return None
-            exps.append(int(x))
+            exps.append(x)
         if self.unpack(exps) != vec:
             return None
         return tuple(exps)

@@ -73,8 +73,14 @@ def frame_to_json(frame: Frame) -> dict:
 
 def frame_from_json(doc) -> Frame:
     try:
+        names = doc["names"]
+        if not isinstance(names, list):
+            raise InputError(f"frame names must be a list of strings, got {names!r}")
+        bad = [n for n in names if not isinstance(n, str)]
+        if bad:
+            raise InputError(f"frame name {bad[0]!r} is not a string")
         return Frame(
-            names=tuple(str(n) for n in doc["names"]),
+            names=tuple(names),
             grading=parse_int_vector(doc.get("grading", []), "frame.grading"),
             boundary=parse_int_vector(doc.get("boundary", []), "frame.boundary"),
         )
@@ -97,4 +103,6 @@ def series_from_json(doc) -> TruncatedSeries:
         records = doc["terms"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed series document: {exc}") from None
+    if order < 0:
+        raise InputError(f"series order must be non-negative, got {order}")
     return series_from_records(frame, order, records)

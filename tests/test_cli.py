@@ -432,6 +432,29 @@ class TestRepeatedWork:
         assert code == 0
         assert len(bases) == 1
 
+    def test_fiber_invariants_builds_the_a_series_in_one_pass(self, capsys, monkeypatch):
+        # one call returns every A_j; it once ran per ray (7 on local dP3)
+        from syzmirror import mirror
+
+        passes = _count_calls(monkeypatch, mirror, "a_series")
+        code, _, _ = run(capsys, "fiber-invariants", "--input", str(LOCAL_DP3_JOB), "--order", "3")
+        assert code == 0
+        assert len(passes) == 1
+
+    def test_brane_frame_packing_does_no_elimination(self, capsys, monkeypatch):
+        # the frame inverts its solver block once, so the number of
+        # eliminations does not grow with the number of packed terms
+        from syzmirror import lattice
+
+        counts = []
+        for order in ("4", "8"):
+            calls = _count_calls(monkeypatch, lattice, "row_reduce")
+            code, _, _ = run(capsys, "disc-invariants", "--input", str(LOCAL_P2_JOB), "--order", order)
+            assert code == 0
+            counts.append(len(calls))
+            monkeypatch.undo()
+        assert counts[0] == counts[1]
+
     @pytest.mark.parametrize(
         "command,job,order,expected",
         [

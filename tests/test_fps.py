@@ -12,6 +12,7 @@ from syzmirror import (
     TruncationExceeded,
     exp_series,
     fixed_point_system,
+    inverse,
     log_derivative,
     log_series,
     pow_int,
@@ -241,12 +242,63 @@ GRADED = Frame(names=("s",), grading=(2,))
             ["update map 0 is not a unit series", "constant term -5", "generator t"],
             id="fixed-point-update",
         ),
+        pytest.param(
+            lambda: inverse(gen(QQ, 3)),
+            ["cannot invert a series with zero constant term over generators ('Q0', 'Q1')"],
+            id="inverse",
+        ),
     ],
 )
 def test_non_unit_errors_name_their_cause(call, fragments):
     with pytest.raises(NonUnitSeries) as info:
         call()
     message = str(info.value)
+    assert [f for f in fragments if f not in message] == []
+
+
+SHIFTED = Frame(names=("t",), grading=(2,))
+
+
+@pytest.mark.parametrize(
+    "call,prefix,fragments",
+    [
+        pytest.param(
+            lambda: gen(T, 3) + gen(UV, 3),
+            "frames differ",
+            ["('t',) vs ('u',)", "generator 0: 't' (grading 1, boundary 0) vs 'u'"],
+            id="ring-op-name",
+        ),
+        pytest.param(
+            lambda: gen(T, 3) * gen(SHIFTED, 3),
+            "frames differ",
+            ["('t',) vs ('t',)", "generator 0: 't' (grading 1, boundary 0) vs 't' (grading 2"],
+            id="ring-op-grading",
+        ),
+        pytest.param(
+            lambda: gen(T, 3) - gen(QQ, 3),
+            "frames differ",
+            ["('t',) vs ('Q0', 'Q1')", "generator 0: 't'", "vs 'Q0' (grading 1, boundary 1)"],
+            id="ring-op-arity",
+        ),
+        pytest.param(
+            lambda: substitute(gen(QQ, 3), [gen(T, 3), gen(UV, 3)]),
+            "images live over different frames",
+            ["image 0 vs image 1", "('t',) vs ('u',)", "generator 0"],
+            id="substitute",
+        ),
+        pytest.param(
+            lambda: fixed_point_system(lambda xs: [TruncatedSeries.one(UV, 2)], T, 2),
+            "update map changed frames",
+            ["unit 0 (for t)", "('t',) vs ('u',)", "generator 0"],
+            id="fixed-point",
+        ),
+    ],
+)
+def test_frame_mismatch_names_both_frames(call, prefix, fragments):
+    with pytest.raises(FrameMismatch) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(prefix)
     assert [f for f in fragments if f not in message] == []
 
 

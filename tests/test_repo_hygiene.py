@@ -1,7 +1,9 @@
 """Repository hygiene: the git checkout tracks no file that .gitignore
-excludes, and every function the benchmark's span tracer wraps exists."""
+excludes, every function the benchmark's span tracer wraps exists, and the
+CI workflow runs the tier-1 command."""
 
 import importlib.util
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -63,3 +65,18 @@ def test_series_product_calls_the_kernel_once(monkeypatch):
     assert kwargs == {}
     assert args == (s.terms, t.terms, frame.grading, 4)
     assert product.terms == {(0, 1): 3, (1, 1): 6}
+
+
+def test_ci_workflow_runs_the_tier1_command():
+    yaml = pytest.importorskip("yaml")
+    roadmap = (ROOT / "ROADMAP.md").read_text()
+    match = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap)
+    assert match, "ROADMAP.md names no tier-1 command"
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    steps = job["steps"]
+    assert [s["run"] for s in steps if "run" in s][-1] == match.group(1)
+    versions = [s["with"]["python-version"] for s in steps if "setup-python" in s.get("uses", "")]
+    assert versions == ["3.11"]
+    installs = " ".join(s["run"] for s in steps if "pip install" in s.get("run", ""))
+    assert "pytest" in installs.split() and "hypothesis" in installs.split()

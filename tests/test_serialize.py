@@ -87,6 +87,13 @@ class TestStrictIntegers:
                          id="string-boundary"),
             pytest.param({"order": 2.9}, "2.9", id="float-order"),
             pytest.param({"order": True}, "True", id="bool-order"),
+            pytest.param({"order": -2}, "non-negative, got -2", id="negative-order"),
+            pytest.param({"frame": {"names": [1, "b"]}}, "frame name 1 is not a string",
+                         id="int-name"),
+            pytest.param({"frame": {"names": ["a", None]}}, "frame name None is not a string",
+                         id="null-name"),
+            pytest.param({"frame": {"names": "ab"}}, "must be a list of strings, got 'ab'",
+                         id="string-names"),
         ],
     )
     def test_non_integer_fields_are_refused(self, doc, cause):
