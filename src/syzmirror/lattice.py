@@ -18,23 +18,27 @@ from .errors import MathDomainError
 from .fps import as_rational
 
 
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def row_reduce(matrix):
-    """Gauss-Jordan elimination over Fractions.
+    """Fraction-free Gauss-Jordan elimination over the integers.
 
-    Returns ``(rows, pivots, det)``: the reduced row echelon form, the
-    pivot column of each nonzero row, and the signed product of the
-    pivots, which is the determinant when the matrix is square and
-    nonsingular.  Each pivot sits in the first column that the columns
-    before it do not span, so ``pivots`` is the lexicographically first
-    set of independent columns.
+    Returns ``(rows, pivots, det)``.  Each update is
+    ``(lead * x - factor * y) // previous`` with every division exact
+    (Bareiss, Math. Comp. 22, 1968), so the rows stay integers and every
+    pivot entry ends equal to the last pivot: ``rows`` divided by it is
+    the reduced row echelon form.  ``pivots`` holds the pivot column of
+    each nonzero row; each pivot sits in the first column that the
+    columns before it do not span, so ``pivots`` is the
+    lexicographically first set of independent columns.  ``det`` is the
+    signed last pivot when the rows are independent, else 0: the
+    determinant of a square matrix.
     """
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    rows = [[int(x) for x in row] for row in matrix]
     pivots = []
-    det = Fraction(1)
+    sign, previous = 1, 1
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
         rank = len(pivots)
@@ -45,52 +49,16 @@ def row_reduce(matrix):
             continue
         if pivot != rank:
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            det = -det
-        lead = rows[rank][col]
-        det *= lead
-        rows[rank] = [v / lead for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        pivots.append(col)
-    return rows, pivots, det
-
-
-def solve_exact(matrix, rhs):
-    """Solve a square rational system exactly; None if singular."""
-    n = len(matrix)
-    rows, pivots, _ = row_reduce([list(row) + [rhs[i]] for i, row in enumerate(matrix)])
-    if pivots != list(range(n)):
-        return None
-    return [row[n] for row in rows]
-
-
-def det_int(matrix) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination.
-
-    Every division in the update is exact (Bareiss, Math. Comp. 22,
-    1968), so the entries stay integers throughout.
-    """
-    rows = [list(row) for row in matrix]
-    n = len(rows)
-    sign, previous = 1, 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
-        pivot = rows[k][k]
-        for r in range(k + 1, n):
-            lead = rows[r][k]
-            rows[r][k + 1 :] = [
-                (x * pivot - lead * y) // previous
-                for x, y in zip(rows[r][k + 1 :], rows[k][k + 1 :])
-            ]
-        previous = pivot
-    return sign * rows[-1][-1] if rows else 1
+        top = rows[rank]
+        lead = top[col]
+        for r, row in enumerate(rows):
+            if r != rank:
+                factor = row[col]
+                rows[r] = [(lead * x - factor * y) // previous for x, y in zip(row, top)]
+        previous = lead
+        pivots.append(col)
+    return rows, pivots, sign * previous if len(pivots) == len(rows) else 0
 
 
 def independent_columns(rows) -> tuple[int, ...] | None:
@@ -244,7 +212,7 @@ def validate_cy(data: ToricCYData) -> ValidationReport:
         pairing = _dot(data.u, ray)
         if pairing != 1:
             failures.append(f"CY condition: <u, v_{i}> = {pairing}, expected 1")
-    det = det_int([list(ray) for ray in data.rays[:n]])
+    _, _, det = row_reduce(data.rays[:n])
     if det not in (1, -1):
         failures.append(f"unimodularity: leading rays have determinant {det}")
     if data.charge_rows is not None:
@@ -274,31 +242,13 @@ def _check_charge_rows(data: ToricCYData, compare_basis: bool) -> list[str]:
         if sum(row) != 0:
             failures.append(f"charge row {a} does not sum to zero")
     if compare_basis and not failures and rows:
-        # Z-basis check: the canonical kernel rows must be integer
-        # combinations of the supplied rows and vice versa.  Building
-        # them needs unimodular leading rays (``compare_basis``).
-        canonical = data.charge_basis
-        if not (_spans_over_z(rows, canonical) and _spans_over_z(canonical, rows)):
+        # Z-basis check (needs unimodular leading rays, ``compare_basis``):
+        # a relation r is sum_{i>=n} r[i] * c_i over the canonical relations
+        # c_i, so the rows are a Z-basis iff their trailing block is unimodular.
+        _, _, det = row_reduce([row[data.n :] for row in rows])
+        if det not in (1, -1):
             failures.append("charge rows are not a Z-basis of the ray relations")
     return failures
-
-
-def _spans_over_z(rows, targets) -> bool:
-    if not targets:
-        return True
-    k = len(rows)
-    cols = independent_columns(rows)
-    if cols is None:
-        return False
-    sub = [[rows[a][c] for a in range(k)] for c in cols]
-    for target in targets:
-        sol = solve_exact(sub, [target[c] for c in cols])
-        if sol is None or any(x.denominator != 1 for x in sol):
-            return False
-        recon = [sum(sol[a] * rows[a][j] for a in range(k)) for j in range(len(target))]
-        if any(r != t for r, t in zip(recon, target)):
-            return False
-    return True
 
 
 def dual_exponents(data: ToricCYData) -> list[list[int]]:
@@ -316,38 +266,45 @@ def dual_exponents(data: ToricCYData) -> list[list[int]]:
     )
     if pivots != list(range(n)):
         raise MathDomainError("leading rays are not a basis")
+    # Every pivot entry is the last pivot, +-1 on a unimodular block.
+    lead = reduced[0][0] if reduced else 1
     table = []
     for i in range(data.m):
-        sol = [row[n + i] for row in reduced]
-        if any(c.denominator != 1 for c in sol):
+        sol = [divmod(row[n + i], lead) for row in reduced]
+        if any(remainder for _, remainder in sol):
             raise MathDomainError(
                 f"ray {i} is not an integer combination of the leading rays"
             )
-        table.append([int(c) for c in sol])
+        table.append([x for x, _ in sol])
     return table
 
 
 def _interior_ray_index(data: ToricCYData) -> int | None:
-    """The unique ray that is not a vertex of the hull of the others.
+    """The unique ray on no facet of the cone over the rays, or None.
 
-    Rays live on the affine hyperplane <u, .> = 1; a ray is interior
-    when it is a convex combination of n of the remaining rays.  By
-    Cramer's rule, rays M combine to v_i with weights t >= 0 iff
-    det(M) != 0 and det(M_k) * det(M) >= 0 for every k, where M_k has
-    its k-th ray replaced by v_i.  Returns None unless exactly one such
-    ray exists.
+    Rays live on the affine hyperplane <u, .> = 1, so the facets of
+    their cone are the edges of the polygon.  Every facet is spanned by
+    n - 1 independent rays: their normal is the null vector read off
+    the reduced rows, and the hyperplane is a facet when every ray lies
+    weakly on one side of it.  Rays on a facet, vertices and edge points
+    alike, are boundary rays.  Returns None unless exactly one ray is
+    not a boundary ray.
     """
-    interior = []
-    for i, ray in enumerate(data.rays):
-        others = [v for j, v in enumerate(data.rays) if j != i]
-        for combo in itertools.combinations(others, data.n):
-            det = det_int(combo)
-            if det != 0 and all(
-                det_int(combo[:k] + (ray,) + combo[k + 1 :]) * det >= 0
-                for k in range(data.n)
-            ):
-                interior.append(i)
-                break
+    n = data.n
+    boundary = set()
+    for combo in itertools.combinations(data.rays, n - 1):
+        rows, pivots, _ = row_reduce(combo)
+        if len(pivots) != n - 1:
+            continue
+        free = next(c for c in range(n) if c not in pivots)
+        normal = [0] * n
+        normal[free] = rows[0][pivots[0]] if rows else 1
+        for row, p in zip(rows, pivots):
+            normal[p] = -row[free]
+        sides = [_dot(normal, ray) for ray in data.rays]
+        if min(sides) >= 0 or max(sides) <= 0:
+            boundary.update(i for i, side in enumerate(sides) if side == 0)
+    interior = [i for i in range(data.m) if i not in boundary]
     return interior[0] if len(interior) == 1 else None
 
 
@@ -369,7 +326,7 @@ def charge_basis(data: ToricCYData) -> list[list[int]]:
         row = [-duals[i][j] for j in range(n)] + [0] * (m - n)
         row[i] = 1
         rows.append(row)
-    compact = _interior_ray_index(data)
+    compact = _interior_ray_index(data) if rows else None
     normalized = []
     for row in rows:
         lead = next((x for x in row if x != 0), 0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial
 
 from .errors import BranchError, FrameEscape, MathDomainError, ValidationError
 from .fps import (
@@ -349,15 +349,14 @@ class BraneFrame:
         cols = independent_columns(self.generators)
         if cols is None:
             raise MathDomainError("brane frame generators are linearly dependent")
-        # Invert the generators' block on the pivot columns once, as
-        # integer rows over one common denominator: packing a monomial
-        # is then one integer matrix-vector product.
+        # Invert the generators' block on the pivot columns once: the
+        # reduction of [block | I] ends as [d*I | d*block^-1] for its last
+        # pivot d, so packing a monomial is one integer matrix-vector
+        # product and one exact division by d.
         k = len(self.generators)
         block = [[g[c] for g in self.generators] for c in cols]
         reduced, _, _ = row_reduce([row + list(unit_vector(k, r)) for r, row in enumerate(block)])
-        inverse = [row[k:] for row in reduced]
-        denominator = lcm(*(x.denominator for row in inverse for x in row))
-        self._solver = cols, [[int(x * denominator) for x in row] for row in inverse], denominator
+        self._solver = cols, [row[k:] for row in reduced], reduced[0][0]
         q0_vec = unit_vector(width, 0)
         self.q0 = self.pack(q0_vec)
         if self.q0 is None:

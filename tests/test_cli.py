@@ -424,6 +424,21 @@ class TestRepeatedWork:
         assert len(roots) == 1
         assert len(audits) == 1
 
+    def test_validate_with_supplied_charge_rows_builds_no_charge_basis(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # the Z-basis check reads the supplied rows' trailing block alone
+        from syzmirror import lattice
+
+        doc = json.loads(LOCAL_P2_JOB.read_text())
+        doc["toric"]["charge_basis"] = [[-3, 1, 1, 1]]
+        path = tmp_path / "local_p2.json"
+        path.write_text(json.dumps(doc))
+        bases = _count_calls(monkeypatch, lattice, "charge_basis")
+        code, _, _ = run(capsys, "validate", "--input", str(path))
+        assert code == 0
+        assert len(bases) == 0
+
     def test_fiber_invariants_computes_the_charge_basis_once(self, capsys, monkeypatch):
         from syzmirror import lattice
 

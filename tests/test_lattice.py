@@ -44,6 +44,10 @@ class TestValidateCY:
         # a finite-index sublattice is not a Z-basis
         doubled = ToricCYData(kp2.rays, kp2.u, charge_rows=((-6, 2, 2, 2),))
         assert any("Z-basis" in f for f in validate_cy(doubled).failures)
+        # a unimodular change of basis of the canonical local P1xP1 rows
+        p1xp1 = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
+        sheared = ((-2, 1, 0, 1, 0), (2, -2, 1, -2, 1))
+        assert validate_cy(ToricCYData(p1xp1, kp2.u, charge_rows=sheared)).ok
 
 
 class TestChargeBasis:

@@ -1,13 +1,12 @@
-"""Exact elimination in ``lattice`` checked against sympy and brute force."""
+"""Fraction-free elimination in ``lattice`` checked against sympy and brute force."""
 
 import itertools
-from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzmirror.lattice import det_int, independent_columns, row_reduce, solve_exact
+from syzmirror.lattice import independent_columns, row_reduce
 
 sympy = pytest.importorskip("sympy")
 
@@ -18,7 +17,17 @@ def matrices(rows, cols):
     return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
 
 
-square = st.integers(min_value=1, max_value=4).flatmap(lambda n: matrices(n, n))
+@st.composite
+def square(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(matrices(n, n))
+    if n > 1 and draw(st.booleans()):
+        # make the first row a combination of two others: singular
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[0] = [a * x + b * y for x, y in zip(rows[1], rows[-1])]
+    return rows
+
+
 wide = st.tuples(st.integers(1, 3), st.integers(1, 5)).flatmap(lambda s: matrices(*s))
 
 
@@ -31,35 +40,30 @@ def first_independent_subset(rows):
     return None
 
 
-@settings(max_examples=150, deadline=None)
-@given(square)
+def assert_matches_rref(matrix, rows, pivots):
+    assert all(type(x) is int for row in rows for x in row)
+    expected, expected_pivots = sympy.Matrix(matrix).rref()
+    assert pivots == list(expected_pivots)
+    assert len(pivots) == sympy.Matrix(matrix).rank()
+    lead = rows[0][pivots[0]] if pivots else 1
+    assert all(row[p] == lead for row, p in zip(rows, pivots))
+    assert sympy.Matrix(rows) / lead == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(square())
 def test_det_matches_sympy(matrix):
-    assert det_int(matrix) == sympy.Matrix(matrix).det()
+    rows, pivots, det = row_reduce(matrix)
+    assert type(det) is int
+    assert det == sympy.Matrix(matrix).det()
+    assert_matches_rref(matrix, rows, pivots)
 
 
 @settings(max_examples=150, deadline=None)
 @given(wide)
 def test_rref_and_rank_match_sympy(matrix):
     rows, pivots, _ = row_reduce(matrix)
-    expected, expected_pivots = sympy.Matrix(matrix).rref()
-    assert pivots == list(expected_pivots)
-    assert len(pivots) == sympy.Matrix(matrix).rank()
-    assert rows == [[F(int(x.p), int(x.q)) for x in expected.row(r)] for r in range(len(matrix))]
-
-
-@settings(max_examples=150, deadline=None)
-@given(square, st.data())
-def test_solve_none_exactly_when_singular(matrix, data):
-    n = len(matrix)
-    rhs = data.draw(st.lists(entries, min_size=n, max_size=n))
-    sol = solve_exact(matrix, rhs)
-    a = sympy.Matrix(matrix)
-    if a.det() == 0:
-        assert sol is None
-    else:
-        expected = a.LUsolve(sympy.Matrix(rhs))
-        assert sol == [F(int(x.p), int(x.q)) for x in expected]
-        assert [sum(r * x for r, x in zip(row, sol)) for row in matrix] == rhs
+    assert_matches_rref(matrix, rows, pivots)
 
 
 @settings(max_examples=150, deadline=None)
@@ -69,6 +73,5 @@ def test_pivots_are_first_independent_subset(matrix):
 
 
 def test_empty_matrix():
-    assert det_int([]) == 1
-    assert solve_exact([], []) == []
+    assert row_reduce([]) == ([], [], 1)
     assert independent_columns([]) == ()
