@@ -10,6 +10,7 @@ Identical input bytes produce identical output bytes.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -58,7 +59,10 @@ def _int_matrix(raw, where):
 def _rational_vector(raw, where):
     if not isinstance(raw, list):
         raise InputError(f"{where} must be a list of rational literals")
-    return tuple(parse_rational(x) for x in raw)
+    try:
+        return tuple(parse_rational(x) for x in raw)
+    except InputError as exc:
+        raise InputError(f"bad rational in {where}: {exc}") from None
 
 
 def parse_job(doc) -> Job:
@@ -348,6 +352,12 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    """The parser of :func:`build_parser`, built once per process."""
+    return build_parser()
+
+
 def _emit_error(code, message, exit_code):
     record = {"error": {"code": code, "message": message}}
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
@@ -356,7 +366,7 @@ def _emit_error(code, message, exit_code):
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except InputError as exc:
         return _emit_error("parse", str(exc), EXIT_PARSE)
     try:

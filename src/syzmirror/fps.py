@@ -2,8 +2,16 @@
 
 Series live over a :class:`Frame` (named generators with a positive
 integer grading and an integer boundary grading) and are truncated by
-weighted total grade.  Coefficients are ``fractions.Fraction``; there is
-no floating point anywhere in this module.  All values are immutable
+weighted total grade.  Coefficients are exact rationals; there is no
+floating point anywhere in this module.
+
+Each series stores its terms in the kernel form of ``_backend``: integer
+numerators over one gcd-reduced denominator, keyed by sorted packed
+monomials.  Ring operations, truncation and the settled-grade and
+valuation checks work on those integer rows; products go through
+``_backend.mul_terms``.  ``TruncatedSeries.terms`` reads the rows as a
+read-only exponent tuple -> ``Fraction`` mapping, decoded on first read
+and iterated in lexicographic exponent order.  All values are immutable
 after construction and every operation is a pure function, so instances
 can be shared freely across threads.
 """
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from ._backend import mul_terms
+from ._backend import Terms, linear_combination, mul_terms, pack
 from .errors import (
     FixedPointDivergence,
     FrameMismatch,
@@ -101,7 +109,9 @@ class TruncatedSeries:
 
     Terms of total grade greater than ``order`` are absent by
     definition (unknown, not zero).  Two series over the same frame and
-    order form a commutative ring with exact arithmetic.
+    order form a commutative ring with exact arithmetic.  ``terms`` is a
+    read-only :class:`~syzmirror._backend.Terms` at the layout of
+    ``order``.
     """
 
     __slots__ = ("frame", "order", "terms")
@@ -121,15 +131,15 @@ class TruncatedSeries:
                 clean[exps] = value
         self.frame = frame
         self.order = order
-        self.terms = clean
+        self.terms = pack(clean, frame.grading, order)
 
     @classmethod
-    def _trusted(cls, frame: Frame, order: int, terms: dict) -> "TruncatedSeries":
-        """A series from terms already in normal form, without re-checking.
+    def _trusted(cls, frame: Frame, order: int, terms: Terms) -> "TruncatedSeries":
+        """A series from kernel-form terms, without re-checking.
 
         Only for the results of ring operations, whose terms hold by
-        construction what ``__init__`` checks: exponent tuples of the
-        frame's arity, grades <= ``order`` and nonzero Fraction values.
+        construction what ``__init__`` checks: the frame's grading, the
+        layout of ``order``, grades <= ``order`` and nonzero numerators.
         """
         series = object.__new__(cls)
         series.frame = frame
@@ -164,19 +174,17 @@ class TruncatedSeries:
 
     def items(self):
         """Terms in lexicographic exponent order (deterministic)."""
-        return [(e, self.terms[e]) for e in sorted(self.terms)]
+        return list(self.terms.items())
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(self.frame.zero_exponent(), ZERO)
+        return self.terms.constant()
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.terms.monos
 
     def valuation(self) -> int | None:
         """Minimal grade of a present term, or None for the zero series."""
-        if not self.terms:
-            return None
-        return min(self.frame.grade(e) for e in self.terms)
+        return self.terms.min_grade()
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         exps = tuple(exponents)
@@ -193,7 +201,7 @@ class TruncatedSeries:
             if order > self.order:
                 raise TruncationExceeded("cannot extend a truncated series")
             return self
-        return TruncatedSeries(self.frame, order, self.terms)
+        return TruncatedSeries._trusted(self.frame, order, self.terms.truncated(order))
 
     def map_coefficients(self, fn) -> "TruncatedSeries":
         return TruncatedSeries(
@@ -218,19 +226,12 @@ class TruncatedSeries:
         if self.order != other.order:
             order = min(self.order, other.order)
             return self.truncate(order) + other.truncate(order)
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            c = merged.pop(e, ZERO) + c
-            if c:
-                merged[e] = c
-        return TruncatedSeries._trusted(self.frame, self.order, merged)
+        return TruncatedSeries._trusted(self.frame, self.order, self.terms + other.terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries._trusted(
-            self.frame, self.order, {e: -c for e, c in self.terms.items()}
-        )
+        return TruncatedSeries._trusted(self.frame, self.order, -self.terms)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -245,9 +246,7 @@ class TruncatedSeries:
             scalar = as_rational(other)
             if scalar == 0:
                 return TruncatedSeries.zero(self.frame, self.order)
-            return TruncatedSeries._trusted(
-                self.frame, self.order, {e: c * scalar for e, c in self.terms.items()}
-            )
+            return TruncatedSeries._trusted(self.frame, self.order, self.terms.scaled(scalar))
         self._check_frame(other)
         order = min(self.order, other.order)
         product = mul_terms(self.terms, other.terms, self.frame.grading, order)
@@ -337,7 +336,7 @@ def _lift(s: TruncatedSeries, order: int) -> TruncatedSeries:
     """
     if order < s.order:
         raise ValueError("a lift cannot lower the truncation order")
-    return TruncatedSeries._trusted(s.frame, order, s.terms)
+    return TruncatedSeries._trusted(s.frame, order, s.terms.at_order(order))
 
 
 def inverse(s: TruncatedSeries) -> TruncatedSeries:
@@ -433,8 +432,8 @@ def substitute(
     nvars = s.frame.nvars
     prefix: list[TruncatedSeries | None] = [None] * nvars
     previous = None
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for exps in sorted(s.terms):
+    pairs = []  # (coefficient, image of the monomial; None for 1)
+    for exps, coeff in s.terms.items():  # lexicographic
         if s.frame.grade(exps) > target_order:
             continue  # every image has valuation >= its source grading
         start = 0
@@ -447,14 +446,9 @@ def substitute(
                 mono = power(i, exps[i]) if mono is None else mono * power(i, exps[i])
             prefix[i] = mono
         previous = exps
-        coeff = s.terms[exps]
-        if mono is None:
-            origin = target.zero_exponent()
-            acc[origin] = acc.get(origin, ZERO) + coeff
-            continue
-        for e, c in mono.terms.items():
-            acc[e] = acc.get(e, ZERO) + coeff * c
-    return TruncatedSeries(target, target_order, acc)
+        pairs.append((coeff, None if mono is None else mono.terms))
+    combined = linear_combination(pairs, target.grading, target_order)
+    return TruncatedSeries._trusted(target, target_order, combined)
 
 
 def log_derivative(s: TruncatedSeries, var_index: int) -> TruncatedSeries:
@@ -506,9 +500,9 @@ def fixed_point_system(
             new_xs.append(TruncatedSeries.generator(frame, precision, a) * u)
         for a, (old, new) in enumerate(zip(xs, new_xs)):
             diff = old - new
-            moved = [(frame.grade(e), e) for e in diff.terms if frame.grade(e) <= pass_no]
-            if moved:
-                grade, exps = min(moved)
+            lowest = diff.valuation()
+            if lowest is not None and lowest <= pass_no:
+                grade, exps = min((frame.grade(e), e) for e in diff.terms)
                 raise FixedPointDivergence(
                     f"fixed-point pass {pass_no} altered the already-settled grade "
                     f"{grade} of generator {a} ({frame.names[a]}) at monomial {exps}"

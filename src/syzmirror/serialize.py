@@ -8,6 +8,7 @@ document reproduces the in-memory value exactly.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -18,17 +19,28 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+_RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text) -> Fraction:
-    """Parse "p" or "p/q" with q > 0; anything else is an input error."""
-    if isinstance(text, int):
+    """Parse a JSON integer or a string "p" or "p/q" with q > 0.
+
+    The string holds an optional sign and decimal digits, with
+    surrounding whitespace allowed; booleans, floats, decimal or
+    exponent notation and digit separators are input errors that name
+    the value.
+    """
+    if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
-        raise InputError(f"rational literal must be a string, got {text!r}")
+        raise InputError(f"rational literal must be an integer or a string, got {text!r}")
+    literal = text.strip()
+    if not _RATIONAL_LITERAL.fullmatch(literal):
+        raise InputError(f"malformed rational literal {text!r}: expected p or p/q")
     try:
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed rational literal {text!r}: {exc}") from None
-    return value
+        return Fraction(literal)
+    except ZeroDivisionError:
+        raise InputError(f"malformed rational literal {text!r}: zero denominator") from None
 
 
 def parse_int_vector(raw, where) -> tuple[int, ...]:

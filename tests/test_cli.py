@@ -257,6 +257,17 @@ class TestArgumentErrors:
         assert exc.value.code == 0
         assert "usage" in capsys.readouterr().out
 
+    def test_consecutive_calls_share_no_flags(self, capsys, conifold_path):
+        # the parser is built once per process; each call parses afresh
+        code, pretty, _ = run(
+            capsys, "curve", "--input", conifold_path, "--order", "2", "--output", "pretty"
+        )
+        assert code == 0
+        assert pretty.startswith("W = ")
+        code, out, _ = run(capsys, "curve", "--input", conifold_path)
+        assert code == 0
+        assert json.loads(out)["order"] == CONIFOLD_DOC["truncation"]
+
 
 class TestDeterminism:
     def test_identical_bytes(self, conifold_path, capsys):
@@ -312,6 +323,12 @@ class TestParseErrors:
             pytest.param(("truncation",), True, id="truncation-bool"),
             pytest.param(("truncation",), 8.0, id="truncation-float"),
             pytest.param(("brane", "av_indices"), [0, 2.5, 1], id="av_indices-float"),
+            pytest.param(("brane", "constants"), [False, "1"], id="constants-bool"),
+            pytest.param(("brane", "constants"), ["0", "1.5"], id="constants-decimal"),
+            pytest.param(("brane", "phases"), ["0", True], id="phases-bool"),
+            pytest.param(("brane", "phases"), ["1e3", "0"], id="phases-exponent"),
+            pytest.param(("toric", "lambda"), ["1_0", "0", "0", "0"], id="lambda-separator"),
+            pytest.param(("toric", "lambda"), [0, 0, 0.5, 0], id="lambda-float"),
         ],
     )
     def test_bad_field_exits_four(self, capsys, tmp_path, path, value):
@@ -323,6 +340,16 @@ class TestParseErrors:
         record = json.loads(err)
         assert record["error"]["code"] == "parse"
         assert path[-1] in record["error"]["message"]
+
+    def test_local_p2_boolean_constant_exits_four(self, capsys, tmp_path):
+        doc = json.loads(LOCAL_P2_JOB.read_text())
+        file = tmp_path / "job.json"
+        file.write_text(json.dumps(_with(doc, ("brane", "constants"), [False, "1"])))
+        code, out, err = run(capsys, "compare-naive", "--input", str(file), "--order", "3")
+        assert code == 4
+        assert out == ""
+        message = json.loads(err)["error"]["message"]
+        assert "brane.constants" in message and "False" in message
 
     @pytest.mark.parametrize("value", [True, False])
     def test_corrected_json_bool(self, capsys, tmp_path, value):

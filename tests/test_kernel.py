@@ -1,15 +1,16 @@
 """The packed-exponent integer kernel against a reference convolution,
-and the invariants of the series that ring operations build without
-re-validation."""
+and the stored kernel form of series: chains of ring operations checked
+against a plain Fraction-dict model, with the normal form after each."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzmirror import Frame, TruncatedSeries
-from syzmirror._backend import mul_terms
+from syzmirror import Frame, TruncatedSeries, substitute
+from syzmirror._backend import Terms, field_width, mul_terms
 from syzmirror.fps import _lift
 
 
@@ -144,8 +145,17 @@ def series_pairs(draw):
 
 
 def check_normal_form(r):
-    assert r == TruncatedSeries(r.frame, r.order, r.terms)
-    assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+    """The stored rows are the unique kernel form of ``r``'s terms."""
+    t = r.terms
+    assert isinstance(t, Terms)
+    assert (t.grading, t.width) == (r.frame.grading, field_width(r.order))
+    assert all(a < b for a, b in zip(t.monos, t.monos[1:]))
+    assert all(t.nums) and len(t.nums) == len(t.monos)
+    assert t.den >= 1 and gcd(t.den, *t.nums) == 1
+    assert all(r.frame.grade(e) <= r.order for e in t)
+    assert list(t) == sorted(t)
+    assert r == TruncatedSeries(r.frame, r.order, t)
+    assert all(type(c) is Fraction and c != 0 for c in t.values())
 
 
 @settings(max_examples=150, deadline=None)
@@ -164,3 +174,164 @@ def test_lift_never_lowers_the_order():
     s = TruncatedSeries(Frame(names=("x",)), 3, {(3,): 1})
     with pytest.raises(ValueError):
         _lift(s, 2)
+
+
+def test_terms_refuse_item_assignment():
+    s = TruncatedSeries(Frame(names=("x",)), 3, {(1,): 2})
+    with pytest.raises(TypeError):
+        s.terms[(2,)] = Fraction(1)
+    with pytest.raises(TypeError):
+        del s.terms[(1,)]
+    assert s.terms == {(1,): 2}
+
+
+# -- chains of operations against a Fraction-dict model -----------------
+
+# orders on both sides of a field-width change (order.bit_length() + 1)
+BOUNDARY_ORDERS = (3, 4, 7, 8, 15, 16)
+
+
+def model_truncate(terms, grading, order):
+    return {e: c for e, c in terms.items() if grade_of(e, grading) <= order}
+
+
+def model_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def model_substitute(terms, images, grading, order):
+    """sum c * prod images[i]^e_i, every product by the reference loop."""
+    out = {}
+    nvars = len(grading)
+    for e, c in terms.items():
+        mono = {(0,) * nvars: Fraction(1)}
+        for i, k in enumerate(e):
+            for _ in range(k):
+                mono = reference_mul_terms(mono, images[i], grading, order)
+        out = model_add(out, {x: c * v for x, v in mono.items()})
+    return model_truncate(out, grading, order)
+
+
+@st.composite
+def operands(draw, frame, max_terms=5):
+    order = draw(st.sampled_from(BOUNDARY_ORDERS))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=4)] * frame.nvars)
+    terms = draw(st.dictionaries(exponents, coefficients(), max_size=max_terms))
+    return order, model_truncate(terms, frame.grading, order)
+
+
+def apply_step(data, frame, series, model):
+    """One random operation on ``series`` and on its (order, dict) model."""
+    grading = frame.grading
+    order, terms = model
+    step = data.draw(st.sampled_from(["mul", "add", "sub", "neg", "scale", "resize", "compose"]))
+    if step in ("mul", "add", "sub"):
+        o, t = data.draw(operands(frame))
+        other = TruncatedSeries(frame, o, t)
+        low = min(order, o)
+        if step == "mul":
+            return series * other, (low, reference_mul_terms(terms, t, grading, low))
+        if step == "sub":
+            series, t = series - other, {e: -c for e, c in t.items()}
+        else:
+            series = series + other
+        return series, (low, model_add(model_truncate(terms, grading, low),
+                                       model_truncate(t, grading, low)))
+    if step == "neg":
+        return -series, (order, {e: -c for e, c in terms.items()})
+    if step == "scale":
+        c = data.draw(st.one_of(st.just(Fraction(0)), coefficients(), st.integers(-3, 3)))
+        return c * series, (order, {e: c * v for e, v in terms.items() if c * v != 0})
+    if step == "resize":
+        o = data.draw(st.sampled_from(BOUNDARY_ORDERS))
+        if o <= order:
+            return series.truncate(o), (o, model_truncate(terms, grading, o))
+        return _lift(series, o), (o, terms)
+    # compose: x_i -> c x_i + a term of grade above grading[i], over the same frame
+    images, image_terms = [], []
+    for i in range(frame.nvars):
+        exps = tuple(int(j == i) for j in range(frame.nvars))
+        extra = data.draw(st.tuples(*[st.integers(0, 2)] * frame.nvars))
+        t = {exps: data.draw(coefficients())}
+        if grade_of(extra, grading) > grading[i]:
+            t[extra] = data.draw(coefficients())
+        o = data.draw(st.sampled_from(BOUNDARY_ORDERS))
+        t = model_truncate(t, grading, o)
+        images.append(TruncatedSeries(frame, o, t))
+        image_terms.append(t)
+    low = min(order, *(im.order for im in images))
+    return substitute(series, images), (
+        low, model_substitute(model_truncate(terms, grading, low), image_terms, grading, low)
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_operation_chains_match_the_dict_model(data):
+    nvars = data.draw(st.integers(min_value=1, max_value=3))
+    frame = Frame(names=tuple(f"x{i}" for i in range(nvars)),
+                  grading=tuple(data.draw(st.sampled_from([1, 2])) for _ in range(nvars)))
+    order, terms = data.draw(operands(frame, max_terms=8))
+    series = TruncatedSeries(frame, order, terms)
+    model = (order, terms)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        series, model = apply_step(data, frame, series, model)
+        check_normal_form(series)
+        order, terms = model
+        assert series.order == order
+        assert series.terms == terms and terms == series.terms
+        assert series == TruncatedSeries(frame, order, terms)
+        assert series.constant_term() == terms.get((0,) * nvars, 0)
+        grades = [grade_of(e, frame.grading) for e in terms]
+        assert series.valuation() == (min(grades) if grades else None)
+        assert series.is_zero() == (not terms)
+
+
+@pytest.mark.parametrize("low,high", [(3, 4), (7, 8), (15, 16)])
+def test_width_boundaries_round_trip(low, high):
+    # exponents that fill the narrow field to the top, read at both widths
+    frame = Frame(names=("x", "y"), grading=(1, 2))
+    terms = {(low, 0): Fraction(1, 3), (low - 2, 1): Fraction(-5), (0, 0): Fraction(2)}
+    narrow = TruncatedSeries(frame, low, terms)
+    wide = _lift(narrow, high)
+    assert field_width(low) != field_width(high)
+    for s in (wide, wide.truncate(low), wide * wide, narrow * wide):
+        check_normal_form(s)
+    assert wide.terms == narrow.terms == terms
+    assert wide.truncate(low) == narrow
+    square = wide * wide
+    assert square.terms == reference_mul_terms(terms, terms, frame.grading, high)
+    assert (narrow * wide).order == low
+    assert (narrow * wide).terms == reference_mul_terms(terms, terms, frame.grading, low)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs(), st.booleans())
+def test_kernel_takes_a_plain_and_a_packed_operand(inputs, packed_first):
+    a, b, grading, order = inputs
+    # the packed operand is a series of its own order, possibly of another width
+    own = order + (len(b) % 3) * 4
+    frame = Frame(names=tuple(f"x{i}" for i in range(len(grading))), grading=grading)
+    packed = TruncatedSeries(frame, own, b).terms
+    b = model_truncate(b, grading, own)
+    args = (packed, a) if packed_first else (a, packed)
+    result = mul_terms(*args, grading, order)
+    check_contract(result, a, b, grading, order)
+    assert isinstance(result, Terms) and result.width == field_width(order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pairs())
+def test_packed_series_equals_its_plain_dict_twin(pair):
+    s, t = pair
+    plain = dict(s.terms)
+    twin = TruncatedSeries(s.frame, s.order, plain)
+    assert twin == s and s.terms == plain and plain == s.terms
+    assert (s == t) == (dict(s.terms) == dict(t.terms))
+    if plain:
+        e = next(iter(plain))
+        changed = {**plain, e: plain[e] + 1}
+        assert s.terms != changed and TruncatedSeries(s.frame, s.order, changed) != s

@@ -1,9 +1,11 @@
 """Repository hygiene: the git checkout tracks no file that .gitignore
-excludes, every function the benchmark's span tracer wraps exists, and the
-CI workflow runs the tier-1 command."""
+excludes, the benchmark's span tracer finds and counts what it wraps, and
+the CI workflow runs the tier-1 command."""
 
 import importlib.util
+import io
 import re
+import sys
 import shutil
 import subprocess
 from pathlib import Path
@@ -28,13 +30,18 @@ def test_no_tracked_file_is_ignored():
     assert listed.stdout == ""
 
 
-def test_traced_targets_resolve():
+def _load_spans():
     path = ROOT / "perfbench" / "spans.py"
     if not path.exists():
         pytest.skip("no benchmark in this checkout")
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_targets_resolve():
+    spans = _load_spans()
     missing = [
         f"{module}.{attr}"
         for _, module, attr in spans.TARGETS
@@ -65,6 +72,55 @@ def test_series_product_calls_the_kernel_once(monkeypatch):
     assert kwargs == {}
     assert args == (s.terms, t.terms, frame.grading, 4)
     assert product.terms == {(0, 1): 3, (1, 1): 6}
+
+
+# stdout of `fiber-invariants --input perfbench/jobs/local_dp3.json --order 3`,
+# recorded before series kept the kernel's packed form
+LOCAL_DP3_FIBER_ORDER_3 = (
+    '{"order":3,"series":[[{"c":"1","e":[0,0,0,0]},{"c":"-2","e":[0,0,0,1]},'
+    '{"c":"5","e":[0,0,0,2]},{"c":"-32","e":[0,0,0,3]},{"c":"1","e":[0,1,0,0]},'
+    '{"c":"-4","e":[0,1,0,1]},{"c":"35","e":[0,1,0,2]},{"c":"-6","e":[0,2,0,1]},'
+    '{"c":"1","e":[1,0,0,0]},{"c":"-4","e":[1,0,0,1]},{"c":"35","e":[1,0,0,2]},'
+    '{"c":"3","e":[1,1,0,0]},{"c":"-36","e":[1,1,0,1]},{"c":"5","e":[1,2,0,0]},'
+    '{"c":"-6","e":[2,0,0,1]},{"c":"5","e":[2,1,0,0]}],[{"c":"1","e":[0,0,0,0]}],'
+    '[{"c":"1","e":[0,0,0,0]}],[{"c":"1","e":[0,0,0,0]}],[{"c":"1","e":[0,0,0,0]}],'
+    '[{"c":"1","e":[0,0,0,0]}],[{"c":"1","e":[0,0,0,0]}]]}\n'
+)
+
+
+def test_tracer_counts_the_packed_kernel_like_plain_dicts(monkeypatch):
+    spans = _load_spans()
+    from syzmirror import cli
+    from syzmirror._backend import Terms
+
+    tracer = spans.Tracer()
+    seen = []
+    count = tracer._kernel_counts
+
+    def recording(idx, args, result):
+        seen.append((args, result))
+        count(idx, args, result)
+
+    tracer._kernel_counts = recording
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    tracer.install()  # raises MissedBinding if a reference escaped the wrapping
+    try:
+        code = cli.main(["fiber-invariants", "--input",
+                         str(ROOT / "perfbench" / "jobs" / "local_dp3.json"), "--order", "3"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert out.getvalue() == LOCAL_DP3_FIBER_ORDER_3
+    assert seen and len(tracer.kernel_span) == len(seen)
+    assert all(isinstance(result, Terms) for _, result in seen)
+
+    plain = spans.Tracer()
+    for idx, ((a, b, grading, order), result) in enumerate(seen):
+        plain._kernel_counts(idx, (dict(a), dict(b), grading, order), dict(result))
+    for name in ("kernel_pairs", "kernel_terms", "kernel_bits", "kernel_bits_max"):
+        assert getattr(plain, name) == getattr(tracer, name), name
 
 
 def test_ci_workflow_runs_the_tier1_command():

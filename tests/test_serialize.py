@@ -35,6 +35,29 @@ class TestRationals:
         with pytest.raises(InputError):
             parse_rational("one half")
 
+    @pytest.mark.parametrize(
+        "literal,value",
+        [(7, F(7)), (" 3/4 ", F(3, 4)), ("+2", F(2)), ("-0/5", F(0)), ("\t-12/8\n", F(-3, 2))],
+    )
+    def test_accepted_forms(self, literal, value):
+        assert parse_rational(literal) == value
+
+    @pytest.mark.parametrize(
+        "literal",
+        [False, True, 1.5, None, [1], "1.5", "1e3", "1_0", "", " ", "1/", "/2", "--1",
+         "1/-2", "1 /2", "0x10", "\u0661", "inf", "nan"],
+    )
+    def test_other_literals_rejected_naming_the_value(self, literal):
+        with pytest.raises(InputError) as info:
+            parse_rational(literal)
+        assert repr(literal) in str(info.value)
+
+    @pytest.mark.parametrize("coefficient", [False, True, 0.5, "1.5", "1e3", "1_0"])
+    def test_series_record_coefficient_rejected(self, coefficient):
+        with pytest.raises(InputError) as info:
+            series_from_records(Frame(names=("a",)), 3, [{"e": [1], "c": coefficient}])
+        assert repr(coefficient) in str(info.value)
+
 
 class TestSeriesRecords:
     def test_lexicographic_order(self):
