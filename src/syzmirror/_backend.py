@@ -1,4 +1,5 @@
-"""Kernel form of a truncated series and the sparse convolution on it.
+"""Kernel form of a truncated series, the sparse convolution and the
+graded exp/log recurrence on it.
 
 Every series keeps its terms as integer numerators over one common
 denominator, the ``fmpq_poly`` layout of FLINT, so sums, scalings and
@@ -148,6 +149,22 @@ class Terms(Mapping):
         nums = self.nums if p == 1 else [n * p for n in self.nums]
         return _normal(self.grading, self.width, self.den * q, self.monos, nums)
 
+    def weighted(self, coeffs, outer=None):
+        """Every row's numerator times the integer w = sum coeffs[i] * e_i,
+        read from the exponent fields of its key, or times ``outer(w)``;
+        rows whose weight is 0 drop."""
+        mask = (1 << self.width) - 1
+        fields = [(self.width * i, c) for i, c in enumerate(coeffs) if c]
+        monos, nums = [], []
+        for k, n in zip(self.monos, self.nums):
+            w = sum([c * ((k >> s) & mask) for s, c in fields])
+            if outer is not None:
+                w = outer(w)
+            if w:
+                monos.append(k)
+                nums.append(n * w)
+        return _normal(self.grading, self.width, self.den, monos, nums)
+
     def truncated(self, order):
         """The rows of grade <= ``order``, at the layout of ``order``."""
         j = bisect_left(self.monos, (order + 1) << self._top())
@@ -210,6 +227,17 @@ def pack(terms, grading, order):
     return Terms(grading, width, den, monos, [rows[k] for k in monos])
 
 
+def single(grading, order, value, index=None):
+    """The one-row ``Terms`` of ``value * x_index`` at the layout of
+    ``order`` (the constant ``value`` for index None); a zero value or a
+    generator of grade > ``order`` gives no row."""
+    width = field_width(order)
+    if not value or (index is not None and grading[index] > order):
+        return Terms(grading, width, 1, [], [])
+    key = 0 if index is None else _weights(grading, width)[index]
+    return Terms(grading, width, value.denominator, [key], [value.numerator])
+
+
 def _operand(x, grading, order, width):
     """Denominator and the sorted rows of grade <= ``order`` of a product operand.
 
@@ -261,6 +289,70 @@ def mul_terms(a, b, grading, order):
             k = ka + kb
             out[k] = get(k, 0) + na * nb
     return _from_rows(grading, width, da * db, out)
+
+
+def exp_log(s, order, log):
+    """``exp s`` (constant term 0), or with ``log`` ``log s`` (constant
+    term 1), of a ``Terms`` at the layout of ``order``, grade by grade.
+
+    The graded Euler operator E (x^e -> grade(e) x^e) is a derivation,
+    so g = exp s satisfies E(g) = E(s) g and L = log s satisfies
+    E(L) s = E(s).  At grade n that reads (Brent & Kung, J. ACM 25,
+    1978; Knuth, TAOCP vol. 2, 4.7)
+
+        n g_n = sum_{m<n} (n - m) s_{n-m} g_m
+        n L_n = n s_n - sum_{0<m<n} m L_m s_{n-m},
+
+    one sum sum_{m<n} w_m h_m s_{n-m} over the grades of h = g or L
+    found so far, with h_0 read as 1 (for log it carries n s_n).  A
+    grade slice of ``s`` is a range of its sorted keys, and every
+    product of slice rows lands in grade n, so no pair needs a bound
+    test; in all about half of one truncated product.
+    """
+    top = s._top()
+    monos, nums = s.monos, s.nums
+    cuts = [bisect_left(monos, g << top) for g in range(order + 2)]
+    # (den, keys, numerators) of grade m of h, each gcd-reduced
+    slices = [(1, [0], [1])]
+    for n in range(1, order + 1):
+        live = [m for m in range(n) if slices[m][1] and cuts[n - m] < cuts[n - m + 1]]
+        common = lcm(*[slices[m][0] for m in live])
+        acc = {}
+        get = acc.get
+        for m in live:
+            den, keys, vals = slices[m]
+            weight = (-m if m else n) if log else n - m
+            scale = weight * (common // den)
+            lo, hi = cuts[n - m], cuts[n - m + 1]
+            other_keys, other_vals = monos[lo:hi], nums[lo:hi]
+            if len(keys) > hi - lo:
+                keys, vals, other_keys, other_vals = other_keys, other_vals, keys, vals
+            for ka, na in zip(keys, vals):
+                na *= scale
+                for kb, nb in zip(other_keys, other_vals):
+                    k = ka + kb
+                    acc[k] = get(k, 0) + na * nb
+        keys = sorted([k for k, v in acc.items() if v])
+        if not keys:
+            slices.append((1, [], []))
+            continue
+        vals = [acc[k] for k in keys]
+        den = s.den * common * n
+        divisor = gcd(den, *vals)
+        if divisor != 1:
+            den //= divisor
+            vals = [v // divisor for v in vals]
+        slices.append((den, keys, vals))
+    # Each slice is reduced, so over the lcm of their denominators the
+    # rows are in normal form.
+    parts = [p for p in (slices[1:] if log else slices) if p[1]]
+    den = lcm(*[p[0] for p in parts])
+    out_monos, out_nums = [], []
+    for d, keys, vals in parts:
+        out_monos += keys
+        scale = den // d
+        out_nums += vals if scale == 1 else [v * scale for v in vals]
+    return Terms(s.grading, s.width, den, out_monos, out_nums)
 
 
 def linear_combination(pairs, grading, order):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from ._backend import Terms, linear_combination, mul_terms, pack
+from ._backend import Terms, exp_log, linear_combination, mul_terms, pack, single
 from .errors import (
     FixedPointDivergence,
     FrameMismatch,
@@ -151,20 +151,21 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, frame: Frame, order: int) -> "TruncatedSeries":
-        return cls(frame, order, {})
+        return cls._trusted(frame, order, single(frame.grading, order, ZERO))
 
     @classmethod
     def constant(cls, frame: Frame, order: int, value) -> "TruncatedSeries":
-        return cls(frame, order, {frame.zero_exponent(): as_rational(value)})
+        return cls._trusted(frame, order, single(frame.grading, order, as_rational(value)))
 
     @classmethod
     def one(cls, frame: Frame, order: int) -> "TruncatedSeries":
-        return cls.constant(frame, order, 1)
+        return cls._trusted(frame, order, single(frame.grading, order, ONE))
 
     @classmethod
     def generator(cls, frame: Frame, order: int, index: int) -> "TruncatedSeries":
-        exps = tuple(1 if i == index else 0 for i in range(frame.nvars))
-        return cls(frame, order, {exps: ONE})
+        if not 0 <= index < frame.nvars:
+            raise ValueError(f"generator index {index} out of range for {frame.names}")
+        return cls._trusted(frame, order, single(frame.grading, order, ONE, index))
 
     @classmethod
     def monomial(cls, frame: Frame, order: int, exponents, coefficient=1) -> "TruncatedSeries":
@@ -203,10 +204,10 @@ class TruncatedSeries:
             return self
         return TruncatedSeries._trusted(self.frame, order, self.terms.truncated(order))
 
-    def map_coefficients(self, fn) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.frame, self.order, {e: fn(e, c) for e, c in self.terms.items()}
-        )
+    def weighted(self, coeffs, outer=None) -> "TruncatedSeries":
+        """Every term c x^e times the integer w = sum coeffs[i] * e[i], or
+        times ``outer(w)``; terms of weight 0 drop."""
+        return TruncatedSeries._trusted(self.frame, self.order, self.terms.weighted(coeffs, outer))
 
     def filter_terms(self, keep) -> "TruncatedSeries":
         return TruncatedSeries(
@@ -299,33 +300,30 @@ class TruncatedSeries:
 
 
 def exp_series(s: TruncatedSeries) -> TruncatedSeries:
-    """exp of a series with zero constant term (sum of s^k / k!)."""
+    """exp of a series with zero constant term, grade by grade.
+
+    With E the graded Euler operator (x^e -> grade(e) x^e), a
+    derivation, g = exp s solves E(g) = E(s) g, so grade n of g is
+    (1/n) sum_{m<n} (n - m) s_{n-m} g_m (Brent & Kung, J. ACM 25, 1978;
+    Knuth, TAOCP vol. 2, 4.7): about half of one truncated product, on
+    the kernel rows (``_backend.exp_log``).
+    """
     if s.constant_term() != 0:
         raise NonUnitSeries(f"exp requires a zero constant term, got {s.constant_term()}")
-    acc = TruncatedSeries.one(s.frame, s.order)
-    term = acc
-    for k in range(1, s.order + 1):
-        term = (term * s) * Fraction(1, k)
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc
+    return TruncatedSeries._trusted(s.frame, s.order, exp_log(s.terms, s.order, log=False))
 
 
 def log_series(s: TruncatedSeries) -> TruncatedSeries:
-    """log of a series with constant term one.
+    """log of a series with constant term one, grade by grade.
 
-    The graded Euler operator E (x^e -> grade(e) x^e) is a derivation,
-    so E(log s) = E(s) / s: one inverse and one product, then each
-    coefficient is divided by its grade, which is >= 1 off the constant
-    term (Brent & Kung, J. ACM 25, 1978).
+    L = log s solves E(L) s = E(s) for the graded Euler operator E, so
+    grade n of L is s_n - (1/n) sum_{0<m<n} m L_m s_{n-m} (Brent & Kung,
+    J. ACM 25, 1978; Knuth, TAOCP vol. 2, 4.7): no inverse, about half
+    of one truncated product, on the kernel rows (``_backend.exp_log``).
     """
     if s.constant_term() != 1:
         raise NonUnitSeries(f"log requires constant term 1, got {s.constant_term()}")
-    frame = s.frame
-    euler = s.map_coefficients(lambda e, c: c * frame.grade(e))
-    quotient = euler * inverse(s)
-    return quotient.map_coefficients(lambda e, c: c / frame.grade(e))
+    return TruncatedSeries._trusted(s.frame, s.order, exp_log(s.terms, s.order, log=True))
 
 
 def _lift(s: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -455,13 +453,12 @@ def log_derivative(s: TruncatedSeries, var_index: int) -> TruncatedSeries:
     """The operator x d/dx for generator ``var_index``."""
     if not 0 <= var_index < s.frame.nvars:
         raise ValueError("variable index out of range")
-    return s.map_coefficients(lambda e, c: c * e[var_index])
+    return s.weighted([int(i == var_index) for i in range(s.frame.nvars)])
 
 
 def boundary_derivative(s: TruncatedSeries) -> TruncatedSeries:
     """Boundary-grading-weighted derivative: c*x^e -> c*boundary(e)*x^e."""
-    frame = s.frame
-    return s.map_coefficients(lambda e, c: c * frame.boundary_grade(e))
+    return s.weighted(s.frame.boundary)
 
 
 def fixed_point_system(

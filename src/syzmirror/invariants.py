@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 
 from .errors import MathDomainError
-from .fps import Frame, TruncatedSeries, boundary_derivative, log_series
+from .fps import ZERO, Frame, TruncatedSeries, boundary_derivative, log_series
 
 
 @dataclass(frozen=True)
@@ -106,11 +107,15 @@ def _mobius(n: int) -> int:
 
 
 def _divisors(beta):
-    """(p, beta/p) for every p >= 1 dividing each entry of beta."""
-    top = min((x for x in beta if x), default=0)
-    for p in range(1, top + 1):
-        if all(x % p == 0 for x in beta):
-            yield p, tuple(x // p for x in beta)
+    """(p, beta/p) for every p >= 1 dividing each entry of beta, p increasing.
+
+    Those p are the divisors of g = gcd(*beta), found by trial division
+    up to sqrt(g); the zero vector has none.
+    """
+    g = gcd(*beta)
+    small = [p for p in range(1, isqrt(g) + 1) if g % p == 0]
+    for p in small + [g // p for p in reversed(small) if p * p != g]:
+        yield p, tuple(x // p for x in beta)
 
 
 def multiple_cover_inversion(table: InvariantTable) -> InvariantTable:
@@ -120,16 +125,18 @@ def multiple_cover_inversion(table: InvariantTable) -> InvariantTable:
     forward sum n_beta = sum_{p|beta} N_{beta/p} / p^2 then holds
     exactly on the divisor closure of the support.
     """
+    n = table.n
     instanton = {}
-    for beta in {reduced for key in table.n for _, reduced in _divisors(key)}:
-        total = sum(
-            (Fraction(_mobius(p), p * p) * table.n.get(reduced, Fraction(0))
-             for p, reduced in _divisors(beta)),
-            Fraction(0),
-        )
+    for beta in {reduced for key in n for _, reduced in _divisors(key)}:
+        total = n.get(beta, ZERO)
+        for p, reduced in _divisors(beta):
+            if p > 1 and reduced in n:
+                mu = _mobius(p)
+                if mu:
+                    total += Fraction(mu, p * p) * n[reduced]
         if total != 0:
             instanton[beta] = total
-    return InvariantTable(frame=table.frame, order=table.order, n=dict(table.n), N=instanton)
+    return InvariantTable(frame=table.frame, order=table.order, n=dict(n), N=instanton)
 
 
 def cover_sum(table: InvariantTable, beta) -> Fraction:
@@ -137,8 +144,8 @@ def cover_sum(table: InvariantTable, beta) -> Fraction:
     if table.N is None:
         raise MathDomainError("cover_sum needs a table with N filled")
     return sum(
-        (table.N.get(reduced, Fraction(0)) / (p * p) for p, reduced in _divisors(beta)),
-        Fraction(0),
+        (table.N[reduced] / (p * p) for p, reduced in _divisors(beta) if reduced in table.N),
+        ZERO,
     )
 
 

@@ -580,8 +580,10 @@ class BraneMirrorSeries:
 def _twist(series: TruncatedSeries, eps1: int) -> TruncatedSeries:
     if eps1 == 1:
         return series
-    frame = series.frame
-    return series.map_coefficients(lambda e, c: c * (eps1 ** (frame.boundary_grade(e) % 2)))
+    # eps1 ** boundary(e) needs only the parity of boundary(e), that of
+    # the sum of the exponents whose boundary entry is odd.
+    odd = [b % 2 for b in series.frame.boundary]
+    return series.weighted(odd, lambda w: eps1 if w & 1 else 1)
 
 
 def _normalize_root(z2_raw, bframe, override=None):

@@ -1,0 +1,189 @@
+"""``exp_series`` and ``log_series`` against the algorithms they replaced.
+
+The grade-by-grade recurrence is checked for exact equality with the
+power sum ``sum s^k / k!`` and with ``E(s) * inverse(s)`` divided by the
+grade, on drawn series over frames with non-unit gradings (whose grade
+slices can be empty) and on the arguments the pipeline really passes,
+with the kernel normal form asserted on every output.
+"""
+
+import json
+from fractions import Fraction
+from math import gcd
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from syzmirror import (
+    Frame,
+    NonUnitSeries,
+    TruncatedSeries,
+    av_mirror_brane,
+    exp_series,
+    fiber_open_gw,
+    inverse,
+    log_series,
+    mirror_map,
+)
+from syzmirror import fps, invariants, mirror
+from syzmirror.cli import parse_job
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+# -- references: the algorithms the recurrence replaced ----------------
+
+
+def reference_exp(s):
+    """The power sum sum_k s^k / k!, each term made from the last."""
+    acc = term = TruncatedSeries.one(s.frame, s.order)
+    for k in range(1, s.order + 1):
+        term = (term * s) * Fraction(1, k)
+        acc = acc + term
+    return acc
+
+
+def reference_log(s):
+    """E(s) * inverse(s), then each coefficient divided by its grade."""
+    frame = s.frame
+    euler = TruncatedSeries(frame, s.order, {e: c * frame.grade(e) for e, c in s.terms.items()})
+    quotient = euler * inverse(s)
+    return TruncatedSeries(
+        frame, s.order, {e: c / frame.grade(e) for e, c in quotient.terms.items()}
+    )
+
+
+def check_normal_form(r):
+    t = r.terms
+    assert all(a < b for a, b in zip(t.monos, t.monos[1:]))
+    assert all(t.nums) and len(t.nums) == len(t.monos)
+    assert t.den >= 1 and gcd(t.den, *t.nums) == 1
+
+
+def check_exp(s):
+    result = exp_series(s)
+    check_normal_form(result)
+    assert result == reference_exp(s)
+
+
+def check_log(s):
+    result = log_series(s)
+    check_normal_form(result)
+    assert result == reference_log(s)
+
+
+# -- drawn series -------------------------------------------------------
+
+GRADINGS = [(1,), (1, 1, 1), (2, 3), (1, 4), (1, 2), (3,)]
+DENOMINATORS = [1, 2, 3, 7, 97, 2**61 - 1, 10**12 + 39, 3**40]
+
+
+@st.composite
+def series(draw, constant):
+    grading = draw(st.sampled_from(GRADINGS))
+    frame = Frame(names=tuple(f"x{i}" for i in range(len(grading))), grading=grading)
+    order = draw(st.integers(min_value=0, max_value=8))
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        exps = tuple(draw(st.integers(min_value=0, max_value=order // g)) for g in grading)
+        numerator = draw(st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30)))
+        terms[exps] = Fraction(numerator, draw(st.sampled_from(DENOMINATORS)))
+    terms[frame.zero_exponent()] = Fraction(constant)
+    return TruncatedSeries(frame, order, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series(0))
+def test_exp_matches_power_sum(s):
+    check_exp(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series(1))
+def test_log_matches_euler_quotient(s):
+    check_log(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series(0))
+def test_log_inverts_exp(s):
+    assert log_series(exp_series(s)) == s
+
+
+@pytest.mark.parametrize("grading", GRADINGS)
+@pytest.mark.parametrize("order", range(9))
+def test_edge_series(grading, order):
+    frame = Frame(names=tuple(f"x{i}" for i in range(len(grading))), grading=grading)
+    zero = TruncatedSeries.zero(frame, order)
+    assert exp_series(zero) == TruncatedSeries.one(frame, order)
+    assert log_series(TruncatedSeries.one(frame, order)) == zero
+    last = TruncatedSeries.generator(frame, order, len(grading) - 1) * Fraction(5, 3)
+    check_exp(last)
+    check_log(last + 1)
+
+
+def test_no_kernel_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("exp and log make no mul_terms call")
+
+    monkeypatch.setattr(fps, "mul_terms", refuse)
+    frame = Frame(names=("x", "y"), grading=(1, 2))
+    s = TruncatedSeries(frame, 9, {(1, 0): Fraction(2, 3), (0, 1): -5, (3, 2): Fraction(1, 7)})
+    assert log_series(exp_series(s)) == s
+
+
+def test_non_units_are_refused():
+    frame = Frame(names=("x", "y"), grading=(2, 3))
+    x = TruncatedSeries.generator(frame, 6, 0)
+    for constant in (1, Fraction(-1, 2)):
+        with pytest.raises(NonUnitSeries):
+            exp_series(x + constant)
+    for constant in (0, 2, -1, Fraction(1, 2)):
+        with pytest.raises(NonUnitSeries):
+            log_series(x + constant)
+
+
+# -- the arguments the pipeline passes ----------------------------------
+
+JOBS = {
+    "c3": ROOT / "jobs" / "c3.json",
+    "conifold": ROOT / "jobs" / "conifold.json",
+    "local_p2": ROOT / "jobs" / "local_p2.json",
+    "local_dp3": ROOT / "perfbench" / "jobs" / "local_dp3.json",
+    "local_p1xp1": ROOT / "perfbench" / "jobs" / "local_p1xp1.json",
+}
+
+def recorded_arguments(job, monkeypatch):
+    """Every argument of exp and log in the map, fiber and brane runs."""
+    calls = {"exp": [], "log": []}
+
+    def recording(kind, fn):
+        def wrapper(s):
+            calls[kind].append(s)
+            return fn(s)
+
+        return wrapper
+
+    monkeypatch.setattr(mirror, "exp_series", recording("exp", exp_series))
+    monkeypatch.setattr(mirror, "log_series", recording("log", log_series))
+    monkeypatch.setattr(invariants, "log_series", recording("log", log_series))
+    mirror_map(job.toric, job.truncation, job.brane)
+    fiber_open_gw(job.toric, job.truncation)
+    if job.brane is not None:
+        result = av_mirror_brane(job.toric, job.brane, job.truncation)
+        invariants.extract_open_gw(result.z2)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_pipeline_arguments(name, monkeypatch):
+    job = parse_job(json.loads(JOBS[name].read_text()))
+    calls = recorded_arguments(job, monkeypatch)
+    assert calls["exp"]
+    for s in calls["exp"]:
+        check_exp(s)
+    for s in calls["log"]:
+        check_log(s)
+    assert bool(calls["log"]) == (job.brane is not None)

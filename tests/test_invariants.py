@@ -120,6 +120,43 @@ class TestMobius:
             for beta in n:
                 assert cover_sum(filled, beta) == n[beta]
 
+    def test_matches_trial_division_reference(self):
+        # the loop the gcd divisors replaced: every p up to the smallest
+        # nonzero entry, and a Fraction(0) term for each absent beta/p
+        def divisors(beta):
+            top = min((x for x in beta if x), default=0)
+            for p in range(1, top + 1):
+                if all(x % p == 0 for x in beta):
+                    yield p, tuple(x // p for x in beta)
+
+        def reference(n):
+            out = {}
+            for beta in {reduced for key in n for _, reduced in divisors(key)}:
+                total = sum(
+                    (F(_mobius(p), p * p) * n.get(reduced, F(0)) for p, reduced in divisors(beta)),
+                    F(0),
+                )
+                if total != 0:
+                    out[beta] = total
+            return out
+
+        rng = random.Random(11)
+        frame = Frame(names=("a", "b", "c"), grading=(1, 2, 1), boundary=(1, -1, 2))
+        for _ in range(150):
+            n = {}
+            for _ in range(rng.randint(0, 10)):
+                k = rng.choice([1, 2, 3, 4, 6, 12, 30])
+                exps = tuple(k * rng.randint(0, 3) for _ in range(3))
+                if any(exps):
+                    n[exps] = F(rng.randint(-60, 60), rng.randint(1, 24))
+            filled = multiple_cover_inversion(InvariantTable(frame=frame, order=200, n=n))
+            assert filled.N == reference(n)
+            for beta in filled.N:
+                assert cover_sum(filled, beta) == sum(
+                    (filled.N.get(reduced, F(0)) / (p * p) for p, reduced in divisors(beta)),
+                    F(0),
+                )
+
 
 class TestIntegrality:
     def test_conifold_passes(self, conifold, conifold_brane):

@@ -1,6 +1,7 @@
 """The packed-exponent integer kernel against a reference convolution,
 and the stored kernel form of series: chains of ring operations checked
-against a plain Fraction-dict model, with the normal form after each."""
+against a plain Fraction-dict model, with the normal form after each,
+and the integer row weights and one-row constructors likewise."""
 
 from fractions import Fraction
 from math import gcd
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzmirror import Frame, TruncatedSeries, substitute
+from syzmirror import Frame, TruncatedSeries, boundary_derivative, log_derivative, substitute
 from syzmirror._backend import Terms, field_width, mul_terms
 from syzmirror.fps import _lift
+from syzmirror.mirror import _twist
 
 
 # Reference: the Fraction loop the kernel replaced, kept verbatim.
@@ -335,3 +337,62 @@ def test_packed_series_equals_its_plain_dict_twin(pair):
         e = next(iter(plain))
         changed = {**plain, e: plain[e] + 1}
         assert s.terms != changed and TruncatedSeries(s.frame, s.order, changed) != s
+
+
+# -- integer row weights and the one-row constructors -------------------
+
+
+@st.composite
+def bounded_series(draw):
+    """A series over a frame whose boundary grading has odd, even and
+    negative entries."""
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    grading = tuple(draw(st.sampled_from([1, 2, 3])) for _ in range(nvars))
+    boundary = tuple(draw(st.integers(min_value=-3, max_value=3)) for _ in range(nvars))
+    frame = Frame(names=tuple(f"x{i}" for i in range(nvars)), grading=grading, boundary=boundary)
+    order = draw(st.integers(min_value=0, max_value=9))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=order)] * nvars)
+    return TruncatedSeries(frame, order, draw(st.dictionaries(exponents, coefficients(), max_size=12)))
+
+
+def reweighted(s, weight):
+    """The decoded-dict reference: each coefficient times weight(exponents)."""
+    return TruncatedSeries(s.frame, s.order, {e: c * weight(e) for e, c in s.terms.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_series(), st.data())
+def test_row_weights_match_the_dict_reference(s, data):
+    frame = s.frame
+    index = data.draw(st.integers(min_value=0, max_value=frame.nvars - 1))
+    results = {
+        "log": (log_derivative(s, index), lambda e: e[index]),
+        "boundary": (boundary_derivative(s), frame.boundary_grade),
+        "twist": (_twist(s, -1), lambda e: (-1) ** (frame.boundary_grade(e) % 2)),
+    }
+    for result, weight in results.values():
+        check_normal_form(result)
+        assert result == reweighted(s, weight)
+    assert _twist(_twist(s, -1), -1) == s and _twist(s, 1) is s
+
+
+@pytest.mark.parametrize("grading", [(1,), (2, 3), (1, 1, 1), (4, 1)])
+@pytest.mark.parametrize("order", range(6))
+def test_one_row_constructors_match_the_checked_constructor(grading, order):
+    frame = Frame(names=tuple(f"x{i}" for i in range(len(grading))), grading=grading)
+    origin = frame.zero_exponent()
+    cases = [
+        (TruncatedSeries.zero(frame, order), {}),
+        (TruncatedSeries.one(frame, order), {origin: 1}),
+        (TruncatedSeries.constant(frame, order, "-7/3"), {origin: Fraction(-7, 3)}),
+        (TruncatedSeries.constant(frame, order, 0), {}),
+    ]
+    for i in range(frame.nvars):
+        unit = tuple(int(j == i) for j in range(frame.nvars))
+        cases.append((TruncatedSeries.generator(frame, order, i), {unit: 1}))
+    for built, terms in cases:
+        check_normal_form(built)
+        assert built == TruncatedSeries(frame, order, terms)
+    for index in (-1, frame.nvars):
+        with pytest.raises(ValueError):
+            TruncatedSeries.generator(frame, order, index)
