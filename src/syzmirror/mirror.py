@@ -2,9 +2,10 @@
 
 Sign conventions, pinned by the regression tests rather than prose:
 the closed mirror map is Q_a = q_a * exp(+ sum_j iota_j^(a) A_j(q)),
-its inverse is the graded fixed point of
-q_a = Q_a * exp(- sum_j iota_j^(a) A_j(q)), and the fiber generating
-functions are 1 + delta_j = exp(-A_j(q(Q))).  Together these satisfy
+its inverse solves q_a = Q_a * exp(- sum_j iota_j^(a) A_j(q)) by Good's
+Lagrange inversion, which gives each A_j(q(Q)) coefficient by
+coefficient, and the fiber generating functions are
+1 + delta_j = exp(-A_j(q(Q))).  Together these satisfy
 Q_a * prod_j (1+delta_j)^{iota_j^(a)} = q_a(Q) identically and
 reproduce 1 + delta_0 = 1 - 2Q + 5Q^2 - ... for local P^2.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import factorial
 
 from .errors import BranchError, FrameEscape, MathDomainError, ValidationError
@@ -22,10 +24,8 @@ from .fps import (
     TruncatedSeries,
     exp_series,
     _lift,
-    fixed_point_system,
     log_series,
     pow_int,
-    substitute,
 )
 from .lattice import (
     BraneSpec,
@@ -128,10 +128,10 @@ class MirrorMapData:
     is not a generator of the closed frame), present only when a brane
     was supplied.  Both are monomials in one exp per nonzero A_j.
     ``composed`` holds A_j(q(Q)) for every ray j in the Q_to_q
-    direction, as composed by the fixed point's confirming pass, and is
-    None for q_to_Q.  The A_i carry the factorial series the map is
-    built from; each is identically zero whenever every effective
-    pairing <D_i, alpha> is non-negative.
+    direction, as Lagrange inversion gives it, and is None for q_to_Q.
+    The A_i carry the factorial series the map is built from; each is
+    identically zero whenever every effective pairing <D_i, alpha> is
+    non-negative.
     """
 
     direction: str  # "q_to_Q" or "Q_to_q"
@@ -185,48 +185,123 @@ def _map_inputs(data, order, brane):
     return frame, a_list, l0
 
 
+def _from_bases(direction, data, l0, a_list, bases, one, composed=None) -> MirrorMapData:
+    """The map in ``direction`` whose closed units, one per charge row,
+    and open unit (for the open charge ``l0``) are monomials in ``bases``."""
+    frame, order = one.frame, one.order
+    units = _units(bases, data.effective_charge_basis, one)
+    closed = tuple(
+        TruncatedSeries.generator(frame, order, a) * unit for a, unit in enumerate(units)
+    )
+    open_unit = None if l0 is None else _units(bases, [l0], one)[0]
+    return MirrorMapData(direction, a_list, closed, open_unit, composed, order)
+
+
 def mirror_map(data: ToricCYData, order: int, brane: BraneSpec | None = None) -> MirrorMapData:
     """Q_a = q_a exp(sum_j iota_j^(a) A_j(q)), open direction likewise.
 
     Every unit is a monomial in the bases exp(-A_j(q)).
     """
     frame, a_list, l0 = _map_inputs(data, order, brane)
-    one = TruncatedSeries.one(frame, order)
     bases = [None if a.is_zero() else exp_series(-a) for a in a_list]
-    units = _units(bases, data.effective_charge_basis, one)
-    closed = tuple(
-        TruncatedSeries.generator(frame, order, a) * unit for a, unit in enumerate(units)
-    )
-    open_unit = None if l0 is None else _units(bases, [l0], one)[0]
-    return MirrorMapData("q_to_Q", a_list, closed, open_unit, None, order)
+    return _from_bases("q_to_Q", data, l0, a_list, bases, TruncatedSeries.one(frame, order))
+
+
+def _determinant(matrix, one):
+    """det of a square matrix of series, by cofactor expansion along the
+    first row; ``one`` for the empty matrix."""
+    if len(matrix) <= 1:
+        return matrix[0][0] if matrix else one
+    total = None
+    for c, entry in enumerate(matrix[0]):
+        minor = [row[:c] + row[c + 1 :] for row in matrix[1:]]
+        term = entry * _determinant(minor, one) * (-1) ** c
+        total = term if total is None else total + term
+    return total
+
+
+def _lagrange_weight(beta, i):
+    """p -> beta_i * prod_l (-p_l)^((beta - e_i)_l), on the pairings p_l(n)."""
+    exponents = [b - (l == i) for l, b in enumerate(beta)]
+
+    def weight(*pairings):
+        w = beta[i]
+        for p, e in zip(pairings, exponents):
+            w *= (-p) ** e
+        return w
+
+    return weight
+
+
+def _compositions(a_list, rows, one) -> list[TruncatedSeries]:
+    """A_j(q(Q)) for every ray j, by Good's Lagrange inversion.
+
+    The inverse map solves q_a = Q_a g_a(q) with
+    g_a = exp(-sum_j iota_j^(a) A_j(q)).  Good's formula (I. J. Good,
+    Proc. Cambridge Philos. Soc. 56, 1960; I. M. Gessel, J. Combin.
+    Theory A 45, 1987) reads
+
+        [Q^n] F(q(Q)) = [q^n] F(q) g(q)^n det(delta_ab - q_b d_b log g_a),
+
+    with g^n = exp(-sum_l p_l(n) A_l) and p_l(n) = sum_a iota_l^(a) n_a
+    over the live rays l in J, those with nonzero A_l.  The determinant
+    is det(I_k + U V) with U_al = iota_l^(a) and V_lb = q_b d_b A_l, so
+    by the matrix determinant lemma it is Delta = det(I_J + V U), whose
+    entry (j, l) is delta_jl plus A_j weighted by column l of iota.
+    Expanding the exp, with R_beta = Delta A^beta / beta! (built as
+    R_beta = R_{beta-e_l} A_l / beta_l), gives
+
+        [Q^n] A_j(q(Q)) = sum_{beta_j >= 1} beta_j
+                          prod_l (-p_l(n))^((beta - e_j)_l) R_beta[n],
+
+    an integer weight on each row of R_beta.  Every A_l has valuation
+    >= 1, so R_beta vanishes below grade |beta| and |beta| <= order
+    suffices.
+    """
+    order = one.order
+    live = [j for j, a in enumerate(a_list) if not a.is_zero()]
+    columns = [[row[l] for row in rows] for l in live]
+    matrix = [
+        [a_list[j].weighted(column) + (i == c) for c, column in enumerate(columns)]
+        for i, j in enumerate(live)
+    ]
+    chain = {(0,) * len(live): _determinant(matrix, one)}
+    parts = [[] for _ in live]
+    # lexicographic order reaches beta - e_l, for l the last nonzero
+    # index of beta, before beta
+    for beta in product(range(order + 1), repeat=len(live)):
+        if not 0 < sum(beta) <= order:
+            continue
+        l = max(i for i, b in enumerate(beta) if b)
+        previous = chain[beta[:l] + (beta[l] - 1,) + beta[l + 1 :]]
+        r = chain[beta] = previous * a_list[live[l]] * Fraction(1, beta[l])
+        for i, b in enumerate(beta):
+            if b:
+                parts[i].append(r.weighted(*columns, outer=_lagrange_weight(beta, i)))
+    composed = list(a_list)
+    zero = TruncatedSeries.zero(one.frame, order)
+    for j, terms in zip(live, parts):
+        composed[j] = sum(terms, zero)
+    return composed
 
 
 def inverse_mirror_map(
     data: ToricCYData, order: int, brane: BraneSpec | None = None
 ) -> MirrorMapData:
-    """Graded fixed point of q_a = Q_a exp(- sum_j iota_j^(a) A_j(q)).
+    """Q -> q, the inverse of ``mirror_map``, by Lagrange inversion.
 
-    Each pass composes every nonzero A_j once, takes one exp per
-    composition, B_j = exp(A_j(q)), and builds every unit as a monomial
-    in the B_j.  The fixed point returns only after a confirming pass
-    that reproduced its input, so that pass's compositions and bases
-    are those at the solution: they give ``composed`` and the open
-    unit without composing again.
+    q_a = Q_a exp(- sum_j iota_j^(a) A_j(q)).  Good's Lagrange formula
+    gives every composition A_j(q(Q)) coefficient by coefficient, from
+    one product chain of the nonzero A_j (``_compositions``), with no
+    fixed point and no ``substitute``.  One exp per nonzero A_j,
+    B_j = exp(A_j(q(Q))), then builds every closed unit and the open
+    unit as a monomial in the B_j.
     """
     frame, a_list, l0 = _map_inputs(data, order, brane)
-    rows = data.effective_charge_basis
     one = TruncatedSeries.one(frame, order)
-    last = {}
-
-    def update(xs):
-        composed = [a if a.is_zero() else substitute(a, xs) for a in a_list]
-        bases = [None if a.is_zero() else exp_series(c) for a, c in zip(a_list, composed)]
-        last.update(composed=composed, bases=bases)
-        return _units(bases, rows, one)
-
-    closed = tuple(fixed_point_system(update, frame, order))
-    open_unit = None if l0 is None else _units(last["bases"], [l0], one)[0]
-    return MirrorMapData("Q_to_q", a_list, closed, open_unit, tuple(last["composed"]), order)
+    composed = _compositions(a_list, data.effective_charge_basis, one)
+    bases = [None if a.is_zero() else exp_series(c) for a, c in zip(a_list, composed)]
+    return _from_bases("Q_to_q", data, l0, a_list, bases, one, tuple(composed))
 
 
 def fiber_open_gw(data: ToricCYData, order: int) -> list[TruncatedSeries]:
@@ -509,7 +584,9 @@ def _horner(table, point, order) -> TruncatedSeries:
     return acc
 
 
-def solve_curve_root(table, frame: Frame, order: int) -> TruncatedSeries:
+def solve_curve_root(
+    table, frame: Frame, order: int
+) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Newton-solve W(z1, z2) = 0 for z2 on a ``curve_in_brane_frame`` table.
 
     The start value is the grade-0 simple root (-1, the branch
@@ -517,8 +594,9 @@ def solve_curve_root(table, frame: Frame, order: int) -> TruncatedSeries:
     doubling precision 1, 3, 7, ..., order: a root exact through grade
     p becomes exact through 2p + 1 after z2 <- z2 - W(z2) * h, where h
     is 1/W'(z2) through grade p, itself kept up by one Newton inversion
-    step per iteration.  The residual must then be exactly zero at the
-    truncation order.
+    step per iteration.  The residual z2^shift * W(z2), with shift
+    lifting the table's lowest z2 power to 0, must then be exactly zero
+    at the truncation order; the root and that residual are returned.
     """
     root0 = Fraction(-1)
     shift = max(0, -min(table))
@@ -542,13 +620,18 @@ def solve_curve_root(table, frame: Frame, order: int) -> TruncatedSeries:
         precision = min(2 * z2.order + 1, order)
         z2 = _lift(z2, precision)
         z2 = z2 - _horner(poly, z2, precision) * _lift(h, precision)
-    if not _horner(poly, z2, order).is_zero():
+    residual = _horner(poly, z2, order)
+    if not residual.is_zero():
         raise BranchError("Newton iteration failed to settle every grade")
-    return z2
+    return z2, residual
 
 
 def evaluate_curve(table, z2, frame: Frame, order: int) -> TruncatedSeries:
-    """sum_e table[e] * z2**e: W re-evaluated exactly at a candidate root (audit)."""
+    """sum_e table[e] * z2**e: W evaluated exactly at a candidate root.
+
+    The library's own check is the residual ``solve_curve_root`` returns;
+    this independent evaluation is kept as an audit of it.
+    """
     acc = TruncatedSeries.zero(frame, order)
     for e2, coeff in table.items():
         acc = acc + coeff * pow_int(z2, e2)
@@ -557,14 +640,16 @@ def evaluate_curve(table, z2, frame: Frame, order: int) -> TruncatedSeries:
 
 @dataclass(frozen=True)
 class BraneMirrorSeries:
-    """Normalized mirror coordinates of an AV brane plus the audit residual.
+    """Normalized mirror coordinates of an AV brane plus the Newton residual.
 
     ``signs`` is the (eps1, eps2) normalization: eps1 flips the sign of
     the open variable Q0 (twisting each coefficient by eps1^boundary),
     eps2 rescales z2; they are chosen so z2 has constant term +1 and
     -log z2 is supported on nonzero boundary grading, with the basic
-    disc class entering positively.  ``residual`` is W evaluated on the
-    solution pair and must be identically zero.  ``neg_log_z2`` is
+    disc class entering positively.  ``residual`` is the value the Newton
+    solver checked on the raw solution pair: z2^shift * W, with shift
+    lifting the lowest z2 power of W to 0, which is identically zero.
+    ``neg_log_z2`` is
     -log z2, which the normalization already needs, and ``bframe`` the
     brane frame both series live over.
     """
@@ -583,7 +668,7 @@ def _twist(series: TruncatedSeries, eps1: int) -> TruncatedSeries:
     # eps1 ** boundary(e) needs only the parity of boundary(e), that of
     # the sum of the exponents whose boundary entry is odd.
     odd = [b % 2 for b in series.frame.boundary]
-    return series.weighted(odd, lambda w: eps1 if w & 1 else 1)
+    return series.weighted(odd, outer=lambda w: eps1 if w & 1 else 1)
 
 
 def _normalize_root(z2_raw, bframe, override=None):
@@ -639,10 +724,11 @@ def av_mirror_brane(
 ) -> BraneMirrorSeries:
     """Mirror coordinates (z1, z2) of an Aganagic-Vafa brane.
 
-    z1 is the open inverse mirror map composed with the closed inverse
-    map; z2 is the Newton root of the corrected curve at z1, then
-    sign-normalized.  The stored residual re-evaluates W on the raw
-    solution pair and is identically zero.
+    z1 is Q0 times the open unit of the inverse mirror map, which
+    Lagrange inversion gives with the closed map; z2 is the Newton root
+    of the corrected curve at z1, then sign-normalized.  The stored
+    residual is the one the Newton solver proved identically zero on the
+    raw solution pair.
     """
     report = validate_brane(data, brane)
     if not report.ok:
@@ -654,10 +740,8 @@ def av_mirror_brane(
     inv = inverse_mirror_map(data, closed_order, brane)
     curve = build_curve(data, closed_order, corrected=True, inverse_map=inv)
     z1 = open_series(data, brane, bframe, order, inverse_map=inv)
-    # One brane-frame table of W serves the Newton solve and the audit.
     table = curve_in_brane_frame(curve, z1, bframe, order)
-    z2_raw = solve_curve_root(table, bframe.frame, order)
-    residual = evaluate_curve(table, z2_raw, bframe.frame, order)
+    z2_raw, residual = solve_curve_root(table, bframe.frame, order)
     signs, z2, neg_log_z2 = _normalize_root(z2_raw, bframe, override=normalization)
     eps1 = signs[0]
     z1_normalized = _twist(z1, eps1) * eps1

@@ -53,6 +53,17 @@ def kdp3():
     )
 
 
+@pytest.fixture
+def c3_z5_113():
+    # resolved C^3/Z_5 with weights (1, 1, 3): two interior points, so two
+    # nonzero A_j with the Mori generators l1, l2 as supplied charge rows
+    return ToricCYData(
+        rays=((1, 1, 1), (1, 0, 1), (0, 0, 1), (2, 5, 1), (1, 2, 1)),
+        u=(0, 0, 1),
+        charge_rows=((-2, 1, 0, 0, 1), (1, 0, 1, 1, -3)),
+    )
+
+
 def av_brane(i0, i1, i2, m, c=Fraction(1), frame=((1, 0), (-1, 1)), m0=None):
     """Canonical AV brane: rows (e_i1-e_i0, e_i2-e_i0), constant on the second."""
     def diff(a, b):

@@ -449,7 +449,7 @@ class TestRepeatedWork:
         }
         assert len(curve_tables) == 1
         assert len(roots) == 1
-        assert len(audits) == 1
+        assert len(audits) == 0
 
     def test_validate_with_supplied_charge_rows_builds_no_charge_basis(
         self, capsys, monkeypatch, tmp_path
@@ -498,44 +498,46 @@ class TestRepeatedWork:
         assert counts[0] == counts[1]
 
     @pytest.mark.parametrize(
-        "command,job,order,expected",
+        "command,job,order",
         [
-            pytest.param("fiber-invariants", LOCAL_DP3_JOB, "3", 4, id="fiber-local-dp3"),
-            pytest.param("disc-invariants", LOCAL_P2_JOB, "6", 7, id="disc-local-p2"),
+            pytest.param("fiber-invariants", LOCAL_DP3_JOB, "3", id="fiber-local-dp3"),
+            pytest.param("disc-invariants", LOCAL_P2_JOB, "6", id="disc-local-p2"),
         ],
     )
-    def test_each_a_series_is_composed_once_per_pass(
-        self, capsys, monkeypatch, command, job, order, expected
-    ):
-        # one composition per fixed-point pass; the confirming pass ran at
-        # the solution, so the fiber series and the open unit reuse it
-        from syzmirror import fps
+    def test_no_a_series_is_composed(self, capsys, monkeypatch, command, job, order):
+        # Lagrange inversion reads A_j(q(Q)) off one product chain, and
+        # the fiber series and the open unit reuse it: no composition and
+        # no fixed point
+        from syzmirror import fps, mirror
 
         compositions = _count_calls(monkeypatch, fps, "substitute")
+        fixed_points = _count_calls(monkeypatch, fps, "fixed_point_system")
+        inverse_maps = _count_calls(monkeypatch, mirror, "inverse_mirror_map")
         code, _, _ = run(capsys, command, "--input", str(job), "--order", order)
         assert code == 0
-        assert len(compositions) == expected
+        assert len(inverse_maps) == 1
+        assert len(compositions) == len(fixed_points) == 0
 
     def test_inverse_map_builds_no_fiber_series(self, capsys, monkeypatch):
-        # one exp per pass, none per ray: the open unit is a monomial in
-        # the confirming pass's bases and the fiber series are derived
-        # only when read
+        # one exp for the live A_0, none per ray: the closed and open units
+        # are monomials in that base and the fiber series are derived only
+        # when read
         from syzmirror import fps
 
         exps = _count_calls(monkeypatch, fps, "exp_series")
         code, _, _ = run(capsys, "inverse-map", "--input", str(LOCAL_P2_JOB), "--order", "6")
         assert code == 0
-        assert len(exps) == 7
+        assert len(exps) == 1
 
     def test_collinear_charge_rows_share_one_exp_per_pass(self, capsys, monkeypatch):
-        # every local dP3 row is a multiple of A_0: four passes of one exp
-        # each, then one exp per ray for the fiber series
+        # every local dP3 row is a multiple of A_0: one exp for the base
+        # of the inverse map, then one exp per ray for the fiber series
         from syzmirror import fps
 
         exps = _count_calls(monkeypatch, fps, "exp_series")
         code, _, _ = run(capsys, "fiber-invariants", "--input", str(LOCAL_DP3_JOB), "--order", "3")
         assert code == 0
-        assert len(exps) <= 11
+        assert len(exps) == 8
 
     def test_forward_map_takes_one_exp_per_live_a_series(self, capsys, monkeypatch):
         # only A_0 is nonzero on local dP3 and its row weights are

@@ -7,7 +7,9 @@ found without composition), and direct expansion of closed forms (the
 conifold root).
 """
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -36,9 +38,11 @@ from syzmirror import (
     solve_curve_root,
     substitute,
 )
+from syzmirror.cli import parse_job
 from tests import oracle_fiber
 from tests.conftest import av_brane
 
+ROOT = Path(__file__).resolve().parent.parent
 KP2_IOTA = [[-3, 1, 1, 1]]
 CONIFOLD_IOTA = [[1, -1, 1, -1]]
 KP1XP1_IOTA = ((-2, 1, 0, 1, 0), (-2, 0, 1, 0, 1))
@@ -148,8 +152,14 @@ class TestMirrorMaps:
         for d in range(1, 9):
             assert inv.closed[0].coefficient((d,)) == expected[d]
 
-    def test_round_trip_is_exact_identity(self, kp2, conifold):
-        for data in (kp2, conifold):
+    def test_round_trip_is_exact_identity(self, kp2, conifold, c3_z5_113):
+        # the multi-variable frames are the ones Lagrange inversion must
+        # invert; P1 x P1 and dP3 come from the benchmark's job documents
+        jobs = [
+            parse_job(json.loads((ROOT / "perfbench" / "jobs" / name).read_text())).toric
+            for name in ("local_p1xp1.json", "local_dp3.json")
+        ]
+        for data in (kp2, conifold, *jobs, c3_z5_113):
             frame = closed_frame(data)
             forward = mirror_map(data, 8)
             backward = inverse_mirror_map(data, 8)
@@ -393,7 +403,7 @@ class TestSolveCurveRoot:
         curve = build_curve(conifold, 8)
         z1 = open_series(conifold, conifold_brane, bframe, 8)
         table = curve_in_brane_frame(curve, z1, bframe, 8)
-        root = solve_curve_root(table, bframe.frame, 8)
+        root, _ = solve_curve_root(table, bframe.frame, 8)
         expected = conifold_root_expected(8)
         assert root.terms == {e: c for e, c in expected.items() if c != 0}
 
@@ -402,7 +412,7 @@ class TestSolveCurveRoot:
         curve = build_curve(c3, 8)
         z1 = open_series(c3, c3_brane, bframe, 8)
         table = curve_in_brane_frame(curve, z1, bframe, 8)
-        root = solve_curve_root(table, bframe.frame, 8)
+        root, _ = solve_curve_root(table, bframe.frame, 8)
         assert root == TruncatedSeries(
             bframe.frame, 8, {(0,): F(-1), (1,): F(-1)}
         )
@@ -412,7 +422,8 @@ class TestSolveCurveRoot:
         curve = build_curve(kp2, bframe.closed_order_for(8))
         z1 = open_series(kp2, kp2_leg_brane, bframe, 8)
         table = curve_in_brane_frame(curve, z1, bframe, 8)
-        root = solve_curve_root(table, bframe.frame, 8)
+        root, residual = solve_curve_root(table, bframe.frame, 8)
+        assert residual.is_zero()
         assert evaluate_curve(table, root, bframe.frame, 8).is_zero()
 
     def test_wrong_frame_escapes(self, conifold, conifold_brane):
