@@ -149,17 +149,17 @@ class Terms(Mapping):
         nums = self.nums if p == 1 else [n * p for n in self.nums]
         return _normal(self.grading, self.width, self.den * q, self.monos, nums)
 
-    def weighted(self, forms, outer=None):
-        """Every row's numerator times the integer ``outer(w_1, ..., w_r)``,
-        where w_i = sum forms[i][v] * e_v is read from the exponent fields
-        of its key, or times w_1 without ``outer``; rows whose weight is 0
-        drop."""
+    def weighted(self, coeffs, outer=None):
+        """Every row's numerator times the integer w = sum coeffs[i] * e_i,
+        read from the exponent fields of its key, or times ``outer(w)``;
+        rows whose weight is 0 drop."""
         mask = (1 << self.width) - 1
-        fields = [[(self.width * i, c) for i, c in enumerate(form) if c] for form in forms]
+        fields = [(self.width * i, c) for i, c in enumerate(coeffs) if c]
         monos, nums = [], []
         for k, n in zip(self.monos, self.nums):
-            ws = [sum([c * ((k >> s) & mask) for s, c in form]) for form in fields]
-            w = ws[0] if outer is None else outer(*ws)
+            w = sum([c * ((k >> s) & mask) for s, c in fields])
+            if outer is not None:
+                w = outer(w)
             if w:
                 monos.append(k)
                 nums.append(n * w)

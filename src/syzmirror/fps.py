@@ -204,11 +204,10 @@ class TruncatedSeries:
             return self
         return TruncatedSeries._trusted(self.frame, order, self.terms.truncated(order))
 
-    def weighted(self, *forms, outer=None) -> "TruncatedSeries":
-        """Every term c x^e times the integer ``outer(w_1, ..., w_r)``, where
-        w_i = sum forms[i][v] * e[v], or times w_1 without ``outer``; terms
-        of weight 0 drop."""
-        return TruncatedSeries._trusted(self.frame, self.order, self.terms.weighted(forms, outer))
+    def weighted(self, coeffs, outer=None) -> "TruncatedSeries":
+        """Every term c x^e times the integer w = sum coeffs[i] * e[i], or
+        times ``outer(w)``; terms of weight 0 drop."""
+        return TruncatedSeries._trusted(self.frame, self.order, self.terms.weighted(coeffs, outer))
 
     def filter_terms(self, keep) -> "TruncatedSeries":
         return TruncatedSeries(

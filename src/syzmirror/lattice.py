@@ -279,16 +279,15 @@ def dual_exponents(data: ToricCYData) -> list[list[int]]:
     return table
 
 
-def _interior_ray_index(data: ToricCYData) -> int | None:
-    """The unique ray on no facet of the cone over the rays, or None.
+def _interior_rays(data: ToricCYData) -> list[int]:
+    """The rays on no facet of the cone over the rays, in index order.
 
     Rays live on the affine hyperplane <u, .> = 1, so the facets of
     their cone are the edges of the polygon.  Every facet is spanned by
     n - 1 independent rays: their normal is the null vector read off
     the reduced rows, and the hyperplane is a facet when every ray lies
     weakly on one side of it.  Rays on a facet, vertices and edge points
-    alike, are boundary rays.  Returns None unless exactly one ray is
-    not a boundary ray.
+    alike, are boundary rays; the others are interior.
     """
     n = data.n
     boundary = set()
@@ -304,7 +303,12 @@ def _interior_ray_index(data: ToricCYData) -> int | None:
         sides = [_dot(normal, ray) for ray in data.rays]
         if min(sides) >= 0 or max(sides) <= 0:
             boundary.update(i for i, side in enumerate(sides) if side == 0)
-    interior = [i for i in range(data.m) if i not in boundary]
+    return [i for i in range(data.m) if i not in boundary]
+
+
+def _interior_ray_index(data: ToricCYData) -> int | None:
+    """The unique interior ray (see ``_interior_rays``), or None."""
+    interior = _interior_rays(data)
     return interior[0] if len(interior) == 1 else None
 
 
@@ -317,7 +321,10 @@ def charge_basis(data: ToricCYData) -> list[list[int]]:
     sign-normalized: leading entry positive, then flipped so the entry
     in the compact-divisor column (when identifiable) is negative --
     the orientation under which effective curve classes have
-    non-negative exponents.
+    non-negative exponents.  With two or more interior rays (several
+    compact divisors) no such flip makes the rows effective, so this
+    raises MathDomainError naming those rays; such a geometry needs a
+    supplied charge basis.
     """
     duals = data.dual_exponents
     n, m = data.n, data.m
@@ -326,7 +333,13 @@ def charge_basis(data: ToricCYData) -> list[list[int]]:
         row = [-duals[i][j] for j in range(n)] + [0] * (m - n)
         row[i] = 1
         rows.append(row)
-    compact = _interior_ray_index(data) if rows else None
+    interior = _interior_rays(data) if rows else []
+    if len(interior) > 1:
+        raise MathDomainError(
+            f"rays {interior} are interior to the polygon (several compact divisors): "
+            "the canonical relations are not a Mori cone basis; supply toric.charge_basis"
+        )
+    compact = interior[0] if interior else None
     normalized = []
     for row in rows:
         lead = next((x for x in row if x != 0), 0)

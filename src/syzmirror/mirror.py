@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
+from ._backend import _decoder, _from_rows, _weights, field_width
 from .errors import BranchError, FrameEscape, MathDomainError, ValidationError
 from .fps import (
     Frame,
@@ -49,8 +51,14 @@ def require_valid(data: ToricCYData) -> None:
         raise ValidationError(f"invalid toric data: {data.validation}")
 
 
-def _factorial_coefficient(pairings, i: int) -> Fraction:
-    """E_i(alpha) from the pairings <D_j, alpha> of every ray j."""
+def coefficient_E(iota, alpha, i: int) -> Fraction:
+    """Factorial coefficient of the hypergeometric-type series A_i.
+
+    E_i(alpha) = (-1)^{-<D_i,a>-1} (-<D_i,a>-1)! / prod_{j != i} <D_j,a>!
+    with the reciprocal factorial of a negative integer taken to be 0,
+    and 0 as well unless -<D_i,alpha> - 1 >= 0.
+    """
+    pairings = divisor_pairing(iota, alpha)
     top = -pairings[i] - 1
     if top < 0:
         return Fraction(0)
@@ -63,52 +71,62 @@ def _factorial_coefficient(pairings, i: int) -> Fraction:
     return Fraction((-1) ** top * factorial(top), denominator)
 
 
-def coefficient_E(iota, alpha, i: int) -> Fraction:
-    """Factorial coefficient of the hypergeometric-type series A_i.
-
-    E_i(alpha) = (-1)^{-<D_i,a>-1} (-<D_i,a>-1)! / prod_{j != i} <D_j,a>!
-    with the reciprocal factorial of a negative integer taken to be 0,
-    and 0 as well unless -<D_i,alpha> - 1 >= 0.
-    """
-    return _factorial_coefficient(divisor_pairing(iota, alpha), i)
-
-
-def _classes(iota, order):
-    """(alpha, pairings) for every class 0 <= alpha of degree <= order.
-
-    Classes come in lexicographic order, each with its pairings
-    <D_j, alpha>, which are updated by one charge row per step instead
-    of recomputed.
-    """
-    k = len(iota)
-    m = len(iota[0]) if iota else 0
-
-    def walk(prefix, pairings, budget):
-        if len(prefix) == k:
-            yield prefix, pairings
-            return
-        row = iota[len(prefix)]
-        for e in range(budget + 1):
-            yield from walk(prefix + (e,), pairings, budget - e)
-            pairings = [p + r for p, r in zip(pairings, row)]
-
-    return walk((), [0] * m, order)
-
-
 def a_series(data: ToricCYData, order: int) -> tuple[TruncatedSeries, ...]:
     """A_j(q) = sum over effective classes alpha > 0 of E_j(alpha) q^alpha, every ray j.
 
     E_j(alpha) vanishes unless <D_j, alpha> is the only negative
-    pairing of alpha, so each class feeds at most one series.
+    pairing of alpha, so each class feeds at most one series.  One walk
+    over the classes 0 <= alpha of degree <= order carries each class's
+    pairings and packed key, updated by one charge row and one key
+    increment per step.  A subtree is skipped once two pairings are
+    negative in columns that no later charge row raises, since no class
+    below it has a single negative pairing.  Each coefficient is read
+    off an integer factorial table, and the rows of every A_j go
+    straight into kernel form over one denominator.
     """
     frame = closed_frame(data)
-    terms = [{} for _ in range(data.m)]
-    for alpha, pairings in _classes(data.effective_charge_basis, order):
+    iota = data.effective_charge_basis
+    k, m = len(iota), data.m
+    width = field_width(order)
+    steps = _weights(frame.grading, width)
+    factorials = [1]
+    for x in range(1, order * max((abs(c) for row in iota for c in row), default=0) + 1):
+        factorials.append(factorials[-1] * x)
+    # rising[d]: the columns in which some charge row d, d + 1, ... is positive
+    rising = [set() for _ in range(k + 1)]
+    for d in range(k - 1, -1, -1):
+        rising[d] = rising[d + 1] | {j for j, c in enumerate(iota[d]) if c > 0}
+    found = [[] for _ in range(m)]  # (key, numerator, denominator) per ray
+
+    def walk(depth, key, pairings, budget):
         negative = [j for j, p in enumerate(pairings) if p < 0]
-        if len(negative) == 1:
-            j = negative[0]
-            terms[j][alpha] = _factorial_coefficient(pairings, j)
-    return tuple(TruncatedSeries(frame, order, t) for t in terms)
+        if depth == k:
+            if len(negative) == 1:
+                (j,) = negative
+                top = -pairings[j] - 1
+                denominator = 1
+                for i, p in enumerate(pairings):
+                    if i != j:
+                        denominator *= factorials[p]
+                sign = -1 if top & 1 else 1
+                found[j].append((key, sign * factorials[top], denominator))
+            return
+        if sum(j not in rising[depth] for j in negative) >= 2:
+            return
+        row, step = iota[depth], steps[depth]
+        for _ in range(budget + 1):
+            walk(depth + 1, key, pairings, budget)
+            budget -= 1
+            key += step
+            pairings = [p + r for p, r in zip(pairings, row)]
+
+    walk(0, 0, [0] * m, order)
+    series = []
+    for rows in found:
+        den = lcm(*[d for _, _, d in rows])
+        terms = _from_rows(frame.grading, width, den, {key: n * (den // d) for key, n, d in rows})
+        series.append(TruncatedSeries._trusted(frame, order, terms))
+    return tuple(series)
 
 
 def open_charge(brane: BraneSpec, m: int) -> tuple[int, ...]:
@@ -119,60 +137,84 @@ def open_charge(brane: BraneSpec, m: int) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(unit_vector(m, i2), unit_vector(m, i1)))
 
 
-@dataclass(frozen=True)
 class MirrorMapData:
     """A mirror map as explicit series, in either direction.
 
-    ``closed`` holds the image of each closed variable; ``open_unit``
-    is the unit factor of the open direction (the open variable itself
-    is not a generator of the closed frame), present only when a brane
-    was supplied.  Both are monomials in one exp per nonzero A_j.
+    ``direction`` is "q_to_Q" or "Q_to_q".  ``a_series`` holds every
+    A_j, the factorial series the map is built from; A_j is identically
+    zero whenever every effective pairing <D_j, alpha> is non-negative.
     ``composed`` holds A_j(q(Q)) for every ray j in the Q_to_q
     direction, as Lagrange inversion gives it, and is None for q_to_Q.
-    The A_i carry the factorial series the map is built from; each is
-    identically zero whenever every effective pairing <D_i, alpha> is
-    non-negative.
+
+    The rest is built on first read, so a caller pays only for what it
+    reads: ``closed``, the image of each closed variable; ``open_unit``,
+    the unit factor of the open direction (the open variable itself is
+    not a generator of the closed frame), None without a brane; and
+    ``fiber``, 1 + delta_j = exp(-A_j(q(Q))) for every ray j, None for
+    q_to_Q.  A unit with row weights w is prod_j exp(sign(w_j)
+    lambda_j)^|w_j|, where lambda_j is A_j for q_to_Q and -A_j(q(Q))
+    for Q_to_q.  Each exp(+-lambda_j) is taken at most once, and only
+    for a ray with A_j != 0; for Q_to_q, exp(lambda_j) is the fiber
+    series itself, so the units and the curve share it.  No unit needs
+    a series inverse.
     """
 
-    direction: str  # "q_to_Q" or "Q_to_q"
-    a_series: tuple[TruncatedSeries, ...]
-    closed: tuple[TruncatedSeries, ...]
-    open_unit: TruncatedSeries | None
-    composed: tuple[TruncatedSeries, ...] | None
-    order: int
+    def __init__(self, direction, a_series, composed, order, charge_rows, open_charge):
+        self.direction = direction
+        self.a_series = a_series
+        self.composed = composed
+        self.order = order
+        self._charge_rows = charge_rows
+        self._open_charge = open_charge
+        self._one = TruncatedSeries.one(a_series[0].frame, order)
+        self._exps = {}
+        self._powers = {}
+
+    def _exp(self, j, sign):
+        """exp(sign * lambda_j), taken once; ``one`` where A_j = 0."""
+        key = (j, sign)
+        if key not in self._exps:
+            if self.a_series[j].is_zero():
+                self._exps[key] = self._one
+            else:
+                lam = self.a_series[j] if self.composed is None else -self.composed[j]
+                self._exps[key] = exp_series(lam if sign > 0 else -lam)
+        return self._exps[key]
+
+    def _unit(self, row):
+        """prod_j exp(sign(w_j) lambda_j)^|w_j| over the live rays j, w = ``row``;
+        each distinct (j, w_j) power is taken once."""
+        unit = None
+        for j, w in enumerate(row):
+            if not w or self.a_series[j].is_zero():
+                continue
+            power = self._powers.get((j, w))
+            if power is None:
+                power = self._powers[(j, w)] = pow_int(self._exp(j, 1 if w > 0 else -1), abs(w))
+            unit = power if unit is None else unit * power
+        return self._one if unit is None else unit
+
+    @cached_property
+    def closed(self) -> tuple[TruncatedSeries, ...]:
+        """The image of each closed variable: its generator times the unit
+        of its charge row."""
+        frame, order = self._one.frame, self.order
+        return tuple(
+            TruncatedSeries.generator(frame, order, a) * self._unit(row)
+            for a, row in enumerate(self._charge_rows)
+        )
+
+    @cached_property
+    def open_unit(self) -> TruncatedSeries | None:
+        """The unit of the open charge l^(0), or None without a brane."""
+        return None if self._open_charge is None else self._unit(self._open_charge)
 
     @cached_property
     def fiber(self) -> tuple[TruncatedSeries, ...] | None:
-        """1 + delta_j = exp(-A_j(q(Q))) for every ray j (Q_to_q only).
-
-        Derived on first read: a caller that prints only the map
-        (inverse-map) pays no exp per ray.
-        """
+        """1 + delta_j = exp(-A_j(q(Q))) for every ray j (Q_to_q only)."""
         if self.composed is None:
             return None
-        return tuple(exp_series(-a) for a in self.composed)
-
-
-def _units(bases, rows, one) -> list[TruncatedSeries]:
-    """prod_j bases[j] ** -row[j] for each row.
-
-    ``bases[j]`` is None where A_j vanishes identically, and a row that
-    meets no live base gets ``one``.  Each distinct (j, exponent) power
-    is taken once, so rows with equal weights on a ray share it.
-    """
-    powers = {}
-    units = []
-    for row in rows:
-        unit = None
-        for j, weight in enumerate(row):
-            if bases[j] is None or not weight:
-                continue
-            key = (j, weight)
-            if key not in powers:
-                powers[key] = pow_int(bases[j], -weight)
-            unit = powers[key] if unit is None else unit * powers[key]
-        units.append(one if unit is None else unit)
-    return units
+        return tuple(self._exp(j, 1) for j in range(len(self.composed)))
 
 
 def _map_inputs(data, order, brane):
@@ -185,26 +227,14 @@ def _map_inputs(data, order, brane):
     return frame, a_list, l0
 
 
-def _from_bases(direction, data, l0, a_list, bases, one, composed=None) -> MirrorMapData:
-    """The map in ``direction`` whose closed units, one per charge row,
-    and open unit (for the open charge ``l0``) are monomials in ``bases``."""
-    frame, order = one.frame, one.order
-    units = _units(bases, data.effective_charge_basis, one)
-    closed = tuple(
-        TruncatedSeries.generator(frame, order, a) * unit for a, unit in enumerate(units)
-    )
-    open_unit = None if l0 is None else _units(bases, [l0], one)[0]
-    return MirrorMapData(direction, a_list, closed, open_unit, composed, order)
-
-
 def mirror_map(data: ToricCYData, order: int, brane: BraneSpec | None = None) -> MirrorMapData:
     """Q_a = q_a exp(sum_j iota_j^(a) A_j(q)), open direction likewise.
 
-    Every unit is a monomial in the bases exp(-A_j(q)).
+    Builds every A_j now; the closed images and the open unit, monomials
+    in exp(+-A_j), are built when first read.
     """
-    frame, a_list, l0 = _map_inputs(data, order, brane)
-    bases = [None if a.is_zero() else exp_series(-a) for a in a_list]
-    return _from_bases("q_to_Q", data, l0, a_list, bases, TruncatedSeries.one(frame, order))
+    _, a_list, l0 = _map_inputs(data, order, brane)
+    return MirrorMapData("q_to_Q", a_list, None, order, data.effective_charge_basis, l0)
 
 
 def _determinant(matrix, one):
@@ -218,19 +248,6 @@ def _determinant(matrix, one):
         term = entry * _determinant(minor, one) * (-1) ** c
         total = term if total is None else total + term
     return total
-
-
-def _lagrange_weight(beta, i):
-    """p -> beta_i * prod_l (-p_l)^((beta - e_i)_l), on the pairings p_l(n)."""
-    exponents = [b - (l == i) for l, b in enumerate(beta)]
-
-    def weight(*pairings):
-        w = beta[i]
-        for p, e in zip(pairings, exponents):
-            w *= (-p) ** e
-        return w
-
-    return weight
 
 
 def _compositions(a_list, rows, one) -> list[TruncatedSeries]:
@@ -256,9 +273,11 @@ def _compositions(a_list, rows, one) -> list[TruncatedSeries]:
 
     an integer weight on each row of R_beta.  Every A_l has valuation
     >= 1, so R_beta vanishes below grade |beta| and |beta| <= order
-    suffices.
+    suffices.  The weighted rows of every R_beta add into one integer
+    dict per live ray, over the lcm of the chain's denominators, and the
+    pairings p_l(n) of each packed key are decoded once.
     """
-    order = one.order
+    frame, order = one.frame, one.order
     live = [j for j, a in enumerate(a_list) if not a.is_zero()]
     columns = [[row[l] for row in rows] for l in live]
     matrix = [
@@ -266,7 +285,6 @@ def _compositions(a_list, rows, one) -> list[TruncatedSeries]:
         for i, j in enumerate(live)
     ]
     chain = {(0,) * len(live): _determinant(matrix, one)}
-    parts = [[] for _ in live]
     # lexicographic order reaches beta - e_l, for l the last nonzero
     # index of beta, before beta
     for beta in product(range(order + 1), repeat=len(live)):
@@ -274,14 +292,39 @@ def _compositions(a_list, rows, one) -> list[TruncatedSeries]:
             continue
         l = max(i for i, b in enumerate(beta) if b)
         previous = chain[beta[:l] + (beta[l] - 1,) + beta[l + 1 :]]
-        r = chain[beta] = previous * a_list[live[l]] * Fraction(1, beta[l])
-        for i, b in enumerate(beta):
-            if b:
-                parts[i].append(r.weighted(*columns, outer=_lagrange_weight(beta, i)))
+        chain[beta] = previous * a_list[live[l]] * Fraction(1, beta[l])
+    del chain[(0,) * len(live)]  # R_0 = Delta feeds no sum: each needs beta_j >= 1
+
+    width = one.terms.width
+    decode = _decoder(width, frame.nvars)
+    den = lcm(*[r.terms.den for r in chain.values()])
+    minus_p = {}  # packed key n -> [-p_l(n) for every live l]
+    sums = [{} for _ in live]
+    for beta, r in chain.items():
+        # (sum of ray i, beta_i, exponents of beta - e_i) for each beta_i >= 1
+        targets = [
+            (sums[i], b, [c - (l == i) for l, c in enumerate(beta)])
+            for i, b in enumerate(beta)
+            if b
+        ]
+        scale = den // r.terms.den
+        for k, n in zip(r.terms.monos, r.terms.nums):
+            p = minus_p.get(k)
+            if p is None:
+                e = decode(k)
+                p = minus_p[k] = [-sum(map(mul, column, e)) for column in columns]
+            n *= scale
+            for acc, b, exponents in targets:
+                w = b
+                for x, y in zip(p, exponents):
+                    if y:
+                        w *= x**y
+                if w:
+                    acc[k] = acc.get(k, 0) + n * w
     composed = list(a_list)
-    zero = TruncatedSeries.zero(one.frame, order)
-    for j, terms in zip(live, parts):
-        composed[j] = sum(terms, zero)
+    for j, acc in zip(live, sums):
+        terms = _from_rows(frame.grading, width, den, acc)
+        composed[j] = TruncatedSeries._trusted(frame, order, terms)
     return composed
 
 
@@ -293,22 +336,22 @@ def inverse_mirror_map(
     q_a = Q_a exp(- sum_j iota_j^(a) A_j(q)).  Good's Lagrange formula
     gives every composition A_j(q(Q)) coefficient by coefficient, from
     one product chain of the nonzero A_j (``_compositions``), with no
-    fixed point and no ``substitute``.  One exp per nonzero A_j,
-    B_j = exp(A_j(q(Q))), then builds every closed unit and the open
-    unit as a monomial in the B_j.
+    fixed point and no ``substitute``.  That is all it builds: the fiber
+    series, the closed images and the open unit, monomials in
+    exp(-+A_j(q(Q))), are built when first read.
     """
     frame, a_list, l0 = _map_inputs(data, order, brane)
-    one = TruncatedSeries.one(frame, order)
-    composed = _compositions(a_list, data.effective_charge_basis, one)
-    bases = [None if a.is_zero() else exp_series(c) for a, c in zip(a_list, composed)]
-    return _from_bases("Q_to_q", data, l0, a_list, bases, one, tuple(composed))
+    composed = _compositions(a_list, data.effective_charge_basis, TruncatedSeries.one(frame, order))
+    return MirrorMapData("Q_to_q", a_list, tuple(composed), order, data.effective_charge_basis, l0)
 
 
 def fiber_open_gw(data: ToricCYData, order: int) -> list[TruncatedSeries]:
     """Fiber disc-generating functions 1 + delta_i = exp(-A_i(q(Q))).
 
     Satisfies Q_a * prod_j (1+delta_j)^{iota_j^(a)} = q_a(Q) exactly,
-    which is the defining identity of the inverse map route.
+    which is the defining identity of the inverse map route.  Reads only
+    the inverse map's fiber series: one exp per ray with A_i != 0, and
+    no closed image.
     """
     return list(inverse_mirror_map(data, order).fiber)
 
@@ -724,9 +767,10 @@ def av_mirror_brane(
 ) -> BraneMirrorSeries:
     """Mirror coordinates (z1, z2) of an Aganagic-Vafa brane.
 
-    z1 is Q0 times the open unit of the inverse mirror map, which
-    Lagrange inversion gives with the closed map; z2 is the Newton root
-    of the corrected curve at z1, then sign-normalized.  The stored
+    z1 is Q0 times the open unit of the inverse mirror map; z2 is the
+    Newton root of the corrected curve at z1, then sign-normalized.  The
+    job reads the inverse map's open unit and fiber series only, never
+    its closed images.  The stored
     residual is the one the Newton solver proved identically zero on the
     raw solution pair.
     """

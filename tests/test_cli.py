@@ -410,6 +410,36 @@ class TestInvalidBrane:
         assert json.loads(err)["error"]["code"] == "validation"
 
 
+C3_Z5_113_DOC = {
+    # resolved C^3/Z_5 with weights (1, 1, 3): (1, 1) and (1, 2) are
+    # interior points of the polygon, rays 0 and 4
+    "toric": {"rays": [[1, 1, 1], [1, 0, 1], [0, 0, 1], [2, 5, 1], [1, 2, 1]], "u": [0, 0, 1]},
+    "truncation": 3,
+}
+
+
+class TestSeveralCompactDivisors:
+    @pytest.mark.parametrize("command", ["mirror-map", "inverse-map", "fiber-invariants"])
+    def test_canonical_relations_are_refused(self, capsys, tmp_path, command):
+        path = tmp_path / "c3_z5_113.json"
+        path.write_text(json.dumps(C3_Z5_113_DOC))
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "math"
+        assert "rays [0, 4]" in error["message"]
+
+    @pytest.mark.parametrize("command", ["mirror-map", "inverse-map", "fiber-invariants"])
+    def test_supplied_mori_basis_runs(self, capsys, tmp_path, command):
+        doc = _with(C3_Z5_113_DOC, ("toric", "charge_basis"), [[-2, 1, 0, 0, 1], [1, 0, 1, 1, -3]])
+        path = tmp_path / "c3_z5_113.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, command, "--input", str(path))
+        assert code == 0
+        assert json.loads(out)
+
+
 def _count_calls(monkeypatch, module, name):
     """Count calls of ``module.name`` through every binding in the package."""
     original = getattr(module, name)
@@ -530,14 +560,66 @@ class TestRepeatedWork:
         assert len(exps) == 1
 
     def test_collinear_charge_rows_share_one_exp_per_pass(self, capsys, monkeypatch):
-        # every local dP3 row is a multiple of A_0: one exp for the base
-        # of the inverse map, then one exp per ray for the fiber series
+        # only A_0 is nonzero on local dP3: the fiber series of ray 0 is
+        # its one exp, the other rays get 1, and no closed unit is built
         from syzmirror import fps
 
         exps = _count_calls(monkeypatch, fps, "exp_series")
         code, _, _ = run(capsys, "fiber-invariants", "--input", str(LOCAL_DP3_JOB), "--order", "3")
         assert code == 0
-        assert len(exps) == 8
+        assert len(exps) == 1
+
+    @pytest.mark.parametrize(
+        "command,job",
+        [
+            pytest.param("fiber-invariants", LOCAL_DP3_JOB, id="fiber-local-dp3"),
+            pytest.param("curve", LOCAL_P2_JOB, id="curve-local-p2"),
+            pytest.param("brane-mirror", LOCAL_P2_JOB, id="brane-local-p2"),
+            pytest.param("disc-invariants", LOCAL_P2_JOB, id="disc-local-p2"),
+            pytest.param("compare-naive", LOCAL_P2_JOB, id="naive-local-p2"),
+            pytest.param("disc-invariants", LOCAL_P1XP1_JOB, id="disc-local-p1xp1"),
+        ],
+    )
+    def test_consumers_of_the_inverse_map_build_no_closed_unit(
+        self, capsys, monkeypatch, command, job
+    ):
+        # the curve reads the fiber series and a brane the open unit; the
+        # closed images are printed by inverse-map alone, and no unit is
+        # built from a series inverse
+        from syzmirror import fps, mirror
+
+        closed_reads = []
+        build_closed = mirror.MirrorMapData.__dict__["closed"].func
+
+        def closed(self):
+            closed_reads.append(self)
+            return build_closed(self)
+
+        monkeypatch.setattr(mirror.MirrorMapData, "closed", property(closed))
+        in_unit = []
+        build_unit = mirror.MirrorMapData._unit
+
+        def unit(self, row):
+            in_unit.append(row)
+            try:
+                return build_unit(self, row)
+            finally:
+                in_unit.pop()
+
+        monkeypatch.setattr(mirror.MirrorMapData, "_unit", unit)
+        unit_inverses = []
+        invert = fps.inverse
+
+        def inverse(s):
+            if in_unit:
+                unit_inverses.append(s)
+            return invert(s)
+
+        monkeypatch.setattr(fps, "inverse", inverse)
+        code, _, _ = run(capsys, command, "--input", str(job), "--order", "4")
+        assert code == 0
+        assert closed_reads == []
+        assert unit_inverses == []
 
     def test_forward_map_takes_one_exp_per_live_a_series(self, capsys, monkeypatch):
         # only A_0 is nonzero on local dP3 and its row weights are

@@ -35,6 +35,12 @@ GEOMETRIES = {
     "local-p1xp1-sheared": ToricCYData(
         rays=P1XP1_RAYS, u=(0, 0, 1), charge_rows=((-2, 1, 0, 1, 0), (2, -2, 1, -2, 1))
     ),
+    # resolved C^3/Z_5 (1, 1, 3) with its Mori basis: two nonzero A_j
+    "c3-z5-113": ToricCYData(
+        rays=((1, 1, 1), (1, 0, 1), (0, 0, 1), (2, 5, 1), (1, 2, 1)),
+        u=(0, 0, 1),
+        charge_rows=((-2, 1, 0, 0, 1), (1, 0, 1, 1, -3)),
+    ),
 }
 
 

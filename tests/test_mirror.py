@@ -39,6 +39,7 @@ from syzmirror import (
     substitute,
 )
 from syzmirror.cli import parse_job
+from syzmirror.mirror import open_charge
 from tests import oracle_fiber
 from tests.conftest import av_brane
 
@@ -234,6 +235,36 @@ class TestUnitsAgainstDirectExp:
             big_q = TruncatedSeries.generator(frame, order, a)
             assert backward.closed[a] == big_q * self._direct(composed, row, -1, frame, order)
         assert backward.open_unit == self._direct(composed, l0, -1, frame, order)
+
+    @pytest.mark.parametrize("geometry", ["c3", "conifold", "kp2", "kp1xp1", "kdp3", "c3_z5_113"])
+    def test_one_exp_per_live_ray_and_sign_and_no_inverse(self, request, monkeypatch, geometry):
+        # C^3/Z_5 has positive and negative weights on both live rays
+        from syzmirror import fps, mirror
+
+        data = request.getfixturevalue(geometry)
+        exps = []
+        monkeypatch.setattr(mirror, "exp_series", lambda s: exps.append(s) or exp_series(s))
+
+        def refuse(s):
+            raise AssertionError("a unit took a series inverse")
+
+        monkeypatch.setattr(fps, "inverse", refuse)
+        brane = av_brane(1, 2, 0, m=data.m)
+        for direction in (mirror_map, inverse_mirror_map):
+            exps.clear()
+            result = direction(data, 4, brane)
+            assert exps == []
+            result.closed, result.open_unit, result.fiber
+            live = [j for j, a in enumerate(result.a_series) if not a.is_zero()]
+            signs = {
+                (j, w > 0)
+                for row in data.effective_charge_basis + (open_charge(brane, data.m),)
+                for j, w in enumerate(row)
+                if w and j in live
+            }
+            if result.composed is not None:  # the fiber series: exp(-A_j(q(Q)))
+                signs |= {(j, True) for j in live}
+            assert len(exps) == len(signs)
 
 
 class TestFiberInvariants:

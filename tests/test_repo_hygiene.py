@@ -137,3 +137,16 @@ def test_ci_workflow_runs_the_tier1_command():
     installs = " ".join(s["run"] for s in steps if "pip install" in s.get("run", ""))
     # sympy backs the oracle tests, which would otherwise be skipped
     assert {"pytest", "hypothesis", "sympy"} <= set(installs.split())
+    # every installed package is pinned in the constraints file it passes
+    words = installs.split()
+    assert words.count("-c") == 1
+    constraints = words[words.index("-c") + 1]
+    pins = {}
+    for line in (ROOT / constraints).read_text().splitlines():
+        line = line.split("#")[0].strip()
+        if line:
+            name, version = line.split("==")
+            pins[name.lower()] = version
+    packages = words[words.index("install") + 1 :]
+    packages = [w for w in packages if w != "-c" and w != constraints]
+    assert packages and all(p.lower() in pins for p in packages), (packages, pins)
