@@ -121,6 +121,32 @@ class Terms(Mapping):
         """Grade of the first row, or None when there are no terms."""
         return self.monos[0] >> self._top() if self.monos else None
 
+    def coefficient(self, exponents):
+        """The coefficient of ``exponents``, which must fit the layout,
+        found by bisection on its packed key."""
+        key = sum(map(mul, _weights(self.grading, self.width), exponents))
+        j = bisect_left(self.monos, key)
+        if j < len(self.monos) and self.monos[j] == key:
+            return Fraction(self.nums[j], self.den)
+        return ZERO
+
+    def exponents(self):
+        """The exponent tuple of every row, in row order."""
+        return list(map(_decoder(self.width, len(self.grading)), self.monos))
+
+    def row_weights(self, coeffs):
+        """The integer w = sum coeffs[i] * e_i of every row, read from
+        the exponent fields of its key."""
+        mask = (1 << self.width) - 1
+        fields = [(self.width * i, c) for i, c in enumerate(coeffs) if c]
+        return [sum([c * ((k >> s) & mask) for s, c in fields]) for k in self.monos]
+
+    def zero_weight(self, coeffs):
+        """The exponents, sorted, of the rows of weight 0 under ``coeffs``:
+        the rows ``weighted(coeffs)`` drops."""
+        decode = _decoder(self.width, len(self.grading))
+        return sorted([decode(k) for k, w in zip(self.monos, self.row_weights(coeffs)) if not w])
+
     # -- ring operations on the rows -----------------------------------
 
     def __neg__(self):
@@ -153,11 +179,8 @@ class Terms(Mapping):
         """Every row's numerator times the integer w = sum coeffs[i] * e_i,
         read from the exponent fields of its key, or times ``outer(w)``;
         rows whose weight is 0 drop."""
-        mask = (1 << self.width) - 1
-        fields = [(self.width * i, c) for i, c in enumerate(coeffs) if c]
         monos, nums = [], []
-        for k, n in zip(self.monos, self.nums):
-            w = sum([c * ((k >> s) & mask) for s, c in fields])
+        for k, n, w in zip(self.monos, self.nums, self.row_weights(coeffs)):
             if outer is not None:
                 w = outer(w)
             if w:

@@ -259,8 +259,9 @@ def cmd_disc_invariants(job):
         inv.extract_open_gw(result.z2, neg_log=result.neg_log_z2)
     )
     report = inv.integrality_check(table)
+    classes = table.sorted_classes()
     rows = []
-    for beta in table.sorted_classes():
+    for beta in classes:
         entry = {"beta": list(beta)}
         if beta in table.n:
             entry["n"] = format_rational(table.n[beta])
@@ -277,7 +278,7 @@ def cmd_disc_invariants(job):
     }
     names = result.z2.frame.names
     lines = [f"class {_monomial_string(names, b)}: n={e.get('n', '-')} N={e.get('N', '-')}"
-             for b, e in zip(table.sorted_classes(), rows)]
+             for b, e in zip(classes, rows)]
     lines.append(f"integrality: {'pass' if report.ok else 'FAIL'}")
     return payload, lines, EXIT_OK
 

@@ -337,22 +337,42 @@ def _lift(s: TruncatedSeries, order: int) -> TruncatedSeries:
     return TruncatedSeries._trusted(s.frame, order, s.terms.at_order(order))
 
 
+def newton_ladder(order: int) -> list[int]:
+    """Precisions of a Newton iteration from grade 0 up to ``order``.
+
+    The ladder is built top-down, p <- p // 2 from ``order`` down to 1,
+    and run upward (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+    9.1): each step from p to its successor still satisfies
+    next <= 2p + 1, so every grade settles, and the last step reads
+    operands of half precision (20 <- 10 <- 5 <- 2 <- 1).  Order 0 has
+    no step.
+    """
+    steps = []
+    while order:
+        steps.append(order)
+        order //= 2
+    return steps[::-1]
+
+
 def inverse(s: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse of a unit series by Newton iteration.
 
-    Each step g <- g + g*(1 - s*g) raises the precision p to
-    min(2p + 1, order); every generator has grade >= 1, so the settled
-    grades double and O(log order) products suffice.
+    Each step g <- g + g*(1 - s*g) lifts a g exact through grade p to
+    one exact through 2p + 1, along the precisions of
+    :func:`newton_ladder`; every generator has grade >= 1, so O(log
+    order) products suffice.  A constant series is inverted at once.
     """
     c0 = s.constant_term()
     if c0 == 0:
         raise NonUnitSeries(
             f"cannot invert a series with zero constant term over generators {s.frame.names}"
         )
+    if len(s.terms) == 1:
+        return TruncatedSeries.constant(s.frame, s.order, 1 / c0)
     g = TruncatedSeries.constant(s.frame, 0, 1 / c0)
-    while g.order < s.order:
-        g = _lift(g, min(2 * g.order + 1, s.order))
-        g = g + g * (1 - s.truncate(g.order) * g)
+    for precision in newton_ladder(s.order):
+        g = _lift(g, precision)
+        g = g + g * (1 - s.truncate(precision) * g)
     return g
 
 

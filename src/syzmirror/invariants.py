@@ -58,19 +58,17 @@ def extract_open_gw(
     as ``neg_log``.
     """
     frame = z2.frame
-    log_part = _neg_log(z2) if neg_log is None else neg_log
-    table = {}
-    offenders = []
-    for exps, coeff in log_part.terms.items():
-        weight = frame.boundary_grade(exps)
-        if weight == 0:
-            offenders.append(exps)
-            continue
-        table[exps] = coeff / weight
-    if offenders:
+    terms = (_neg_log(z2) if neg_log is None else neg_log).terms
+    weights = terms.row_weights(frame.boundary)
+    if not all(weights):
+        offenders = terms.zero_weight(frame.boundary)
         raise MathDomainError(
-            f"-log z2 has monomials with zero boundary grading: {sorted(offenders)[:4]}"
+            f"-log z2 has monomials with zero boundary grading: {offenders[:4]}"
         )
+    den = terms.den
+    table = {
+        e: Fraction(num, den * w) for e, num, w in zip(terms.exponents(), terms.nums, weights)
+    }
     return InvariantTable(frame=frame, order=z2.order, n=table)
 
 
@@ -121,20 +119,33 @@ def _divisors(beta):
 def multiple_cover_inversion(table: InvariantTable) -> InvariantTable:
     """Fill N via Mobius summation: N_beta = sum_{p|beta} mu(p) n_{beta/p} / p^2.
 
-    Divisibility is componentwise over the whole exponent vector.  The
-    forward sum n_beta = sum_{p|beta} N_{beta/p} / p^2 then holds
-    exactly on the divisor closure of the support.
+    Divisibility is componentwise over the whole exponent vector, so the
+    sum runs over the divisors p of g = gcd(beta).  A class with g = 1
+    has N_beta = n_beta; only the classes with g > 1, and the classes
+    beta/p (p < g) they add to the support, run the sum.  The forward
+    sum n_beta = sum_{p|beta} N_{beta/p} / p^2 then holds exactly on the
+    divisor closure of the support.
     """
     n = table.n
     instanton = {}
-    for beta in {reduced for key in n for _, reduced in _divisors(key)}:
+    multiples = {}  # class with gcd > 1 -> its gcd
+    for beta, value in n.items():
+        g = gcd(*beta)
+        if g == 1:
+            if value:
+                instanton[beta] = value
+            continue
+        for p in range(1, g):
+            if g % p == 0:
+                multiples[tuple(x // p for x in beta)] = g // p
+    for beta, g in multiples.items():
         total = n.get(beta, ZERO)
-        for p, reduced in _divisors(beta):
-            if p > 1 and reduced in n:
-                mu = _mobius(p)
-                if mu:
+        for p in range(2, g + 1):
+            if g % p == 0 and (mu := _mobius(p)):
+                reduced = tuple(x // p for x in beta)
+                if reduced in n:
                     total += Fraction(mu, p * p) * n[reduced]
-        if total != 0:
+        if total:
             instanton[beta] = total
     return InvariantTable(frame=table.frame, order=table.order, n=dict(n), N=instanton)
 

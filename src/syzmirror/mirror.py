@@ -24,9 +24,11 @@ from .errors import BranchError, FrameEscape, MathDomainError, ValidationError
 from .fps import (
     Frame,
     TruncatedSeries,
+    ZERO,
     exp_series,
     _lift,
     log_series,
+    newton_ladder,
     pow_int,
 )
 from .lattice import (
@@ -592,6 +594,7 @@ def curve_in_brane_frame(curve, z1, bframe, order) -> dict[int, TruncatedSeries]
         raise MathDomainError("z1 must be Q0 times a unit series")
 
     collected: dict[int, TruncatedSeries] = {}
+    powers: dict[int, TruncatedSeries] = {}
     escapes = []
     for term in curve.terms:
         e1, e2 = term.z_exponents
@@ -600,10 +603,12 @@ def curve_in_brane_frame(curve, z1, bframe, order) -> dict[int, TruncatedSeries]
         if packed is None:
             escapes.append(scalar_vec)
             continue
+        if e1 not in powers:
+            powers[e1] = pow_int(unit, e1)
         series = (
             map_closed_series(term.coefficient, bframe, order)
             * TruncatedSeries.monomial(frame, order, packed)
-            * pow_int(unit, e1)
+            * powers[e1]
         )
         if e2 in collected:
             collected[e2] = collected[e2] + series
@@ -633,13 +638,15 @@ def solve_curve_root(
     """Newton-solve W(z1, z2) = 0 for z2 on a ``curve_in_brane_frame`` table.
 
     The start value is the grade-0 simple root (-1, the branch
-    continuously connected to -(1+delta_0) - z1).  Newton runs at
-    doubling precision 1, 3, 7, ..., order: a root exact through grade
-    p becomes exact through 2p + 1 after z2 <- z2 - W(z2) * h, where h
-    is 1/W'(z2) through grade p, itself kept up by one Newton inversion
-    step per iteration.  The residual z2^shift * W(z2), with shift
-    lifting the table's lowest z2 power to 0, must then be exactly zero
-    at the truncation order; the root and that residual are returned.
+    continuously connected to -(1+delta_0) - z1).  Newton runs along
+    the precisions of :func:`~syzmirror.fps.newton_ladder` (1, 2, 5,
+    10, 20 for order 20): a root exact through grade p becomes exact
+    through the next precision, at most 2p + 1, after
+    z2 <- z2 - W(z2) * h, where h is 1/W'(z2) through grade p, itself
+    kept up by one Newton inversion step per iteration.  The residual
+    z2^shift * W(z2), with shift lifting the table's lowest z2 power to
+    0, is then evaluated in full and must be exactly zero at the
+    truncation order; the root and that residual are returned.
     """
     root0 = Fraction(-1)
     shift = max(0, -min(table))
@@ -656,11 +663,10 @@ def solve_curve_root(
     derivative = {e2 - 1: s * e2 for e2, s in poly.items() if e2}
     z2 = TruncatedSeries.constant(frame, 0, root0)
     h = TruncatedSeries.constant(frame, 0, 1 / slope)
-    while z2.order < order:
+    for precision in newton_ladder(order):
         if z2.order:
             h = _lift(h, z2.order)
             h = h + h * (1 - _horner(derivative, z2, z2.order) * h)
-        precision = min(2 * z2.order + 1, order)
         z2 = _lift(z2, precision)
         z2 = z2 - _horner(poly, z2, precision) * _lift(h, precision)
     residual = _horner(poly, z2, order)
@@ -717,9 +723,10 @@ def _twist(series: TruncatedSeries, eps1: int) -> TruncatedSeries:
 def _normalize_root(z2_raw, bframe, override=None):
     """Pick the signs (eps1, eps2); return them, z2 and -log z2.
 
-    The twist by eps1 is a ring automorphism that fixes constant terms,
-    so eps2 is the same for both candidates and the second candidate's
-    -log z2 is the twist of the first one's: one log serves both.
+    The twist by eps1 is a ring automorphism that fixes constant terms
+    and the support, so eps2 is the same for both candidates, the second
+    candidate's -log z2 is the twist of the first one's and one check of
+    its zero-boundary rows covers both: one log serves both.
     """
     frame = bframe.frame
     const = z2_raw.constant_term()
@@ -734,29 +741,21 @@ def _normalize_root(z2_raw, bframe, override=None):
             f"{base.constant_term()}, expected 1"
         )
     base_log = -log_series(base)
-    candidates = []
-    rejected = []
-    eps1_options = [override[0]] if override else [1, -1]
-    for eps1 in eps1_options:
-        log_part = _twist(base_log, eps1)
-        offenders = [e for e in log_part.terms if frame.boundary_grade(e) == 0]
-        if offenders:
-            if override:
-                raise BranchError(
-                    f"-log z2 touches zero-boundary monomials {sorted(offenders)[:4]}"
-                )
-            rejected.extend(offenders)
-            continue
-        basic = log_part.terms.get(bframe.q0, Fraction(0))
-        candidates.append((eps1, log_part, basic))
-    if not candidates:
+    offenders = base_log.terms.zero_weight(frame.boundary)
+    if offenders:
+        if override:
+            raise BranchError(f"-log z2 touches zero-boundary monomials {offenders[:4]}")
         raise BranchError(
             "no sign normalization gives constant term 1 with -log z2 supported "
-            f"on nonzero boundary grading; offending monomials {sorted(set(rejected))[:6]}"
+            f"on nonzero boundary grading; offending monomials {offenders[:6]}"
         )
-    positive = [c for c in candidates if c[2] > 0]
-    eps1, log_part, _ = positive[0] if positive else candidates[0]
-    return (eps1, eps2), _twist(base, eps1), log_part
+    q0 = bframe.q0
+    basic = base_log.terms.coefficient(q0) if frame.grade(q0) <= base_log.order else ZERO
+    eps1_options = [override[0]] if override else [1, -1]
+    # the twist by eps1 multiplies the Q0 coefficient by eps1 ** boundary(q0)
+    positive = [e for e in eps1_options if basic * e ** (frame.boundary_grade(q0) % 2) > 0]
+    eps1 = positive[0] if positive else eps1_options[0]
+    return (eps1, eps2), _twist(base, eps1), _twist(base_log, eps1)
 
 
 def av_mirror_brane(

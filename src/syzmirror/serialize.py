@@ -16,7 +16,7 @@ from .fps import Frame, TruncatedSeries
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value)
 
 
 _RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")

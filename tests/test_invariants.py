@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from syzmirror import (
     Frame,
@@ -50,9 +53,10 @@ class TestExtract:
         assert len(table.n) == 16
 
     def test_zero_boundary_monomial_rejected(self):
-        frame = Frame(names=("Q0", "Q1"), boundary=(1, 0))
-        z2 = z2_from_log(frame, 4, {(0, 1): 1})
-        with pytest.raises(MathDomainError):
+        # named in lexicographic order, not in the grade-first row order
+        frame = Frame(names=("Q0", "Q1", "Q2"), boundary=(1, 0, 0))
+        z2 = z2_from_log(frame, 4, {(0, 1, 0): 1, (1, 1, 0): 1, (0, 0, 1): 2})
+        with pytest.raises(MathDomainError, match=r"grading: \[\(0, 0, 1\), \(0, 1, 0\)\]"):
             extract_open_gw(z2)
 
     def test_definition_round_trip(self):
@@ -156,6 +160,50 @@ class TestMobius:
                     (filled.N.get(reduced, F(0)) / (p * p) for p, reduced in divisors(beta)),
                     F(0),
                 )
+
+
+def _closure_divisors(beta):
+    # the divisor generator multiple_cover_inversion ran before it
+    # split off the gcd-1 classes
+    g = gcd(*beta)
+    small = [p for p in range(1, isqrt(g) + 1) if g % p == 0]
+    for p in small + [g // p for p in reversed(small) if p * p != g]:
+        yield p, tuple(x // p for x in beta)
+
+
+def divisor_closure_inversion(n):
+    """The Mobius sum over the whole divisor closure of the support."""
+    instanton = {}
+    for beta in {reduced for key in n for _, reduced in _closure_divisors(key)}:
+        total = n.get(beta, F(0))
+        for p, reduced in _closure_divisors(beta):
+            if p > 1 and reduced in n:
+                mu = _mobius(p)
+                if mu:
+                    total += F(mu, p * p) * n[reduced]
+        if total != 0:
+            instanton[beta] = total
+    return instanton
+
+
+# multiples of small vectors: many classes with gcd > 1, whose divisor
+# classes are mostly absent from the table
+_classes = st.builds(
+    lambda k, base: tuple(k * x for x in base),
+    st.sampled_from([1, 1, 2, 3, 4, 6, 8, 12]),
+    st.tuples(*[st.integers(0, 3)] * 3).filter(any),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_classes, st.fractions(-50, 50, max_denominator=30), max_size=12))
+@example({(4, 0, 8): F(3, 2), (1, 2, 0): F(-1), (6, 6, 0): F(0), (0, 0, 12): F(5, 7)})
+def test_inversion_matches_divisor_closure(n):
+    frame = Frame(names=("a", "b", "c"), boundary=(1, -1, 2))
+    filled = multiple_cover_inversion(InvariantTable(frame=frame, order=40, n=n))
+    assert filled.N == divisor_closure_inversion(n)
+    for beta in n:
+        assert cover_sum(filled, beta) == n[beta]
 
 
 class TestIntegrality:

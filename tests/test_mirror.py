@@ -15,6 +15,7 @@ import pytest
 
 from syzmirror import (
     BraneFrame,
+    BranchError,
     BraneSpec,
     FrameEscape,
     MathDomainError,
@@ -39,7 +40,7 @@ from syzmirror import (
     substitute,
 )
 from syzmirror.cli import parse_job
-from syzmirror.mirror import open_charge
+from syzmirror.mirror import _normalize_root, open_charge
 from tests import oracle_fiber
 from tests.conftest import av_brane
 
@@ -533,6 +534,22 @@ class TestAvMirrorBrane:
 
         with pytest.raises(BranchError):
             av_mirror_brane(conifold, conifold_brane, 6, normalization=(1, 1))
+
+    def test_zero_boundary_offenders_named(self):
+        # boundary (1, 0, 0): -log z2 = P1 + P2 + P3 touches P2 and P3,
+        # named in lexicographic order, not in the grade-first row order
+        bframe = BraneFrame(generators=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        frame = bframe.frame
+        neg_log = TruncatedSeries(frame, 4, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+        z2_raw = exp_series(-neg_log) * -1
+        named = r"\[\(0, 0, 1\), \(0, 1, 0\)\]"
+        with pytest.raises(BranchError, match=r"zero-boundary monomials " + named):
+            _normalize_root(z2_raw, bframe, override=(1, -1))
+        with pytest.raises(BranchError, match=r"offending monomials " + named):
+            _normalize_root(z2_raw, bframe)
+        open_only = exp_series(-neg_log.filter_terms(lambda e: e[0]))
+        signs, _, log_part = _normalize_root(open_only, bframe)
+        assert signs == (1, 1) and log_part.terms == {(1, 0, 0): F(1)}
 
     def test_missing_frame_rejected(self, conifold):
         brane = av_brane(0, 2, 1, m=4, frame=None)

@@ -1,0 +1,108 @@
+"""The top-down Newton ladder of the curve root and the series inverse.
+
+``solve_curve_root`` and ``fps.inverse`` run Newton iteration along
+``newton_ladder``; the bottom-up iteration at precisions 1, 3, 7, ...
+kept here is the oracle both must reproduce exactly.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from syzmirror import Frame, TruncatedSeries, inverse
+from syzmirror.cli import parse_job
+from syzmirror.fps import newton_ladder
+from syzmirror.mirror import (
+    brane_frame,
+    build_curve,
+    curve_in_brane_frame,
+    inverse_mirror_map,
+    open_series,
+    solve_curve_root,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+GEOMETRIES = {
+    "local_p2": ROOT / "jobs" / "local_p2.json",
+    "conifold": ROOT / "jobs" / "conifold.json",
+    "local_p1xp1": ROOT / "perfbench" / "jobs" / "local_p1xp1.json",
+}
+
+
+def test_ladder_steps_settle_every_grade():
+    for order in range(201):
+        ladder = newton_ladder(order)
+        previous = 0
+        for precision in ladder:
+            assert previous < precision <= 2 * previous + 1, (order, ladder)
+            previous = precision
+        assert previous == order
+    assert newton_ladder(0) == []
+    assert newton_ladder(20) == [1, 2, 5, 10, 20]
+
+
+def _lift(s, order):
+    return TruncatedSeries(s.frame, order, dict(s.terms.items()))
+
+
+def _horner(table, point, order):
+    degree = max(table)
+    acc = table[degree].truncate(order)
+    for e in range(degree - 1, -1, -1):
+        acc = acc * point
+        if e in table:
+            acc = acc + table[e].truncate(order)
+    return acc
+
+
+def bottom_up_inverse(s):
+    g = TruncatedSeries.constant(s.frame, 0, 1 / s.constant_term())
+    while g.order < s.order:
+        g = _lift(g, min(2 * g.order + 1, s.order))
+        g = g + g * (1 - s.truncate(g.order) * g)
+    return g
+
+
+def bottom_up_root(table, frame, order):
+    """Newton from the grade-0 root -1 at precisions 1, 3, 7, ..., order."""
+    shift = max(0, -min(table))
+    poly = {e + shift: s for e, s in table.items()}
+    derivative = {e - 1: s * e for e, s in poly.items() if e}
+    slope = sum(s.constant_term() * e * (-1) ** (e - 1) for e, s in poly.items() if e)
+    z2 = TruncatedSeries.constant(frame, 0, -1)
+    h = TruncatedSeries.constant(frame, 0, 1 / slope)
+    while z2.order < order:
+        if z2.order:
+            h = _lift(h, z2.order)
+            h = h + h * (1 - _horner(derivative, z2, z2.order) * h)
+        precision = min(2 * z2.order + 1, order)
+        z2 = _lift(z2, precision)
+        z2 = z2 - _horner(poly, z2, precision) * _lift(h, precision)
+    return z2
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_root_and_inverse_match_bottom_up_newton(name):
+    job = parse_job(json.loads(GEOMETRIES[name].read_text()))
+    data, brane = job.toric, job.brane
+    bframe = brane_frame(data, brane)
+    for order in range(1, 13):
+        closed_order = bframe.closed_order_for(order)
+        inv = inverse_mirror_map(data, closed_order, brane)
+        curve = build_curve(data, closed_order, corrected=True, inverse_map=inv)
+        z1 = open_series(data, brane, bframe, order, inverse_map=inv)
+        table = curve_in_brane_frame(curve, z1, bframe, order)
+        root, residual = solve_curve_root(table, bframe.frame, order)
+        assert residual.is_zero()
+        assert root == bottom_up_root(table, bframe.frame, order), (name, order)
+        units = [root] + [s for s in table.values() if s.constant_term() != 0]
+        for unit in units:
+            assert inverse(unit) == bottom_up_inverse(unit), (name, order)
+
+
+def test_constant_inverse_is_immediate():
+    frame = Frame(names=("a", "b"))
+    assert inverse(TruncatedSeries.constant(frame, 9, -3)) == TruncatedSeries.constant(
+        frame, 9, "-1/3"
+    )

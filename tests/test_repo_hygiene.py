@@ -150,3 +150,10 @@ def test_ci_workflow_runs_the_tier1_command():
     packages = words[words.index("install") + 1 :]
     packages = [w for w in packages if w != "-c" and w != constraints]
     assert packages and all(p.lower() in pins for p in packages), (packages, pins)
+    # `pip install .[test]` installs every pinned package, so no tier-1
+    # test is skipped for a missing import
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    extra = project["optional-dependencies"]["test"]
+    extra = {re.split(r"[<>=!~;\[ ]", d)[0].lower() for d in extra}
+    assert set(pins) <= extra, (sorted(pins), sorted(extra))
