@@ -314,6 +314,15 @@ def mul_terms(a, b, grading, order):
     return _from_rows(grading, width, da * db, out)
 
 
+def _reduced(den, keys, vals):
+    """A grade slice ``(den, keys, vals)`` with gcd(den, *vals) divided out."""
+    divisor = gcd(den, *vals)
+    if divisor != 1:
+        den //= divisor
+        vals = [v // divisor for v in vals]
+    return den, keys, vals
+
+
 def exp_log(s, order, log):
     """``exp s`` (constant term 0), or with ``log`` ``log s`` (constant
     term 1), of a ``Terms`` at the layout of ``order``, grade by grade.
@@ -324,13 +333,15 @@ def exp_log(s, order, log):
     1978; Knuth, TAOCP vol. 2, 4.7)
 
         n g_n = sum_{m<n} (n - m) s_{n-m} g_m
-        n L_n = n s_n - sum_{0<m<n} m L_m s_{n-m},
+        M_n = n s_n - sum_{0<m<n} M_m s_{n-m},   M_n = n L_n,
 
-    one sum sum_{m<n} w_m h_m s_{n-m} over the grades of h = g or L
-    found so far, with h_0 read as 1 (for log it carries n s_n).  A
-    grade slice of ``s`` is a range of its sorted keys, and every
-    product of slice rows lands in grade n, so no pair needs a bound
-    test; in all about half of one truncated product.
+    one sum sum_{m<n} w_m h_m s_{n-m} over the grades of h = g or M
+    found so far, with h_0 read as 1 (for log it carries n s_n).  The
+    log branch keeps M, which is integral when s is, and divides grade
+    n by n only when it assembles the result.  A grade slice of ``s``
+    is a range of its sorted keys, and every product of slice rows
+    lands in grade n, so no pair needs a bound test; in all about half
+    of one truncated product.
     """
     top = s._top()
     monos, nums = s.monos, s.nums
@@ -344,7 +355,7 @@ def exp_log(s, order, log):
         get = acc.get
         for m in live:
             den, keys, vals = slices[m]
-            weight = (-m if m else n) if log else n - m
+            weight = (-1 if m else n) if log else n - m
             scale = weight * (common // den)
             lo, hi = cuts[n - m], cuts[n - m + 1]
             other_keys, other_vals = monos[lo:hi], nums[lo:hi]
@@ -359,16 +370,18 @@ def exp_log(s, order, log):
         if not keys:
             slices.append((1, [], []))
             continue
-        vals = [acc[k] for k in keys]
-        den = s.den * common * n
-        divisor = gcd(den, *vals)
-        if divisor != 1:
-            den //= divisor
-            vals = [v // divisor for v in vals]
-        slices.append((den, keys, vals))
+        den = s.den * common * (1 if log else n)
+        slices.append(_reduced(den, keys, [acc[k] for k in keys]))
+    if log:
+        parts = [
+            _reduced(den * n, keys, vals)
+            for n, (den, keys, vals) in enumerate(slices)
+            if n and keys
+        ]
+    else:
+        parts = [p for p in slices if p[1]]
     # Each slice is reduced, so over the lcm of their denominators the
     # rows are in normal form.
-    parts = [p for p in (slices[1:] if log else slices) if p[1]]
     den = lcm(*[p[0] for p in parts])
     out_monos, out_nums = [], []
     for d, keys, vals in parts:

@@ -18,9 +18,9 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
 
 from ._backend import Terms, exp_log, linear_combination, mul_terms, pack, single
 from .errors import (
@@ -46,8 +46,7 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(namedtuple("Frame", "names grading boundary")):
     """Exponent monoid of a series ring: generator names and gradings.
 
     ``grading`` entries must be >= 1 so that graded fixed-point and
@@ -55,21 +54,17 @@ class Frame:
     used for boundary-weighted derivatives (all zero by default).
     """
 
-    names: tuple[str, ...]
-    grading: tuple[int, ...] = ()
-    boundary: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = tuple(self.names)
-        grading = tuple(self.grading) if self.grading else (1,) * len(names)
-        boundary = tuple(self.boundary) if self.boundary else (0,) * len(names)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "grading", grading)
-        object.__setattr__(self, "boundary", boundary)
+    def __new__(cls, names, grading=(), boundary=()):
+        names = tuple(names)
+        grading = tuple(grading) if grading else (1,) * len(names)
+        boundary = tuple(boundary) if boundary else (0,) * len(names)
         if len(grading) != len(names) or len(boundary) != len(names):
             raise ValueError("grading/boundary length must match generator count")
         if any(g < 1 for g in grading):
             raise ValueError("every grading entry must be >= 1")
+        return super().__new__(cls, names, grading, boundary)
 
     @property
     def nvars(self) -> int:

@@ -12,27 +12,23 @@ relation is an assumed input, so failures are diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import MathDomainError
-from .fps import ZERO, Frame, TruncatedSeries, boundary_derivative, log_series
+from .fps import ZERO, TruncatedSeries, boundary_derivative, log_series
 
 
-@dataclass(frozen=True)
-class InvariantTable:
+class InvariantTable(namedtuple("InvariantTable", "frame order n N", defaults=(None,))):
     """Open GW invariants n_beta and optional instanton numbers N_beta.
 
     Keys are frame exponent vectors with positive total grade; when N
     is present the two maps satisfy the multiple-cover relation on
-    every key within the truncation.
+    every key within the truncation.  ``N`` defaults to None.
     """
 
-    frame: Frame
-    order: int
-    n: dict
-    N: dict | None = None
+    __slots__ = ()
 
     def sorted_classes(self):
         keys = set(self.n)
@@ -160,9 +156,8 @@ def cover_sum(table: InvariantTable, beta) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class IntegralityReport:
-    flagged: tuple
+class IntegralityReport(namedtuple("IntegralityReport", "flagged")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

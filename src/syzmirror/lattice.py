@@ -10,7 +10,7 @@ describing the fibration discriminant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 
@@ -67,9 +67,8 @@ def independent_columns(rows) -> tuple[int, ...] | None:
     return tuple(pivots) if len(pivots) == len(rows) else None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    failures: tuple[str, ...]
+class ValidationReport(namedtuple("ValidationReport", "failures")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -81,35 +80,27 @@ class ValidationReport:
         return "; ".join(self.failures)
 
 
-@dataclass(frozen=True)
-class ToricCYData:
+class ToricCYData(
+    namedtuple("ToricCYData", "rays u offsets max_cones charge_rows")
+):
     """Fan/polytope input: rays, CY covector, offsets, optional extras.
 
     The first n rays are required to form a unimodular basis of Z^n;
     ray i >= n corresponds to the closed Kahler variable Q_{i-n+1}.
+    Offsets default to zero; ``max_cones`` and ``charge_rows`` to None.
+    Instances keep a ``__dict__`` (no ``__slots__``) for the cached
+    lattice data below.
     """
 
-    rays: tuple[tuple[int, ...], ...]
-    u: tuple[int, ...]
-    offsets: tuple[Fraction, ...] = ()
-    max_cones: tuple[tuple[int, ...], ...] | None = None
-    charge_rows: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self):
-        rays = tuple(tuple(int(x) for x in ray) for ray in self.rays)
-        u = tuple(int(x) for x in self.u)
-        offsets = tuple(as_rational(x) for x in self.offsets) or (Fraction(0),) * len(rays)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "offsets", offsets)
-        if self.max_cones is not None:
-            object.__setattr__(
-                self, "max_cones", tuple(tuple(sorted(int(i) for i in c)) for c in self.max_cones)
-            )
-        if self.charge_rows is not None:
-            object.__setattr__(
-                self, "charge_rows", tuple(tuple(int(x) for x in r) for r in self.charge_rows)
-            )
+    def __new__(cls, rays, u, offsets=(), max_cones=None, charge_rows=None):
+        rays = tuple(tuple(int(x) for x in ray) for ray in rays)
+        u = tuple(int(x) for x in u)
+        offsets = tuple(as_rational(x) for x in offsets) or (Fraction(0),) * len(rays)
+        if max_cones is not None:
+            max_cones = tuple(tuple(sorted(int(i) for i in c)) for c in max_cones)
+        if charge_rows is not None:
+            charge_rows = tuple(tuple(int(x) for x in r) for r in charge_rows)
+        return super().__new__(cls, rays, u, offsets, max_cones, charge_rows)
 
     @property
     def n(self) -> int:
@@ -144,8 +135,12 @@ class ToricCYData:
         return effective_charge_basis(self)
 
 
-@dataclass(frozen=True)
-class BraneSpec:
+class BraneSpec(
+    namedtuple(
+        "BraneSpec",
+        "charges constants phases av_indices m0 frame_generators boundary_grading",
+    )
+):
     """Charge-defined Lagrangian data, Aganagic-Vafa or general.
 
     ``charges`` rows l^(a) must each sum to zero (special condition).
@@ -153,37 +148,36 @@ class BraneSpec:
     e_{i1}-e_{i0} and e_{i2}-e_{i0}; the brane sits on the edge
     F_{i0,i1}, so the single nonzero constant belongs to the second
     charge and e^{-c-i*phi} of that row is the open parameter Q0.
-    Phases are exact rational multiples of pi.
+    Phases are exact rational multiples of pi.  The optional fields
+    default to None.
     """
 
-    charges: tuple[tuple[int, ...], ...]
-    constants: tuple[Fraction, ...]
-    phases: tuple[Fraction, ...]
-    av_indices: tuple[int, int, int] | None = None
-    m0: tuple[Fraction, ...] | None = None
-    frame_generators: tuple[tuple[int, ...], ...] | None = None
-    boundary_grading: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "charges", tuple(tuple(int(x) for x in row) for row in self.charges)
+    def __new__(
+        cls,
+        charges,
+        constants,
+        phases,
+        av_indices=None,
+        m0=None,
+        frame_generators=None,
+        boundary_grading=None,
+    ):
+        charges = tuple(tuple(int(x) for x in row) for row in charges)
+        constants = tuple(as_rational(c) for c in constants)
+        phases = tuple(as_rational(p) for p in phases)
+        if av_indices is not None:
+            av_indices = tuple(int(i) for i in av_indices)
+        if m0 is not None:
+            m0 = tuple(as_rational(x) for x in m0)
+        if frame_generators is not None:
+            frame_generators = tuple(tuple(int(x) for x in g) for g in frame_generators)
+        if boundary_grading is not None:
+            boundary_grading = tuple(int(b) for b in boundary_grading)
+        return super().__new__(
+            cls, charges, constants, phases, av_indices, m0, frame_generators, boundary_grading
         )
-        object.__setattr__(self, "constants", tuple(as_rational(c) for c in self.constants))
-        object.__setattr__(self, "phases", tuple(as_rational(p) for p in self.phases))
-        if self.av_indices is not None:
-            object.__setattr__(self, "av_indices", tuple(int(i) for i in self.av_indices))
-        if self.m0 is not None:
-            object.__setattr__(self, "m0", tuple(as_rational(x) for x in self.m0))
-        if self.frame_generators is not None:
-            object.__setattr__(
-                self,
-                "frame_generators",
-                tuple(tuple(int(x) for x in g) for g in self.frame_generators),
-            )
-        if self.boundary_grading is not None:
-            object.__setattr__(
-                self, "boundary_grading", tuple(int(b) for b in self.boundary_grading)
-            )
 
     @property
     def k(self) -> int:
@@ -415,11 +409,7 @@ def _check_av_shape(data: ToricCYData, brane: BraneSpec) -> list[str]:
     return failures
 
 
-@dataclass(frozen=True)
-class AVGeometry:
-    m0: tuple[Fraction, ...]
-    c: Fraction
-    edge: tuple[int, int]
+AVGeometry = namedtuple("AVGeometry", "m0 c edge")
 
 
 def av_geometry(data: ToricCYData, brane: BraneSpec) -> AVGeometry:

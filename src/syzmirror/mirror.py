@@ -12,7 +12,7 @@ reproduce 1 + delta_0 = 1 - 2Q + 5Q^2 - ... for local P^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -358,15 +358,10 @@ def fiber_open_gw(data: ToricCYData, order: int) -> list[TruncatedSeries]:
     return list(inverse_mirror_map(data, order).fiber)
 
 
-@dataclass(frozen=True)
-class CurveTerm:
-    z_exponents: tuple[int, ...]
-    q_exponents: tuple[int, ...]
-    coefficient: TruncatedSeries
+CurveTerm = namedtuple("CurveTerm", "z_exponents q_exponents coefficient")
 
 
-@dataclass(frozen=True)
-class MirrorCurve:
+class MirrorCurve(namedtuple("MirrorCurve", "n_z terms")):
     """The Laurent polynomial W with one term per ray.
 
     Term i < n carries the unit Q-monomial and the i-th z-unit vector
@@ -375,8 +370,7 @@ class MirrorCurve:
     series 1 + delta_i over the closed frame.
     """
 
-    n_z: int
-    terms: tuple[CurveTerm, ...]
+    __slots__ = ()
 
 
 def build_curve(
@@ -408,14 +402,12 @@ def build_curve(
     return MirrorCurve(n_z=n - 1, terms=tuple(terms))
 
 
-@dataclass(frozen=True)
-class BraneEquation:
+class BraneEquation(
+    namedtuple("BraneEquation", "z_exponents q_exponents constant phase")
+):
     """One naive mirror-brane equation: prod z^e * prod Q^f = e^{c + i*phi}."""
 
-    z_exponents: tuple[int, ...]
-    q_exponents: tuple[int, ...]
-    constant: Fraction
-    phase: Fraction
+    __slots__ = ()
 
 
 def naive_brane(data: ToricCYData, brane: BraneSpec) -> list[BraneEquation]:
@@ -687,8 +679,9 @@ def evaluate_curve(table, z2, frame: Frame, order: int) -> TruncatedSeries:
     return acc
 
 
-@dataclass(frozen=True)
-class BraneMirrorSeries:
+class BraneMirrorSeries(
+    namedtuple("BraneMirrorSeries", "z1 z2 signs residual neg_log_z2 bframe")
+):
     """Normalized mirror coordinates of an AV brane plus the Newton residual.
 
     ``signs`` is the (eps1, eps2) normalization: eps1 flips the sign of
@@ -703,12 +696,7 @@ class BraneMirrorSeries:
     brane frame both series live over.
     """
 
-    z1: TruncatedSeries
-    z2: TruncatedSeries
-    signs: tuple[int, int]
-    residual: TruncatedSeries
-    neg_log_z2: TruncatedSeries
-    bframe: BraneFrame
+    __slots__ = ()
 
 
 def _twist(series: TruncatedSeries, eps1: int) -> TruncatedSeries:
@@ -798,8 +786,12 @@ def av_mirror_brane(
     )
 
 
-@dataclass(frozen=True)
-class NaiveComparison:
+class NaiveComparison(
+    namedtuple(
+        "NaiveComparison",
+        "z1_correction z2_correction z1_in_closed_ideal z2_pure_open z2_mixed signs",
+    )
+):
     """How far the corrected brane mirror sits from the naive one.
 
     ``z1_correction`` (= z1 - Q0) must vanish modulo the ideal of the
@@ -808,12 +800,7 @@ class NaiveComparison:
     separately) and the mixed part supported on the closed ideal.
     """
 
-    z1_correction: TruncatedSeries
-    z2_correction: TruncatedSeries
-    z1_in_closed_ideal: bool
-    z2_pure_open: TruncatedSeries
-    z2_mixed: TruncatedSeries
-    signs: tuple[int, int]
+    __slots__ = ()
 
 
 def compare_naive(

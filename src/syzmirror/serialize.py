@@ -69,6 +69,9 @@ def series_from_records(frame: Frame, order: int, records) -> TruncatedSeries:
             raise InputError(
                 f"series record {rec!r} needs {frame.nvars} non-negative exponents"
             )
+        grade = frame.grade(exps)
+        if grade > order:
+            raise InputError(f"series record {rec!r} has grade {grade} above the order {order}")
         if exps in terms:
             raise InputError(f"duplicate exponent {exps} in series records")
         terms[exps] = coeff

@@ -346,6 +346,46 @@ class TestFrameValidation:
         with pytest.raises(ValueError):
             Frame(names=("x", "y"), boundary=(1,))
 
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((("x",), (0,)), {}, "grading entry"),
+            ((["x", "y"], [1, -2]), {}, "grading entry"),
+            ((("x", "y"),), {"boundary": (1,)}, "length"),
+            ((), {"names": ["x", "y"], "grading": [1, 1, 1]}, "length"),
+            ((("x",), (1,), (0, 0)), {}, "length"),
+        ],
+    )
+    def test_both_checks_positional_and_by_keyword(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Frame(*args, **kwargs)
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((["x", "y"],), {}),
+            ((), {"names": ["x", "y"]}),
+            ((("x", "y"), [1, 1], [0, 0]), {}),
+            ((), {"names": iter("xy"), "grading": (), "boundary": ()}),
+        ],
+    )
+    def test_normalized_to_tuples_with_default_gradings(self, args, kwargs):
+        frame = Frame(*args, **kwargs)
+        assert (frame.names, frame.grading, frame.boundary) == (("x", "y"), (1, 1), (0, 0))
+        assert all(type(f) is tuple for f in (frame.names, frame.grading, frame.boundary))
+        assert frame == Frame(names=("x", "y"), grading=(1, 1), boundary=(0, 0))
+        assert hash(frame) == hash(Frame(("x", "y")))
+
+    def test_frames_of_other_gradings_differ(self):
+        assert Frame(("x",), (2,)) != Frame(("x",))
+        assert Frame(("x",), boundary=(1,)) != Frame(("x",))
+        assert len({Frame(("x",)), Frame(["x"]), Frame(("x",), (2,))}) == 2
+
+    @pytest.mark.parametrize("field", ["names", "grading", "boundary", "other"])
+    def test_immutable(self, field):
+        with pytest.raises(AttributeError):
+            setattr(QQ, field, ())
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             TruncatedSeries(T, 3, {(-1,): F(1)})

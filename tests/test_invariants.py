@@ -214,9 +214,17 @@ class TestIntegrality:
 
     def test_fractional_primitive_fails(self):
         table = InvariantTable(frame=OPEN, order=8, n={(1,): F(1, 3)})
+        assert table.N is None
+        assert table == InvariantTable(OPEN, 8, {(1,): F(1, 3)}, None)
         report = integrality_check(multiple_cover_inversion(table))
         assert not report.ok
         assert report.flagged[0][0] == (1,)
+        again = integrality_check(multiple_cover_inversion(table))
+        assert report == again and hash(report) == hash(again)
+        with pytest.raises(AttributeError):
+            report.flagged = ()
+        with pytest.raises(AttributeError):
+            table.N = {}
 
     def test_empty_table_passes(self):
         table = InvariantTable(frame=OPEN, order=8, n={})

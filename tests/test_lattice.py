@@ -19,6 +19,116 @@ from syzmirror import (
 from tests.conftest import av_brane
 
 
+KP2_RAYS = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (-1, -1, 1))
+
+
+class TestToricCYDataRecord:
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((), {"rays": [list(r) for r in KP2_RAYS], "u": [0, 0, 1]}),
+            (([list(r) for r in KP2_RAYS], [0, 0, 1]), {}),
+            ((KP2_RAYS, (0, 0, 1), ()), {"max_cones": None, "charge_rows": None}),
+            ((KP2_RAYS, (0, 0, 1), ["0", 0, F(0), "0/5"]), {}),
+        ],
+    )
+    def test_normalized_with_defaults(self, args, kwargs):
+        data = ToricCYData(*args, **kwargs)
+        assert data.rays == KP2_RAYS and type(data.rays[0]) is tuple
+        assert data.u == (0, 0, 1) and type(data.u) is tuple
+        assert data.offsets == (F(0),) * 4
+        assert all(type(x) is F for x in data.offsets)
+        assert data.max_cones is None and data.charge_rows is None
+        assert data == ToricCYData(KP2_RAYS, (0, 0, 1))
+        assert hash(data) == hash(ToricCYData(KP2_RAYS, (0, 0, 1)))
+
+    @pytest.mark.parametrize("by_keyword", [False, True])
+    def test_optional_fields_normalized(self, by_keyword):
+        fields = (KP2_RAYS, (0, 0, 1), ["1/2", 0, 0, 1], [[2, 1, 0], [3, 0, 2]], [[-3, 1, 1, 1]])
+        if by_keyword:
+            names = ("rays", "u", "offsets", "max_cones", "charge_rows")
+            data = ToricCYData(**dict(zip(names, fields)))
+        else:
+            data = ToricCYData(*fields)
+        assert data.offsets == (F(1, 2), F(0), F(0), F(1))
+        assert all(type(x) is F for x in data.offsets)
+        # each cone's indices are sorted
+        assert data.max_cones == ((0, 1, 2), (0, 2, 3))
+        assert data.charge_rows == ((-3, 1, 1, 1),)
+        assert data != ToricCYData(KP2_RAYS, (0, 0, 1))
+
+    @pytest.mark.parametrize("field", ["rays", "u", "offsets", "max_cones", "charge_rows"])
+    def test_fields_are_read_only(self, kp2, field):
+        with pytest.raises(AttributeError):
+            setattr(kp2, field, ())
+
+    def test_charge_basis_computed_once_per_object(self, monkeypatch):
+        from syzmirror import lattice
+
+        calls = []
+        real = lattice.charge_basis
+
+        def counted(data):
+            calls.append(data)
+            return real(data)
+
+        monkeypatch.setattr(lattice, "charge_basis", counted)
+        data = ToricCYData(KP2_RAYS, (0, 0, 1))
+        assert data.charge_basis == ((-3, 1, 1, 1),)
+        assert data.charge_basis is data.charge_basis
+        assert len(calls) == 1
+        # an equal object keeps its own cache
+        assert ToricCYData(KP2_RAYS, (0, 0, 1)).charge_basis == data.charge_basis
+        assert len(calls) == 2
+
+
+class TestBraneSpecRecord:
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            (([[-1, 1, 0, 0]], ["1/2"], [0]), {}),
+            ((), {"charges": [[-1, 1, 0, 0]], "constants": [F(1, 2)], "phases": ["0"]}),
+            ((((-1, 1, 0, 0),), (F(1, 2),), (F(0),), None, None, None, None), {}),
+        ],
+    )
+    def test_normalized_with_defaults(self, args, kwargs):
+        brane = BraneSpec(*args, **kwargs)
+        assert brane.charges == ((-1, 1, 0, 0),) and type(brane.charges[0]) is tuple
+        assert brane.constants == (F(1, 2),) and type(brane.constants[0]) is F
+        assert brane.phases == (F(0),) and type(brane.phases[0]) is F
+        assert brane.av_indices is None and brane.m0 is None
+        assert brane.frame_generators is None and brane.boundary_grading is None
+        assert brane == BraneSpec(((-1, 1, 0, 0),), (F(1, 2),), (F(0),))
+        assert hash(brane) == hash(BraneSpec(((-1, 1, 0, 0),), (F(1, 2),), (F(0),)))
+
+    @pytest.mark.parametrize("by_keyword", [False, True])
+    def test_optional_fields_normalized(self, by_keyword):
+        fields = (
+            [[-1, 1, 0, 0], [-1, 0, 1, 0]], [0, "2"], ["0", "1/3"],
+            [0, 1, 2], ["1/2", 0, 0], [[1, 0], [-1, 1]], [1, 0],
+        )
+        if by_keyword:
+            names = (
+                "charges", "constants", "phases",
+                "av_indices", "m0", "frame_generators", "boundary_grading",
+            )
+            brane = BraneSpec(**dict(zip(names, fields)))
+        else:
+            brane = BraneSpec(*fields)
+        assert brane.constants == (F(0), F(2)) and brane.phases == (F(0), F(1, 3))
+        assert brane.av_indices == (0, 1, 2)
+        assert brane.m0 == (F(1, 2), F(0), F(0)) and all(type(x) is F for x in brane.m0)
+        assert brane.frame_generators == ((1, 0), (-1, 1))
+        assert brane.boundary_grading == (1, 0)
+        assert brane.k == 2
+
+    @pytest.mark.parametrize("field", ["charges", "constants", "av_indices", "other"])
+    def test_immutable(self, field):
+        brane = BraneSpec(((-1, 1, 0, 0),), (F(1),), (F(0),))
+        with pytest.raises(AttributeError):
+            setattr(brane, field, ())
+
+
 class TestValidateCY:
     def test_kp2_is_valid(self, kp2):
         assert validate_cy(kp2).ok
@@ -30,6 +140,10 @@ class TestValidateCY:
         report = validate_cy(data)
         assert not report.ok
         assert any("CY condition" in f for f in report.failures)
+        assert str(report) == "; ".join(report.failures)
+        assert report == validate_cy(data) and hash(report) == hash(validate_cy(data))
+        with pytest.raises(AttributeError):
+            report.failures = ()
 
     def test_unimodularity_violation(self):
         data = ToricCYData(rays=((0, 0, 1), (2, 0, 1), (0, 1, 1)), u=(0, 0, 1))
@@ -160,6 +274,10 @@ class TestAVGeometry:
         geometry = av_geometry(conifold, brane)
         assert geometry.c == 2
         assert geometry.edge == (0, 1)
+        assert geometry == av_geometry(conifold, brane)
+        assert hash(geometry) == hash(av_geometry(conifold, brane))
+        with pytest.raises(AttributeError):
+            geometry.c = F(1)
 
     def test_vertex_rejected(self, conifold):
         brane = av_brane(0, 1, 2, m=4, c=F(2), m0=(F(0), F(0), F(0)))

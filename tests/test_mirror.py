@@ -341,7 +341,16 @@ class TestBuildCurve:
         assert all(t.coefficient == one for t in curve.terms)
 
     def test_conifold_corrected_equals_uncorrected(self, conifold):
-        assert build_curve(conifold, 8) == build_curve(conifold, 8, corrected=False)
+        curve = build_curve(conifold, 8)
+        assert curve == build_curve(conifold, 8, corrected=False)
+        assert curve.n_z == 2
+        # series coefficients are unhashable, so the curve is too
+        with pytest.raises(TypeError):
+            hash(curve)
+        with pytest.raises(AttributeError):
+            curve.terms = ()
+        with pytest.raises(AttributeError):
+            curve.terms[0].coefficient = None
 
     def test_kp2_corrected_coefficient(self, kp2):
         curve = build_curve(kp2, 8)
@@ -376,6 +385,10 @@ class TestNaiveBrane:
         assert (eqs[0].constant, eqs[0].phase) == (0, 0)
         assert eqs[1].z_exponents == (-1, 0)
         assert eqs[1].constant == 2
+        again = naive_brane(conifold, conifold_brane)
+        assert eqs == again and hash(eqs[1]) == hash(again[1])
+        with pytest.raises(AttributeError):
+            eqs[1].constant = F(1)
 
     def test_general_charge_with_substitution(self, conifold):
         brane = BraneSpec(charges=((0, -1, 0, 1),), constants=(F(1),), phases=(F(1, 2),))
@@ -481,6 +494,9 @@ class TestAvMirrorBrane:
             if k < 8:
                 assert result.z2.coefficient((1, k)) == -1
         assert result.z2.coefficient((1, 0)) == -1
+        assert result.bframe.frame == result.z2.frame
+        with pytest.raises(AttributeError):
+            result.signs = (1, 1)
 
     def test_c3(self, c3, c3_brane):
         result = av_mirror_brane(c3, c3_brane, 8)
@@ -628,6 +644,9 @@ class TestCompareNaive:
         assert report.z2_pure_open == TruncatedSeries(
             report.z2_pure_open.frame, 8, {(1,): F(-1)}
         )
+        assert report == compare_naive(c3, c3_brane, 8)
+        with pytest.raises(AttributeError):
+            report.z1_in_closed_ideal = False
 
     def test_closed_vars_to_zero(self, kp2, kp2_leg_brane):
         report = compare_naive(kp2, kp2_leg_brane, 6)

@@ -79,6 +79,19 @@ class TestSeriesRecords:
                 frame, 3, [{"e": [1], "c": "1"}, {"e": [1], "c": "2"}]
             )
 
+    def test_record_above_the_order_rejected(self):
+        # grade 2 * 2 = 4 under grading (1, 2) exceeds order 3
+        frame = Frame(names=("a", "b"), grading=(1, 2))
+        records = [{"e": [1, 0], "c": "1"}, {"e": [0, 2], "c": "5"}]
+        with pytest.raises(InputError) as info:
+            series_from_records(frame, 3, records)
+        assert "{'e': [0, 2], 'c': '5'}" in str(info.value)
+        assert "grade 4" in str(info.value)
+        doc = {"frame": {"names": ["a", "b"], "grading": [1, 2]}, "order": 3, "terms": records}
+        with pytest.raises(InputError):
+            series_from_json(doc)
+        assert series_from_records(frame, 4, records).coefficient((0, 2)) == 5
+
     def test_empty_frame_series(self):
         frame = Frame(names=())
         s = TruncatedSeries.constant(frame, 2, F(3, 4))
