@@ -47,7 +47,6 @@ from .lattice import (
     ValidationReport,
     av_geometry,
     charge_basis,
-    divisor_pairing,
     dual_exponents,
     effective_charge_basis,
     gross_discriminant,
@@ -66,7 +65,6 @@ from .mirror import (
     brane_frame,
     build_curve,
     closed_frame,
-    coefficient_E,
     compare_naive,
     curve_in_brane_frame,
     evaluate_curve,

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import namedtuple
 
 from . import invariants as inv
 from . import lattice, mirror
@@ -31,15 +32,10 @@ EXIT_MATH = 3
 EXIT_PARSE = 4
 
 
-class Job:
+class Job(namedtuple("Job", "toric brane truncation corrected normalization")):
     """Parsed job document: toric data, optional brane, global options."""
 
-    def __init__(self, toric, brane, truncation, corrected, normalization):
-        self.toric = toric
-        self.brane = brane
-        self.truncation = truncation
-        self.corrected = corrected
-        self.normalization = normalization
+    __slots__ = ()
 
 
 def _require(doc, key, where):
@@ -386,12 +382,12 @@ def main(argv=None) -> int:
         if args.order is not None:
             if args.order < 1:
                 raise InputError("--order must be >= 1")
-            job.truncation = args.order
+            job = job._replace(truncation=args.order)
         if args.corrected is not None:
             text = args.corrected.lower()
             if text not in ("true", "false", "1", "0"):
                 raise InputError("--corrected takes true or false")
-            job.corrected = text in ("true", "1")
+            job = job._replace(corrected=text in ("true", "1"))
         if args.normalization is not None:
             try:
                 pair = tuple(int(x) for x in args.normalization.split(","))
@@ -399,7 +395,7 @@ def main(argv=None) -> int:
                 raise InputError("--normalization takes two comma-separated signs") from None
             if len(pair) != 2 or any(x not in (1, -1) for x in pair):
                 raise InputError("--normalization takes two signs from {1,-1}")
-            job.normalization = pair
+            job = job._replace(normalization=pair)
     except InputError as exc:
         return _emit_error("parse", str(exc), EXIT_PARSE)
 

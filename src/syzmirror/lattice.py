@@ -300,12 +300,6 @@ def _interior_rays(data: ToricCYData) -> list[int]:
     return [i for i in range(data.m) if i not in boundary]
 
 
-def _interior_ray_index(data: ToricCYData) -> int | None:
-    """The unique interior ray (see ``_interior_rays``), or None."""
-    interior = _interior_rays(data)
-    return interior[0] if len(interior) == 1 else None
-
-
 def charge_basis(data: ToricCYData) -> list[list[int]]:
     """Z-basis of the relations among the rays (kernel of e_i -> v_i).
 
@@ -350,14 +344,6 @@ def effective_charge_basis(data: ToricCYData) -> tuple[tuple[int, ...], ...]:
     if data.charge_rows is not None:
         return data.charge_rows
     return data.charge_basis
-
-
-def divisor_pairing(iota, alpha) -> list[int]:
-    """<D_j, alpha> = sum_a alpha_a * iota_j^(a) for every ray j."""
-    if not iota:
-        return []
-    m = len(iota[0])
-    return [sum(alpha[a] * iota[a][j] for a in range(len(iota))) for j in range(m)]
 
 
 def validate_brane(data: ToricCYData, brane: BraneSpec) -> ValidationReport:

@@ -16,7 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import factorial, lcm
+from math import lcm
 from operator import mul
 
 from ._backend import _decoder, _from_rows, _weights, field_width
@@ -34,7 +34,6 @@ from .fps import (
 from .lattice import (
     BraneSpec,
     ToricCYData,
-    divisor_pairing,
     independent_columns,
     row_reduce,
     unit_vector,
@@ -51,26 +50,6 @@ def closed_frame(data: ToricCYData) -> Frame:
 def require_valid(data: ToricCYData) -> None:
     if not data.validation.ok:
         raise ValidationError(f"invalid toric data: {data.validation}")
-
-
-def coefficient_E(iota, alpha, i: int) -> Fraction:
-    """Factorial coefficient of the hypergeometric-type series A_i.
-
-    E_i(alpha) = (-1)^{-<D_i,a>-1} (-<D_i,a>-1)! / prod_{j != i} <D_j,a>!
-    with the reciprocal factorial of a negative integer taken to be 0,
-    and 0 as well unless -<D_i,alpha> - 1 >= 0.
-    """
-    pairings = divisor_pairing(iota, alpha)
-    top = -pairings[i] - 1
-    if top < 0:
-        return Fraction(0)
-    denominator = 1
-    for j, p in enumerate(pairings):
-        if j != i:
-            if p < 0:
-                return Fraction(0)
-            denominator *= factorial(p)
-    return Fraction((-1) ** top * factorial(top), denominator)
 
 
 def a_series(data: ToricCYData, order: int) -> tuple[TruncatedSeries, ...]:
@@ -435,7 +414,7 @@ def naive_brane(data: ToricCYData, brane: BraneSpec) -> list[BraneEquation]:
     return equations
 
 
-class BraneFrame:
+class BraneFrame(namedtuple("BraneFrame", "generators boundary")):
     """Brane exponent monoid: generators packaging (Q0, Q_closed) monomials.
 
     ``generators[k]`` is the integer exponent vector of generator k
@@ -443,38 +422,56 @@ class BraneFrame:
     Q1*Q0^-1), but series over the frame only use non-negative powers
     of the generators.  The boundary grading defaults to the
     Q0-exponent of each generator, which is the winding functional.
+    Two frames are equal when their generators and boundary are.
     ``q0`` is the frame exponent of the open variable Q0; a frame that
-    cannot hold Q0 is rejected with FrameEscape.
+    cannot hold Q0 is rejected with FrameEscape.  Instances keep a
+    ``__dict__`` (no ``__slots__``) for the cached data below.
     """
 
-    def __init__(self, generators, boundary=None):
-        self.generators = tuple(tuple(int(x) for x in g) for g in generators)
-        if not self.generators:
+    def __new__(cls, generators, boundary=None):
+        generators = tuple(tuple(int(x) for x in g) for g in generators)
+        if not generators:
             raise MathDomainError("a brane frame needs at least one generator")
-        width = len(self.generators[0])
-        if any(len(g) != width for g in self.generators):
+        if any(len(g) != len(generators[0]) for g in generators):
             raise MathDomainError("brane frame generators have mixed arity")
-        if boundary is None:
-            boundary = tuple(g[0] for g in self.generators)
+        boundary = tuple(g[0] for g in generators) if boundary is None else tuple(boundary)
+        if len(boundary) != len(generators):
+            raise MathDomainError(
+                f"brane boundary grading must have {len(generators)} entries, "
+                "one per frame generator"
+            )
+        self = super().__new__(cls, generators, boundary)
+        self.q0  # raises unless the generators are independent and hold Q0
+        return self
+
+    @cached_property
+    def frame(self) -> Frame:
         names = tuple(f"P{k}" for k in range(1, len(self.generators) + 1))
-        self.frame = Frame(names=names, boundary=tuple(boundary))
-        cols = independent_columns(self.generators)
-        if cols is None:
-            raise MathDomainError("brane frame generators are linearly dependent")
+        return Frame(names=names, boundary=self.boundary)
+
+    @cached_property
+    def _solver(self):
         # Invert the generators' block on the pivot columns once: the
         # reduction of [block | I] ends as [d*I | d*block^-1] for its last
         # pivot d, so packing a monomial is one integer matrix-vector
         # product and one exact division by d.
+        cols = independent_columns(self.generators)
+        if cols is None:
+            raise MathDomainError("brane frame generators are linearly dependent")
         k = len(self.generators)
         block = [[g[c] for g in self.generators] for c in cols]
         reduced, _, _ = row_reduce([row + list(unit_vector(k, r)) for r, row in enumerate(block)])
-        self._solver = cols, [row[k:] for row in reduced], reduced[0][0]
-        q0_vec = unit_vector(width, 0)
-        self.q0 = self.pack(q0_vec)
-        if self.q0 is None:
+        return cols, [row[k:] for row in reduced], reduced[0][0]
+
+    @cached_property
+    def q0(self) -> tuple[int, ...]:
+        q0_vec = unit_vector(len(self.generators[0]), 0)
+        packed = self.pack(q0_vec)
+        if packed is None:
             raise FrameEscape(
                 "the open variable Q0 is not representable in the brane frame", [q0_vec]
             )
+        return packed
 
     def closed_order_for(self, order: int) -> int:
         """Closed-frame order resolving every brane grade <= order.
@@ -522,11 +519,6 @@ def brane_frame(data: ToricCYData, brane: BraneSpec) -> BraneFrame:
         raise MathDomainError(
             f"brane frame generators must have {width} entries (Q0 and closed variables)"
         )
-    count = len(brane.frame_generators)
-    if brane.boundary_grading is not None and len(brane.boundary_grading) != count:
-        raise MathDomainError(
-            f"brane boundary grading must have {count} entries, one per frame generator"
-        )
     return BraneFrame(brane.frame_generators, boundary=brane.boundary_grading)
 
 
@@ -540,7 +532,7 @@ def map_closed_series(series: TruncatedSeries, bframe: BraneFrame, order: int) -
             escapes.append((0,) + tuple(exps))
             continue
         if bframe.frame.grade(packed) <= order:
-            terms[packed] = terms.get(packed, Fraction(0)) + coeff
+            terms[packed] = coeff
     if escapes:
         raise FrameEscape(
             f"closed monomials escape the brane frame: {sorted(escapes)[:4]}", escapes

@@ -18,7 +18,6 @@ from syzmirror import (
     brane_frame,
     build_curve,
     closed_frame,
-    coefficient_E,
     compare_naive,
     cover_sum,
     curve_in_brane_frame,
@@ -98,7 +97,7 @@ def test_criterion_2_conifold_triviality():
     iota = [[1, -1, 1, -1]]
     for d in range(1, ORDER + 1):
         for i in range(4):
-            assert coefficient_E(iota, (d,), i) == 0
+            assert oracle_fiber.coefficient(iota, i, (d,)) == 0
     frame = closed_frame(CONIFOLD)
     q = TruncatedSeries.generator(frame, ORDER, 0)
     assert mirror_map(CONIFOLD, ORDER).closed[0] == q

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from syzmirror import Frame
-from syzmirror.cli import main
+from syzmirror.cli import main, parse_job
 from syzmirror.serialize import series_from_json, series_from_records
 
 CONIFOLD_DOC = {
@@ -54,6 +54,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parsed_job_is_an_immutable_record():
+    # main applies --order, --corrected and --normalization with _replace
+    job = parse_job(CONIFOLD_DOC)
+    assert job == parse_job(CONIFOLD_DOC) and hash(job) == hash(parse_job(CONIFOLD_DOC))
+    with pytest.raises(AttributeError):
+        job.truncation = 2
+    assert job._replace(truncation=2).truncation == 2 and job.truncation == 8
 
 
 class TestValidate:

@@ -25,7 +25,6 @@ from syzmirror import (
     brane_frame,
     build_curve,
     closed_frame,
-    coefficient_E,
     compare_naive,
     curve_in_brane_frame,
     evaluate_curve,
@@ -93,23 +92,23 @@ KDP3_FIBER_0 = {
 
 class TestCoefficientE:
     def test_kp2_degree_one(self):
-        assert coefficient_E(KP2_IOTA, (1,), 0) == 2
+        assert oracle_fiber.coefficient(KP2_IOTA, 0, (1,)) == 2
 
     def test_kp2_degree_two(self):
-        assert coefficient_E(KP2_IOTA, (2,), 0) == -15
+        assert oracle_fiber.coefficient(KP2_IOTA, 0, (2,)) == -15
 
     def test_kp2_degree_three(self):
-        assert coefficient_E(KP2_IOTA, (3,), 0) == F(560, 3)
+        assert oracle_fiber.coefficient(KP2_IOTA, 0, (3,)) == F(560, 3)
 
     def test_kp2_positive_pairing_vanishes(self):
         for d in range(1, 9):
             for i in (1, 2, 3):
-                assert coefficient_E(KP2_IOTA, (d,), i) == 0
+                assert oracle_fiber.coefficient(KP2_IOTA, i, (d,)) == 0
 
     def test_conifold_all_vanish(self):
         for d in range(1, 9):
             for i in range(4):
-                assert coefficient_E(CONIFOLD_IOTA, (d,), i) == 0
+                assert oracle_fiber.coefficient(CONIFOLD_IOTA, i, (d,)) == 0
 
 
 class TestASeries:
@@ -175,7 +174,7 @@ class TestMirrorMaps:
         # q_a = Q_a (1 - sum_j iota_j E_j(unit) Q + ...) at grade 2
         inv = inverse_mirror_map(kp2, 2)
         drift = -sum(
-            KP2_IOTA[0][j] * coefficient_E(KP2_IOTA, (1,), j) for j in range(4)
+            KP2_IOTA[0][j] * oracle_fiber.coefficient(KP2_IOTA, j, (1,)) for j in range(4)
         )
         assert inv.closed[0].coefficient((2,)) == drift
 
@@ -440,6 +439,38 @@ def conifold_root_expected(order):
         if 1 + k <= order:
             terms[(1, k)] = F((-1) ** (k + 1))
     return terms
+
+
+class TestBraneFrame:
+    @pytest.mark.parametrize(
+        "generators,boundary,error",
+        [
+            pytest.param((), None, MathDomainError, id="empty"),
+            pytest.param(((1, 0), (0, 1, 0)), None, MathDomainError, id="mixed-arity"),
+            pytest.param(((1, 0), (-1, 1)), (1,), MathDomainError, id="boundary-count"),
+            pytest.param(((1, 0), (2, 0)), None, MathDomainError, id="dependent"),
+            pytest.param(((1, 1), (0, 1)), None, FrameEscape, id="no-q0"),
+        ],
+    )
+    def test_refusals_are_math_domain_errors(self, generators, boundary, error):
+        with pytest.raises(error) as caught:
+            BraneFrame(generators, boundary)
+        assert isinstance(caught.value, MathDomainError)
+
+    def test_frames_of_one_job_are_equal_records(self, conifold, conifold_brane):
+        bframe = brane_frame(conifold, conifold_brane)
+        again = brane_frame(conifold, conifold_brane)
+        assert bframe == again and hash(bframe) == hash(again)
+        assert bframe == BraneFrame(((1, 0), (-1, 1)), boundary=(1, -1))
+        assert bframe.generators == ((1, 0), (-1, 1)) and bframe.boundary == (1, -1)
+        with pytest.raises(AttributeError):
+            bframe.boundary = (1, 0)
+        moved = bframe._replace(boundary=(1, 0))
+        assert moved.frame.boundary == (1, 0) and moved.q0 == bframe.q0
+
+    def test_brane_series_of_one_job_are_equal(self, conifold, conifold_brane):
+        first = av_mirror_brane(conifold, conifold_brane, 8)
+        assert first == av_mirror_brane(conifold, conifold_brane, 8)
 
 
 class TestSolveCurveRoot:

@@ -1,13 +1,16 @@
 """Repository hygiene: the git checkout tracks no file that .gitignore
-excludes, the benchmark's span tracer finds and counts what it wraps, and
-the CI workflow runs the tier-1 command."""
+excludes, the library defines no private helper that nothing reads, the
+benchmark's span tracer finds and counts what it wraps, and the CI
+workflow runs the tier-1 command."""
 
+import ast
 import importlib.util
 import io
 import re
 import sys
 import shutil
 import subprocess
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,47 @@ def test_no_tracked_file_is_ignored():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
+
+
+def _defined_names(statement):
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _read_names(statement):
+    """Every name a statement reads: loaded names, attributes and imports."""
+    names = Counter()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name] += 1
+    return names
+
+
+def test_every_private_helper_is_read():
+    # a module-level _name that only its own definition mentions is dead
+    statements = [
+        statement
+        for path in sorted((ROOT / "src" / "syzmirror").glob("*.py"))
+        for statement in ast.parse(path.read_text(), str(path)).body
+    ]
+    reads = [_read_names(s) for s in statements]
+    total = sum(reads, Counter())
+    unread = [
+        name
+        for statement, own in zip(statements, reads)
+        for name in _defined_names(statement)
+        if name.startswith("_") and not name.startswith("__")
+        and total[name] - own[name] == 0
+    ]
+    assert unread == []
 
 
 def _load_spans():
