@@ -616,9 +616,7 @@ def _horner(table, point, order) -> TruncatedSeries:
     return acc
 
 
-def solve_curve_root(
-    table, frame: Frame, order: int
-) -> tuple[TruncatedSeries, TruncatedSeries]:
+def solve_curve_root(table, frame: Frame, order: int) -> tuple[TruncatedSeries, int]:
     """Newton-solve W(z1, z2) = 0 for z2 on a ``curve_in_brane_frame`` table.
 
     The start value is the grade-0 simple root (-1, the branch
@@ -626,11 +624,34 @@ def solve_curve_root(
     the precisions of :func:`~syzmirror.fps.newton_ladder` (1, 2, 5,
     10, 20 for order 20): a root exact through grade p becomes exact
     through the next precision, at most 2p + 1, after
-    z2 <- z2 - W(z2) * h, where h is 1/W'(z2) through grade p, itself
-    kept up by one Newton inversion step per iteration.  The residual
-    z2^shift * W(z2), with shift lifting the table's lowest z2 power to
-    0, is then evaluated in full and must be exactly zero at the
-    truncation order; the root and that residual are returned.
+    z2 <- z2 + delta with delta = -W(z2) * h, where h is 1/W'(z2)
+    through grade p, kept up by the Newton inversion step
+    h <- h + h*e with e = 1 - W'(z2) * h.
+
+    Here W stands for z2^shift * W, with shift lifting the table's
+    lowest z2 power to 0, so W is a polynomial in z2.  Its residual at
+    the returned root is certified zero at the truncation order from
+    the last step alone, with no further evaluation (von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, 9.1).  Every coefficient of W
+    has grade >= 0, so Taylor's formula is exact:
+    W(z2 + delta) = W(z2) * (1 - W'(z2) h) + sum_{k>=2} c_k delta^k
+    with every c_k of valuation >= 0.  After the h update,
+    W'(z2) h = (1 - e)(1 + e) = 1 - e^2 through grade p, so the factor
+    1 - W'(z2) h has valuation >= min(2 val e, p + 1).  With p the
+    precision before the last step, three valuations of series that
+    step computes give
+
+        val W(z2 + delta) >= bound = min(val w + min(2 val e, p + 1),
+                                         2 val delta)
+
+    in every grade through the last precision, which is ``order``;
+    w = W(z2) at the step's own precision.  A series that is zero at
+    its order reads as valuation order + 1.  The first step, from
+    p = 0, forms no e: there h = 1/W'(-1), so 1 - W'(z2) h has
+    valuation >= 1 = p + 1.  The root and ``bound`` are returned once
+    ``bound`` exceeds ``order``; otherwise :class:`BranchError` names
+    both.  The check stays exact: it compares integers read from
+    exactly computed series.
     """
     root0 = Fraction(-1)
     shift = max(0, -min(table))
@@ -644,26 +665,41 @@ def solve_curve_root(
             f"grade-0 part has no simple root at {root0} (value {value}, slope {slope})"
         )
 
+    def val(series):
+        lowest = series.valuation()
+        return series.order + 1 if lowest is None else lowest
+
     derivative = {e2 - 1: s * e2 for e2, s in poly.items() if e2}
     z2 = TruncatedSeries.constant(frame, 0, root0)
     h = TruncatedSeries.constant(frame, 0, 1 / slope)
+    bound = 1  # W(root0) = 0 in grade 0, and order 0 takes no step
     for precision in newton_ladder(order):
-        if z2.order:
-            h = _lift(h, z2.order)
-            h = h + h * (1 - _horner(derivative, z2, z2.order) * h)
+        p = z2.order
+        h_error = p + 1  # a lower bound on val(1 - W'(z2) h) after the update
+        if p:
+            h = _lift(h, p)
+            e = 1 - _horner(derivative, z2, p) * h
+            h = h + h * e
+            h_error = min(2 * val(e), h_error)
         z2 = _lift(z2, precision)
-        z2 = z2 - _horner(poly, z2, precision) * _lift(h, precision)
-    residual = _horner(poly, z2, order)
-    if not residual.is_zero():
-        raise BranchError("Newton iteration failed to settle every grade")
-    return z2, residual
+        w = _horner(poly, z2, precision)
+        step = w * _lift(h, precision)  # -delta
+        z2 = z2 - step
+        bound = min(val(w) + h_error, 2 * val(step))
+    if bound <= order:
+        raise BranchError(
+            f"Newton root not certified: residual valuation bound {bound} "
+            f"does not exceed the truncation order {order}"
+        )
+    return z2, bound
 
 
 def evaluate_curve(table, z2, frame: Frame, order: int) -> TruncatedSeries:
     """sum_e table[e] * z2**e: W evaluated exactly at a candidate root.
 
-    The library's own check is the residual ``solve_curve_root`` returns;
-    this independent evaluation is kept as an audit of it.
+    The library's own check is the valuation bound ``solve_curve_root``
+    certifies from its last Newton step; this independent evaluation is
+    kept as an audit of it.
     """
     acc = TruncatedSeries.zero(frame, order)
     for e2, coeff in table.items():
@@ -672,20 +708,20 @@ def evaluate_curve(table, z2, frame: Frame, order: int) -> TruncatedSeries:
 
 
 class BraneMirrorSeries(
-    namedtuple("BraneMirrorSeries", "z1 z2 signs residual neg_log_z2 bframe")
+    namedtuple("BraneMirrorSeries", "z1 z2 signs bound neg_log_z2 bframe")
 ):
-    """Normalized mirror coordinates of an AV brane plus the Newton residual.
+    """Normalized mirror coordinates of an AV brane plus the root's certificate.
 
     ``signs`` is the (eps1, eps2) normalization: eps1 flips the sign of
     the open variable Q0 (twisting each coefficient by eps1^boundary),
     eps2 rescales z2; they are chosen so z2 has constant term +1 and
     -log z2 is supported on nonzero boundary grading, with the basic
-    disc class entering positively.  ``residual`` is the value the Newton
-    solver checked on the raw solution pair: z2^shift * W, with shift
-    lifting the lowest z2 power of W to 0, which is identically zero.
-    ``neg_log_z2`` is
-    -log z2, which the normalization already needs, and ``bframe`` the
-    brane frame both series live over.
+    disc class entering positively.  ``bound`` is the int the Newton
+    solver certified on the raw solution pair: a lower bound on the
+    valuation of z2^shift * W, with shift lifting the lowest z2 power of
+    W to 0, always greater than the truncation order, so that residual
+    is zero there.  ``neg_log_z2`` is -log z2, which the normalization
+    already needs, and ``bframe`` the brane frame both series live over.
     """
 
     __slots__ = ()
@@ -750,8 +786,8 @@ def av_mirror_brane(
     Newton root of the corrected curve at z1, then sign-normalized.  The
     job reads the inverse map's open unit and fiber series only, never
     its closed images.  The stored
-    residual is the one the Newton solver proved identically zero on the
-    raw solution pair.
+    ``bound`` is the residual valuation bound the Newton solver
+    certified from its last step on the raw solution pair.
     """
     report = validate_brane(data, brane)
     if not report.ok:
@@ -764,7 +800,7 @@ def av_mirror_brane(
     curve = build_curve(data, closed_order, corrected=True, inverse_map=inv)
     z1 = open_series(data, brane, bframe, order, inverse_map=inv)
     table = curve_in_brane_frame(curve, z1, bframe, order)
-    z2_raw, residual = solve_curve_root(table, bframe.frame, order)
+    z2_raw, bound = solve_curve_root(table, bframe.frame, order)
     signs, z2, neg_log_z2 = _normalize_root(z2_raw, bframe, override=normalization)
     eps1 = signs[0]
     z1_normalized = _twist(z1, eps1) * eps1
@@ -772,7 +808,7 @@ def av_mirror_brane(
         z1=z1_normalized,
         z2=z2,
         signs=signs,
-        residual=residual,
+        bound=bound,
         neg_log_z2=neg_log_z2,
         bframe=bframe,
     )

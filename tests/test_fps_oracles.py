@@ -282,7 +282,7 @@ def test_curve_vanishes_on_root(geometry, order):
     curve = build_curve(data, bframe.closed_order_for(order))
     z1 = open_series(data, brane, bframe, order)
     table = curve_in_brane_frame(curve, z1, bframe, order)
-    root, residual = solve_curve_root(table, bframe.frame, order)
+    root, bound = solve_curve_root(table, bframe.frame, order)
     assert root.order == order
-    assert residual.is_zero()
+    assert bound > order
     assert evaluate_curve(table, root, bframe.frame, order).is_zero()

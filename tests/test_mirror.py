@@ -479,7 +479,9 @@ class TestSolveCurveRoot:
         curve = build_curve(conifold, 8)
         z1 = open_series(conifold, conifold_brane, bframe, 8)
         table = curve_in_brane_frame(curve, z1, bframe, 8)
-        root, _ = solve_curve_root(table, bframe.frame, 8)
+        root, bound = solve_curve_root(table, bframe.frame, 8)
+        assert bound > 8
+        assert evaluate_curve(table, root, bframe.frame, 8).is_zero()
         expected = conifold_root_expected(8)
         assert root.terms == {e: c for e, c in expected.items() if c != 0}
 
@@ -488,7 +490,9 @@ class TestSolveCurveRoot:
         curve = build_curve(c3, 8)
         z1 = open_series(c3, c3_brane, bframe, 8)
         table = curve_in_brane_frame(curve, z1, bframe, 8)
-        root, _ = solve_curve_root(table, bframe.frame, 8)
+        root, bound = solve_curve_root(table, bframe.frame, 8)
+        assert bound > 8
+        assert evaluate_curve(table, root, bframe.frame, 8).is_zero()
         assert root == TruncatedSeries(
             bframe.frame, 8, {(0,): F(-1), (1,): F(-1)}
         )
@@ -498,8 +502,8 @@ class TestSolveCurveRoot:
         curve = build_curve(kp2, bframe.closed_order_for(8))
         z1 = open_series(kp2, kp2_leg_brane, bframe, 8)
         table = curve_in_brane_frame(curve, z1, bframe, 8)
-        root, residual = solve_curve_root(table, bframe.frame, 8)
-        assert residual.is_zero()
+        root, bound = solve_curve_root(table, bframe.frame, 8)
+        assert bound > 8
         assert evaluate_curve(table, root, bframe.frame, 8).is_zero()
 
     def test_wrong_frame_escapes(self, conifold, conifold_brane):
@@ -517,7 +521,7 @@ class TestAvMirrorBrane:
         bframe = brane_frame(conifold, conifold_brane)
         assert result.z1 == TruncatedSeries.generator(bframe.frame, 8, 0)
         assert result.signs == (-1, -1)
-        assert result.residual.is_zero()
+        assert result.bound > 8
         assert result.z2.constant_term() == 1
         # (1 - P1) / (1 - P2) termwise
         for k in range(1, 9):
@@ -540,7 +544,7 @@ class TestAvMirrorBrane:
         # auxiliary index on the outer face: both E-series vanish
         result = av_mirror_brane(kp2, kp2_leg_brane, 6)
         assert result.z1 == TruncatedSeries.generator(result.z1.frame, 6, 0)
-        assert result.residual.is_zero()
+        assert result.bound > 6
         assert result.z2.constant_term() == 1
 
     def test_kp2_compact_aux_brane_z1_unit(self, kp2):
@@ -552,7 +556,7 @@ class TestAvMirrorBrane:
         assert z1.coefficient(q0) == 1
         # z1 = Q0 exp(-A0(q(Q))) = Q0 (1 - 2 Q1 + 5 Q1^2 ...)
         assert z1.coefficient((2, 1)) == -2  # Q0*Q1 packs as P1^2 P2
-        assert result.residual.is_zero()
+        assert result.bound > 4
 
     def test_z1_is_open_variable_times_unit(self, kp2, conifold, kp2_leg_brane, conifold_brane):
         for data, brane in ((kp2, kp2_leg_brane), (conifold, conifold_brane)):
@@ -641,7 +645,7 @@ class TestTwoParameterGeometry:
 
         brane = av_brane(1, 2, 3, m=5, frame=((1, 0, 0), (-1, 1, 0), (0, 0, 1)))
         result = av_mirror_brane(kp1xp1, brane, 5)
-        assert result.residual.is_zero()
+        assert result.bound > 5
         assert result.z1 == TruncatedSeries.generator(result.z1.frame, 5, 0)
         table = multiple_cover_inversion(extract_open_gw(result.z2))
         assert integrality_check(table).ok

@@ -17,6 +17,7 @@ from syzmirror.mirror import (
     brane_frame,
     build_curve,
     curve_in_brane_frame,
+    evaluate_curve,
     inverse_mirror_map,
     open_series,
     solve_curve_root,
@@ -93,8 +94,9 @@ def test_root_and_inverse_match_bottom_up_newton(name):
         curve = build_curve(data, closed_order, corrected=True, inverse_map=inv)
         z1 = open_series(data, brane, bframe, order, inverse_map=inv)
         table = curve_in_brane_frame(curve, z1, bframe, order)
-        root, residual = solve_curve_root(table, bframe.frame, order)
-        assert residual.is_zero()
+        root, bound = solve_curve_root(table, bframe.frame, order)
+        assert bound > order, (name, order)
+        assert evaluate_curve(table, root, bframe.frame, order).is_zero(), (name, order)
         assert root == bottom_up_root(table, bframe.frame, order), (name, order)
         units = [root] + [s for s in table.values() if s.constant_term() != 0]
         for unit in units:

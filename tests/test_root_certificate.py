@@ -1,0 +1,141 @@
+"""The certified brane root: the valuation bound and a closed-form oracle.
+
+``solve_curve_root`` proves the residual ``z2^shift * W`` zero at the
+truncation order from the valuations of its last Newton step.  These
+tests check that certificate against ``evaluate_curve`` on random curve
+tables, check that a ladder breaking ``next <= 2p + 1`` is refused, and
+check the root of every shipped brane table against the explicit
+solution of a linear or quadratic equation, with no Newton step.
+"""
+
+import json
+import re
+from fractions import Fraction
+from math import comb
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from syzmirror import TruncatedSeries, inverse, log_series
+from syzmirror import mirror
+from syzmirror.cli import parse_job
+from syzmirror.errors import BranchError
+from syzmirror.mirror import (
+    brane_frame,
+    build_curve,
+    curve_in_brane_frame,
+    evaluate_curve,
+    open_series,
+    solve_curve_root,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+JOBS = {
+    "local_p2": ROOT / "jobs" / "local_p2.json",
+    "conifold": ROOT / "jobs" / "conifold.json",
+    "c3": ROOT / "jobs" / "c3.json",
+    "local_p1xp1": ROOT / "perfbench" / "jobs" / "local_p1xp1.json",
+}
+
+
+def _job(name):
+    job = parse_job(json.loads(JOBS[name].read_text()))
+    return job.toric, job.brane
+
+
+def brane_table(name, order):
+    data, brane = _job(name)
+    bframe = brane_frame(data, brane)
+    curve = build_curve(data, bframe.closed_order_for(order), corrected=True)
+    z1 = open_series(data, brane, bframe, order)
+    return curve_in_brane_frame(curve, z1, bframe, order), bframe.frame
+
+
+FRAMES = {name: brane_frame(*_job(name)).frame for name in ("local_p2", "conifold", "local_p1xp1")}
+
+
+@st.composite
+def curve_tables(draw):
+    """A table of z2-degree 1 to 3 whose grade-0 part has a simple root at -1."""
+    frame = FRAMES[draw(st.sampled_from(sorted(FRAMES)))]
+    order = draw(st.integers(min_value=1, max_value=12))
+    degree = draw(st.integers(min_value=1, max_value=3))
+    lowest = -draw(st.integers(min_value=0, max_value=1))
+    constants = {e: draw(st.integers(min_value=-3, max_value=3)) for e in range(1, degree + 1)}
+    constants[0] = -sum(c * (-1) ** e for e, c in constants.items())
+    slope = sum(c * e * (-1) ** (e - 1) for e, c in constants.items() if e)
+    assume(slope != 0)
+    # small exponents give dense roots, large ones isolated high grades
+    spread = draw(st.sampled_from((2, order)))
+    table = {}
+    for e, c in constants.items():
+        terms = {frame.zero_exponent(): Fraction(c)}
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            exps = tuple(draw(st.integers(min_value=0, max_value=spread)) for _ in frame.names)
+            if 1 <= frame.grade(exps) <= order:
+                terms[exps] = Fraction(
+                    draw(st.integers(min_value=-5, max_value=5)),
+                    draw(st.integers(min_value=1, max_value=3)),
+                )
+        table[e + lowest] = TruncatedSeries(frame, order, terms)
+    return table, frame, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(curve_tables())
+def test_certificate_agrees_with_evaluation(case):
+    table, frame, order = case
+    root, bound = solve_curve_root(table, frame, order)
+    assert bound > order
+    assert evaluate_curve(table, root, frame, order).is_zero()
+
+
+def test_ladder_that_skips_grades_is_refused(monkeypatch):
+    table, frame = brane_table("local_p2", 12)
+    # one step from precision 1 to 12 breaks next <= 2p + 1
+    monkeypatch.setattr(mirror, "newton_ladder", lambda order: [1, order])
+    with pytest.raises(BranchError) as raised:
+        solve_curve_root(table, frame, 12)
+    message = str(raised.value)
+    bound = re.search(r"bound (\d+)", message)
+    assert bound and int(bound.group(1)) <= 12
+    assert "order 12" in message
+
+
+def _shifted(table):
+    lowest = min(table)
+    return [table.get(e) for e in range(lowest, max(table) + 1)]
+
+
+@pytest.mark.parametrize(
+    "name, orders", [("local_p2", range(1, 15)), ("local_p1xp1", range(1, 9))]
+)
+def test_quadratic_root_matches_catalan_closed_form(name, orders):
+    # a0 + a1 z2 + a2 z2^2 = 0 has the root -(a1/a2) / C(u) near -1, with
+    # u = a0 a2 / a1^2 and C the Catalan series, so that
+    # log(-z2) = log(a1/a2) - sum_k binom(2k-1, k)/k u^k
+    for order in orders:
+        table, frame = brane_table(name, order)
+        a0, a1, a2 = _shifted(table)
+        root, _ = solve_curve_root(table, frame, order)
+        inv_a1 = inverse(a1)
+        u = a0 * a2 * inv_a1 * inv_a1
+        assert u.constant_term() == 0
+        tail = TruncatedSeries.zero(frame, order)
+        power = TruncatedSeries.one(frame, order)
+        for k in range(1, order + 1):
+            power = power * u
+            tail = tail + power * Fraction(comb(2 * k - 1, k), k)
+        expected = log_series(a1 * inverse(a2)) - tail
+        assert log_series(-root) == expected, (name, order)
+
+
+@pytest.mark.parametrize("name", ["conifold", "c3"])
+def test_linear_root_is_the_quotient(name):
+    for order in range(1, 13):
+        table, frame = brane_table(name, order)
+        a0, a1 = _shifted(table)
+        root, _ = solve_curve_root(table, frame, order)
+        assert root == -(a0 * inverse(a1)), (name, order)
