@@ -231,21 +231,15 @@ def _from_rows(grading, width, den, rows):
     return _normal(grading, width, den, monos, [rows[k] for k in monos])
 
 
-def _packed(terms, grading, width):
-    """Common denominator and packed key -> numerator rows of a mapping
-    of exponent tuples to exact rationals."""
-    weights = _weights(grading, width)
-    den = lcm(*[c.denominator for c in terms.values()])
-    return den, {
-        sum(map(mul, weights, e)): c.numerator * (den // c.denominator) for e, c in terms.items()
-    }
-
-
 def pack(terms, grading, order):
     """Kernel form, at the layout of ``order``, of a mapping from distinct
     exponent tuples of grade <= ``order`` to nonzero exact rationals."""
     width = field_width(order)
-    den, rows = _packed(terms, grading, width)
+    weights = _weights(grading, width)
+    den = lcm(*[c.denominator for c in terms.values()])
+    rows = {
+        sum(map(mul, weights, e)): c.numerator * (den // c.denominator) for e, c in terms.items()
+    }
     monos = sorted(rows)
     return Terms(grading, width, den, monos, [rows[k] for k in monos])
 
@@ -261,43 +255,30 @@ def single(grading, order, value, index=None):
     return Terms(grading, width, value.denominator, [key], [value.numerator])
 
 
-def _operand(x, grading, order, width):
-    """Denominator and the sorted rows of grade <= ``order`` of a product operand.
-
-    A ``Terms`` of the product's layout is used as it stands; one of
-    another width (a series of higher order) is re-encoded; any other
-    mapping is packed.
-    """
-    if isinstance(x, Terms) and x.grading == grading:
-        count = bisect_left(x.monos, (order + 1) << x._top())
-        if x.width != width:
-            return x.den, _recoded(x, width, count), x.nums[:count]
-        if count == len(x.monos):
-            return x.den, x.monos, x.nums
-        return x.den, x.monos[:count], x.nums[:count]
-    # A plain map may hold terms of grade > order whose exponents
-    # overflow their fields; the carries only raise a key, so those
-    # keys are >= the bound and drop here.
-    den, rows = _packed(x, grading, width)
-    bound = (order + 1) << (width * len(grading))
-    monos = sorted([k for k in rows if k < bound])
-    return den, monos, [rows[k] for k in monos]
+def _operand(x, order, width):
+    """Denominator and the sorted rows of grade <= ``order`` of a product
+    operand, a ``Terms`` of the product's grading; one of another width
+    (a series of higher order) is re-encoded."""
+    count = bisect_left(x.monos, (order + 1) << x._top())
+    if x.width != width:
+        return x.den, _recoded(x, width, count), x.nums[:count]
+    if count == len(x.monos):
+        return x.den, x.monos, x.nums
+    return x.den, x.monos[:count], x.nums[:count]
 
 
 def mul_terms(a, b, grading, order):
-    """Convolve two exponent->coefficient maps, dropping grades > order.
+    """Convolve two ``Terms`` of ``grading``, dropping grades > order.
 
-    Exponent vectors are tuples of non-negative ints, coefficients exact
-    rationals.  Each operand is a :class:`Terms` or any such mapping;
-    the product is a :class:`Terms` at the layout of ``order``, with
+    The product is a :class:`Terms` at the layout of ``order``, with
     zero coefficients pruned.
     """
     width = field_width(order)
     bound = (order + 1) << (width * len(grading))  # a key below it has grade <= order
     if len(a) > len(b):
         a, b = b, a
-    da, monos_a, nums_a = _operand(a, grading, order, width)
-    db, monos_b, nums_b = _operand(b, grading, order, width)
+    da, monos_a, nums_a = _operand(a, order, width)
+    db, monos_b, nums_b = _operand(b, order, width)
     # Both keys of a kept pair have grade <= order, so ka + kb is the
     # product monomial with no carry; the bisection stops b at the first
     # kb that would push the grade past ``order``, and a stops once no kb

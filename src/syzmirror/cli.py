@@ -173,14 +173,7 @@ def cmd_curve(job):
                 "coefficient": series_to_records(term.coefficient),
             }
         )
-        mono_bits = []
-        q_str = _monomial_string(q_names, term.q_exponents)
-        z_str = _monomial_string(z_names, term.z_exponents)
-        if q_str != "1":
-            mono_bits.append(q_str)
-        if z_str != "1":
-            mono_bits.append(z_str)
-        mono = "*".join(mono_bits) if mono_bits else "1"
+        mono = _monomial_string(q_names + z_names, term.q_exponents + term.z_exponents)
         coeff = str(term.coefficient)
         if coeff == "1":
             pretty_terms.append(mono)
@@ -364,20 +357,16 @@ def _emit_error(code, message, exit_code):
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-    except InputError as exc:
-        return _emit_error("parse", str(exc), EXIT_PARSE)
-    try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            try:
-                doc = json.load(handle)
-            except json.JSONDecodeError as exc:
-                return _emit_error(
-                    "parse", f"line {exc.lineno} column {exc.colno}: {exc.msg}", EXIT_PARSE
-                )
-    except OSError as exc:
-        return _emit_error("parse", f"cannot read {args.input}: {exc}", EXIT_PARSE)
-
-    try:
+        try:
+            with open(args.input, "r", encoding="utf-8") as handle:
+                try:
+                    doc = json.load(handle)
+                except RecursionError:
+                    raise InputError(f"{args.input}: JSON nested too deeply to parse") from None
+        except json.JSONDecodeError as exc:
+            raise InputError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {args.input}: {exc}") from None
         job = parse_job(doc)
         if args.order is not None:
             if args.order < 1:
@@ -396,10 +385,6 @@ def main(argv=None) -> int:
             if len(pair) != 2 or any(x not in (1, -1) for x in pair):
                 raise InputError("--normalization takes two signs from {1,-1}")
             job = job._replace(normalization=pair)
-    except InputError as exc:
-        return _emit_error("parse", str(exc), EXIT_PARSE)
-
-    try:
         payload, lines, exit_code = COMMANDS[args.command](job)
     except InputError as exc:
         return _emit_error("parse", str(exc), EXIT_PARSE)

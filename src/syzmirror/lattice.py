@@ -192,6 +192,8 @@ def validate_cy(data: ToricCYData) -> ValidationReport:
     """Check every ToricCYData invariant; failures are collected, not raised."""
     failures = []
     n, m = data.n, data.m
+    if n == 0:
+        return ValidationReport(("u is empty: the toric data needs dimension >= 1",))
     if m < n:
         failures.append(f"need at least {n} rays, got {m}")
         return ValidationReport(tuple(failures))

@@ -397,10 +397,10 @@ def naive_brane(data: ToricCYData, brane: BraneSpec) -> list[BraneEquation]:
     leaves a pure (z, Q)-monomial on the left-hand side.
     """
     require_valid(data)
-    report = validate_brane(data, brane)
-    special = [f for f in report.failures if "special" in f or "length" in f]
-    if special:
-        raise ValidationError("; ".join(special))
+    # the Aganagic-Vafa shape is not needed for the monomial equations
+    report = validate_brane(data, brane._replace(av_indices=None))
+    if not report.ok:
+        raise ValidationError(str(report))
     duals = data.dual_exponents
     n, m = data.n, data.m
     equations = []
@@ -540,43 +540,27 @@ def map_closed_series(series: TruncatedSeries, bframe: BraneFrame, order: int) -
     return TruncatedSeries(bframe.frame, order, terms)
 
 
-def open_series(data, brane, bframe, order, inverse_map=None) -> TruncatedSeries:
-    """z_1 as a brane-frame series: Q0 times the open inverse-map unit.
+def open_series(inverse_map, bframe, order) -> TruncatedSeries:
+    """The open unit u of ``inverse_map`` as a brane-frame series.
 
     This is the composition form of the open mirror map: the open
-    complex parameter expressed in the Kahler variables,
-    q_0 = Q_0 * exp(- sum_j l_j^(0) A_j(q(Q))).  A caller that already
-    holds ``inverse_mirror_map(data, bframe.closed_order_for(order),
-    brane)`` passes it as ``inverse_map``.
+    complex parameter expressed in the Kahler variables is
+    z1 = Q0 * u with u = exp(- sum_j l_j^(0) A_j(q(Q))).  ``inverse_map``
+    is ``inverse_mirror_map(data, bframe.closed_order_for(order), brane)``.
     """
-    inv = inverse_map
-    if inv is None:
-        inv = inverse_mirror_map(data, bframe.closed_order_for(order), brane)
-    unit = map_closed_series(inv.open_unit, bframe, order)
-    return TruncatedSeries.monomial(bframe.frame, order, bframe.q0) * unit
+    return map_closed_series(inverse_map.open_unit, bframe, order)
 
 
-def curve_in_brane_frame(curve, z1, bframe, order) -> dict[int, TruncatedSeries]:
-    """Collect W(z1, z2) as {z2 exponent: brane-frame series}.
+def curve_in_brane_frame(curve, unit, bframe, order) -> dict[int, TruncatedSeries]:
+    """Collect W(z1, z2) at z1 = Q0 * ``unit`` as {z2 exponent: brane-frame series}.
 
-    z1^e factors through its leading Q0 monomial times a unit, so
-    negative powers stay inside the frame monoid as long as the
-    combined scalar monomial of each curve term packs.
+    z1^e is the monomial Q0^e times unit^e, so negative powers stay
+    inside the frame monoid as long as the combined scalar monomial of
+    each curve term packs.
     """
     if curve.n_z != 2:
         raise MathDomainError("the curve root solve expects a threefold curve (z1, z2)")
     frame = bframe.frame
-    unit = TruncatedSeries(
-        frame,
-        order,
-        {
-            tuple(e - q for e, q in zip(exps, bframe.q0)): c
-            for exps, c in z1.terms.items()
-        },
-    )
-    if unit.constant_term() == 0:
-        raise MathDomainError("z1 must be Q0 times a unit series")
-
     collected: dict[int, TruncatedSeries] = {}
     powers: dict[int, TruncatedSeries] = {}
     escapes = []
@@ -798,14 +782,14 @@ def av_mirror_brane(
     closed_order = bframe.closed_order_for(order)
     inv = inverse_mirror_map(data, closed_order, brane)
     curve = build_curve(data, closed_order, corrected=True, inverse_map=inv)
-    z1 = open_series(data, brane, bframe, order, inverse_map=inv)
-    table = curve_in_brane_frame(curve, z1, bframe, order)
+    unit = open_series(inv, bframe, order)
+    table = curve_in_brane_frame(curve, unit, bframe, order)
     z2_raw, bound = solve_curve_root(table, bframe.frame, order)
     signs, z2, neg_log_z2 = _normalize_root(z2_raw, bframe, override=normalization)
     eps1 = signs[0]
-    z1_normalized = _twist(z1, eps1) * eps1
+    z1 = TruncatedSeries.monomial(bframe.frame, order, bframe.q0) * unit
     return BraneMirrorSeries(
-        z1=z1_normalized,
+        z1=_twist(z1, eps1) * eps1,
         z2=z2,
         signs=signs,
         bound=bound,

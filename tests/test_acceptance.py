@@ -131,8 +131,9 @@ def test_criterion_4_curve_root_residual():
     for data, brane in cases:
         bframe = brane_frame(data, brane)
         curve = build_curve(data, bframe.closed_order_for(ORDER), corrected=True)
-        z1 = open_series(data, brane, bframe, ORDER)
-        table = curve_in_brane_frame(curve, z1, bframe, ORDER)
+        inv = inverse_mirror_map(data, bframe.closed_order_for(ORDER), brane)
+        unit = open_series(inv, bframe, ORDER)
+        table = curve_in_brane_frame(curve, unit, bframe, ORDER)
         root, bound = solve_curve_root(table, bframe.frame, ORDER)
         assert bound > ORDER
         assert evaluate_curve(table, root, bframe.frame, ORDER).is_zero()
@@ -142,8 +143,9 @@ def test_criterion_4_curve_root_residual():
 def test_criterion_5_conifold_closed_form():
     bframe = brane_frame(CONIFOLD, CONIFOLD_BRANE)
     curve = build_curve(CONIFOLD, ORDER)
-    z1 = open_series(CONIFOLD, CONIFOLD_BRANE, bframe, ORDER)
-    table = curve_in_brane_frame(curve, z1, bframe, ORDER)
+    inv = inverse_mirror_map(CONIFOLD, bframe.closed_order_for(ORDER), CONIFOLD_BRANE)
+    unit = open_series(inv, bframe, ORDER)
+    table = curve_in_brane_frame(curve, unit, bframe, ORDER)
     root, bound = solve_curve_root(table, bframe.frame, ORDER)
     assert bound > ORDER
     # independent expansion of -(1 + q0) / (1 + q1 q0^-1) in the frame

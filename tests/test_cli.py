@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from syzmirror import Frame
-from syzmirror.cli import main, parse_job
+from syzmirror.cli import COMMANDS, main, parse_job
 from syzmirror.serialize import series_from_json, series_from_records
 
 CONIFOLD_DOC = {
@@ -112,6 +112,43 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "--input", str(path))
         assert code == 4
         assert "line 2" in err
+
+    def test_non_utf8_file_exits_four(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"toric": "\xff"}')
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert (code, out) == (4, "")
+        record = json.loads(err)["error"]
+        assert record["code"] == "parse"
+        assert record["message"].startswith(f"cannot read {path}: ")
+
+    def test_deeply_nested_json_exits_four(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert (code, out) == (4, "")
+        record = json.loads(err)["error"]
+        assert record["code"] == "parse"
+        assert "nested too deeply" in record["message"]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_empty_geometry_exits_with_a_record(capsys, tmp_path, command):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"toric": {"rays": [], "u": []}}))
+    code, out, err = run(capsys, command, "--input", str(path))
+    if command == "validate":
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["ok"] is False and payload["toric_failures"]
+        return
+    assert out == ""
+    record = json.loads(err.splitlines()[-1])["error"]
+    if command in ("brane-mirror", "disc-invariants", "compare-naive"):
+        assert (code, record["code"]) == (4, "parse")
+    else:
+        assert (code, record["code"]) == (2, "validation")
+        assert "u is empty" in record["message"]
 
 
 class TestCurve:

@@ -14,8 +14,13 @@ from hypothesis import strategies as st
 
 from syzmirror.cli import COMMANDS, main
 
-JOBS = Path(__file__).resolve().parent.parent / "jobs"
-DOCS = {path.name: json.loads(path.read_text()) for path in sorted(JOBS.glob("*.json"))}
+ROOT = Path(__file__).resolve().parent.parent
+JOB_FILES = [
+    *sorted((ROOT / "jobs").glob("*.json")),
+    ROOT / "perfbench" / "jobs" / "local_p1xp1.json",
+    ROOT / "perfbench" / "jobs" / "local_dp3.json",
+]
+DOCS = {path.name: json.loads(path.read_text()) for path in JOB_FILES}
 EXIT_CODES = {0, 2, 3, 4}
 
 small_ints = st.integers(min_value=-3, max_value=3)

@@ -26,6 +26,7 @@ from syzmirror import (
     exp_series,
     fixed_point_system,
     inverse,
+    inverse_mirror_map,
     log_series,
     open_series,
     pow_int,
@@ -280,8 +281,9 @@ def test_curve_vanishes_on_root(geometry, order):
     data = ToricCYData(u=(0, 0, 1), **toric)
     bframe = brane_frame(data, brane)
     curve = build_curve(data, bframe.closed_order_for(order))
-    z1 = open_series(data, brane, bframe, order)
-    table = curve_in_brane_frame(curve, z1, bframe, order)
+    inv = inverse_mirror_map(data, bframe.closed_order_for(order), brane)
+    unit = open_series(inv, bframe, order)
+    table = curve_in_brane_frame(curve, unit, bframe, order)
     root, bound = solve_curve_root(table, bframe.frame, order)
     assert root.order == order
     assert bound > order

@@ -55,16 +55,24 @@ def coefficients():
     )
 
 
+def operand(terms, grading, own):
+    """The kernel form of ``terms`` as a series at its own order ``own``."""
+    frame = Frame(names=tuple(f"x{i}" for i in range(len(grading))), grading=grading)
+    return TruncatedSeries(frame, own, terms).terms
+
+
 @st.composite
 def kernel_inputs(draw):
-    """Two operands over one grading; exponents reach past ``order``, so
-    some terms lie above it and some overflow a packed field."""
+    """Two operands over one grading, each a series at its own order at
+    or above ``order``; exponents reach past ``order``, so some terms lie
+    above it and some operands have wider fields than the product."""
     nvars = draw(st.integers(min_value=1, max_value=5))
     grading = tuple(draw(st.sampled_from([1, 2, 3])) for _ in range(nvars))
     order = draw(st.integers(min_value=0, max_value=9))
     exponents = st.tuples(*[st.integers(min_value=0, max_value=2 * order + 3)] * nvars)
-    a = draw(st.dictionaries(exponents, coefficients(), max_size=12))
-    b = draw(st.dictionaries(exponents, coefficients(), max_size=12))
+    own = st.integers(min_value=order, max_value=4 * order + 8)
+    a = operand(draw(st.dictionaries(exponents, coefficients(), max_size=12)), grading, draw(own))
+    b = operand(draw(st.dictionaries(exponents, coefficients(), max_size=12)), grading, draw(own))
     return a, b, grading, order
 
 
@@ -80,10 +88,14 @@ def cancelling_inputs(draw):
     shifted = tuple(x + y for x, y in zip(e, m))
     low = grade_of(shifted, grading)
     order = draw(st.integers(min_value=low, max_value=low + 6))
-    return {e: c, shifted: c}, {(0,) * nvars: d, m: -d}, grading, order, shifted
+    own = st.integers(min_value=order, max_value=2 * order + 8)
+    a = operand({e: c, shifted: c}, grading, draw(own))
+    b = operand({(0,) * nvars: d, m: -d}, grading, draw(own))
+    return a, b, grading, order, shifted
 
 
 def check_contract(result, a, b, grading, order):
+    assert isinstance(result, Terms) and result.width == field_width(order)
     assert result == reference_mul_terms(a, b, grading, order)
     assert all(type(c) is Fraction and c != 0 for c in result.values())
     assert all(grade_of(e, grading) <= order for e in result)
@@ -108,13 +120,15 @@ def test_cancelled_products_are_pruned(inputs):
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64])
 def test_field_boundaries(order):
     # a product exponent of exactly ``order`` fills its field to the top;
-    # terms above ``order`` (one far past the field width) never combine
+    # terms above ``order`` (one far past the product's field width, in
+    # operands of a higher order and wider fields) never combine
     grading = (1, 2, 1)
+    high = 4 * order + 4
     a = {
         (0, 0, 0): Fraction(1),
         (order, 0, 0): Fraction(2),
         (order - 1, 0, 0): Fraction(-1, 3),
-        (4 * order + 4, 0, 0): Fraction(5),
+        (high, 0, 0): Fraction(5),
     }
     b = {
         (0, 0, 0): Fraction(7, 2),
@@ -122,8 +136,10 @@ def test_field_boundaries(order):
         (0, 0, order): Fraction(-1),
         (0, 1, 0): Fraction(4),
         (order + 1, 0, 0): Fraction(9),
-        (0, 0, 4 * order + 4): Fraction(6),
+        (0, 0, high): Fraction(6),
     }
+    a, b = operand(a, grading, high), operand(b, grading, high)
+    assert field_width(high) > field_width(order)
     result = mul_terms(a, b, grading, order)
     check_contract(result, a, b, grading, order)
     assert result[(order, 0, 0)] == (
@@ -308,21 +324,6 @@ def test_width_boundaries_round_trip(low, high):
     assert square.terms == reference_mul_terms(terms, terms, frame.grading, high)
     assert (narrow * wide).order == low
     assert (narrow * wide).terms == reference_mul_terms(terms, terms, frame.grading, low)
-
-
-@settings(max_examples=150, deadline=None)
-@given(kernel_inputs(), st.booleans())
-def test_kernel_takes_a_plain_and_a_packed_operand(inputs, packed_first):
-    a, b, grading, order = inputs
-    # the packed operand is a series of its own order, possibly of another width
-    own = order + (len(b) % 3) * 4
-    frame = Frame(names=tuple(f"x{i}" for i in range(len(grading))), grading=grading)
-    packed = TruncatedSeries(frame, own, b).terms
-    b = model_truncate(b, grading, own)
-    args = (packed, a) if packed_first else (a, packed)
-    result = mul_terms(*args, grading, order)
-    check_contract(result, a, b, grading, order)
-    assert isinstance(result, Terms) and result.width == field_width(order)
 
 
 @settings(max_examples=100, deadline=None)

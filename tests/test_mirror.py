@@ -20,6 +20,7 @@ from syzmirror import (
     FrameEscape,
     MathDomainError,
     TruncatedSeries,
+    ValidationError,
     a_series,
     av_mirror_brane,
     brane_frame,
@@ -39,7 +40,7 @@ from syzmirror import (
     substitute,
 )
 from syzmirror.cli import parse_job
-from syzmirror.mirror import _normalize_root, open_charge
+from syzmirror.mirror import _normalize_root, _twist, open_charge
 from tests import oracle_fiber
 from tests.conftest import av_brane
 
@@ -407,6 +408,14 @@ class TestNaiveBrane:
         with pytest.raises(MathDomainError):
             naive_brane(conifold, brane)
 
+    def test_one_constant_for_two_rows_rejected(self, conifold):
+        # every structural failure counts, not only the ones naming a condition
+        brane = BraneSpec(
+            charges=((-1, 0, 1, 0), (-1, 1, 0, 0)), constants=(F(2),), phases=(F(0),)
+        )
+        with pytest.raises(ValidationError, match="one constant and one phase per charge row"):
+            naive_brane(conifold, brane)
+
     def test_algebraic_round_trip(self, conifold, kp2):
         # substituting the dual expansion back must reproduce -l
         from syzmirror import dual_exponents
@@ -477,8 +486,9 @@ class TestSolveCurveRoot:
     def test_conifold_closed_form(self, conifold, conifold_brane):
         bframe = brane_frame(conifold, conifold_brane)
         curve = build_curve(conifold, 8)
-        z1 = open_series(conifold, conifold_brane, bframe, 8)
-        table = curve_in_brane_frame(curve, z1, bframe, 8)
+        inv = inverse_mirror_map(conifold, bframe.closed_order_for(8), conifold_brane)
+        unit = open_series(inv, bframe, 8)
+        table = curve_in_brane_frame(curve, unit, bframe, 8)
         root, bound = solve_curve_root(table, bframe.frame, 8)
         assert bound > 8
         assert evaluate_curve(table, root, bframe.frame, 8).is_zero()
@@ -488,8 +498,9 @@ class TestSolveCurveRoot:
     def test_c3_exact_linear_root(self, c3, c3_brane):
         bframe = brane_frame(c3, c3_brane)
         curve = build_curve(c3, 8)
-        z1 = open_series(c3, c3_brane, bframe, 8)
-        table = curve_in_brane_frame(curve, z1, bframe, 8)
+        inv = inverse_mirror_map(c3, bframe.closed_order_for(8), c3_brane)
+        unit = open_series(inv, bframe, 8)
+        table = curve_in_brane_frame(curve, unit, bframe, 8)
         root, bound = solve_curve_root(table, bframe.frame, 8)
         assert bound > 8
         assert evaluate_curve(table, root, bframe.frame, 8).is_zero()
@@ -500,8 +511,9 @@ class TestSolveCurveRoot:
     def test_residual_vanishes(self, kp2, kp2_leg_brane):
         bframe = brane_frame(kp2, kp2_leg_brane)
         curve = build_curve(kp2, bframe.closed_order_for(8))
-        z1 = open_series(kp2, kp2_leg_brane, bframe, 8)
-        table = curve_in_brane_frame(curve, z1, bframe, 8)
+        inv = inverse_mirror_map(kp2, bframe.closed_order_for(8), kp2_leg_brane)
+        unit = open_series(inv, bframe, 8)
+        table = curve_in_brane_frame(curve, unit, bframe, 8)
         root, bound = solve_curve_root(table, bframe.frame, 8)
         assert bound > 8
         assert evaluate_curve(table, root, bframe.frame, 8).is_zero()
@@ -510,9 +522,9 @@ class TestSolveCurveRoot:
         # a frame missing the Q1 Q0^-1 direction cannot hold the curve
         bad = BraneFrame(generators=((1, 0),))
         curve = build_curve(conifold, 8)
-        z1 = TruncatedSeries.generator(bad.frame, 8, 0)
+        unit = TruncatedSeries.one(bad.frame, 8)
         with pytest.raises(FrameEscape):
-            solve_curve_root(curve_in_brane_frame(curve, z1, bad, 8), bad.frame, 8)
+            solve_curve_root(curve_in_brane_frame(curve, unit, bad, 8), bad.frame, 8)
 
 
 class TestAvMirrorBrane:
@@ -557,6 +569,13 @@ class TestAvMirrorBrane:
         # z1 = Q0 exp(-A0(q(Q))) = Q0 (1 - 2 Q1 + 5 Q1^2 ...)
         assert z1.coefficient((2, 1)) == -2  # Q0*Q1 packs as P1^2 P2
         assert result.bound > 4
+        # z1 is eps1 times the eps1-twist of Q0 times the open unit
+        bframe = result.bframe
+        unit = open_series(inverse_mirror_map(kp2, bframe.closed_order_for(4), brane), bframe, 4)
+        assert unit != TruncatedSeries.one(bframe.frame, 4)
+        eps1 = result.signs[0]
+        q0_monomial = TruncatedSeries.monomial(bframe.frame, 4, bframe.q0)
+        assert z1 == _twist(q0_monomial * unit, eps1) * eps1
 
     def test_z1_is_open_variable_times_unit(self, kp2, conifold, kp2_leg_brane, conifold_brane):
         for data, brane in ((kp2, kp2_leg_brane), (conifold, conifold_brane)):

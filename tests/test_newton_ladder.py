@@ -92,8 +92,8 @@ def test_root_and_inverse_match_bottom_up_newton(name):
         closed_order = bframe.closed_order_for(order)
         inv = inverse_mirror_map(data, closed_order, brane)
         curve = build_curve(data, closed_order, corrected=True, inverse_map=inv)
-        z1 = open_series(data, brane, bframe, order, inverse_map=inv)
-        table = curve_in_brane_frame(curve, z1, bframe, order)
+        unit = open_series(inv, bframe, order)
+        table = curve_in_brane_frame(curve, unit, bframe, order)
         root, bound = solve_curve_root(table, bframe.frame, order)
         assert bound > order, (name, order)
         assert evaluate_curve(table, root, bframe.frame, order).is_zero(), (name, order)

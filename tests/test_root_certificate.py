@@ -27,6 +27,7 @@ from syzmirror.mirror import (
     build_curve,
     curve_in_brane_frame,
     evaluate_curve,
+    inverse_mirror_map,
     open_series,
     solve_curve_root,
 )
@@ -49,8 +50,9 @@ def brane_table(name, order):
     data, brane = _job(name)
     bframe = brane_frame(data, brane)
     curve = build_curve(data, bframe.closed_order_for(order), corrected=True)
-    z1 = open_series(data, brane, bframe, order)
-    return curve_in_brane_frame(curve, z1, bframe, order), bframe.frame
+    inv = inverse_mirror_map(data, bframe.closed_order_for(order), brane)
+    unit = open_series(inv, bframe, order)
+    return curve_in_brane_frame(curve, unit, bframe, order), bframe.frame
 
 
 FRAMES = {name: brane_frame(*_job(name)).frame for name in ("local_p2", "conifold", "local_p1xp1")}
