@@ -370,23 +370,3 @@ def exp_log(s, order, log):
         scale = den // d
         out_nums += vals if scale == 1 else [v * scale for v in vals]
     return Terms(s.grading, s.width, den, out_monos, out_nums)
-
-
-def linear_combination(pairs, grading, order):
-    """Sum of ``c * t`` over ``(c, t)`` pairs, ``t`` a ``Terms`` at the
-    layout of ``order`` or None for the series 1.
-
-    One lcm of every pair's denominator puts all rows over one
-    denominator, so the sums are integer sums.
-    """
-    den = lcm(*[c.denominator * (t.den if t is not None else 1) for c, t in pairs])
-    out = {}
-    get = out.get
-    for c, t in pairs:
-        if t is None:
-            out[0] = get(0, 0) + c.numerator * (den // c.denominator)
-            continue
-        scale = c.numerator * (den // (c.denominator * t.den))
-        for k, n in zip(t.monos, t.nums):
-            out[k] = get(k, 0) + n * scale
-    return _from_rows(grading, field_width(order), den, out)

@@ -74,12 +74,9 @@ def parse_job(doc) -> Job:
     charge_rows = None
     if "charge_basis" in toric_doc:
         charge_rows = _int_matrix(toric_doc["charge_basis"], "toric.charge_basis")
-    try:
-        toric = lattice.ToricCYData(
-            rays=rays, u=u, offsets=offsets, max_cones=max_cones, charge_rows=charge_rows
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad toric data: {exc}") from None
+    toric = lattice.ToricCYData(
+        rays=rays, u=u, offsets=offsets, max_cones=max_cones, charge_rows=charge_rows
+    )
 
     brane = None
     if doc.get("brane") is not None:
@@ -99,18 +96,15 @@ def parse_job(doc) -> Job:
         boundary = None
         if "boundary_grading" in bdoc:
             boundary = parse_int_vector(bdoc["boundary_grading"], "brane.boundary_grading")
-        try:
-            brane = lattice.BraneSpec(
-                charges=charges,
-                constants=constants,
-                phases=phases,
-                av_indices=av_indices,
-                m0=m0,
-                frame_generators=frame_generators,
-                boundary_grading=boundary,
-            )
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad brane data: {exc}") from None
+        brane = lattice.BraneSpec(
+            charges=charges,
+            constants=constants,
+            phases=phases,
+            av_indices=av_indices,
+            m0=m0,
+            frame_generators=frame_generators,
+            boundary_grading=boundary,
+        )
 
     (truncation,) = parse_int_vector([doc.get("truncation", 8)], "truncation")
     if truncation < 1:
@@ -144,6 +138,13 @@ def _monomial_string(names, exponents) -> str:
 
 def cmd_validate(job):
     report = lattice.validate_cy(job.toric)
+    if report.ok:
+        # every computing command reads the charge basis, which is refused
+        # on a polygon with several interior points and no charge_basis
+        try:
+            job.toric.effective_charge_basis
+        except MathDomainError as exc:
+            report = lattice.ValidationReport((str(exc),))
     brane_report = None
     if job.brane is not None:
         brane_report = lattice.validate_brane(job.toric, job.brane)

@@ -22,7 +22,7 @@ from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
-from ._backend import Terms, exp_log, linear_combination, mul_terms, pack, single
+from ._backend import Terms, exp_log, mul_terms, pack, single
 from .errors import (
     FixedPointDivergence,
     FrameMismatch,
@@ -432,36 +432,18 @@ def substitute(
 
     # powers[i][e] = images[i]**e, grown on demand
     powers = [[None, im.truncate(target_order)] for im in images]
-
-    def power(i: int, e: int) -> TruncatedSeries:
-        cache = powers[i]
-        while len(cache) <= e:
-            cache.append(cache[-1] * cache[1])
-        return cache[e]
-
-    # Lexicographic order lets consecutive monomials share the product
-    # of their common exponent prefix: prefix[i] is the image of the
-    # current monomial's generators 0..i (None while that is 1).
-    nvars = s.frame.nvars
-    prefix: list[TruncatedSeries | None] = [None] * nvars
-    previous = None
-    pairs = []  # (coefficient, image of the monomial; None for 1)
-    for exps, coeff in s.terms.items():  # lexicographic
+    total = TruncatedSeries.zero(target, target_order)
+    for exps, coeff in s.terms.items():
         if s.frame.grade(exps) > target_order:
             continue  # every image has valuation >= its source grading
-        start = 0
-        if previous is not None:
-            while exps[start] == previous[start]:
-                start += 1
-        mono = prefix[start - 1] if start else None
-        for i in range(start, nvars):
-            if exps[i]:
-                mono = power(i, exps[i]) if mono is None else mono * power(i, exps[i])
-            prefix[i] = mono
-        previous = exps
-        pairs.append((coeff, None if mono is None else mono.terms))
-    combined = linear_combination(pairs, target.grading, target_order)
-    return TruncatedSeries._trusted(target, target_order, combined)
+        term = TruncatedSeries.constant(target, target_order, coeff)
+        for cache, e in zip(powers, exps):
+            if e:
+                while len(cache) <= e:
+                    cache.append(cache[-1] * cache[1])
+                term = term * cache[e]
+        total = total + term
+    return total
 
 
 def log_derivative(s: TruncatedSeries, var_index: int) -> TruncatedSeries:

@@ -132,48 +132,30 @@ class MirrorMapData:
     the unit factor of the open direction (the open variable itself is
     not a generator of the closed frame), None without a brane; and
     ``fiber``, 1 + delta_j = exp(-A_j(q(Q))) for every ray j, None for
-    q_to_Q.  A unit with row weights w is prod_j exp(sign(w_j)
-    lambda_j)^|w_j|, where lambda_j is A_j for q_to_Q and -A_j(q(Q))
-    for Q_to_q.  Each exp(+-lambda_j) is taken at most once, and only
-    for a ray with A_j != 0; for Q_to_q, exp(lambda_j) is the fiber
-    series itself, so the units and the curve share it.  No unit needs
-    a series inverse.
+    q_to_Q.  With lambda_j = A_j for q_to_Q and -A_j(q(Q)) for Q_to_q,
+    the unit of row weights w is exp(sum_j w_j lambda_j) over the live
+    rays j (A_j != 0): one exp per unit read, and no power or inverse.
     """
 
-    def __init__(self, direction, a_series, composed, order, charge_rows, open_charge):
-        self.direction = direction
+    def __init__(self, a_series, composed, order, charge_rows, open_charge):
+        self.direction = "q_to_Q" if composed is None else "Q_to_q"
         self.a_series = a_series
         self.composed = composed
         self.order = order
         self._charge_rows = charge_rows
         self._open_charge = open_charge
         self._one = TruncatedSeries.one(a_series[0].frame, order)
-        self._exps = {}
-        self._powers = {}
-
-    def _exp(self, j, sign):
-        """exp(sign * lambda_j), taken once; ``one`` where A_j = 0."""
-        key = (j, sign)
-        if key not in self._exps:
-            if self.a_series[j].is_zero():
-                self._exps[key] = self._one
-            else:
-                lam = self.a_series[j] if self.composed is None else -self.composed[j]
-                self._exps[key] = exp_series(lam if sign > 0 else -lam)
-        return self._exps[key]
+        # lambda_j for every live ray j
+        self._lambdas = {
+            j: a if composed is None else -composed[j]
+            for j, a in enumerate(a_series)
+            if not a.is_zero()
+        }
 
     def _unit(self, row):
-        """prod_j exp(sign(w_j) lambda_j)^|w_j| over the live rays j, w = ``row``;
-        each distinct (j, w_j) power is taken once."""
-        unit = None
-        for j, w in enumerate(row):
-            if not w or self.a_series[j].is_zero():
-                continue
-            power = self._powers.get((j, w))
-            if power is None:
-                power = self._powers[(j, w)] = pow_int(self._exp(j, 1 if w > 0 else -1), abs(w))
-            unit = power if unit is None else unit * power
-        return self._one if unit is None else unit
+        """exp(sum_j w_j lambda_j) over the live rays j, w = ``row``."""
+        terms = [lam * row[j] for j, lam in self._lambdas.items() if row[j]]
+        return exp_series(sum(terms[1:], terms[0])) if terms else self._one
 
     @cached_property
     def closed(self) -> tuple[TruncatedSeries, ...]:
@@ -192,10 +174,12 @@ class MirrorMapData:
 
     @cached_property
     def fiber(self) -> tuple[TruncatedSeries, ...] | None:
-        """1 + delta_j = exp(-A_j(q(Q))) for every ray j (Q_to_q only)."""
+        """1 + delta_j = exp(-A_j(q(Q))), the unit of the row e_j, for
+        every ray j (Q_to_q only)."""
         if self.composed is None:
             return None
-        return tuple(self._exp(j, 1) for j in range(len(self.composed)))
+        m = len(self.composed)
+        return tuple(self._unit(unit_vector(m, j)) for j in range(m))
 
 
 def _map_inputs(data, order, brane):
@@ -211,11 +195,11 @@ def _map_inputs(data, order, brane):
 def mirror_map(data: ToricCYData, order: int, brane: BraneSpec | None = None) -> MirrorMapData:
     """Q_a = q_a exp(sum_j iota_j^(a) A_j(q)), open direction likewise.
 
-    Builds every A_j now; the closed images and the open unit, monomials
-    in exp(+-A_j), are built when first read.
+    Builds every A_j now; the closed images and the open unit, each the
+    exp of an integer combination of the A_j, are built when first read.
     """
     _, a_list, l0 = _map_inputs(data, order, brane)
-    return MirrorMapData("q_to_Q", a_list, None, order, data.effective_charge_basis, l0)
+    return MirrorMapData(a_list, None, order, data.effective_charge_basis, l0)
 
 
 def _determinant(matrix, one):
@@ -318,12 +302,12 @@ def inverse_mirror_map(
     gives every composition A_j(q(Q)) coefficient by coefficient, from
     one product chain of the nonzero A_j (``_compositions``), with no
     fixed point and no ``substitute``.  That is all it builds: the fiber
-    series, the closed images and the open unit, monomials in
-    exp(-+A_j(q(Q))), are built when first read.
+    series, the closed images and the open unit, each the exp of an
+    integer combination of the A_j(q(Q)), are built when first read.
     """
     frame, a_list, l0 = _map_inputs(data, order, brane)
     composed = _compositions(a_list, data.effective_charge_basis, TruncatedSeries.one(frame, order))
-    return MirrorMapData("Q_to_q", a_list, tuple(composed), order, data.effective_charge_basis, l0)
+    return MirrorMapData(a_list, tuple(composed), order, data.effective_charge_basis, l0)
 
 
 def fiber_open_gw(data: ToricCYData, order: int) -> list[TruncatedSeries]:

@@ -476,7 +476,19 @@ class TestSeveralCompactDivisors:
         assert error["code"] == "math"
         assert "rays [0, 4]" in error["message"]
 
-    @pytest.mark.parametrize("command", ["mirror-map", "inverse-map", "fiber-invariants"])
+    def test_validate_reports_the_refusal(self, capsys, tmp_path):
+        # the charge basis the computing commands refuse fails validation
+        path = tmp_path / "c3_z5_113.json"
+        path.write_text(json.dumps(C3_Z5_113_DOC))
+        code, out, _ = run(capsys, "validate", "--input", str(path))
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert any("rays [0, 4]" in failure for failure in payload["toric_failures"])
+
+    @pytest.mark.parametrize(
+        "command", ["validate", "mirror-map", "inverse-map", "fiber-invariants"]
+    )
     def test_supplied_mori_basis_runs(self, capsys, tmp_path, command):
         doc = _with(C3_Z5_113_DOC, ("toric", "charge_basis"), [[-2, 1, 0, 0, 1], [1, 0, 1, 1, -3]])
         path = tmp_path / "c3_z5_113.json"
@@ -669,15 +681,16 @@ class TestRepeatedWork:
 
     def test_forward_map_takes_one_exp_per_live_a_series(self, capsys, monkeypatch):
         # only A_0 is nonzero on local dP3 and its row weights are
-        # -2, -2, -1, -3: one exp, then one power per distinct weight
+        # -2, -2, -1, -3: one exp per closed unit, each of w * A_0, and
+        # no power
         from syzmirror import fps
 
         exps = _count_calls(monkeypatch, fps, "exp_series")
         powers = _count_calls(monkeypatch, fps, "pow_int")
         code, _, _ = run(capsys, "mirror-map", "--input", str(LOCAL_DP3_JOB), "--order", "3")
         assert code == 0
-        assert len(exps) == 1
-        assert len(powers) == 3
+        assert len(exps) == 4
+        assert len(powers) == 0
 
     def test_frame_without_q0_exits_before_the_inverse_map(self, capsys, monkeypatch, tmp_path):
         from syzmirror import mirror

@@ -187,7 +187,7 @@ SHEARED_KP1XP1_ROWS = ((-2, 1, 0, 1, 0), (2, -2, 1, -2, 1))
 
 
 class TestUnitsAgainstDirectExp:
-    """Every closed and open unit equals exp(+-sum_j row_j A_j), one exp per row."""
+    """Every closed and open unit equals exp(+-sum_j row_j A_j), one exp per unit."""
 
     @staticmethod
     def _direct(a_list, row, sign, frame, order):
@@ -198,7 +198,10 @@ class TestUnitsAgainstDirectExp:
 
     @pytest.mark.parametrize(
         "geometry,order",
-        [("c3", 6), ("conifold", 6), ("kp2", 6), ("kp1xp1", 4), ("kdp3", 3), ("sheared", 4)],
+        [
+            ("c3", 6), ("conifold", 6), ("kp2", 6), ("kp1xp1", 4), ("kdp3", 3), ("sheared", 4),
+            ("c3_z5_113", 4),
+        ],
     )
     @pytest.mark.parametrize("indices", [(1, 2, 0), (2, 0, 1)], ids=["l0-plus", "l0-minus"])
     def test_both_directions(self, request, geometry, order, indices):
@@ -239,17 +242,20 @@ class TestUnitsAgainstDirectExp:
 
     @pytest.mark.parametrize("geometry", ["c3", "conifold", "kp2", "kp1xp1", "kdp3", "c3_z5_113"])
     def test_one_exp_per_live_ray_and_sign_and_no_inverse(self, request, monkeypatch, geometry):
-        # C^3/Z_5 has positive and negative weights on both live rays
+        # one exp per unit with a nonzero live weight, plus one per live
+        # ray for the fiber series; C^3/Z_5 has positive and negative
+        # weights on both live rays
         from syzmirror import fps, mirror
 
         data = request.getfixturevalue(geometry)
         exps = []
         monkeypatch.setattr(mirror, "exp_series", lambda s: exps.append(s) or exp_series(s))
 
-        def refuse(s):
-            raise AssertionError("a unit took a series inverse")
+        def refuse(*args):
+            raise AssertionError("a unit took a series inverse or power")
 
-        monkeypatch.setattr(fps, "inverse", refuse)
+        for module, name in ((fps, "inverse"), (fps, "pow_int"), (mirror, "pow_int")):
+            monkeypatch.setattr(module, name, refuse)
         brane = av_brane(1, 2, 0, m=data.m)
         for direction in (mirror_map, inverse_mirror_map):
             exps.clear()
@@ -257,15 +263,11 @@ class TestUnitsAgainstDirectExp:
             assert exps == []
             result.closed, result.open_unit, result.fiber
             live = [j for j, a in enumerate(result.a_series) if not a.is_zero()]
-            signs = {
-                (j, w > 0)
-                for row in data.effective_charge_basis + (open_charge(brane, data.m),)
-                for j, w in enumerate(row)
-                if w and j in live
-            }
+            rows = data.effective_charge_basis + (open_charge(brane, data.m),)
+            expected = sum(any(row[j] for j in live) for row in rows)
             if result.composed is not None:  # the fiber series: exp(-A_j(q(Q)))
-                signs |= {(j, True) for j in live}
-            assert len(exps) == len(signs)
+                expected += len(live)
+            assert len(exps) == expected
 
 
 class TestFiberInvariants:
