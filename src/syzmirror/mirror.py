@@ -3,8 +3,9 @@
 Sign conventions, pinned by the regression tests rather than prose:
 the closed mirror map is Q_a = q_a * exp(+ sum_j iota_j^(a) A_j(q)),
 its inverse solves q_a = Q_a * exp(- sum_j iota_j^(a) A_j(q)) by Good's
-Lagrange inversion, which gives each A_j(q(Q)) coefficient by
-coefficient, and the fiber generating functions are
+Lagrange inversion, which reads each A_j(q(Q)), and each unit
+exp(-sum_j w_j A_j(q(Q))), coefficient by coefficient off one chain of
+powers of the nonzero A_j, and the fiber generating functions are
 1 + delta_j = exp(-A_j(q(Q))).  Together these satisfy
 Q_a * prod_j (1+delta_j)^{iota_j^(a)} = q_a(Q) identically and
 reproduce 1 + delta_0 = 1 - 2Q + 5Q^2 - ... for local P^2.
@@ -124,38 +125,48 @@ class MirrorMapData:
     ``direction`` is "q_to_Q" or "Q_to_q".  ``a_series`` holds every
     A_j, the factorial series the map is built from; A_j is identically
     zero whenever every effective pairing <D_j, alpha> is non-negative.
-    ``composed`` holds A_j(q(Q)) for every ray j in the Q_to_q
-    direction, as Lagrange inversion gives it, and is None for q_to_Q.
 
     The rest is built on first read, so a caller pays only for what it
-    reads: ``closed``, the image of each closed variable; ``open_unit``,
-    the unit factor of the open direction (the open variable itself is
-    not a generator of the closed frame), None without a brane; and
-    ``fiber``, 1 + delta_j = exp(-A_j(q(Q))) for every ray j, None for
-    q_to_Q.  With lambda_j = A_j for q_to_Q and -A_j(q(Q)) for Q_to_q,
-    the unit of row weights w is exp(sum_j w_j lambda_j) over the live
-    rays j (A_j != 0): one exp per unit read, and no power or inverse.
+    reads: ``composed``, A_j(q(Q)) for every ray j in the Q_to_q
+    direction and None for q_to_Q; ``closed``, the image of each closed
+    variable; ``open_unit``, the unit factor of the open direction (the
+    open variable itself is not a generator of the closed frame), None
+    without a brane; and ``fiber``, 1 + delta_j = exp(-A_j(q(Q))) for
+    every ray j, None for q_to_Q.  The unit of row weights w is
+    exp(sum_j w_j A_j) for q_to_Q, one exp over the live rays j
+    (A_j != 0), and exp(-sum_j w_j A_j(q(Q))) for Q_to_q, read off the
+    inverse map's Lagrange chain (``LagrangeChain``) with no exp at
+    all.  A unit whose live weights are all 0 is 1.
     """
 
-    def __init__(self, a_series, composed, order, charge_rows, open_charge):
-        self.direction = "q_to_Q" if composed is None else "Q_to_q"
+    def __init__(self, a_series, chain, order, charge_rows, open_charge):
+        self.direction = "q_to_Q" if chain is None else "Q_to_q"
         self.a_series = a_series
-        self.composed = composed
         self.order = order
+        self._chain = chain
         self._charge_rows = charge_rows
         self._open_charge = open_charge
         self._one = TruncatedSeries.one(a_series[0].frame, order)
-        # lambda_j for every live ray j
-        self._lambdas = {
-            j: a if composed is None else -composed[j]
-            for j, a in enumerate(a_series)
-            if not a.is_zero()
-        }
+        self._live = [j for j, a in enumerate(a_series) if not a.is_zero()]
 
     def _unit(self, row):
-        """exp(sum_j w_j lambda_j) over the live rays j, w = ``row``."""
-        terms = [lam * row[j] for j, lam in self._lambdas.items() if row[j]]
-        return exp_series(sum(terms[1:], terms[0])) if terms else self._one
+        """The unit of row weights ``row``, 1 when no live weight is nonzero."""
+        if not any(row[j] for j in self._live):
+            return self._one
+        if self._chain is not None:
+            return self._chain.unit([row[j] for j in self._live])
+        terms = [self.a_series[j] * row[j] for j in self._live if row[j]]
+        return exp_series(sum(terms[1:], terms[0]))
+
+    @cached_property
+    def composed(self) -> tuple[TruncatedSeries, ...] | None:
+        """A_j(q(Q)) for every ray j (Q_to_q only)."""
+        if self._chain is None:
+            return None
+        composed = list(self.a_series)
+        for i, j in enumerate(self._live):
+            composed[j] = self._chain.composition(i)
+        return tuple(composed)
 
     @cached_property
     def closed(self) -> tuple[TruncatedSeries, ...]:
@@ -176,9 +187,9 @@ class MirrorMapData:
     def fiber(self) -> tuple[TruncatedSeries, ...] | None:
         """1 + delta_j = exp(-A_j(q(Q))), the unit of the row e_j, for
         every ray j (Q_to_q only)."""
-        if self.composed is None:
+        if self._chain is None:
             return None
-        m = len(self.composed)
+        m = len(self.a_series)
         return tuple(self._unit(unit_vector(m, j)) for j in range(m))
 
 
@@ -215,82 +226,120 @@ def _determinant(matrix, one):
     return total
 
 
-def _compositions(a_list, rows, one) -> list[TruncatedSeries]:
-    """A_j(q(Q)) for every ray j, by Good's Lagrange inversion.
+class LagrangeChain:
+    """Good's Lagrange inversion of the closed map as one product chain,
+    and every inverse-map series read off its rows.
 
     The inverse map solves q_a = Q_a g_a(q) with
     g_a = exp(-sum_j iota_j^(a) A_j(q)).  Good's formula (I. J. Good,
     Proc. Cambridge Philos. Soc. 56, 1960; I. M. Gessel, J. Combin.
-    Theory A 45, 1987) reads
+    Theory A 45, 1987 and 144, 2016) reads
 
         [Q^n] F(q(Q)) = [q^n] F(q) g(q)^n det(delta_ab - q_b d_b log g_a),
 
     with g^n = exp(-sum_l p_l(n) A_l) and p_l(n) = sum_a iota_l^(a) n_a
-    over the live rays l in J, those with nonzero A_l.  The determinant
-    is det(I_k + U V) with U_al = iota_l^(a) and V_lb = q_b d_b A_l, so
-    by the matrix determinant lemma it is Delta = det(I_J + V U), whose
+    over the live rays l, those with nonzero A_l.  The determinant is
+    det(I_k + U V) with U_al = iota_l^(a) and V_lb = q_b d_b A_l, so by
+    the matrix determinant lemma it is Delta = det(I_J + V U), whose
     entry (j, l) is delta_jl plus A_j weighted by column l of iota.
-    Expanding the exp, with R_beta = Delta A^beta / beta! (built as
-    R_beta = R_{beta-e_l} A_l / beta_l), gives
+    Every series the inverse map reads is F = exp(-sum_l c_l A_l) at
+    integer weights c, or A_j, which is minus the derivative of F in c_j
+    at c = 0.
 
-        [Q^n] A_j(q(Q)) = sum_{beta_j >= 1} beta_j
-                          prod_l (-p_l(n))^((beta - e_j)_l) R_beta[n],
+    With several live rays the chain is R_beta = Delta A^beta / beta!,
+    R_0 = Delta, built as R_beta = R_{beta-e_l} A_l / beta_l, and
 
-    an integer weight on each row of R_beta.  Every A_l has valuation
-    >= 1, so R_beta vanishes below grade |beta| and |beta| <= order
-    suffices.  The weighted rows of every R_beta add into one integer
-    dict per live ray, over the lcm of the chain's denominators, and the
-    pairings p_l(n) of each packed key are decoded once.
+        [Q^n] exp(-sum_l c_l A_l(q(Q)))
+            = sum_beta prod_l (-(p_l(n) + c_l))^beta_l R_beta[n].
+
+    With one live ray A, Delta = 1 + P(A) for the derivation
+    P: q^n -> p(n) q^n, and A^g P(A) = P(A^(g+1)) / (g+1), so the chain
+    drops Delta: R_g = A^g / g! for g = 1..order, and
+
+        [Q^n] A(q(Q)) = sum_g (-p(n))^(g-1) R_g[n],
+        [Q^n] exp(-c A(q(Q))) = [n=0] + c sum_g (-1)^g (p(n)+c)^(g-1) R_g[n].
+
+    ``delta`` forces the several-ray chain on one live ray (it is the
+    reference the one-ray formulas are tested against); the chain
+    without Delta needs at most one live ray.  Every A_l has
+    valuation >= 1, so R_beta vanishes below grade |beta| and
+    |beta| <= order suffices.  Each read-off is an integer weight on the
+    rows of every R_beta, over the lcm of the chain's denominators, and
+    the pairings p_l(n) of each packed key are decoded once, on the
+    first read-off that meets the key.
     """
-    frame, order = one.frame, one.order
-    live = [j for j, a in enumerate(a_list) if not a.is_zero()]
-    columns = [[row[l] for row in rows] for l in live]
-    matrix = [
-        [a_list[j].weighted(column) + (i == c) for c, column in enumerate(columns)]
-        for i, j in enumerate(live)
-    ]
-    chain = {(0,) * len(live): _determinant(matrix, one)}
-    # lexicographic order reaches beta - e_l, for l the last nonzero
-    # index of beta, before beta
-    for beta in product(range(order + 1), repeat=len(live)):
-        if not 0 < sum(beta) <= order:
-            continue
-        l = max(i for i, b in enumerate(beta) if b)
-        previous = chain[beta[:l] + (beta[l] - 1,) + beta[l + 1 :]]
-        chain[beta] = previous * a_list[live[l]] * Fraction(1, beta[l])
-    del chain[(0,) * len(live)]  # R_0 = Delta feeds no sum: each needs beta_j >= 1
 
-    width = one.terms.width
-    decode = _decoder(width, frame.nvars)
-    den = lcm(*[r.terms.den for r in chain.values()])
-    minus_p = {}  # packed key n -> [-p_l(n) for every live l]
-    sums = [{} for _ in live]
-    for beta, r in chain.items():
-        # (sum of ray i, beta_i, exponents of beta - e_i) for each beta_i >= 1
-        targets = [
-            (sums[i], b, [c - (l == i) for l, c in enumerate(beta)])
-            for i, b in enumerate(beta)
-            if b
-        ]
-        scale = den // r.terms.den
-        for k, n in zip(r.terms.monos, r.terms.nums):
-            p = minus_p.get(k)
-            if p is None:
-                e = decode(k)
-                p = minus_p[k] = [-sum(map(mul, column, e)) for column in columns]
-            n *= scale
-            for acc, b, exponents in targets:
-                w = b
-                for x, y in zip(p, exponents):
+    def __init__(self, a_list, rows, one, delta=None):
+        order = one.order
+        live = [j for j, a in enumerate(a_list) if not a.is_zero()]
+        self.delta = len(live) > 1 if delta is None else delta
+        columns = [[row[l] for row in rows] for l in live]
+        chain = {}
+        if self.delta:
+            matrix = [
+                [a_list[j].weighted(column) + (i == c) for c, column in enumerate(columns)]
+                for i, j in enumerate(live)
+            ]
+            chain[(0,) * len(live)] = _determinant(matrix, one)
+        # lexicographic order reaches beta - e_l, for l the last nonzero
+        # index of beta, before beta
+        for beta in product(range(order + 1), repeat=len(live)):
+            if not 0 < sum(beta) <= order:
+                continue
+            l = max(i for i, b in enumerate(beta) if b)
+            a = a_list[live[l]]
+            previous = chain.get(beta[:l] + (beta[l] - 1,) + beta[l + 1 :])
+            chain[beta] = a if previous is None else previous * a * Fraction(1, beta[l])
+
+        self.live, self.one = live, one
+        self._columns = columns
+        # (exponent, R): the exponent is beta, or g - 1 for R_g without Delta
+        self._rows = [(beta if self.delta else (beta[0] - 1,), r) for beta, r in chain.items()]
+        self._den = lcm(*[r.terms.den for r in chain.values()])
+        self._pairings = {}  # packed key n -> [p_l(n) for every live l]
+
+    def _series(self, shift, scale=1, along=None, constant=0):
+        """``constant`` + ``scale`` * sum_R s_R(x) R[n] at
+        x_l = -(p_l(n) + shift_l), with s_R(x) = x^exponent or, with
+        ``along`` = i, its derivative in x_i."""
+        decode = _decoder(self.one.terms.width, self.one.frame.nvars)
+        columns, pairings = self._columns, self._pairings
+        acc = {}
+        get = acc.get
+        for exponent, r in self._rows:
+            factor = scale * (self._den // r.terms.den)
+            if along is not None:
+                factor *= exponent[along]
+                if not factor:
+                    continue
+                exponent = exponent[:along] + (exponent[along] - 1,) + exponent[along + 1 :]
+            for k, n in zip(r.terms.monos, r.terms.nums):
+                pk = pairings.get(k)
+                if pk is None:
+                    e = decode(k)
+                    pk = pairings[k] = [sum(map(mul, column, e)) for column in columns]
+                n *= factor
+                for p, c, y in zip(pk, shift, exponent):
                     if y:
-                        w *= x**y
-                if w:
-                    acc[k] = acc.get(k, 0) + n * w
-    composed = list(a_list)
-    for j, acc in zip(live, sums):
-        terms = _from_rows(frame.grading, width, den, acc)
-        composed[j] = TruncatedSeries._trusted(frame, order, terms)
-    return composed
+                        n *= (-p - c) ** y
+                acc[k] = get(k, 0) + n
+        if constant:
+            acc[0] = get(0, 0) + constant * self._den
+        one = self.one
+        terms = _from_rows(one.frame.grading, one.terms.width, self._den, acc)
+        return TruncatedSeries._trusted(one.frame, one.order, terms)
+
+    def composition(self, i) -> TruncatedSeries:
+        """A_j(q(Q)) for the i-th live ray j."""
+        zero = [0] * len(self.live)
+        return self._series(zero, along=i) if self.delta else self._series(zero)
+
+    def unit(self, weights) -> TruncatedSeries:
+        """exp(-sum_l c_l A_l(q(Q))), c = ``weights`` over the live rays."""
+        if self.delta:
+            return self._series(weights)
+        (c,) = weights
+        return self._series(weights, scale=-c, constant=1)
 
 
 def inverse_mirror_map(
@@ -299,15 +348,17 @@ def inverse_mirror_map(
     """Q -> q, the inverse of ``mirror_map``, by Lagrange inversion.
 
     q_a = Q_a exp(- sum_j iota_j^(a) A_j(q)).  Good's Lagrange formula
-    gives every composition A_j(q(Q)) coefficient by coefficient, from
-    one product chain of the nonzero A_j (``_compositions``), with no
-    fixed point and no ``substitute``.  That is all it builds: the fiber
-    series, the closed images and the open unit, each the exp of an
-    integer combination of the A_j(q(Q)), are built when first read.
+    gives every composition A_j(q(Q)) and every unit
+    exp(-sum_j w_j A_j(q(Q))) coefficient by coefficient, from one
+    product chain of the nonzero A_j (``LagrangeChain``), with no fixed
+    point, no ``substitute`` and no exp.  The chain is all it builds:
+    the compositions, the fiber series, the closed images and the open
+    unit are read off it when first read.
     """
     frame, a_list, l0 = _map_inputs(data, order, brane)
-    composed = _compositions(a_list, data.effective_charge_basis, TruncatedSeries.one(frame, order))
-    return MirrorMapData(a_list, tuple(composed), order, data.effective_charge_basis, l0)
+    rows = data.effective_charge_basis
+    chain = LagrangeChain(a_list, rows, TruncatedSeries.one(frame, order))
+    return MirrorMapData(a_list, chain, order, rows, l0)
 
 
 def fiber_open_gw(data: ToricCYData, order: int) -> list[TruncatedSeries]:
@@ -315,8 +366,8 @@ def fiber_open_gw(data: ToricCYData, order: int) -> list[TruncatedSeries]:
 
     Satisfies Q_a * prod_j (1+delta_j)^{iota_j^(a)} = q_a(Q) exactly,
     which is the defining identity of the inverse map route.  Reads only
-    the inverse map's fiber series: one exp per ray with A_i != 0, and
-    no closed image.
+    the inverse map's fiber series: one read-off of its Lagrange chain
+    per ray with A_i != 0, and no closed image.
     """
     return list(inverse_mirror_map(data, order).fiber)
 

@@ -607,25 +607,41 @@ class TestRepeatedWork:
         assert len(compositions) == len(fixed_points) == 0
 
     def test_inverse_map_builds_no_fiber_series(self, capsys, monkeypatch):
-        # one exp for the live A_0, none per ray: the closed and open units
-        # are monomials in that base and the fiber series are derived only
-        # when read
+        # the closed images and the open unit are read off the Lagrange
+        # chain, with no exp, no series inverse and no power; the fiber
+        # series are derived only when read
         from syzmirror import fps
 
         exps = _count_calls(monkeypatch, fps, "exp_series")
+        inverses = _count_calls(monkeypatch, fps, "inverse")
+        powers = _count_calls(monkeypatch, fps, "pow_int")
         code, _, _ = run(capsys, "inverse-map", "--input", str(LOCAL_P2_JOB), "--order", "6")
         assert code == 0
-        assert len(exps) == 1
+        assert len(exps) == len(inverses) == len(powers) == 0
 
     def test_collinear_charge_rows_share_one_exp_per_pass(self, capsys, monkeypatch):
         # only A_0 is nonzero on local dP3: the fiber series of ray 0 is
-        # its one exp, the other rays get 1, and no closed unit is built
+        # one read-off of the chain, with no exp, the other rays get 1,
+        # and no closed unit is built
         from syzmirror import fps
 
         exps = _count_calls(monkeypatch, fps, "exp_series")
         code, _, _ = run(capsys, "fiber-invariants", "--input", str(LOCAL_DP3_JOB), "--order", "3")
         assert code == 0
-        assert len(exps) == 1
+        assert len(exps) == 0
+
+    def test_fiber_invariants_is_the_lagrange_chain_alone(self, capsys, monkeypatch):
+        # with one live ray the chain is R_g = A^g / g! for g = 1..7: six
+        # products and no Delta, and the fiber series is read off it with
+        # no exp (the Delta chain took seven products and one exp)
+        from syzmirror import _backend, fps
+
+        products = _count_calls(monkeypatch, _backend, "mul_terms")
+        exps = _count_calls(monkeypatch, fps, "exp_series")
+        code, _, _ = run(capsys, "fiber-invariants", "--input", str(LOCAL_DP3_JOB), "--order", "7")
+        assert code == 0
+        assert len(products) == 6
+        assert len(exps) == 0
 
     @pytest.mark.parametrize(
         "command,job",

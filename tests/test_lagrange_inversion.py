@@ -8,17 +8,28 @@ composed series against ``substitute`` of that closed map into A_j.
 Resolved C^3/Z_5 with weights (1, 1, 3) and its Mori basis is the one
 geometry with two nonzero A_j, where the Lagrange determinant is a true
 2 x 2 determinant of series.
+
+With one live ray the chain drops Delta and reads every series off the
+powers A^g / g! alone; on drawn series and charge columns that read-off
+is checked against the Delta chain, which the several-ray path builds
+and which is the reference here.
 """
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from syzmirror import (
+    Frame,
     TruncatedSeries,
     closed_frame,
     exp_series,
     inverse_mirror_map,
     substitute,
 )
+from syzmirror.mirror import LagrangeChain
 from tests.test_fps_oracles import reference_fixed_point
 
 
@@ -56,3 +67,39 @@ def test_closed_and_composed_match_the_references(request, geometry, order):
     ]
     live = sum(not a.is_zero() for a in inv.a_series)
     assert live == {"c3": 0, "conifold": 0, "c3_z5_113": 2}.get(geometry, 1)
+
+
+@st.composite
+def one_ray_inputs(draw):
+    """A series A of valuation >= 1 over a frame of 1-3 generators with
+    gradings 1 or 2, its order, a charge column and a unit weight c."""
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    grading = tuple(draw(st.integers(min_value=1, max_value=2)) for _ in range(nvars))
+    frame = Frame(names=tuple(f"x{i}" for i in range(nvars)), grading=grading)
+    order = draw(st.integers(min_value=1, max_value=8))
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        exps = tuple(draw(st.integers(min_value=0, max_value=order // g)) for g in grading)
+        value = Fraction(
+            draw(st.integers(min_value=-20, max_value=20)),
+            draw(st.integers(min_value=1, max_value=6)),
+        )
+        terms[exps] = value
+    terms.pop(frame.zero_exponent(), None)
+    a = TruncatedSeries(frame, order, terms)
+    column = [[draw(st.integers(min_value=-3, max_value=3))] for _ in range(nvars)]
+    c = draw(st.integers(min_value=-3, max_value=3))
+    return a, column, c
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_ray_inputs())
+def test_one_ray_read_off_matches_the_delta_chain(inputs):
+    a, rows, c = inputs
+    assume(not a.is_zero())
+    one = TruncatedSeries.one(a.frame, a.order)
+    powers = LagrangeChain([a], rows, one)
+    reference = LagrangeChain([a], rows, one, delta=True)
+    assert not powers.delta
+    assert powers.composition(0) == reference.composition(0)
+    assert powers.unit([c]) == reference.unit([c])

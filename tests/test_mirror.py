@@ -239,12 +239,16 @@ class TestUnitsAgainstDirectExp:
             big_q = TruncatedSeries.generator(frame, order, a)
             assert backward.closed[a] == big_q * self._direct(composed, row, -1, frame, order)
         assert backward.open_unit == self._direct(composed, l0, -1, frame, order)
+        # the fiber series are read off the chain too; C^3/Z_5 checks the
+        # two-live-ray read-off
+        assert list(backward.fiber) == [exp_series(-a) for a in composed]
 
     @pytest.mark.parametrize("geometry", ["c3", "conifold", "kp2", "kp1xp1", "kdp3", "c3_z5_113"])
     def test_one_exp_per_live_ray_and_sign_and_no_inverse(self, request, monkeypatch, geometry):
-        # one exp per unit with a nonzero live weight, plus one per live
-        # ray for the fiber series; C^3/Z_5 has positive and negative
-        # weights on both live rays
+        # forward: one exp per unit with a nonzero live weight; C^3/Z_5
+        # has positive and negative weights on both live rays.  Inverse:
+        # every unit, the fiber series among them, is read off the
+        # Lagrange chain, with no exp at all
         from syzmirror import fps, mirror
 
         data = request.getfixturevalue(geometry)
@@ -257,17 +261,15 @@ class TestUnitsAgainstDirectExp:
         for module, name in ((fps, "inverse"), (fps, "pow_int"), (mirror, "pow_int")):
             monkeypatch.setattr(module, name, refuse)
         brane = av_brane(1, 2, 0, m=data.m)
+        rows = data.effective_charge_basis + (open_charge(brane, data.m),)
         for direction in (mirror_map, inverse_mirror_map):
             exps.clear()
             result = direction(data, 4, brane)
             assert exps == []
-            result.closed, result.open_unit, result.fiber
+            result.closed, result.open_unit, result.fiber, result.composed
             live = [j for j, a in enumerate(result.a_series) if not a.is_zero()]
-            rows = data.effective_charge_basis + (open_charge(brane, data.m),)
             expected = sum(any(row[j] for j in live) for row in rows)
-            if result.composed is not None:  # the fiber series: exp(-A_j(q(Q)))
-                expected += len(live)
-            assert len(exps) == expected
+            assert len(exps) == (expected if direction is mirror_map else 0)
 
 
 class TestFiberInvariants:
