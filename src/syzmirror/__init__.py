@@ -20,13 +20,11 @@ from .errors import (
 )
 from .fps import (
     Frame,
-    Rational,
     TruncatedSeries,
     boundary_derivative,
     exp_series,
     fixed_point_system,
     inverse,
-    log_derivative,
     log_series,
     pow_int,
     substitute,

@@ -30,7 +30,6 @@ from .errors import (
     TruncationExceeded,
 )
 
-Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -183,6 +182,8 @@ class TruncatedSeries:
         return self.terms.min_grade()
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
+        """The coefficient of ``exponents``, 0 when one is negative; read
+        off the rows without decoding the mapping view."""
         exps = tuple(exponents)
         if len(exps) != self.frame.nvars:
             raise ValueError("exponent arity does not match frame")
@@ -190,7 +191,9 @@ class TruncatedSeries:
             raise TruncationExceeded(
                 f"exponent {exps} has grade beyond truncation order {self.order}"
             )
-        return self.terms.get(exps, ZERO)
+        if min(exps, default=0) < 0:
+            return ZERO
+        return self.terms.coefficient(exps)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
@@ -444,13 +447,6 @@ def substitute(
                 term = term * cache[e]
         total = total + term
     return total
-
-
-def log_derivative(s: TruncatedSeries, var_index: int) -> TruncatedSeries:
-    """The operator x d/dx for generator ``var_index``."""
-    if not 0 <= var_index < s.frame.nvars:
-        raise ValueError("variable index out of range")
-    return s.weighted([int(i == var_index) for i in range(s.frame.nvars)])
 
 
 def boundary_derivative(s: TruncatedSeries) -> TruncatedSeries:

@@ -3,12 +3,11 @@
 Sign conventions, pinned by the regression tests rather than prose:
 the closed mirror map is Q_a = q_a * exp(+ sum_j iota_j^(a) A_j(q)),
 its inverse solves q_a = Q_a * exp(- sum_j iota_j^(a) A_j(q)) by Good's
-Lagrange inversion, which reads each A_j(q(Q)), and each unit
-exp(-sum_j w_j A_j(q(Q))), coefficient by coefficient off one chain of
-powers of the nonzero A_j, and the fiber generating functions are
-1 + delta_j = exp(-A_j(q(Q))).  Together these satisfy
-Q_a * prod_j (1+delta_j)^{iota_j^(a)} = q_a(Q) identically and
-reproduce 1 + delta_0 = 1 - 2Q + 5Q^2 - ... for local P^2.
+Lagrange inversion, which reads each unit exp(-sum_j w_j A_j(q(Q))),
+coefficient by coefficient, off one chain of powers of the nonzero A_j,
+and the fiber generating functions are 1 + delta_j = exp(-A_j(q(Q))).
+Together these satisfy Q_a * prod_j (1+delta_j)^{iota_j^(a)} = q_a(Q)
+identically and reproduce 1 + delta_0 = 1 - 2Q + 5Q^2 - ... for local P^2.
 """
 
 from __future__ import annotations
@@ -127,16 +126,15 @@ class MirrorMapData:
     zero whenever every effective pairing <D_j, alpha> is non-negative.
 
     The rest is built on first read, so a caller pays only for what it
-    reads: ``composed``, A_j(q(Q)) for every ray j in the Q_to_q
-    direction and None for q_to_Q; ``closed``, the image of each closed
-    variable; ``open_unit``, the unit factor of the open direction (the
-    open variable itself is not a generator of the closed frame), None
-    without a brane; and ``fiber``, 1 + delta_j = exp(-A_j(q(Q))) for
-    every ray j, None for q_to_Q.  The unit of row weights w is
-    exp(sum_j w_j A_j) for q_to_Q, one exp over the live rays j
-    (A_j != 0), and exp(-sum_j w_j A_j(q(Q))) for Q_to_q, read off the
-    inverse map's Lagrange chain (``LagrangeChain``) with no exp at
-    all.  A unit whose live weights are all 0 is 1.
+    reads: ``closed``, the image of each closed variable; ``open_unit``,
+    the unit factor of the open direction (the open variable itself is
+    not a generator of the closed frame), None without a brane; and
+    ``fiber``, 1 + delta_j = exp(-A_j(q(Q))) for every ray j, None for
+    q_to_Q; A_j(q(Q)) itself is -log ``fiber[j]``.  The unit of row
+    weights w is exp(sum_j w_j A_j) for q_to_Q, one exp over the live
+    rays j (A_j != 0), and exp(-sum_j w_j A_j(q(Q))) for Q_to_q, read
+    off the inverse map's Lagrange chain (``LagrangeChain``) with no exp
+    at all.  A unit whose live weights are all 0 is 1.
     """
 
     def __init__(self, a_series, chain, order, charge_rows, open_charge):
@@ -157,16 +155,6 @@ class MirrorMapData:
             return self._chain.unit([row[j] for j in self._live])
         terms = [self.a_series[j] * row[j] for j in self._live if row[j]]
         return exp_series(sum(terms[1:], terms[0]))
-
-    @cached_property
-    def composed(self) -> tuple[TruncatedSeries, ...] | None:
-        """A_j(q(Q)) for every ray j (Q_to_q only)."""
-        if self._chain is None:
-            return None
-        composed = list(self.a_series)
-        for i, j in enumerate(self._live):
-            composed[j] = self._chain.composition(i)
-        return tuple(composed)
 
     @cached_property
     def closed(self) -> tuple[TruncatedSeries, ...]:
@@ -243,8 +231,7 @@ class LagrangeChain:
     the matrix determinant lemma it is Delta = det(I_J + V U), whose
     entry (j, l) is delta_jl plus A_j weighted by column l of iota.
     Every series the inverse map reads is F = exp(-sum_l c_l A_l) at
-    integer weights c, or A_j, which is minus the derivative of F in c_j
-    at c = 0.
+    integer weights c.
 
     With several live rays the chain is R_beta = Delta A^beta / beta!,
     R_0 = Delta, built as R_beta = R_{beta-e_l} A_l / beta_l, and
@@ -256,11 +243,10 @@ class LagrangeChain:
     P: q^n -> p(n) q^n, and A^g P(A) = P(A^(g+1)) / (g+1), so the chain
     drops Delta: R_g = A^g / g! for g = 1..order, and
 
-        [Q^n] A(q(Q)) = sum_g (-p(n))^(g-1) R_g[n],
         [Q^n] exp(-c A(q(Q))) = [n=0] + c sum_g (-1)^g (p(n)+c)^(g-1) R_g[n].
 
     ``delta`` forces the several-ray chain on one live ray (it is the
-    reference the one-ray formulas are tested against); the chain
+    reference the one-ray formula is tested against); the chain
     without Delta needs at most one live ray.  Every A_l has
     valuation >= 1, so R_beta vanishes below grade |beta| and
     |beta| <= order suffices.  Each read-off is an integer weight on the
@@ -291,55 +277,39 @@ class LagrangeChain:
             previous = chain.get(beta[:l] + (beta[l] - 1,) + beta[l + 1 :])
             chain[beta] = a if previous is None else previous * a * Fraction(1, beta[l])
 
-        self.live, self.one = live, one
+        self.one = one
         self._columns = columns
         # (exponent, R): the exponent is beta, or g - 1 for R_g without Delta
         self._rows = [(beta if self.delta else (beta[0] - 1,), r) for beta, r in chain.items()]
         self._den = lcm(*[r.terms.den for r in chain.values()])
         self._pairings = {}  # packed key n -> [p_l(n) for every live l]
 
-    def _series(self, shift, scale=1, along=None, constant=0):
-        """``constant`` + ``scale`` * sum_R s_R(x) R[n] at
-        x_l = -(p_l(n) + shift_l), with s_R(x) = x^exponent or, with
-        ``along`` = i, its derivative in x_i."""
+    def unit(self, weights) -> TruncatedSeries:
+        """exp(-sum_l c_l A_l(q(Q))), c = ``weights`` over the live rays:
+        S = sum_R x^exponent R[n] at x_l = -(p_l(n) + c_l) on the Delta
+        chain, and 1 - c S without Delta."""
+        scale = 1 if self.delta else -weights[0]
         decode = _decoder(self.one.terms.width, self.one.frame.nvars)
         columns, pairings = self._columns, self._pairings
         acc = {}
         get = acc.get
         for exponent, r in self._rows:
             factor = scale * (self._den // r.terms.den)
-            if along is not None:
-                factor *= exponent[along]
-                if not factor:
-                    continue
-                exponent = exponent[:along] + (exponent[along] - 1,) + exponent[along + 1 :]
             for k, n in zip(r.terms.monos, r.terms.nums):
                 pk = pairings.get(k)
                 if pk is None:
                     e = decode(k)
                     pk = pairings[k] = [sum(map(mul, column, e)) for column in columns]
                 n *= factor
-                for p, c, y in zip(pk, shift, exponent):
+                for p, c, y in zip(pk, weights, exponent):
                     if y:
                         n *= (-p - c) ** y
                 acc[k] = get(k, 0) + n
-        if constant:
-            acc[0] = get(0, 0) + constant * self._den
+        if not self.delta:
+            acc[0] = get(0, 0) + self._den
         one = self.one
         terms = _from_rows(one.frame.grading, one.terms.width, self._den, acc)
         return TruncatedSeries._trusted(one.frame, one.order, terms)
-
-    def composition(self, i) -> TruncatedSeries:
-        """A_j(q(Q)) for the i-th live ray j."""
-        zero = [0] * len(self.live)
-        return self._series(zero, along=i) if self.delta else self._series(zero)
-
-    def unit(self, weights) -> TruncatedSeries:
-        """exp(-sum_l c_l A_l(q(Q))), c = ``weights`` over the live rays."""
-        if self.delta:
-            return self._series(weights)
-        (c,) = weights
-        return self._series(weights, scale=-c, constant=1)
 
 
 def inverse_mirror_map(
@@ -348,12 +318,11 @@ def inverse_mirror_map(
     """Q -> q, the inverse of ``mirror_map``, by Lagrange inversion.
 
     q_a = Q_a exp(- sum_j iota_j^(a) A_j(q)).  Good's Lagrange formula
-    gives every composition A_j(q(Q)) and every unit
-    exp(-sum_j w_j A_j(q(Q))) coefficient by coefficient, from one
-    product chain of the nonzero A_j (``LagrangeChain``), with no fixed
-    point, no ``substitute`` and no exp.  The chain is all it builds:
-    the compositions, the fiber series, the closed images and the open
-    unit are read off it when first read.
+    gives every unit exp(-sum_j w_j A_j(q(Q))) coefficient by
+    coefficient, from one product chain of the nonzero A_j
+    (``LagrangeChain``), with no fixed point, no ``substitute`` and no
+    exp.  The chain is all it builds: the fiber series, the closed
+    images and the open unit are read off it when first read.
     """
     frame, a_list, l0 = _map_inputs(data, order, brane)
     rows = data.effective_charge_basis
@@ -785,7 +754,7 @@ def _normalize_root(z2_raw, bframe, override=None):
             f"on nonzero boundary grading; offending monomials {offenders[:6]}"
         )
     q0 = bframe.q0
-    basic = base_log.terms.coefficient(q0) if frame.grade(q0) <= base_log.order else ZERO
+    basic = base_log.coefficient(q0) if frame.grade(q0) <= base_log.order else ZERO
     eps1_options = [override[0]] if override else [1, -1]
     # the twist by eps1 multiplies the Q0 coefficient by eps1 ** boundary(q0)
     positive = [e for e in eps1_options if basic * e ** (frame.boundary_grade(q0) % 2) > 0]

@@ -593,9 +593,8 @@ class TestRepeatedWork:
         ],
     )
     def test_no_a_series_is_composed(self, capsys, monkeypatch, command, job, order):
-        # Lagrange inversion reads A_j(q(Q)) off one product chain, and
-        # the fiber series and the open unit reuse it: no composition and
-        # no fixed point
+        # Lagrange inversion reads the fiber series and the open unit off
+        # one product chain: no composition and no fixed point
         from syzmirror import fps, mirror
 
         compositions = _count_calls(monkeypatch, fps, "substitute")

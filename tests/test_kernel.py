@@ -1,18 +1,21 @@
 """The packed-exponent integer kernel against a reference convolution,
 and the stored kernel form of series: chains of ring operations checked
 against a plain Fraction-dict model, with the normal form after each,
-and the integer row weights and one-row constructors likewise."""
+and the integer row weights, coefficient reads and one-row constructors
+likewise."""
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzmirror import Frame, TruncatedSeries, boundary_derivative, log_derivative, substitute
+from syzmirror import Frame, TruncatedSeries, boundary_derivative, substitute
 from syzmirror._backend import Terms, field_width, mul_terms
 from syzmirror.fps import _lift
+from syzmirror.lattice import unit_vector
 from syzmirror.mirror import _twist
 
 
@@ -340,7 +343,7 @@ def test_packed_series_equals_its_plain_dict_twin(pair):
         assert s.terms != changed and TruncatedSeries(s.frame, s.order, changed) != s
 
 
-# -- integer row weights and the one-row constructors -------------------
+# -- integer row weights, coefficient reads, one-row constructors -------
 
 
 @st.composite
@@ -367,7 +370,7 @@ def test_row_weights_match_the_dict_reference(s, data):
     frame = s.frame
     index = data.draw(st.integers(min_value=0, max_value=frame.nvars - 1))
     results = {
-        "log": (log_derivative(s, index), lambda e: e[index]),
+        "log": (s.weighted(unit_vector(frame.nvars, index)), lambda e: e[index]),
         "boundary": (boundary_derivative(s), frame.boundary_grade),
         "twist": (_twist(s, -1), lambda e: (-1) ** (frame.boundary_grade(e) % 2)),
     }
@@ -375,6 +378,25 @@ def test_row_weights_match_the_dict_reference(s, data):
         check_normal_form(result)
         assert result == reweighted(s, weight)
     assert _twist(_twist(s, -1), -1) == s and _twist(s, 1) is s
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_series(), st.data())
+def test_coefficient_reads_the_rows_without_decoding(s, data):
+    frame, order = s.frame, s.order
+    present = s.terms.exponents()
+    # a series with every exponent of grade <= order present has none
+    absent = [
+        e for e in product(range(order + 1), repeat=frame.nvars)
+        if frame.grade(e) <= order and e not in present
+    ][:1]
+    negative = (-1,) + present[-1][1:] if present else (-1,) * frame.nvars
+    drawn = data.draw(st.tuples(*[st.integers(min_value=-2, max_value=order)] * frame.nvars))
+    asked = present + absent + [negative] + ([drawn] if frame.grade(drawn) <= order else [])
+    read = [s.coefficient(e) for e in asked]
+    assert s.terms._view is None
+    view = dict(s.terms.items())
+    assert read == [view.get(e, 0) if min(e) >= 0 else 0 for e in asked]
 
 
 @pytest.mark.parametrize("grading", [(1,), (2, 3), (1, 1, 1), (4, 1)])

@@ -1,7 +1,7 @@
 """Repository hygiene: the git checkout tracks no file that .gitignore
-excludes, the library defines no private helper that nothing reads, the
-benchmark's span tracer finds and counts what it wraps, and the CI
-workflow runs the tier-1 command."""
+excludes, the library defines no private helper and exports no public
+name that nothing reads, the benchmark's span tracer finds and counts
+what it wraps, and the CI workflow runs the tier-1 command."""
 
 import ast
 import importlib.util
@@ -70,6 +70,48 @@ def test_every_private_helper_is_read():
         for name in _defined_names(statement)
         if name.startswith("_") and not name.startswith("__")
         and total[name] - own[name] == 0
+    ]
+    assert unread == []
+
+
+# paper constructions the package exports though no command reads them
+PAPER_FUNCTIONS = {
+    "gross_discriminant", "av_geometry", "disc_potential", "verify_potential", "cover_sum",
+    "evaluate_curve",
+}
+
+
+def test_every_public_name_is_read():
+    # a name the package exports is read by another library module, by
+    # the README worked example or by the benchmark's span tracer, or is
+    # one of the paper's constructions
+    package = ROOT / "src" / "syzmirror"
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse((package / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    statements = [
+        statement
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for statement in ast.parse(path.read_text(), str(path)).body
+    ]
+    library = Counter()
+    for statement in statements:
+        reads = _read_names(statement)
+        for name in _defined_names(statement):
+            del reads[name]
+        library += reads
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Worked example\n", 1)[1]
+    example = _read_names(ast.parse(re.search(r"```python\n(.*?)```", example, re.S).group(1)))
+    traced = {attr for _, _, attr in _load_spans().TARGETS}
+    unread = [
+        name
+        for name in exported
+        if not (library[name] or example[name] or name in traced or name in PAPER_FUNCTIONS)
     ]
     assert unread == []
 
