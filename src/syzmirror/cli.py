@@ -4,7 +4,8 @@ Machine-readable JSON goes to stdout (or human tables with
 ``--output pretty``); a short human summary always goes to stderr.
 Identical input bytes produce identical output bytes.  Exit codes:
 0 success, 2 validation failure, 3 mathematical-precondition failure,
-4 parse error.
+4 parse error.  ``batch`` runs many such jobs in one process, one JSON
+record per job, and the jobs on one document share its parsed form.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def _monomial_string(names, exponents) -> str:
 
 
 def cmd_validate(job):
-    report = lattice.validate_cy(job.toric)
+    report = job.toric.validation
     if report.ok:
         # every computing command reads the charge basis, which is refused
         # on a polygon with several interior points and no charge_basis
@@ -327,8 +328,12 @@ def build_parser():
         prog="syzmirror",
         description="Exact mirror-curve and open Gromov-Witten series computations",
     )
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--input", required=True, help="path to the JSON job document")
+    parser.add_argument("command", choices=sorted([*COMMANDS, "batch"]))
+    parser.add_argument(
+        "--input",
+        required=True,
+        help="path to the JSON job document; for batch, the JSON-lines file of runs",
+    )
     parser.add_argument("--order", type=int, help="override the truncation order")
     parser.add_argument(
         "--corrected",
@@ -349,26 +354,88 @@ def _shared_parser():
     return build_parser()
 
 
+@functools.lru_cache(maxsize=64)
+def _parse_text(text) -> Job:
+    """The job parsed from one document text, shared by every run on it.
+
+    ``Job`` and its ``ToricCYData`` are immutable, so runs on one text
+    also share the lattice data cached on the toric data.  Exceptions
+    are not cached.  The bound keeps a long batch over many documents
+    from holding them all.
+    """
+    return parse_job(json.loads(text))
+
+
 def _emit_error(code, message, exit_code):
     record = {"error": {"code": code, "message": message}}
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
     return exit_code
 
 
-def main(argv=None) -> int:
+def _batch_argv(line, number):
+    """The argv of one batch line ``{"argv": [...]}``."""
+    try:
+        run = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # JSON or UTF-8 errors, or too deep
+        raise InputError(f"batch line {number}: {exc}") from None
+    argv = run.get("argv") if isinstance(run, dict) else None
+    if not isinstance(argv, list) or not all(isinstance(arg, str) for arg in argv):
+        raise InputError(f'batch line {number}: expected {{"argv": [strings]}}')
+    return argv
+
+
+def _batch(path) -> int:
+    """Run every non-blank line of the JSON-lines file ``path`` through :func:`main`.
+
+    Writes one sorted-key JSON record per line, in order: the run's
+    ``exit`` and ``stdout``, plus its ``error`` record when it emitted
+    one.  A bad line gets an exit-4 record and the batch goes on.
+    """
+    import contextlib
+    import io
+
+    try:
+        with open(path, "rb") as handle:
+            lines = handle.read().splitlines()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(_batch_argv(line, number), nested=True)
+            except InputError as exc:
+                code = _emit_error("parse", str(exc), EXIT_PARSE)
+            except SystemExit as exc:  # --help
+                code = exc.code or 0
+        record = {"exit": code, "stdout": out.getvalue()}
+        if err.getvalue().startswith('{"error": '):
+            record.update(json.loads(err.getvalue()))
+        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+    return EXIT_OK
+
+
+def main(argv=None, *, nested=False) -> int:
     try:
         args = _shared_parser().parse_args(argv)
+        if args.command == "batch":
+            if nested:
+                raise InputError("batch cannot run inside a batch")
+            if {args.order, args.corrected, args.normalization} != {None} or args.output != "json":
+                raise InputError("batch takes only --input; give run options on each line")
+            return _batch(args.input)
         try:
             with open(args.input, "r", encoding="utf-8") as handle:
-                try:
-                    doc = json.load(handle)
-                except RecursionError:
-                    raise InputError(f"{args.input}: JSON nested too deeply to parse") from None
+                text = handle.read()
+            job = _parse_text(text)
+        except RecursionError:
+            raise InputError(f"{args.input}: JSON nested too deeply to parse") from None
         except json.JSONDecodeError as exc:
             raise InputError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from None
-        job = parse_job(doc)
         if args.order is not None:
             if args.order < 1:
                 raise InputError("--order must be >= 1")

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from syzmirror import BraneSpec, ToricCYData
+from syzmirror import BraneSpec, ToricCYData, cli
+
+
+@pytest.fixture(autouse=True)
+def cold_job_cache():
+    """Each test starts with no parsed job, so call counts do not depend on test order."""
+    cli._parse_text.cache_clear()
 
 
 @pytest.fixture

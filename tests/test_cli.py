@@ -574,10 +574,11 @@ class TestRepeatedWork:
     def test_brane_frame_packing_does_no_elimination(self, capsys, monkeypatch):
         # the frame inverts its solver block once, so the number of
         # eliminations does not grow with the number of packed terms
-        from syzmirror import lattice
+        from syzmirror import cli, lattice
 
         counts = []
         for order in ("4", "8"):
+            cli._parse_text.cache_clear()  # both runs build the lattice data afresh
             calls = _count_calls(monkeypatch, lattice, "row_reduce")
             code, _, _ = run(capsys, "disc-invariants", "--input", str(LOCAL_P2_JOB), "--order", order)
             assert code == 0
@@ -727,3 +728,132 @@ class TestRepeatedWork:
         code, _, _ = run(capsys, "compare-naive", "--input", str(LOCAL_P2_JOB), "--order", "4")
         assert code == 0
         assert len(frames) == 1
+
+
+class TestParseCache:
+    def test_second_run_on_a_document_reuses_its_lattice_data(self, capsys, monkeypatch):
+        argv = ("disc-invariants", "--input", str(LOCAL_P2_JOB), "--order", "4")
+        first = run(capsys, *argv)
+        from syzmirror import lattice
+
+        lattice_calls = {
+            name: _count_calls(monkeypatch, lattice, name)
+            for name in ("charge_basis", "dual_exponents", "validate_cy")
+        }
+        assert run(capsys, *argv) == first
+        assert {name: len(calls) for name, calls in lattice_calls.items()} == {
+            "charge_basis": 0, "dual_exponents": 0, "validate_cy": 0
+        }
+
+    def test_rewritten_document_is_read_afresh(self, capsys, conifold_path):
+        code, out, _ = run(capsys, "curve", "--input", conifold_path)
+        assert (code, json.loads(out)["order"]) == (0, 8)
+        Path(conifold_path).write_text(json.dumps(_with(CONIFOLD_DOC, ("truncation",), 3)))
+        rewritten = run(capsys, "curve", "--input", conifold_path)
+        assert json.loads(rewritten[1])["order"] == 3
+        from syzmirror import cli
+
+        cli._parse_text.cache_clear()
+        assert run(capsys, "curve", "--input", conifold_path) == rewritten
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b'{\n  "toric": [,]\n}', id="bad-json"),
+            pytest.param(b"[" * 100_000 + b"]" * 100_000, id="too-deep"),
+            pytest.param(b'{"toric": "\xff"}', id="not-utf8"),
+            pytest.param(
+                json.dumps(_with(CONIFOLD_DOC, ("truncation",), "abc")).encode(), id="bad-field"
+            ),
+        ],
+    )
+    def test_malformed_document_fails_alike_on_every_repeat(self, capsys, tmp_path, content):
+        from syzmirror import cli
+
+        path = tmp_path / "job.json"
+        path.write_bytes(content)
+        results = [run(capsys, "curve", "--input", str(path)) for _ in range(3)]
+        code, out, err = results[0]
+        assert (code, out, json.loads(err)["error"]["code"]) == (4, "", "parse")
+        assert results == [results[0]] * 3
+        assert cli._parse_text.cache_info().currsize == 0
+
+
+def _run_batch(capsys, tmp_path, lines):
+    """Run ``lines`` as one batch; return its exit code and its records."""
+    path = tmp_path / "runs.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    code, out, err = run(capsys, "batch", "--input", str(path))
+    assert err == ""
+    return code, [json.loads(line) for line in out.splitlines()]
+
+
+def _argv_line(*argv):
+    return json.dumps({"argv": list(argv)}).encode()
+
+
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
+
+
+class TestBatch:
+    def test_bad_lines_each_get_a_record(self, capsys, tmp_path):
+        c3 = str(JOBS / "c3.json")
+        lines = [
+            b"not json",
+            b'{"args": ["curve"]}',
+            b'{"argv": ["curve", 3]}',
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"argv": ["\xff"]}',
+            _argv_line("frobnicate", "--input", c3),
+            _argv_line("batch", "--input", c3),
+            _argv_line("brane-mirror", "--input", c3, "--order", "3", "--normalization", "1,1"),
+            b"",
+            _argv_line("--help"),
+            _argv_line("curve", "--input", c3, "--order", "2"),
+        ]
+        code, records = _run_batch(capsys, tmp_path, lines)
+        assert code == 0
+        assert [r["exit"] for r in records] == [4, 4, 4, 4, 4, 4, 4, 3, 0, 0]
+        assert [r["error"]["code"] for r in records[:-2]] == ["parse"] * 7 + ["math"]
+        assert all(r["stdout"] == "" for r in records[:-2])
+        assert records[-2]["stdout"].startswith("usage: syzmirror")
+        assert "error" not in records[-2] and "error" not in records[-1]
+        assert "batch line 1" in records[0]["error"]["message"]
+        assert "inside a batch" in records[6]["error"]["message"]
+
+    def test_records_match_single_runs(self, capsys, tmp_path, conifold_path):
+        argvs = [
+            (command, "--input", conifold_path, "--order", "3") for command in sorted(COMMANDS)
+        ] + [("curve", "--input", conifold_path, "--output", "pretty")]
+        single = [run(capsys, *argv)[:2] for argv in argvs]
+        _, records = _run_batch(capsys, tmp_path, [_argv_line(*argv) for argv in argvs])
+        assert [(r["exit"], r["stdout"]) for r in records] == single
+
+    def test_each_document_is_parsed_once(self, capsys, monkeypatch, tmp_path):
+        from syzmirror import cli
+
+        parses = _count_calls(monkeypatch, cli, "parse_job")
+        lines = [
+            _argv_line(command, "--input", str(JOBS / f"{geometry}.json"), "--order", "3")
+            for geometry in ("c3", "conifold", "local_p2")
+            for command in sorted(COMMANDS)
+        ]
+        _, records = _run_batch(capsys, tmp_path, lines)
+        assert [r["exit"] for r in records] == [0] * 24
+        assert len(parses) == 3
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--order", "0"], ["--corrected"], ["--output", "pretty"]],
+        ids=["order", "corrected", "output"],
+    )
+    def test_run_options_are_refused(self, capsys, tmp_path, extra):
+        path = tmp_path / "runs.jsonl"
+        path.write_text("")
+        code, out, err = run(capsys, "batch", "--input", str(path), *extra)
+        assert (code, out, json.loads(err)["error"]["code"]) == (4, "", "parse")
+
+    def test_unreadable_file_exits_four(self, capsys, tmp_path):
+        code, out, err = run(capsys, "batch", "--input", str(tmp_path / "missing.jsonl"))
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"]["message"].startswith("cannot read ")

@@ -2,14 +2,16 @@
 
 The benchmark records, for each job any workload can run, the exit code
 and the SHA-256 of stdout of a CLI run (``perfbench/expected.json``).
-This test runs every such job in-process through ``cli.main`` and
-checks it with the benchmark's own ``check_output``, so a change that
-alters any output byte fails here, before the benchmark sees it.
+These tests run every such job in-process through ``cli.main``, one
+call per job and then as one ``batch``, and check each with the
+benchmark's own ``check_output``, so a change that alters any output
+byte fails here, before the benchmark sees it.
 """
 
 import contextlib
 import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -41,6 +43,26 @@ def test_every_job_matches_its_recorded_output(monkeypatch):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(job.argv())
         found = workloads.check_output(job, code, out.getvalue(), expected)
+        if found:
+            problems[job.key] = found
+    assert problems == {}
+
+
+def test_one_batch_of_every_job_matches_the_recorded_outputs(monkeypatch, tmp_path):
+    # the runs share parsed jobs, so this checks that sharing changes no byte
+    workloads = _load_workloads(monkeypatch)
+    expected = workloads.load_expected()
+    jobs = workloads.all_jobs()
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text("".join(json.dumps({"argv": job.argv()}) + "\n" for job in jobs))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["batch", "--input", str(runs)]) == 0
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert len(records) == len(jobs) == len(expected)
+    problems = {}
+    for job, record in zip(jobs, records):
+        found = workloads.check_output(job, record["exit"], record["stdout"], expected)
         if found:
             problems[job.key] = found
     assert problems == {}
