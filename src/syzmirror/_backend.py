@@ -304,6 +304,63 @@ def _reduced(den, keys, vals):
     return den, keys, vals
 
 
+EMPTY = (1, [], [])
+ONE = (1, [0], [1])
+
+
+def _scalar(value):
+    """The grade-0 slice of the nonzero rational ``value``."""
+    return value.denominator, [0], [value.numerator]
+
+
+def _slices(terms, order):
+    """The grade slices ``(den, keys, numerators)`` of ``terms`` for grades
+    0..order, each a range of its sorted rows over its denominator."""
+    top = terms._top()
+    monos, nums = terms.monos, terms.nums
+    cuts = [bisect_left(monos, g << top) for g in range(order + 2)]
+    return [(terms.den, monos[lo:hi], nums[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _convolve(products, divisor=1):
+    """sum w * a * b over ``products`` (w, a, b), an integer weight and two
+    grade slices, over ``divisor`` > 0, as one gcd-reduced slice.
+
+    The slices of one product lie in grades that add up to one grade n,
+    so every pair of their rows lands in grade n and needs no bound test.
+    """
+    products = [(w, a, b) for w, a, b in products if w and a[1] and b[1]]
+    common = lcm(*[a[0] * b[0] for _, a, b in products])
+    acc = {}
+    get = acc.get
+    for w, (da, keys, vals), (db, other_keys, other_vals) in products:
+        scale = w * (common // (da * db))
+        if len(keys) > len(other_keys):
+            keys, vals, other_keys, other_vals = other_keys, other_vals, keys, vals
+        for ka, na in zip(keys, vals):
+            na *= scale
+            for kb, nb in zip(other_keys, other_vals):
+                k = ka + kb
+                acc[k] = get(k, 0) + na * nb
+    keys = sorted([k for k, v in acc.items() if v])
+    if not keys:
+        return EMPTY
+    return _reduced(common * divisor, keys, [acc[k] for k in keys])
+
+
+def _assembled(grading, width, slices):
+    """``Terms`` from gcd-reduced grade slices in grade order: over the lcm
+    of their denominators the rows are in normal form."""
+    parts = [p for p in slices if p[1]]
+    den = lcm(*[p[0] for p in parts])
+    out_monos, out_nums = [], []
+    for d, keys, vals in parts:
+        out_monos += keys
+        scale = den // d
+        out_nums += vals if scale == 1 else [v * scale for v in vals]
+    return Terms(grading, width, den, out_monos, out_nums)
+
+
 def exp_log(s, order, log):
     """``exp s`` (constant term 0), or with ``log`` ``log s`` (constant
     term 1), of a ``Terms`` at the layout of ``order``, grade by grade.
@@ -319,54 +376,61 @@ def exp_log(s, order, log):
     one sum sum_{m<n} w_m h_m s_{n-m} over the grades of h = g or M
     found so far, with h_0 read as 1 (for log it carries n s_n).  The
     log branch keeps M, which is integral when s is, and divides grade
-    n by n only when it assembles the result.  A grade slice of ``s``
-    is a range of its sorted keys, and every product of slice rows
-    lands in grade n, so no pair needs a bound test; in all about half
-    of one truncated product.
+    n by n only when it assembles the result.  In all about half of one
+    truncated product.
     """
-    top = s._top()
-    monos, nums = s.monos, s.nums
-    cuts = [bisect_left(monos, g << top) for g in range(order + 2)]
-    # (den, keys, numerators) of grade m of h, each gcd-reduced
-    slices = [(1, [0], [1])]
+    cut = _slices(s, order)
+    slices = [ONE]  # grade m of h
     for n in range(1, order + 1):
-        live = [m for m in range(n) if slices[m][1] and cuts[n - m] < cuts[n - m + 1]]
-        common = lcm(*[slices[m][0] for m in live])
-        acc = {}
-        get = acc.get
-        for m in live:
-            den, keys, vals = slices[m]
-            weight = (-1 if m else n) if log else n - m
-            scale = weight * (common // den)
-            lo, hi = cuts[n - m], cuts[n - m + 1]
-            other_keys, other_vals = monos[lo:hi], nums[lo:hi]
-            if len(keys) > hi - lo:
-                keys, vals, other_keys, other_vals = other_keys, other_vals, keys, vals
-            for ka, na in zip(keys, vals):
-                na *= scale
-                for kb, nb in zip(other_keys, other_vals):
-                    k = ka + kb
-                    acc[k] = get(k, 0) + na * nb
-        keys = sorted([k for k, v in acc.items() if v])
-        if not keys:
-            slices.append((1, [], []))
-            continue
-        den = s.den * common * (1 if log else n)
-        slices.append(_reduced(den, keys, [acc[k] for k in keys]))
+        weights = [(-1 if m else n) if log else n - m for m in range(n)]
+        slices.append(_convolve(zip(weights, slices, cut[n:0:-1]), 1 if log else n))
     if log:
-        parts = [
-            _reduced(den * n, keys, vals)
-            for n, (den, keys, vals) in enumerate(slices)
-            if n and keys
-        ]
-    else:
-        parts = [p for p in slices if p[1]]
-    # Each slice is reduced, so over the lcm of their denominators the
-    # rows are in normal form.
-    den = lcm(*[p[0] for p in parts])
-    out_monos, out_nums = [], []
-    for d, keys, vals in parts:
-        out_monos += keys
-        scale = den // d
-        out_nums += vals if scale == 1 else [v * scale for v in vals]
-    return Terms(s.grading, s.width, den, out_monos, out_nums)
+        slices = [_reduced(den * n, keys, vals) for n, (den, keys, vals) in enumerate(slices) if n]
+    return _assembled(s.grading, s.width, slices)
+
+
+def graded_root(coeffs, root0, slope, order):
+    """The root z = root0 + z_1 + z_2 + ... of P(z) = sum_e coeffs[e] z^e,
+    grade by grade, as ``Terms`` at the layout of ``order``.
+
+    ``coeffs[e]`` is a ``Terms`` at that layout, or None for 0; the
+    rational ``root0`` != 0 is a simple root of the grade-0 part of P and
+    ``slope`` != 0 its derivative there.  Grade n of P(z) is slope * z_n plus
+    products of lower grades of z, its powers and the coefficients, so
+    each z_n is one exact division and P(z) vanishes through ``order``
+    by construction (relaxed power-series solving: J. van der Hoeven,
+    J. Symbolic Comput. 34, 2002).  The powers z^e are kept grade by
+    grade as well: z^2 as a symmetric half-convolution of z, each higher
+    power as z times the one below.
+    """
+    degree = len(coeffs) - 1
+    cut = [None if c is None else _slices(c, order) for c in coeffs]
+    # powers[e][g]: grade g of z^e; powers[1] is z itself.  Its z_n enters
+    # grade n of z^e as pulls[e] * z_n.
+    powers = [[ONE]] + [[_scalar(root0**e)] for e in range(1, degree + 1)]
+    pulls = {e: _scalar(e * root0 ** (e - 1)) for e in range(2, degree + 1)}
+    z = powers[1]
+    # z_n = -(grade n of P at z_n = 0) / slope, with the sign in the weight
+    weight = -slope.denominator if slope > 0 else slope.denominator
+    for n in range(1, order + 1):
+        powers[0].append(EMPTY)
+        known = [EMPTY, EMPTY]  # grade n of z^e with z_n read as 0
+        for e in range(2, degree + 1):
+            if e == 2:
+                products = [(2, z[i], z[n - i]) for i in range(1, (n + 1) // 2)]
+                if n % 2 == 0:
+                    products.append((1, z[n // 2], z[n // 2]))
+            else:
+                below = powers[e - 1]
+                products = [(1, z[j], below[n - j]) for j in range(1, n)]
+                products.append((1, z[0], known[e - 1]))
+            known.append(_convolve(products))
+        products = []
+        for e, c in enumerate(cut):
+            if c is not None:
+                products.append((weight, c[0], known[e]))
+                products += [(weight, c[k], powers[e][n - k]) for k in range(1, n + 1)]
+        z.append(_convolve(products, abs(slope.numerator)))
+        for e in range(2, degree + 1):
+            powers[e].append(_convolve([(1, ONE, known[e]), (1, pulls[e], z[n])]))
+    return _assembled(coeffs[-1].grading, field_width(order), z)

@@ -22,7 +22,7 @@ from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
-from ._backend import Terms, exp_log, mul_terms, pack, single
+from ._backend import Terms, _normal, exp_log, graded_root, mul_terms, pack, single
 from .errors import (
     FixedPointDivergence,
     FrameMismatch,
@@ -48,9 +48,9 @@ def as_rational(value) -> Fraction:
 class Frame(namedtuple("Frame", "names grading boundary")):
     """Exponent monoid of a series ring: generator names and gradings.
 
-    ``grading`` entries must be >= 1 so that graded fixed-point and
-    Newton iterations terminate; ``boundary`` is the integer functional
-    used for boundary-weighted derivatives (all zero by default).
+    ``grading`` entries must be >= 1 so that graded fixed-point passes
+    and grade-by-grade solves terminate; ``boundary`` is the integer
+    functional used for boundary-weighted derivatives (all zero by default).
     """
 
     __slots__ = ()
@@ -208,9 +208,11 @@ class TruncatedSeries:
         return TruncatedSeries._trusted(self.frame, self.order, self.terms.weighted(coeffs, outer))
 
     def filter_terms(self, keep) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.frame, self.order, {e: c for e, c in self.terms.items() if keep(e)}
-        )
+        """The terms whose exponent tuple satisfies ``keep``, on the rows."""
+        t = self.terms
+        rows = [(k, n) for k, n, e in zip(t.monos, t.nums, t.exponents()) if keep(e)]
+        terms = _normal(t.grading, t.width, t.den, [k for k, _ in rows], [n for _, n in rows])
+        return TruncatedSeries._trusted(self.frame, self.order, terms)
 
     # -- ring operations ----------------------------------------------
 
@@ -328,37 +330,20 @@ def _lift(s: TruncatedSeries, order: int) -> TruncatedSeries:
     """The terms of ``s`` read at a higher truncation order.
 
     The grades between ``s.order`` and ``order`` read as zero; callers
-    use this only where a Newton or fixed-point step settles them.
+    use this only where a fixed-point pass settles them.
     """
     if order < s.order:
         raise ValueError("a lift cannot lower the truncation order")
     return TruncatedSeries._trusted(s.frame, order, s.terms.at_order(order))
 
 
-def newton_ladder(order: int) -> list[int]:
-    """Precisions of a Newton iteration from grade 0 up to ``order``.
-
-    The ladder is built top-down, p <- p // 2 from ``order`` down to 1,
-    and run upward (von zur Gathen & Gerhard, *Modern Computer Algebra*,
-    9.1): each step from p to its successor still satisfies
-    next <= 2p + 1, so every grade settles, and the last step reads
-    operands of half precision (20 <- 10 <- 5 <- 2 <- 1).  Order 0 has
-    no step.
-    """
-    steps = []
-    while order:
-        steps.append(order)
-        order //= 2
-    return steps[::-1]
-
-
 def inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse of a unit series by Newton iteration.
+    """Multiplicative inverse of a unit series, grade by grade.
 
-    Each step g <- g + g*(1 - s*g) lifts a g exact through grade p to
-    one exact through 2p + 1, along the precisions of
-    :func:`newton_ladder`; every generator has grade >= 1, so O(log
-    order) products suffice.  A constant series is inverted at once.
+    g = 1/s is the root of s*g - 1 = 0 at g_0 = 1/s_0, so grade n reads
+    g_n = -(1/s_0) sum_{0<k<=n} s_k g_{n-k} (``_backend.graded_root``),
+    about one truncated product on the kernel rows.  A constant series
+    is inverted at once.
     """
     c0 = s.constant_term()
     if c0 == 0:
@@ -367,11 +352,8 @@ def inverse(s: TruncatedSeries) -> TruncatedSeries:
         )
     if len(s.terms) == 1:
         return TruncatedSeries.constant(s.frame, s.order, 1 / c0)
-    g = TruncatedSeries.constant(s.frame, 0, 1 / c0)
-    for precision in newton_ladder(s.order):
-        g = _lift(g, precision)
-        g = g + g * (1 - s.truncate(precision) * g)
-    return g
+    coeffs = [single(s.frame.grading, s.order, -ONE), s.terms]
+    return TruncatedSeries._trusted(s.frame, s.order, graded_root(coeffs, 1 / c0, c0, s.order))
 
 
 def pow_int(s: TruncatedSeries, k: int) -> TruncatedSeries:

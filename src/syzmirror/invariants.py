@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import MathDomainError
 from .fps import ZERO, TruncatedSeries, boundary_derivative, log_series
@@ -118,31 +118,38 @@ def multiple_cover_inversion(table: InvariantTable) -> InvariantTable:
     Divisibility is componentwise over the whole exponent vector, so the
     sum runs over the divisors p of g = gcd(beta).  A class with g = 1
     has N_beta = n_beta; only the classes with g > 1, and the classes
-    beta/p (p < g) they add to the support, run the sum.  The forward
+    beta/p (p < g) they add to the support, run the sum, each as one
+    integer numerator over one denominator, so each builds one
+    ``Fraction``.  A class is d*b with b primitive, and its terms are the
+    classes (d/p)*b over the squarefree p | d.  The forward
     sum n_beta = sum_{p|beta} N_{beta/p} / p^2 then holds exactly on the
     divisor closure of the support.
     """
     n = table.n
     instanton = {}
-    multiples = {}  # class with gcd > 1 -> its gcd
+    multiples = set()  # (primitive class b, d) for each class d*b with d > 1
     for beta, value in n.items():
         g = gcd(*beta)
         if g == 1:
             if value:
                 instanton[beta] = value
             continue
-        for p in range(1, g):
-            if g % p == 0:
-                multiples[tuple(x // p for x in beta)] = g // p
-    for beta, g in multiples.items():
-        total = n.get(beta, ZERO)
-        for p in range(2, g + 1):
-            if g % p == 0 and (mu := _mobius(p)):
-                reduced = tuple(x // p for x in beta)
-                if reduced in n:
-                    total += Fraction(mu, p * p) * n[reduced]
+        base = tuple(x // g for x in beta)
+        multiples.update((base, d) for d in range(2, g + 1) if g % d == 0)
+    terms = {}  # d -> (p, mu(p), d // p) for each squarefree p | d
+    for base, d in multiples:
+        if d not in terms:
+            divisors = [p for p in range(1, d + 1) if d % p == 0]
+            terms[d] = [(p, mu, d // p) for p in divisors if (mu := _mobius(p))]
+        parts = [
+            (mu, p * p, value)
+            for p, mu, k in terms[d]
+            if (value := n.get(tuple([x * k for x in base])))
+        ]
+        den = lcm(*[q * v.denominator for _, q, v in parts])
+        total = sum([mu * v.numerator * (den // (q * v.denominator)) for mu, q, v in parts])
         if total:
-            instanton[beta] = total
+            instanton[tuple([x * d for x in base])] = Fraction(total, den)
     return InvariantTable(frame=table.frame, order=table.order, n=dict(n), N=instanton)
 
 

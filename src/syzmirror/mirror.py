@@ -19,18 +19,9 @@ from itertools import product
 from math import lcm
 from operator import mul
 
-from ._backend import _decoder, _from_rows, _weights, field_width
+from ._backend import _decoder, _from_rows, _normal, _weights, field_width, graded_root
 from .errors import BranchError, FrameEscape, MathDomainError, ValidationError
-from .fps import (
-    Frame,
-    TruncatedSeries,
-    ZERO,
-    exp_series,
-    _lift,
-    log_series,
-    newton_ladder,
-    pow_int,
-)
+from .fps import Frame, TruncatedSeries, ZERO, exp_series, log_series, pow_int
 from .lattice import (
     BraneSpec,
     ToricCYData,
@@ -458,14 +449,16 @@ class BraneFrame(namedtuple("BraneFrame", "generators boundary")):
         # Invert the generators' block on the pivot columns once: the
         # reduction of [block | I] ends as [d*I | d*block^-1] for its last
         # pivot d, so packing a monomial is one integer matrix-vector
-        # product and one exact division by d.
+        # product and one exact division by d.  The solution holds on the
+        # pivot columns by construction; the others (``rest``) are checked.
         cols = independent_columns(self.generators)
         if cols is None:
             raise MathDomainError("brane frame generators are linearly dependent")
         k = len(self.generators)
         block = [[g[c] for g in self.generators] for c in cols]
         reduced, _, _ = row_reduce([row + list(unit_vector(k, r)) for r, row in enumerate(block)])
-        return cols, [row[k:] for row in reduced], reduced[0][0]
+        rest = [c for c in range(len(self.generators[0])) if c not in cols]
+        return cols, [row[k:] for row in reduced], reduced[0][0], rest
 
     @cached_property
     def q0(self) -> tuple[int, ...]:
@@ -488,17 +481,19 @@ class BraneFrame(namedtuple("BraneFrame", "generators boundary")):
 
     def pack(self, vec) -> tuple[int, ...] | None:
         """Frame exponents of a Kahler monomial, or None if it escapes."""
-        cols, inverse, denominator = self._solver
-        vec = tuple(int(x) for x in vec)
+        cols, inverse, denominator, rest = self._solver
+        if len(vec) != len(self.generators[0]):
+            return None
         rhs = [vec[c] for c in cols]
         exps = []
         for row in inverse:
-            x, remainder = divmod(sum(a * b for a, b in zip(row, rhs)), denominator)
+            x, remainder = divmod(sum(map(mul, row, rhs)), denominator)
             if remainder or x < 0:
                 return None
             exps.append(x)
-        if self.unpack(exps) != vec:
-            return None
+        for c in rest:
+            if sum([e * g[c] for e, g in zip(exps, self.generators)]) != vec[c]:
+                return None
         return tuple(exps)
 
     def unpack(self, exps) -> tuple[int, ...]:
@@ -526,22 +521,37 @@ def brane_frame(data: ToricCYData, brane: BraneSpec) -> BraneFrame:
     return BraneFrame(brane.frame_generators, boundary=brane.boundary_grading)
 
 
-def map_closed_series(series: TruncatedSeries, bframe: BraneFrame, order: int) -> TruncatedSeries:
-    """Re-express a closed-frame series inside the brane frame."""
-    terms = {}
+def map_closed_series(
+    series: TruncatedSeries, bframe: BraneFrame, order: int, shift=None
+) -> TruncatedSeries:
+    """Re-express a closed-frame series inside the brane frame, times the
+    frame monomial with exponents ``shift`` when one is given.
+
+    Each closed row moves to the key of its packed exponents plus
+    ``shift``; the numerators and the denominator stay as they are, and
+    rows above grade ``order`` drop.
+    """
+    frame = bframe.frame
+    width = field_width(order)
+    weights = _weights(frame.grading, width)
+    base, limit = 0, order
+    if shift is not None:
+        base, limit = sum(map(mul, weights, shift)), order - frame.grade(shift)
+    rows = {}
     escapes = []
-    for exps, coeff in series.terms.items():
-        packed = bframe.pack((0,) + tuple(exps))
+    for exps, n in zip(series.terms.exponents(), series.terms.nums):
+        packed = bframe.pack((0,) + exps)
         if packed is None:
-            escapes.append((0,) + tuple(exps))
-            continue
-        if bframe.frame.grade(packed) <= order:
-            terms[packed] = coeff
+            escapes.append((0,) + exps)
+        elif frame.grade(packed) <= limit:
+            rows[base + sum(map(mul, weights, packed))] = n
     if escapes:
         raise FrameEscape(
             f"closed monomials escape the brane frame: {sorted(escapes)[:4]}", escapes
         )
-    return TruncatedSeries(bframe.frame, order, terms)
+    monos = sorted(rows)
+    terms = _normal(frame.grading, width, series.terms.den, monos, [rows[k] for k in monos])
+    return TruncatedSeries._trusted(frame, order, terms)
 
 
 def open_series(inverse_map, bframe, order) -> TruncatedSeries:
@@ -560,11 +570,12 @@ def curve_in_brane_frame(curve, unit, bframe, order) -> dict[int, TruncatedSerie
 
     z1^e is the monomial Q0^e times unit^e, so negative powers stay
     inside the frame monoid as long as the combined scalar monomial of
-    each curve term packs.
+    each curve term packs.  That monomial is a key shift of the mapped
+    coefficient; a unit that is exactly 1 takes no product.
     """
     if curve.n_z != 2:
         raise MathDomainError("the curve root solve expects a threefold curve (z1, z2)")
-    frame = bframe.frame
+    trivial = unit == TruncatedSeries.one(bframe.frame, order)
     collected: dict[int, TruncatedSeries] = {}
     powers: dict[int, TruncatedSeries] = {}
     escapes = []
@@ -575,17 +586,12 @@ def curve_in_brane_frame(curve, unit, bframe, order) -> dict[int, TruncatedSerie
         if packed is None:
             escapes.append(scalar_vec)
             continue
-        if e1 not in powers:
-            powers[e1] = pow_int(unit, e1)
-        series = (
-            map_closed_series(term.coefficient, bframe, order)
-            * TruncatedSeries.monomial(frame, order, packed)
-            * powers[e1]
-        )
-        if e2 in collected:
-            collected[e2] = collected[e2] + series
-        else:
-            collected[e2] = series
+        series = map_closed_series(term.coefficient, bframe, order, shift=packed)
+        if e1 and not trivial:
+            if e1 not in powers:
+                powers[e1] = pow_int(unit, e1)
+            series = series * powers[e1]
+        collected[e2] = collected[e2] + series if e2 in collected else series
     if escapes:
         raise FrameEscape(
             f"curve monomials escape the brane frame: {sorted(escapes)[:4]}", escapes
@@ -593,53 +599,20 @@ def curve_in_brane_frame(curve, unit, bframe, order) -> dict[int, TruncatedSerie
     return collected
 
 
-def _horner(table, point, order) -> TruncatedSeries:
-    """sum_e table[e] * point**e at truncation ``order``, by Horner's rule."""
-    degree = max(table)
-    acc = table[degree].truncate(order)
-    for e in range(degree - 1, -1, -1):
-        acc = acc * point
-        if e in table:
-            acc = acc + table[e].truncate(order)
-    return acc
-
-
 def solve_curve_root(table, frame: Frame, order: int) -> tuple[TruncatedSeries, int]:
-    """Newton-solve W(z1, z2) = 0 for z2 on a ``curve_in_brane_frame`` table.
-
-    The start value is the grade-0 simple root (-1, the branch
-    continuously connected to -(1+delta_0) - z1).  Newton runs along
-    the precisions of :func:`~syzmirror.fps.newton_ladder` (1, 2, 5,
-    10, 20 for order 20): a root exact through grade p becomes exact
-    through the next precision, at most 2p + 1, after
-    z2 <- z2 + delta with delta = -W(z2) * h, where h is 1/W'(z2)
-    through grade p, kept up by the Newton inversion step
-    h <- h + h*e with e = 1 - W'(z2) * h.
+    """Solve W(z1, z2) = 0 for z2 on a ``curve_in_brane_frame`` table,
+    grade by grade.
 
     Here W stands for z2^shift * W, with shift lifting the table's
-    lowest z2 power to 0, so W is a polynomial in z2.  Its residual at
-    the returned root is certified zero at the truncation order from
-    the last step alone, with no further evaluation (von zur Gathen &
-    Gerhard, *Modern Computer Algebra*, 9.1).  Every coefficient of W
-    has grade >= 0, so Taylor's formula is exact:
-    W(z2 + delta) = W(z2) * (1 - W'(z2) h) + sum_{k>=2} c_k delta^k
-    with every c_k of valuation >= 0.  After the h update,
-    W'(z2) h = (1 - e)(1 + e) = 1 - e^2 through grade p, so the factor
-    1 - W'(z2) h has valuation >= min(2 val e, p + 1).  With p the
-    precision before the last step, three valuations of series that
-    step computes give
-
-        val W(z2 + delta) >= bound = min(val w + min(2 val e, p + 1),
-                                         2 val delta)
-
-    in every grade through the last precision, which is ``order``;
-    w = W(z2) at the step's own precision.  A series that is zero at
-    its order reads as valuation order + 1.  The first step, from
-    p = 0, forms no e: there h = 1/W'(-1), so 1 - W'(z2) h has
-    valuation >= 1 = p + 1.  The root and ``bound`` are returned once
-    ``bound`` exceeds ``order``; otherwise :class:`BranchError` names
-    both.  The check stays exact: it compares integers read from
-    exactly computed series.
+    lowest z2 power to 0, so W is a polynomial in z2 whose coefficients
+    have grade >= 0.  The root starts at the grade-0 simple root -1, the
+    branch continuously connected to -(1+delta_0) - z1; otherwise
+    :class:`BranchError` names the grade-0 value and slope there.  With
+    z2 = -1 + sum_n z_n, grade n of W(z2) is slope * z_n plus products
+    of lower grades, so each z_n is one exact division on the kernel rows
+    (``_backend.graded_root``) and the residual is zero through ``order``
+    by construction.  The returned ``bound`` on its valuation is
+    therefore ``order + 1``.
     """
     root0 = Fraction(-1)
     shift = max(0, -min(table))
@@ -652,42 +625,16 @@ def solve_curve_root(table, frame: Frame, order: int) -> tuple[TruncatedSeries, 
         raise BranchError(
             f"grade-0 part has no simple root at {root0} (value {value}, slope {slope})"
         )
-
-    def val(series):
-        lowest = series.valuation()
-        return series.order + 1 if lowest is None else lowest
-
-    derivative = {e2 - 1: s * e2 for e2, s in poly.items() if e2}
-    z2 = TruncatedSeries.constant(frame, 0, root0)
-    h = TruncatedSeries.constant(frame, 0, 1 / slope)
-    bound = 1  # W(root0) = 0 in grade 0, and order 0 takes no step
-    for precision in newton_ladder(order):
-        p = z2.order
-        h_error = p + 1  # a lower bound on val(1 - W'(z2) h) after the update
-        if p:
-            h = _lift(h, p)
-            e = 1 - _horner(derivative, z2, p) * h
-            h = h + h * e
-            h_error = min(2 * val(e), h_error)
-        z2 = _lift(z2, precision)
-        w = _horner(poly, z2, precision)
-        step = w * _lift(h, precision)  # -delta
-        z2 = z2 - step
-        bound = min(val(w) + h_error, 2 * val(step))
-    if bound <= order:
-        raise BranchError(
-            f"Newton root not certified: residual valuation bound {bound} "
-            f"does not exceed the truncation order {order}"
-        )
-    return z2, bound
+    coeffs = [poly[e2].truncate(order).terms if e2 in poly else None for e2 in range(max(poly) + 1)]
+    root = graded_root(coeffs, root0, slope, order)
+    return TruncatedSeries._trusted(frame, order, root), order + 1
 
 
 def evaluate_curve(table, z2, frame: Frame, order: int) -> TruncatedSeries:
     """sum_e table[e] * z2**e: W evaluated exactly at a candidate root.
 
-    The library's own check is the valuation bound ``solve_curve_root``
-    certifies from its last Newton step; this independent evaluation is
-    kept as an audit of it.
+    ``solve_curve_root`` makes the residual zero grade by grade; this
+    independent evaluation is kept as an audit of it.
     """
     acc = TruncatedSeries.zero(frame, order)
     for e2, coeff in table.items():
@@ -698,17 +645,17 @@ def evaluate_curve(table, z2, frame: Frame, order: int) -> TruncatedSeries:
 class BraneMirrorSeries(
     namedtuple("BraneMirrorSeries", "z1 z2 signs bound neg_log_z2 bframe")
 ):
-    """Normalized mirror coordinates of an AV brane plus the root's certificate.
+    """Normalized mirror coordinates of an AV brane plus the root's residual bound.
 
     ``signs`` is the (eps1, eps2) normalization: eps1 flips the sign of
     the open variable Q0 (twisting each coefficient by eps1^boundary),
     eps2 rescales z2; they are chosen so z2 has constant term +1 and
     -log z2 is supported on nonzero boundary grading, with the basic
-    disc class entering positively.  ``bound`` is the int the Newton
-    solver certified on the raw solution pair: a lower bound on the
-    valuation of z2^shift * W, with shift lifting the lowest z2 power of
-    W to 0, always greater than the truncation order, so that residual
-    is zero there.  ``neg_log_z2`` is -log z2, which the normalization
+    disc class entering positively.  ``bound`` is the valuation bound
+    ``solve_curve_root`` returns for z2^shift * W on the raw solution
+    pair, with shift lifting the lowest z2 power of W to 0: the graded
+    solve zeroes every grade through the truncation order, so it is
+    order + 1.  ``neg_log_z2`` is -log z2, which the normalization
     already needs, and ``bframe`` the brane frame both series live over.
     """
 
@@ -771,11 +718,10 @@ def av_mirror_brane(
     """Mirror coordinates (z1, z2) of an Aganagic-Vafa brane.
 
     z1 is Q0 times the open unit of the inverse mirror map; z2 is the
-    Newton root of the corrected curve at z1, then sign-normalized.  The
+    graded root of the corrected curve at z1, then sign-normalized.  The
     job reads the inverse map's open unit and fiber series only, never
-    its closed images.  The stored
-    ``bound`` is the residual valuation bound the Newton solver
-    certified from its last step on the raw solution pair.
+    its closed images.  The stored ``bound`` is the residual valuation
+    bound of ``solve_curve_root``.
     """
     report = validate_brane(data, brane)
     if not report.ok:
@@ -791,7 +737,7 @@ def av_mirror_brane(
     z2_raw, bound = solve_curve_root(table, bframe.frame, order)
     signs, z2, neg_log_z2 = _normalize_root(z2_raw, bframe, override=normalization)
     eps1 = signs[0]
-    z1 = TruncatedSeries.monomial(bframe.frame, order, bframe.q0) * unit
+    z1 = map_closed_series(inv.open_unit, bframe, order, shift=bframe.q0)
     return BraneMirrorSeries(
         z1=_twist(z1, eps1) * eps1,
         z2=z2,

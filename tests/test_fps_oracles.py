@@ -1,4 +1,4 @@
-"""Independent oracles for the Newton-type series solvers.
+"""Independent oracles for the grade-by-grade and fixed-point series solvers.
 
 Univariate ``inverse``, ``log_series``, ``exp_series`` and negative
 ``pow_int`` are checked against ``sympy.series``, and bivariate

@@ -1,15 +1,18 @@
-"""The certified brane root: the valuation bound and a closed-form oracle.
+"""The graded brane root: its residual, its precondition and closed forms.
 
-``solve_curve_root`` proves the residual ``z2^shift * W`` zero at the
-truncation order from the valuations of its last Newton step.  These
-tests check that certificate against ``evaluate_curve`` on random curve
-tables, check that a ladder breaking ``next <= 2p + 1`` is refused, and
-check the root of every shipped brane table against the explicit
-solution of a linear or quadratic equation, with no Newton step.
+``solve_curve_root`` solves ``z2^shift * W = 0`` grade by grade from the
+simple grade-0 root -1, so the residual is zero through the truncation
+order by construction and the returned bound is ``order + 1``.  These
+tests audit that residual with ``evaluate_curve`` on random curve
+tables, check that a grade-0 part without a simple root at -1 is
+refused, check that the root at one order truncates to the root at
+every lower order (order 0 included), and check the root of every
+shipped brane table against the explicit solution of a linear or
+quadratic equation, and of cubics and a quintic with a known linear
+factor.
 """
 
 import json
-import re
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -19,7 +22,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from syzmirror import TruncatedSeries, inverse, log_series
-from syzmirror import mirror
 from syzmirror.cli import parse_job
 from syzmirror.errors import BranchError
 from syzmirror.mirror import (
@@ -94,16 +96,55 @@ def test_certificate_agrees_with_evaluation(case):
     assert evaluate_curve(table, root, frame, order).is_zero()
 
 
-def test_ladder_that_skips_grades_is_refused(monkeypatch):
-    table, frame = brane_table("local_p2", 12)
-    # one step from precision 1 to 12 breaks next <= 2p + 1
-    monkeypatch.setattr(mirror, "newton_ladder", lambda order: [1, order])
+@pytest.mark.parametrize("name", ["local_p2", "local_p1xp1"])
+def test_root_truncates_to_the_root_of_every_lower_order(name):
+    table, frame = brane_table(name, 10)
+    root, bound = solve_curve_root(table, frame, 10)
+    assert (root.order, bound) == (10, 11)
+    for order in range(10):
+        lower = {e: s.truncate(order) for e, s in table.items()}
+        assert solve_curve_root(lower, frame, order) == (root.truncate(order), order + 1), order
+
+
+@pytest.mark.parametrize(
+    "constants, value, slope",
+    [
+        ({0: 1, 1: 2, 2: 1}, 0, 0),  # (z2 + 1)^2: a double root at -1
+        ({0: 2, 1: 1}, 1, 1),  # z2 + 2: -1 is not a root
+        ({-1: 1, 0: 2, 1: 1}, 0, 0),  # (z2 + 1)^2 / z2, lifted by z2
+        ({0: 3}, 3, 0),  # no z2 at all
+    ],
+)
+def test_grade0_without_a_simple_root_at_minus_one_is_refused(constants, value, slope):
+    frame = FRAMES["local_p2"]
+    order = 4
+    table = {
+        e: TruncatedSeries(frame, order, {(0, 0): Fraction(c), (1, 0): Fraction(e + 3)})
+        for e, c in constants.items()
+    }
     with pytest.raises(BranchError) as raised:
-        solve_curve_root(table, frame, 12)
+        solve_curve_root(table, frame, order)
     message = str(raised.value)
-    bound = re.search(r"bound (\d+)", message)
-    assert bound and int(bound.group(1)) <= 12
-    assert "order 12" in message
+    assert f"value {value}, slope {slope}" in message, message
+    assert "-1" in message
+
+
+@pytest.mark.parametrize("cofactor", [(1, 0, 1), (2, 0, 3, 0, 1), (1, 1, 1)])
+def test_root_of_a_known_linear_factor(cofactor):
+    # (z2 + 1 + a) * C(z2) with C(-1) != 0 has the root -1 - a; C of
+    # degree 2 and 4 runs the z2^3 and z2^5 power slices
+    frame, order = FRAMES["local_p1xp1"], 7
+    a = TruncatedSeries(
+        frame, order, {(1, 0, 0): Fraction(1), (0, 1, 1): Fraction(-2, 3), (2, 0, 1): Fraction(5)}
+    )
+    linear = [a + 1, TruncatedSeries.one(frame, order)]
+    table = {}
+    for i, x in enumerate(linear):
+        for j, c in enumerate(cofactor):
+            if c:
+                table[i + j] = table[i + j] + x * c if i + j in table else x * c
+    root, bound = solve_curve_root(table, frame, order)
+    assert root == -1 - a and bound == order + 1
 
 
 def _shifted(table):
