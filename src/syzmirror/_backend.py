@@ -201,18 +201,18 @@ class Terms(Mapping):
         width = field_width(order)
         if width == self.width:
             return self
-        return Terms(self.grading, width, self.den, _recoded(self, width, len(self.monos)), self.nums)
+        return Terms(self.grading, width, self.den, _recoded(self, width), self.nums)
 
 
-def _recoded(terms, width, count):
-    """The first ``count`` keys of ``terms`` re-encoded with ``width``-bit fields.
+def _recoded(terms, width):
+    """The keys of ``terms`` re-encoded with ``width``-bit fields.
 
     Re-encoding keeps the grade and the field order, so the keys stay
     sorted as long as every decoded exponent fits the new width.
     """
     decode = _decoder(terms.width, len(terms.grading))
     weights = _weights(terms.grading, width)
-    return [sum(map(mul, weights, decode(k))) for k in terms.monos[:count]]
+    return [sum(map(mul, weights, decode(k))) for k in terms.monos]
 
 
 def _normal(grading, width, den, monos, nums):
@@ -255,18 +255,6 @@ def single(grading, order, value, index=None):
     return Terms(grading, width, value.denominator, [key], [value.numerator])
 
 
-def _operand(x, order, width):
-    """Denominator and the sorted rows of grade <= ``order`` of a product
-    operand, a ``Terms`` of the product's grading; one of another width
-    (a series of higher order) is re-encoded."""
-    count = bisect_left(x.monos, (order + 1) << x._top())
-    if x.width != width:
-        return x.den, _recoded(x, width, count), x.nums[:count]
-    if count == len(x.monos):
-        return x.den, x.monos, x.nums
-    return x.den, x.monos[:count], x.nums[:count]
-
-
 def mul_terms(a, b, grading, order):
     """Convolve two ``Terms`` of ``grading``, dropping grades > order.
 
@@ -275,24 +263,26 @@ def mul_terms(a, b, grading, order):
     """
     width = field_width(order)
     bound = (order + 1) << (width * len(grading))  # a key below it has grade <= order
+    # an operand of another order keeps its rows of grade <= order, at
+    # the product's layout
+    a, b = a.truncated(order), b.truncated(order)
     if len(a) > len(b):
         a, b = b, a
-    da, monos_a, nums_a = _operand(a, order, width)
-    db, monos_b, nums_b = _operand(b, order, width)
+    monos_b, nums_b = b.monos, b.nums
     # Both keys of a kept pair have grade <= order, so ka + kb is the
     # product monomial with no carry; the bisection stops b at the first
     # kb that would push the grade past ``order``, and a stops once no kb
     # is left, since its keys only grow.
     out = {}
     get = out.get
-    for ka, na in zip(monos_a, nums_a):
+    for ka, na in zip(a.monos, a.nums):
         j = bisect_left(monos_b, bound - ka)
         if not j:
             break
         for kb, nb in zip(monos_b[:j], nums_b[:j]):
             k = ka + kb
             out[k] = get(k, 0) + na * nb
-    return _from_rows(grading, width, da * db, out)
+    return _from_rows(grading, width, a.den * b.den, out)
 
 
 def _reduced(den, keys, vals):

@@ -599,7 +599,7 @@ def curve_in_brane_frame(curve, unit, bframe, order) -> dict[int, TruncatedSerie
     return collected
 
 
-def solve_curve_root(table, frame: Frame, order: int) -> tuple[TruncatedSeries, int]:
+def solve_curve_root(table, frame: Frame, order: int) -> TruncatedSeries:
     """Solve W(z1, z2) = 0 for z2 on a ``curve_in_brane_frame`` table,
     grade by grade.
 
@@ -611,8 +611,7 @@ def solve_curve_root(table, frame: Frame, order: int) -> tuple[TruncatedSeries, 
     z2 = -1 + sum_n z_n, grade n of W(z2) is slope * z_n plus products
     of lower grades, so each z_n is one exact division on the kernel rows
     (``_backend.graded_root``) and the residual is zero through ``order``
-    by construction.  The returned ``bound`` on its valuation is
-    therefore ``order + 1``.
+    by construction; ``evaluate_curve`` is the independent audit.
     """
     root0 = Fraction(-1)
     shift = max(0, -min(table))
@@ -625,9 +624,10 @@ def solve_curve_root(table, frame: Frame, order: int) -> tuple[TruncatedSeries, 
         raise BranchError(
             f"grade-0 part has no simple root at {root0} (value {value}, slope {slope})"
         )
+    # a table of another order is cut to ``order`` (or refused if lower),
+    # so every coefficient is at the root's layout
     coeffs = [poly[e2].truncate(order).terms if e2 in poly else None for e2 in range(max(poly) + 1)]
-    root = graded_root(coeffs, root0, slope, order)
-    return TruncatedSeries._trusted(frame, order, root), order + 1
+    return TruncatedSeries._trusted(frame, order, graded_root(coeffs, root0, slope, order))
 
 
 def evaluate_curve(table, z2, frame: Frame, order: int) -> TruncatedSeries:
@@ -642,21 +642,16 @@ def evaluate_curve(table, z2, frame: Frame, order: int) -> TruncatedSeries:
     return acc
 
 
-class BraneMirrorSeries(
-    namedtuple("BraneMirrorSeries", "z1 z2 signs bound neg_log_z2 bframe")
-):
-    """Normalized mirror coordinates of an AV brane plus the root's residual bound.
+class BraneMirrorSeries(namedtuple("BraneMirrorSeries", "z1 z2 signs neg_log_z2 bframe")):
+    """Normalized mirror coordinates of an AV brane.
 
     ``signs`` is the (eps1, eps2) normalization: eps1 flips the sign of
     the open variable Q0 (twisting each coefficient by eps1^boundary),
     eps2 rescales z2; they are chosen so z2 has constant term +1 and
     -log z2 is supported on nonzero boundary grading, with the basic
-    disc class entering positively.  ``bound`` is the valuation bound
-    ``solve_curve_root`` returns for z2^shift * W on the raw solution
-    pair, with shift lifting the lowest z2 power of W to 0: the graded
-    solve zeroes every grade through the truncation order, so it is
-    order + 1.  ``neg_log_z2`` is -log z2, which the normalization
-    already needs, and ``bframe`` the brane frame both series live over.
+    disc class entering positively.  ``neg_log_z2`` is -log z2, which
+    the normalization already needs, and ``bframe`` the brane frame
+    both series live over.
     """
 
     __slots__ = ()
@@ -720,8 +715,7 @@ def av_mirror_brane(
     z1 is Q0 times the open unit of the inverse mirror map; z2 is the
     graded root of the corrected curve at z1, then sign-normalized.  The
     job reads the inverse map's open unit and fiber series only, never
-    its closed images.  The stored ``bound`` is the residual valuation
-    bound of ``solve_curve_root``.
+    its closed images, and maps the open unit into the brane frame once.
     """
     report = validate_brane(data, brane)
     if not report.ok:
@@ -734,15 +728,14 @@ def av_mirror_brane(
     curve = build_curve(data, closed_order, corrected=True, inverse_map=inv)
     unit = open_series(inv, bframe, order)
     table = curve_in_brane_frame(curve, unit, bframe, order)
-    z2_raw, bound = solve_curve_root(table, bframe.frame, order)
+    z2_raw = solve_curve_root(table, bframe.frame, order)
     signs, z2, neg_log_z2 = _normalize_root(z2_raw, bframe, override=normalization)
     eps1 = signs[0]
-    z1 = map_closed_series(inv.open_unit, bframe, order, shift=bframe.q0)
+    z1 = TruncatedSeries.monomial(bframe.frame, order, bframe.q0) * unit
     return BraneMirrorSeries(
         z1=_twist(z1, eps1) * eps1,
         z2=z2,
         signs=signs,
-        bound=bound,
         neg_log_z2=neg_log_z2,
         bframe=bframe,
     )

@@ -5,6 +5,13 @@ from fractions import Fraction
 import pytest
 
 from syzmirror import BraneSpec, ToricCYData, cli
+from syzmirror.mirror import (
+    brane_frame,
+    build_curve,
+    curve_in_brane_frame,
+    inverse_mirror_map,
+    open_series,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -109,3 +116,14 @@ def kp2_edge_brane():
     # brane on the bounded edge F_{0,2} of the compact divisor triangle;
     # geometric placement (m0) is exercised separately with offsets
     return av_brane(0, 2, 1, m=4, c=Fraction(1, 2))
+
+
+def brane_table(data, brane, order):
+    """The brane frame and the corrected curve as a ``curve_in_brane_frame``
+    table at ``order``, built the way ``av_mirror_brane`` builds them."""
+    bframe = brane_frame(data, brane)
+    closed_order = bframe.closed_order_for(order)
+    inv = inverse_mirror_map(data, closed_order, brane)
+    curve = build_curve(data, closed_order, corrected=True, inverse_map=inv)
+    unit = open_series(inv, bframe, order)
+    return bframe, curve_in_brane_frame(curve, unit, bframe, order)

@@ -20,7 +20,6 @@ from syzmirror import (
     closed_frame,
     compare_naive,
     cover_sum,
-    curve_in_brane_frame,
     evaluate_curve,
     exp_series,
     extract_open_gw,
@@ -32,7 +31,6 @@ from syzmirror import (
     mirror_map,
     multiple_cover_inversion,
     naive_brane,
-    open_series,
     pow_int,
     solve_curve_root,
     substitute,
@@ -40,7 +38,7 @@ from syzmirror import (
 from syzmirror.invariants import InvariantTable
 from syzmirror.lattice import ToricCYData, unit_vector
 from tests import oracle_fiber
-from tests.conftest import av_brane
+from tests.conftest import av_brane, brane_table
 
 C3 = ToricCYData(rays=((0, 0, 1), (1, 0, 1), (0, 1, 1)), u=(0, 0, 1))
 CONIFOLD = ToricCYData(
@@ -128,25 +126,15 @@ def test_criterion_4_curve_root_residual():
         (KP2, KP2_LEG_BRANE),
     ]
     for data, brane in cases:
-        bframe = brane_frame(data, brane)
-        curve = build_curve(data, bframe.closed_order_for(ORDER), corrected=True)
-        inv = inverse_mirror_map(data, bframe.closed_order_for(ORDER), brane)
-        unit = open_series(inv, bframe, ORDER)
-        table = curve_in_brane_frame(curve, unit, bframe, ORDER)
-        root, bound = solve_curve_root(table, bframe.frame, ORDER)
-        assert bound > ORDER
+        bframe, table = brane_table(data, brane, ORDER)
+        root = solve_curve_root(table, bframe.frame, ORDER)
         assert evaluate_curve(table, root, bframe.frame, ORDER).is_zero()
 
 
 @criterion(5, "conifold closed form")
 def test_criterion_5_conifold_closed_form():
-    bframe = brane_frame(CONIFOLD, CONIFOLD_BRANE)
-    curve = build_curve(CONIFOLD, ORDER)
-    inv = inverse_mirror_map(CONIFOLD, bframe.closed_order_for(ORDER), CONIFOLD_BRANE)
-    unit = open_series(inv, bframe, ORDER)
-    table = curve_in_brane_frame(curve, unit, bframe, ORDER)
-    root, bound = solve_curve_root(table, bframe.frame, ORDER)
-    assert bound > ORDER
+    bframe, table = brane_table(CONIFOLD, CONIFOLD_BRANE, ORDER)
+    root = solve_curve_root(table, bframe.frame, ORDER)
     # independent expansion of -(1 + q0) / (1 + q1 q0^-1) in the frame
     # generators P1 = q0, P2 = q1 q0^-1 by explicit geometric series
     expected = {}

@@ -387,6 +387,27 @@ class TestParseErrors:
         assert record["error"]["code"] == "parse"
         assert path[-1] in record["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "field, value, flag",
+        [
+            ("truncation", 0, "--order=0"),
+            ("truncation", -3, "--order=-3"),
+            ("normalization", [1, 2], "--normalization=1,2"),
+            ("normalization", [1, -1, 1], "--normalization=1,-1,1"),
+        ],
+    )
+    def test_flag_and_field_share_one_rule(self, capsys, tmp_path, field, value, flag):
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        bad.write_text(json.dumps(_with(CONIFOLD_DOC, (field,), value)))
+        good.write_text(json.dumps(CONIFOLD_DOC))
+        code, _, err = run(capsys, "brane-mirror", "--input", str(bad))
+        flag_code, _, flag_err = run(capsys, "brane-mirror", "--input", str(good), flag)
+        assert code == flag_code == 4
+        message = json.loads(err)["error"]["message"]
+        assert message.startswith(f"{field} must be")
+        source = flag.split("=")[0]
+        assert json.loads(flag_err)["error"]["message"] == message.replace(field, source, 1)
+
     def test_local_p2_boolean_constant_exits_four(self, capsys, tmp_path):
         doc = json.loads(LOCAL_P2_JOB.read_text())
         file = tmp_path / "job.json"
@@ -538,6 +559,26 @@ class TestRepeatedWork:
         assert len(curve_tables) == 1
         assert len(roots) == 1
         assert len(audits) == 0
+
+    def test_brane_job_maps_the_open_unit_into_the_frame_once(self, monkeypatch, kp2):
+        # through the compact divisor the open unit is not 1; z1 = Q0 u
+        # reuses the brane-frame u that the curve table was built with
+        from syzmirror import mirror
+        from tests.conftest import av_brane
+
+        original, inverse_maps = mirror.inverse_mirror_map, []
+
+        def recorded(*args, **kwargs):
+            inverse_maps.append(original(*args, **kwargs))
+            return inverse_maps[-1]
+
+        monkeypatch.setattr(mirror, "inverse_mirror_map", recorded)
+        maps = _count_calls(monkeypatch, mirror, "map_closed_series")
+        mirror.av_mirror_brane(kp2, av_brane(1, 2, 0, m=4), 4)
+        (inverse_map,) = inverse_maps
+        unit = inverse_map.open_unit
+        assert unit != 1
+        assert sum(args[0] is unit for args in maps) == 1
 
     def test_validate_with_supplied_charge_rows_builds_no_charge_basis(
         self, capsys, monkeypatch, tmp_path

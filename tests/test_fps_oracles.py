@@ -19,22 +19,17 @@ from syzmirror import (
     Frame,
     ToricCYData,
     TruncatedSeries,
-    brane_frame,
-    build_curve,
-    curve_in_brane_frame,
     evaluate_curve,
     exp_series,
     fixed_point_system,
     inverse,
-    inverse_mirror_map,
     log_series,
-    open_series,
     pow_int,
     solve_curve_root,
     substitute,
 )
 from syzmirror.errors import FixedPointDivergence
-from tests.conftest import av_brane
+from tests.conftest import av_brane, brane_table
 
 ORDER = 7
 
@@ -279,12 +274,7 @@ CURVE_CASES = {
 def test_curve_vanishes_on_root(geometry, order):
     toric, brane = CURVE_CASES[geometry]
     data = ToricCYData(u=(0, 0, 1), **toric)
-    bframe = brane_frame(data, brane)
-    curve = build_curve(data, bframe.closed_order_for(order))
-    inv = inverse_mirror_map(data, bframe.closed_order_for(order), brane)
-    unit = open_series(inv, bframe, order)
-    table = curve_in_brane_frame(curve, unit, bframe, order)
-    root, bound = solve_curve_root(table, bframe.frame, order)
+    bframe, table = brane_table(data, brane, order)
+    root = solve_curve_root(table, bframe.frame, order)
     assert root.order == order
-    assert bound > order
     assert evaluate_curve(table, root, bframe.frame, order).is_zero()

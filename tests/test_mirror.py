@@ -34,15 +34,14 @@ from syzmirror import (
     inverse_mirror_map,
     mirror_map,
     naive_brane,
-    open_series,
     pow_int,
     solve_curve_root,
     substitute,
 )
 from syzmirror.cli import parse_job
-from syzmirror.mirror import _normalize_root, _twist, open_charge
+from syzmirror.mirror import _normalize_root, open_charge
 from tests import oracle_fiber
-from tests.conftest import av_brane
+from tests.conftest import av_brane, brane_table
 
 ROOT = Path(__file__).resolve().parent.parent
 KP2_IOTA = [[-3, 1, 1, 1]]
@@ -487,38 +486,23 @@ class TestBraneFrame:
 
 class TestSolveCurveRoot:
     def test_conifold_closed_form(self, conifold, conifold_brane):
-        bframe = brane_frame(conifold, conifold_brane)
-        curve = build_curve(conifold, 8)
-        inv = inverse_mirror_map(conifold, bframe.closed_order_for(8), conifold_brane)
-        unit = open_series(inv, bframe, 8)
-        table = curve_in_brane_frame(curve, unit, bframe, 8)
-        root, bound = solve_curve_root(table, bframe.frame, 8)
-        assert bound > 8
+        bframe, table = brane_table(conifold, conifold_brane, 8)
+        root = solve_curve_root(table, bframe.frame, 8)
         assert evaluate_curve(table, root, bframe.frame, 8).is_zero()
         expected = conifold_root_expected(8)
         assert root.terms == {e: c for e, c in expected.items() if c != 0}
 
     def test_c3_exact_linear_root(self, c3, c3_brane):
-        bframe = brane_frame(c3, c3_brane)
-        curve = build_curve(c3, 8)
-        inv = inverse_mirror_map(c3, bframe.closed_order_for(8), c3_brane)
-        unit = open_series(inv, bframe, 8)
-        table = curve_in_brane_frame(curve, unit, bframe, 8)
-        root, bound = solve_curve_root(table, bframe.frame, 8)
-        assert bound > 8
+        bframe, table = brane_table(c3, c3_brane, 8)
+        root = solve_curve_root(table, bframe.frame, 8)
         assert evaluate_curve(table, root, bframe.frame, 8).is_zero()
         assert root == TruncatedSeries(
             bframe.frame, 8, {(0,): F(-1), (1,): F(-1)}
         )
 
     def test_residual_vanishes(self, kp2, kp2_leg_brane):
-        bframe = brane_frame(kp2, kp2_leg_brane)
-        curve = build_curve(kp2, bframe.closed_order_for(8))
-        inv = inverse_mirror_map(kp2, bframe.closed_order_for(8), kp2_leg_brane)
-        unit = open_series(inv, bframe, 8)
-        table = curve_in_brane_frame(curve, unit, bframe, 8)
-        root, bound = solve_curve_root(table, bframe.frame, 8)
-        assert bound > 8
+        bframe, table = brane_table(kp2, kp2_leg_brane, 8)
+        root = solve_curve_root(table, bframe.frame, 8)
         assert evaluate_curve(table, root, bframe.frame, 8).is_zero()
 
     def test_wrong_frame_escapes(self, conifold, conifold_brane):
@@ -536,7 +520,6 @@ class TestAvMirrorBrane:
         bframe = brane_frame(conifold, conifold_brane)
         assert result.z1 == TruncatedSeries.generator(bframe.frame, 8, 0)
         assert result.signs == (-1, -1)
-        assert result.bound > 8
         assert result.z2.constant_term() == 1
         # (1 - P1) / (1 - P2) termwise
         for k in range(1, 9):
@@ -559,26 +542,37 @@ class TestAvMirrorBrane:
         # auxiliary index on the outer face: both E-series vanish
         result = av_mirror_brane(kp2, kp2_leg_brane, 6)
         assert result.z1 == TruncatedSeries.generator(result.z1.frame, 6, 0)
-        assert result.bound > 6
         assert result.z2.constant_term() == 1
 
     def test_kp2_compact_aux_brane_z1_unit(self, kp2):
+        self.check_kp2_compact_aux_z1(kp2, 4)
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_kp2_compact_aux_brane_z1_unit_each_order(self, kp2, order):
+        self.check_kp2_compact_aux_z1(kp2, order)
+
+    @staticmethod
+    def check_kp2_compact_aux_z1(kp2, order):
         # auxiliary index through the compact divisor drags in A_0
         brane = av_brane(1, 2, 0, m=4)
-        result = av_mirror_brane(kp2, brane, 4)
+        result = av_mirror_brane(kp2, brane, order)
         z1 = result.z1
-        q0 = (1, 0)
-        assert z1.coefficient(q0) == 1
-        # z1 = Q0 exp(-A0(q(Q))) = Q0 (1 - 2 Q1 + 5 Q1^2 ...)
-        assert z1.coefficient((2, 1)) == -2  # Q0*Q1 packs as P1^2 P2
-        assert result.bound > 4
-        # z1 is eps1 times the eps1-twist of Q0 times the open unit
-        bframe = result.bframe
-        unit = open_series(inverse_mirror_map(kp2, bframe.closed_order_for(4), brane), bframe, 4)
-        assert unit != TruncatedSeries.one(bframe.frame, 4)
-        eps1 = result.signs[0]
-        q0_monomial = TruncatedSeries.monomial(bframe.frame, 4, bframe.q0)
-        assert z1 == _twist(q0_monomial * unit, eps1) * eps1
+        assert z1.coefficient((1, 0)) == 1
+        if order >= 3:
+            # z1 = Q0 exp(-A0(q(Q))) = Q0 (1 - 2 Q1 + 5 Q1^2 ...)
+            assert z1.coefficient((2, 1)) == -2  # Q0*Q1 packs as P1^2 P2
+        # z1 is eps1 times the eps1-twist of Q0 times the open unit: each
+        # closed row Q^e of the unit moves to the frame monomial of Q0 Q^e
+        bframe, eps1 = result.bframe, result.signs[0]
+        frame = bframe.frame
+        unit = inverse_mirror_map(kp2, bframe.closed_order_for(order), brane).open_unit
+        assert unit != TruncatedSeries.one(unit.frame, unit.order)
+        expected = {}
+        for e, c in unit.terms.items():
+            packed = bframe.pack((1,) + e)
+            if frame.grade(packed) <= order:
+                expected[packed] = c * eps1 ** ((frame.boundary_grade(packed) + 1) % 2)
+        assert z1 == TruncatedSeries(frame, order, expected)
 
     def test_z1_is_open_variable_times_unit(self, kp2, conifold, kp2_leg_brane, conifold_brane):
         for data, brane in ((kp2, kp2_leg_brane), (conifold, conifold_brane)):
@@ -667,7 +661,6 @@ class TestTwoParameterGeometry:
 
         brane = av_brane(1, 2, 3, m=5, frame=((1, 0, 0), (-1, 1, 0), (0, 0, 1)))
         result = av_mirror_brane(kp1xp1, brane, 5)
-        assert result.bound > 5
         assert result.z1 == TruncatedSeries.generator(result.z1.frame, 5, 0)
         table = multiple_cover_inversion(extract_open_gw(result.z2))
         assert integrality_check(table).ok

@@ -13,15 +13,8 @@ import pytest
 
 from syzmirror import Frame, TruncatedSeries, inverse
 from syzmirror.cli import parse_job
-from syzmirror.mirror import (
-    brane_frame,
-    build_curve,
-    curve_in_brane_frame,
-    evaluate_curve,
-    inverse_mirror_map,
-    open_series,
-    solve_curve_root,
-)
+from syzmirror.mirror import evaluate_curve, solve_curve_root
+from tests.conftest import brane_table
 
 ROOT = Path(__file__).resolve().parent.parent
 GEOMETRIES = {
@@ -74,16 +67,9 @@ def bottom_up_root(table, frame, order):
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
 def test_root_and_inverse_match_bottom_up_newton(name):
     job = parse_job(json.loads(GEOMETRIES[name].read_text()))
-    data, brane = job.toric, job.brane
-    bframe = brane_frame(data, brane)
     for order in range(1, 13):
-        closed_order = bframe.closed_order_for(order)
-        inv = inverse_mirror_map(data, closed_order, brane)
-        curve = build_curve(data, closed_order, corrected=True, inverse_map=inv)
-        unit = open_series(inv, bframe, order)
-        table = curve_in_brane_frame(curve, unit, bframe, order)
-        root, bound = solve_curve_root(table, bframe.frame, order)
-        assert bound > order, (name, order)
+        bframe, table = brane_table(job.toric, job.brane, order)
+        root = solve_curve_root(table, bframe.frame, order)
         assert evaluate_curve(table, root, bframe.frame, order).is_zero(), (name, order)
         assert root == bottom_up_root(table, bframe.frame, order), (name, order)
         units = [root] + [s for s in table.values() if s.constant_term() != 0]

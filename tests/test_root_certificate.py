@@ -2,14 +2,14 @@
 
 ``solve_curve_root`` solves ``z2^shift * W = 0`` grade by grade from the
 simple grade-0 root -1, so the residual is zero through the truncation
-order by construction and the returned bound is ``order + 1``.  These
-tests audit that residual with ``evaluate_curve`` on random curve
-tables, check that a grade-0 part without a simple root at -1 is
-refused, check that the root at one order truncates to the root at
-every lower order (order 0 included), and check the root of every
-shipped brane table against the explicit solution of a linear or
-quadratic equation, and of cubics and a quintic with a known linear
-factor.
+order by construction.  These tests audit that residual with
+``evaluate_curve`` on random curve tables, check that a grade-0 part
+without a simple root at -1 is refused, check that the root at one
+order truncates to the root at every lower order (order 0 included),
+and to the root of the same table solved at that order, and check the
+root of every shipped brane table against the explicit solution of a
+linear or quadratic equation, and of cubics and a quintic with a known
+linear factor.
 """
 
 import json
@@ -24,15 +24,8 @@ from hypothesis import strategies as st
 from syzmirror import TruncatedSeries, inverse, log_series
 from syzmirror.cli import parse_job
 from syzmirror.errors import BranchError
-from syzmirror.mirror import (
-    brane_frame,
-    build_curve,
-    curve_in_brane_frame,
-    evaluate_curve,
-    inverse_mirror_map,
-    open_series,
-    solve_curve_root,
-)
+from syzmirror.mirror import brane_frame, evaluate_curve, solve_curve_root
+from tests.conftest import brane_table
 
 ROOT = Path(__file__).resolve().parent.parent
 JOBS = {
@@ -48,13 +41,9 @@ def _job(name):
     return job.toric, job.brane
 
 
-def brane_table(name, order):
-    data, brane = _job(name)
-    bframe = brane_frame(data, brane)
-    curve = build_curve(data, bframe.closed_order_for(order), corrected=True)
-    inv = inverse_mirror_map(data, bframe.closed_order_for(order), brane)
-    unit = open_series(inv, bframe, order)
-    return curve_in_brane_frame(curve, unit, bframe, order), bframe.frame
+def shipped_table(name, order):
+    bframe, table = brane_table(*_job(name), order)
+    return table, bframe.frame
 
 
 FRAMES = {name: brane_frame(*_job(name)).frame for name in ("local_p2", "conifold", "local_p1xp1")}
@@ -91,19 +80,20 @@ def curve_tables(draw):
 @given(curve_tables())
 def test_certificate_agrees_with_evaluation(case):
     table, frame, order = case
-    root, bound = solve_curve_root(table, frame, order)
-    assert bound > order
+    root = solve_curve_root(table, frame, order)
     assert evaluate_curve(table, root, frame, order).is_zero()
 
 
 @pytest.mark.parametrize("name", ["local_p2", "local_p1xp1"])
 def test_root_truncates_to_the_root_of_every_lower_order(name):
-    table, frame = brane_table(name, 10)
-    root, bound = solve_curve_root(table, frame, 10)
-    assert (root.order, bound) == (10, 11)
+    table, frame = shipped_table(name, 10)
+    root = solve_curve_root(table, frame, 10)
+    assert root.order == 10
     for order in range(10):
         lower = {e: s.truncate(order) for e, s in table.items()}
-        assert solve_curve_root(lower, frame, order) == (root.truncate(order), order + 1), order
+        assert solve_curve_root(lower, frame, order) == root.truncate(order), order
+        # the order-10 table itself is cut to the order asked for
+        assert solve_curve_root(table, frame, order) == root.truncate(order), order
 
 
 @pytest.mark.parametrize(
@@ -143,8 +133,7 @@ def test_root_of_a_known_linear_factor(cofactor):
         for j, c in enumerate(cofactor):
             if c:
                 table[i + j] = table[i + j] + x * c if i + j in table else x * c
-    root, bound = solve_curve_root(table, frame, order)
-    assert root == -1 - a and bound == order + 1
+    assert solve_curve_root(table, frame, order) == -1 - a
 
 
 def _shifted(table):
@@ -160,9 +149,9 @@ def test_quadratic_root_matches_catalan_closed_form(name, orders):
     # u = a0 a2 / a1^2 and C the Catalan series, so that
     # log(-z2) = log(a1/a2) - sum_k binom(2k-1, k)/k u^k
     for order in orders:
-        table, frame = brane_table(name, order)
+        table, frame = shipped_table(name, order)
         a0, a1, a2 = _shifted(table)
-        root, _ = solve_curve_root(table, frame, order)
+        root = solve_curve_root(table, frame, order)
         inv_a1 = inverse(a1)
         u = a0 * a2 * inv_a1 * inv_a1
         assert u.constant_term() == 0
@@ -178,7 +167,7 @@ def test_quadratic_root_matches_catalan_closed_form(name, orders):
 @pytest.mark.parametrize("name", ["conifold", "c3"])
 def test_linear_root_is_the_quotient(name):
     for order in range(1, 13):
-        table, frame = brane_table(name, order)
+        table, frame = shipped_table(name, order)
         a0, a1 = _shifted(table)
-        root, _ = solve_curve_root(table, frame, order)
+        root = solve_curve_root(table, frame, order)
         assert root == -(a0 * inverse(a1)), (name, order)
