@@ -45,10 +45,10 @@ def _weights(grading, width):
     return [(g << top) | (1 << (width * i)) for i, g in enumerate(grading)]
 
 
-def _decoder(width, nvars):
-    mask = (1 << width) - 1
-    shifts = range(0, width * nvars, width)
-    return lambda key: tuple([(key >> s) & mask for s in shifts])
+def ratio_text(num, den):
+    """num/den (den != 0) in lowest terms as "p" or "p/q", with one gcd."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 class Terms(Mapping):
@@ -63,7 +63,7 @@ class Terms(Mapping):
     has no item assignment.
     """
 
-    __slots__ = ("grading", "width", "den", "monos", "nums", "_view")
+    __slots__ = ("grading", "width", "den", "monos", "nums", "_view", "_weights")
 
     def __init__(self, grading, width, den, monos, nums):
         self.grading = grading
@@ -72,14 +72,13 @@ class Terms(Mapping):
         self.monos = monos
         self.nums = nums
         self._view = None
+        self._weights = None  # (coeffs, row_weights(coeffs)) of the last read
 
     def _decoded(self):
         view = self._view
         if view is None:
-            decode, den = _decoder(self.width, len(self.grading)), self.den
-            view = self._view = dict(
-                sorted((decode(k), Fraction(n, den)) for k, n in zip(self.monos, self.nums))
-            )
+            coeffs = [Fraction(n, self.den) for n in self.nums]
+            view = self._view = dict(sorted(zip(self.exponents(), coeffs)))
         return view
 
     # -- the mapping view ----------------------------------------------
@@ -131,21 +130,27 @@ class Terms(Mapping):
         return ZERO
 
     def exponents(self):
-        """The exponent tuple of every row, in row order."""
-        return list(map(_decoder(self.width, len(self.grading)), self.monos))
+        """The exponent tuple of every row, in row order, decoded field by field."""
+        mask, shifts = (1 << self.width) - 1, range(0, self._top(), self.width)
+        fields = [[(k >> s) & mask for k in self.monos] for s in shifts]
+        return list(zip(*fields)) if fields else [()] * len(self.monos)
 
     def row_weights(self, coeffs):
-        """The integer w = sum coeffs[i] * e_i of every row, read from
-        the exponent fields of its key."""
-        mask = (1 << self.width) - 1
-        fields = [(self.width * i, c) for i, c in enumerate(coeffs) if c]
-        return [sum([c * ((k >> s) & mask) for s, c in fields]) for k in self.monos]
+        """The integer w = sum coeffs[i] * e_i of every row, read field by
+        field from the keys; the last list is kept for the next read."""
+        memo, coeffs = self._weights, tuple(coeffs)
+        if memo is None or memo[0] != coeffs:
+            mask, weights = (1 << self.width) - 1, [0] * len(self.monos)
+            for s, c in zip(range(0, self._top(), self.width), coeffs):
+                if c:
+                    weights = [w + c * ((k >> s) & mask) for w, k in zip(weights, self.monos)]
+            memo = self._weights = (coeffs, weights)
+        return memo[1]
 
-    def zero_weight(self, coeffs):
-        """The exponents, sorted, of the rows of weight 0 under ``coeffs``:
-        the rows ``weighted(coeffs)`` drops."""
-        decode = _decoder(self.width, len(self.grading))
-        return sorted([decode(k) for k, w in zip(self.monos, self.row_weights(coeffs)) if not w])
+    def zero_weight(self, weights):
+        """The exponents, sorted, of the rows whose entry in ``weights``
+        (one per row) is 0: the rows ``weighted`` drops."""
+        return sorted([e for e, w in zip(self.exponents(), weights) if not w])
 
     # -- ring operations on the rows -----------------------------------
 
@@ -175,18 +180,26 @@ class Terms(Mapping):
         nums = self.nums if p == 1 else [n * p for n in self.nums]
         return _normal(self.grading, self.width, self.den * q, self.monos, nums)
 
-    def weighted(self, coeffs, outer=None):
+    def weighted(self, coeffs):
         """Every row's numerator times the integer w = sum coeffs[i] * e_i,
-        read from the exponent fields of its key, or times ``outer(w)``;
-        rows whose weight is 0 drop."""
+        read from the exponent fields of its key; rows whose weight is 0
+        drop."""
         monos, nums = [], []
         for k, n, w in zip(self.monos, self.nums, self.row_weights(coeffs)):
-            if outer is not None:
-                w = outer(w)
             if w:
                 monos.append(k)
                 nums.append(n * w)
         return _normal(self.grading, self.width, self.den, monos, nums)
+
+    def signed(self, coeffs, odd, even=1):
+        """Every row's numerator times ``odd`` where its weight under ``coeffs``
+        is odd, else ``even``: both +-1, so the rows keep their normal form."""
+        signs = (even, odd)
+        weights = [0] * len(self.nums) if odd == even else self.row_weights(coeffs)
+        nums = [n * signs[w & 1] for n, w in zip(self.nums, weights)]
+        signed = Terms(self.grading, self.width, self.den, self.monos, nums)
+        signed._weights = self._weights
+        return signed
 
     def truncated(self, order):
         """The rows of grade <= ``order``, at the layout of ``order``."""
@@ -210,9 +223,8 @@ def _recoded(terms, width):
     Re-encoding keeps the grade and the field order, so the keys stay
     sorted as long as every decoded exponent fits the new width.
     """
-    decode = _decoder(terms.width, len(terms.grading))
     weights = _weights(terms.grading, width)
-    return [sum(map(mul, weights, decode(k))) for k in terms.monos]
+    return [sum(map(mul, weights, e)) for e in terms.exponents()]
 
 
 def _normal(grading, width, den, monos, nums):

@@ -264,16 +264,19 @@ def cmd_disc_invariants(job):
         inv.extract_open_gw(result.z2, neg_log=result.neg_log_z2)
     )
     report = inv.integrality_check(table)
-    classes = table.sorted_classes()
-    rows = []
-    for beta in classes:
+    names = result.z2.frame.names
+    rows, lines = [], []
+    for beta, n, N in table.rows():
         entry = {"beta": list(beta)}
-        if beta in table.n:
-            entry["n"] = format_rational(table.n[beta])
-        value = table.N.get(beta)
-        if value is not None:
-            entry["N"] = int(value) if value.denominator == 1 else format_rational(value)
+        if n is not None:
+            entry["n"] = n
+        if N is not None:
+            entry["N"] = N
         rows.append(entry)
+        lines.append(
+            f"class {_monomial_string(names, beta)}: "
+            f"n={entry.get('n', '-')} N={entry.get('N', '-')}"
+        )
     payload = {
         "signs": list(result.signs),
         "frame_generators": [list(g) for g in brane.frame_generators],
@@ -281,9 +284,6 @@ def cmd_disc_invariants(job):
         "flagged": [list(beta) for beta, _ in report.flagged],
         "table": rows,
     }
-    names = result.z2.frame.names
-    lines = [f"class {_monomial_string(names, b)}: n={e.get('n', '-')} N={e.get('N', '-')}"
-             for b, e in zip(classes, rows)]
     lines.append(f"integrality: {'pass' if report.ok else 'FAIL'}")
     return payload, lines, EXIT_OK
 
@@ -471,13 +471,12 @@ def main(argv=None, *, nested=False) -> int:
     except MathDomainError as exc:
         return _emit_error("math", str(exc), EXIT_MATH)
 
+    out = sys.stdout
     if args.output == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-        for line in lines:
-            sys.stderr.write(line + "\n")
-    else:
-        for line in lines:
-            sys.stdout.write(line + "\n")
+        out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        out = sys.stderr
+    # the lines in one write: stderr is write-through, one system call per write
+    out.write("".join([line + "\n" for line in lines]))
     return exit_code
 
 

@@ -11,9 +11,9 @@ monomials.  Ring operations, truncation and the settled-grade and
 valuation checks work on those integer rows; products go through
 ``_backend.mul_terms``.  ``TruncatedSeries.terms`` reads the rows as a
 read-only exponent tuple -> ``Fraction`` mapping, decoded on first read
-and iterated in lexicographic exponent order.  All values are immutable
-after construction and every operation is a pure function, so instances
-can be shared freely across threads.
+and iterated in lexicographic exponent order; ``str`` reads the rows.
+All values are immutable after construction and every operation is a
+pure function, so instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
-from ._backend import Terms, _normal, exp_log, graded_root, mul_terms, pack, single
+from ._backend import Terms, _normal, exp_log, graded_root, mul_terms, pack, ratio_text, single
 from .errors import (
     FixedPointDivergence,
     FrameMismatch,
@@ -202,15 +202,24 @@ class TruncatedSeries:
             return self
         return TruncatedSeries._trusted(self.frame, order, self.terms.truncated(order))
 
-    def weighted(self, coeffs, outer=None) -> "TruncatedSeries":
-        """Every term c x^e times the integer w = sum coeffs[i] * e[i], or
-        times ``outer(w)``; terms of weight 0 drop."""
-        return TruncatedSeries._trusted(self.frame, self.order, self.terms.weighted(coeffs, outer))
+    def weighted(self, coeffs) -> "TruncatedSeries":
+        """Every term c x^e times the integer w = sum coeffs[i] * e[i];
+        terms of weight 0 drop."""
+        return TruncatedSeries._trusted(self.frame, self.order, self.terms.weighted(coeffs))
+
+    def signed(self, coeffs, odd, even=1) -> "TruncatedSeries":
+        """Every term times ``odd`` where sum coeffs[i] * e[i] is odd, else ``even``."""
+        signed = self.terms.signed(coeffs, odd, even)
+        return TruncatedSeries._trusted(self.frame, self.order, signed)
 
     def filter_terms(self, keep) -> "TruncatedSeries":
         """The terms whose exponent tuple satisfies ``keep``, on the rows."""
+        return self.selected(list(map(keep, self.terms.exponents())))
+
+    def selected(self, flags) -> "TruncatedSeries":
+        """The terms of the rows whose entry in ``flags`` is true."""
         t = self.terms
-        rows = [(k, n) for k, n, e in zip(t.monos, t.nums, t.exponents()) if keep(e)]
+        rows = [(k, n) for k, n, flag in zip(t.monos, t.nums, flags) if flag]
         terms = _normal(t.grading, t.width, t.den, [k for k, _ in rows], [n for _, n in rows])
         return TruncatedSeries._trusted(self.frame, self.order, terms)
 
@@ -273,27 +282,20 @@ class TruncatedSeries:
         return f"TruncatedSeries({self!s}; order={self.order})"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
+        t, names = self.terms, self.frame.names
+        top, den = t._top(), t.den
         bits = []
-        for exps in sorted(self.terms, key=lambda e: (self.frame.grade(e), e)):
-            coeff = self.terms[exps]
-            factors = [
-                f"{n}^{e}" if e != 1 else n
-                for n, e in zip(self.frame.names, exps)
-                if e != 0
-            ]
-            mono = "*".join(factors)
+        for _, exps, num in sorted(zip([k >> top for k in t.monos], t.exponents(), t.nums)):
+            mono = "*".join([f"{x}^{e}" if e != 1 else x for x, e in zip(names, exps) if e])
             if not mono:
-                bits.append(str(coeff))
-            elif coeff == 1:
+                bits.append(ratio_text(num, den))
+            elif num == den:
                 bits.append(mono)
-            elif coeff == -1:
+            elif num == -den:
                 bits.append(f"-{mono}")
             else:
-                bits.append(f"{coeff}*{mono}")
-        out = " + ".join(bits)
-        return out.replace("+ -", "- ")
+                bits.append(f"{ratio_text(num, den)}*{mono}")
+        return " + ".join(bits).replace("+ -", "- ") or "0"
 
 
 # -- transcendental and structural operations ------------------------

@@ -7,17 +7,47 @@ invariants n_beta, integrating once more gives the disc potential, and
 Mobius summation inverts the multiple-cover relation
 n_beta = sum_{p | beta} N_{beta/p} / p^2 into integer instanton
 numbers.  Integrality is reported, never enforced: the multiple-cover
-relation is an assumed input, so failures are diagnostics.
+relation is an assumed input, so failures are diagnostics.  A table
+holds each value as an unreduced integer pair, read as a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import MathDomainError
-from .fps import ZERO, TruncatedSeries, boundary_derivative, log_series
+from .fps import ZERO, TruncatedSeries, boundary_derivative, log_series, ratio_text
+
+
+class _Ratios(Mapping):
+    """Class -> ``Fraction``, held as class -> integer pair in ``pairs``."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def __getitem__(self, beta):
+        return Fraction(*self.pairs[beta])
+
+    def __iter__(self):
+        return iter(self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+def _pairs(values):
+    """The class -> (numerator, denominator) pairs of a map of rationals."""
+    if isinstance(values, _Ratios):
+        return values.pairs
+    return {beta: (v.numerator, v.denominator) for beta, v in values.items()}
 
 
 class InvariantTable(namedtuple("InvariantTable", "frame order n N", defaults=(None,))):
@@ -30,11 +60,14 @@ class InvariantTable(namedtuple("InvariantTable", "frame order n N", defaults=(N
 
     __slots__ = ()
 
-    def sorted_classes(self):
-        keys = set(self.n)
-        if self.N is not None:
-            keys.update(self.N)
-        return sorted(keys)
+    def rows(self):
+        """(beta, n, N) for each class in sorted order, each printed with
+        one gcd, except that an integral N is an int; None where absent."""
+        n, N = _pairs(self.n), _pairs(self.N or {})
+        for beta in sorted(n.keys() | N.keys()):
+            p, q = N.get(beta, (0, 0))  # q = 0: no N
+            value = None if not q else p // q if p % q == 0 else ratio_text(p, q)
+            yield beta, ratio_text(*n[beta]) if beta in n else None, value
 
 
 def _neg_log(z2: TruncatedSeries) -> TruncatedSeries:
@@ -57,15 +90,10 @@ def extract_open_gw(
     terms = (_neg_log(z2) if neg_log is None else neg_log).terms
     weights = terms.row_weights(frame.boundary)
     if not all(weights):
-        offenders = terms.zero_weight(frame.boundary)
-        raise MathDomainError(
-            f"-log z2 has monomials with zero boundary grading: {offenders[:4]}"
-        )
-    den = terms.den
-    table = {
-        e: Fraction(num, den * w) for e, num, w in zip(terms.exponents(), terms.nums, weights)
-    }
-    return InvariantTable(frame=frame, order=z2.order, n=table)
+        offenders = terms.zero_weight(weights)
+        raise MathDomainError(f"-log z2 has monomials with zero boundary grading: {offenders[:4]}")
+    pairs = zip(terms.nums, [terms.den * w for w in weights])
+    return InvariantTable(frame, z2.order, _Ratios(dict(zip(terms.exponents(), pairs))))
 
 
 def disc_potential(z2: TruncatedSeries) -> TruncatedSeries:
@@ -100,18 +128,6 @@ def _mobius(n: int) -> int:
     return result
 
 
-def _divisors(beta):
-    """(p, beta/p) for every p >= 1 dividing each entry of beta, p increasing.
-
-    Those p are the divisors of g = gcd(*beta), found by trial division
-    up to sqrt(g); the zero vector has none.
-    """
-    g = gcd(*beta)
-    small = [p for p in range(1, isqrt(g) + 1) if g % p == 0]
-    for p in small + [g // p for p in reversed(small) if p * p != g]:
-        yield p, tuple(x // p for x in beta)
-
-
 def multiple_cover_inversion(table: InvariantTable) -> InvariantTable:
     """Fill N via Mobius summation: N_beta = sum_{p|beta} mu(p) n_{beta/p} / p^2.
 
@@ -119,19 +135,19 @@ def multiple_cover_inversion(table: InvariantTable) -> InvariantTable:
     sum runs over the divisors p of g = gcd(beta).  A class with g = 1
     has N_beta = n_beta; only the classes with g > 1, and the classes
     beta/p (p < g) they add to the support, run the sum, each as one
-    integer numerator over one denominator, so each builds one
-    ``Fraction``.  A class is d*b with b primitive, and its terms are the
-    classes (d/p)*b over the squarefree p | d.  The forward
+    integer numerator over the lcm of its terms' denominators.  A class
+    is d*b with b primitive, and its terms are the classes (d/p)*b over
+    the squarefree p | d.  The forward
     sum n_beta = sum_{p|beta} N_{beta/p} / p^2 then holds exactly on the
     divisor closure of the support.
     """
-    n = table.n
+    n = _pairs(table.n)
     instanton = {}
     multiples = set()  # (primitive class b, d) for each class d*b with d > 1
     for beta, value in n.items():
         g = gcd(*beta)
         if g == 1:
-            if value:
+            if value[0]:
                 instanton[beta] = value
             continue
         base = tuple(x // g for x in beta)
@@ -139,28 +155,27 @@ def multiple_cover_inversion(table: InvariantTable) -> InvariantTable:
     terms = {}  # d -> (p, mu(p), d // p) for each squarefree p | d
     for base, d in multiples:
         if d not in terms:
-            divisors = [p for p in range(1, d + 1) if d % p == 0]
-            terms[d] = [(p, mu, d // p) for p in divisors if (mu := _mobius(p))]
+            squarefree = [(p, _mobius(p)) for p in range(1, d + 1) if d % p == 0]
+            terms[d] = [(p, mu, d // p) for p, mu in squarefree if mu]
         parts = [
             (mu, p * p, value)
             for p, mu, k in terms[d]
             if (value := n.get(tuple([x * k for x in base])))
         ]
-        den = lcm(*[q * v.denominator for _, q, v in parts])
-        total = sum([mu * v.numerator * (den // (q * v.denominator)) for mu, q, v in parts])
+        den = lcm(*[q * b for _, q, (_, b) in parts])
+        total = sum([mu * a * (den // (q * b)) for mu, q, (a, b) in parts])
         if total:
-            instanton[tuple([x * d for x in base])] = Fraction(total, den)
-    return InvariantTable(frame=table.frame, order=table.order, n=dict(n), N=instanton)
+            instanton[tuple([x * d for x in base])] = (total, den)
+    return InvariantTable(table.frame, table.order, _Ratios(n), _Ratios(instanton))
 
 
 def cover_sum(table: InvariantTable, beta) -> Fraction:
     """Forward multiple-cover sum at beta from the filled N."""
     if table.N is None:
         raise MathDomainError("cover_sum needs a table with N filled")
-    return sum(
-        (table.N[reduced] / (p * p) for p, reduced in _divisors(beta) if reduced in table.N),
-        ZERO,
-    )
+    g = gcd(*beta)
+    reduced = [(p, tuple(x // p for x in beta)) for p in range(1, g + 1) if g % p == 0]
+    return sum((table.N[b] / (p * p) for p, b in reduced if b in table.N), ZERO)
 
 
 class IntegralityReport(namedtuple("IntegralityReport", "flagged")):
@@ -176,8 +191,6 @@ def integrality_check(table: InvariantTable) -> IntegralityReport:
     if table.N is None:
         raise MathDomainError("integrality_check needs a table with N filled")
     flagged = tuple(
-        (beta, value)
-        for beta, value in sorted(table.N.items())
-        if value.denominator != 1
+        (beta, Fraction(p, q)) for beta, (p, q) in sorted(_pairs(table.N).items()) if p % q
     )
     return IntegralityReport(flagged=flagged)

@@ -19,7 +19,7 @@ from itertools import product
 from math import lcm
 from operator import mul
 
-from ._backend import _decoder, _from_rows, _normal, _weights, field_width, graded_root
+from ._backend import _from_rows, _normal, _weights, field_width, graded_root
 from .errors import BranchError, FrameEscape, MathDomainError, ValidationError
 from .fps import Frame, TruncatedSeries, ZERO, exp_series, log_series, pow_int
 from .lattice import (
@@ -242,8 +242,7 @@ class LagrangeChain:
     valuation >= 1, so R_beta vanishes below grade |beta| and
     |beta| <= order suffices.  Each read-off is an integer weight on the
     rows of every R_beta, over the lcm of the chain's denominators, and
-    the pairings p_l(n) of each packed key are decoded once, on the
-    first read-off that meets the key.
+    the pairings p_l(n) of each packed key are decoded once, with the chain.
     """
 
     def __init__(self, a_list, rows, one, delta=None):
@@ -269,30 +268,28 @@ class LagrangeChain:
             chain[beta] = a if previous is None else previous * a * Fraction(1, beta[l])
 
         self.one = one
-        self._columns = columns
         # (exponent, R): the exponent is beta, or g - 1 for R_g without Delta
         self._rows = [(beta if self.delta else (beta[0] - 1,), r) for beta, r in chain.items()]
         self._den = lcm(*[r.terms.den for r in chain.values()])
-        self._pairings = {}  # packed key n -> [p_l(n) for every live l]
+        pairings = self._pairings = {}  # packed key n -> [p_l(n) for every live l]
+        for r in chain.values():
+            for k, e in zip(r.terms.monos, r.terms.exponents()):
+                if k not in pairings:
+                    pairings[k] = [sum(map(mul, column, e)) for column in columns]
 
     def unit(self, weights) -> TruncatedSeries:
         """exp(-sum_l c_l A_l(q(Q))), c = ``weights`` over the live rays:
         S = sum_R x^exponent R[n] at x_l = -(p_l(n) + c_l) on the Delta
         chain, and 1 - c S without Delta."""
         scale = 1 if self.delta else -weights[0]
-        decode = _decoder(self.one.terms.width, self.one.frame.nvars)
-        columns, pairings = self._columns, self._pairings
+        pairings = self._pairings
         acc = {}
         get = acc.get
         for exponent, r in self._rows:
             factor = scale * (self._den // r.terms.den)
             for k, n in zip(r.terms.monos, r.terms.nums):
-                pk = pairings.get(k)
-                if pk is None:
-                    e = decode(k)
-                    pk = pairings[k] = [sum(map(mul, column, e)) for column in columns]
                 n *= factor
-                for p, c, y in zip(pk, weights, exponent):
+                for p, c, y in zip(pairings[k], weights, exponent):
                     if y:
                         n *= (-p - c) ** y
                 acc[k] = get(k, 0) + n
@@ -657,22 +654,15 @@ class BraneMirrorSeries(namedtuple("BraneMirrorSeries", "z1 z2 signs neg_log_z2 
     __slots__ = ()
 
 
-def _twist(series: TruncatedSeries, eps1: int) -> TruncatedSeries:
-    if eps1 == 1:
-        return series
-    # eps1 ** boundary(e) needs only the parity of boundary(e), that of
-    # the sum of the exponents whose boundary entry is odd.
-    odd = [b % 2 for b in series.frame.boundary]
-    return series.weighted(odd, outer=lambda w: eps1 if w & 1 else 1)
-
-
 def _normalize_root(z2_raw, bframe, override=None):
     """Pick the signs (eps1, eps2); return them, z2 and -log z2.
 
     The twist by eps1 is a ring automorphism that fixes constant terms
     and the support, so eps2 is the same for both candidates, the second
     candidate's -log z2 is the twist of the first one's and one check of
-    its zero-boundary rows covers both: one log serves both.
+    its zero-boundary rows covers both: one log serves both.  Its
+    boundary weights, read once, serve the check, the twist (one sign
+    per row by their parity) and ``invariants.extract_open_gw``.
     """
     frame = bframe.frame
     const = z2_raw.constant_term()
@@ -680,15 +670,15 @@ def _normalize_root(z2_raw, bframe, override=None):
         raise BranchError(f"curve root has non-unit constant term {const}")
 
     eps2 = override[1] if override else int(const)
-    base = z2_raw * eps2
-    if base.constant_term() != 1:
+    if const * eps2 != 1:
         raise BranchError(
             f"normalization override {override} leaves z2 constant term "
-            f"{base.constant_term()}, expected 1"
+            f"{const * eps2}, expected 1"
         )
-    base_log = -log_series(base)
-    offenders = base_log.terms.zero_weight(frame.boundary)
-    if offenders:
+    log = log_series(z2_raw * eps2)
+    weights = log.terms.row_weights(frame.boundary)
+    if not all(weights):
+        offenders = log.terms.zero_weight(weights)
         if override:
             raise BranchError(f"-log z2 touches zero-boundary monomials {offenders[:4]}")
         raise BranchError(
@@ -696,12 +686,13 @@ def _normalize_root(z2_raw, bframe, override=None):
             f"on nonzero boundary grading; offending monomials {offenders[:6]}"
         )
     q0 = bframe.q0
-    basic = base_log.coefficient(q0) if frame.grade(q0) <= base_log.order else ZERO
+    basic = -log.coefficient(q0) if frame.grade(q0) <= log.order else ZERO
     eps1_options = [override[0]] if override else [1, -1]
     # the twist by eps1 multiplies the Q0 coefficient by eps1 ** boundary(q0)
     positive = [e for e in eps1_options if basic * e ** (frame.boundary_grade(q0) % 2) > 0]
     eps1 = positive[0] if positive else eps1_options[0]
-    return (eps1, eps2), _twist(base, eps1), _twist(base_log, eps1)
+    twist = frame.boundary
+    return (eps1, eps2), z2_raw.signed(twist, eps2 * eps1, eps2), log.signed(twist, -eps1, -1)
 
 
 def av_mirror_brane(
@@ -730,10 +721,10 @@ def av_mirror_brane(
     table = curve_in_brane_frame(curve, unit, bframe, order)
     z2_raw = solve_curve_root(table, bframe.frame, order)
     signs, z2, neg_log_z2 = _normalize_root(z2_raw, bframe, override=normalization)
-    eps1 = signs[0]
     z1 = TruncatedSeries.monomial(bframe.frame, order, bframe.q0) * unit
     return BraneMirrorSeries(
-        z1=_twist(z1, eps1) * eps1,
+        # z1 twisted by eps1 and times eps1: eps1 ** (boundary(e) + 1)
+        z1=z1.signed(bframe.boundary, 1, signs[0]),
         z2=z2,
         signs=signs,
         neg_log_z2=neg_log_z2,
@@ -770,17 +761,17 @@ def compare_naive(
     z1_corr = mirror.z1 - TruncatedSeries.monomial(frame, order, bframe.q0)
     z2_corr = mirror.z2 - 1
 
-    def pure_open(exps):
-        return all(x == 0 for x in bframe.closed_part(exps))
+    def in_closed_ideal(series):
+        """Per row: whether some closed exponent of its Kahler monomial is nonzero."""
+        weights = [series.terms.row_weights(c) for c in list(zip(*bframe.generators))[1:]]
+        return [any(ws) for ws in zip(*weights)] if weights else [False] * len(series.terms)
 
-    z1_ok = all(not pure_open(e) for e in z1_corr.terms)
-    z2_open = z2_corr.filter_terms(pure_open)
-    z2_mixed = z2_corr.filter_terms(lambda e: not pure_open(e))
+    mixed = in_closed_ideal(z2_corr)
     return NaiveComparison(
         z1_correction=z1_corr,
         z2_correction=z2_corr,
-        z1_in_closed_ideal=z1_ok,
-        z2_pure_open=z2_open,
-        z2_mixed=z2_mixed,
+        z1_in_closed_ideal=all(in_closed_ideal(z1_corr)),
+        z2_pure_open=z2_corr.selected([not f for f in mixed]),
+        z2_mixed=z2_corr.selected(mixed),
         signs=mirror.signs,
     )

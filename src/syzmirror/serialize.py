@@ -2,8 +2,9 @@
 
 Series serialize as a list of ``{"e": [ints], "c": "p/q"}`` records
 sorted lexicographically by exponent; rationals are lowest-terms
-strings.  The CLI and every module use this one format, so re-parsing a
-document reproduces the in-memory value exactly.
+strings, read off a series' integer numerators with no ``Fraction``.
+The CLI and every module use this one format, so re-parsing a document
+reproduces the in-memory value exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import re
 from fractions import Fraction
 
 from .errors import InputError
-from .fps import Frame, TruncatedSeries
+from .fps import Frame, TruncatedSeries, ratio_text
 
 
 def format_rational(value: Fraction) -> str:
@@ -54,7 +55,9 @@ def parse_int_vector(raw, where) -> tuple[int, ...]:
 
 
 def series_to_records(series: TruncatedSeries) -> list[dict]:
-    return [{"e": list(e), "c": format_rational(c)} for e, c in series.items()]
+    terms = series.terms
+    rows = sorted(zip(terms.exponents(), terms.nums))
+    return [{"e": list(e), "c": ratio_text(n, terms.den)} for e, n in rows]
 
 
 def series_from_records(frame: Frame, order: int, records) -> TruncatedSeries:

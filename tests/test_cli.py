@@ -1,5 +1,7 @@
 """End-to-end CLI checks: exit codes, determinism, output round trips."""
 
+import hashlib
+import io
 import json
 import sys
 from fractions import Fraction as F
@@ -7,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from syzmirror import Frame
+from syzmirror import Frame, av_mirror_brane, log_series
 from syzmirror.cli import COMMANDS, main, parse_job
 from syzmirror.serialize import series_from_json, series_from_records
+from tests.test_invariants import divisor_closure_inversion
 
 CONIFOLD_DOC = {
     "toric": {
@@ -444,6 +447,107 @@ def test_local_p1xp1_disc_invariants_are_integral(capsys):
     payload = json.loads(out)
     assert payload["integral"] is True
     assert payload["flagged"] == []
+
+
+SHIPPED_BRANE_JOBS = (
+    Path(__file__).resolve().parent.parent / "jobs" / "c3.json",
+    Path(__file__).resolve().parent.parent / "jobs" / "conifold.json",
+    LOCAL_P2_JOB,
+    LOCAL_P1XP1_JOB,
+)
+
+
+def reference_disc_table(n):
+    """The printed table, flags and verdict for the invariants ``n`` (class
+    -> Fraction), inverted by Mobius summation over ``Fraction``s."""
+    N = divisor_closure_inversion(n)
+    rows = []
+    for beta in sorted(set(n) | set(N)):
+        entry = {"beta": list(beta)}
+        if beta in n:
+            entry["n"] = str(n[beta])
+        if beta in N:
+            entry["N"] = int(N[beta]) if N[beta].denominator == 1 else str(N[beta])
+        rows.append(entry)
+    flagged = [list(beta) for beta in sorted(N) if N[beta].denominator != 1]
+    return rows, flagged, not flagged
+
+
+@pytest.mark.parametrize("path", SHIPPED_BRANE_JOBS, ids=lambda p: p.stem)
+def test_shipped_disc_tables_match_the_fraction_reference(capsys, path):
+    job = parse_job(json.loads(path.read_text()))
+    for order in range(1, 11):
+        code, out, err = run(capsys, "disc-invariants", "--input", str(path), "--order", str(order))
+        assert code == 0
+        payload = json.loads(out)
+        z2 = av_mirror_brane(job.toric, job.brane, order).z2
+        neg_log = -log_series(z2)
+        n = {e: c / z2.frame.boundary_grade(e) for e, c in neg_log.terms.items()}
+        rows, flagged, integral = reference_disc_table(n)
+        assert (payload["table"], payload["flagged"], payload["integral"]) == (
+            rows, flagged, integral
+        ), order
+        assert err.splitlines()[-1] == f"integrality: {'pass' if integral else 'FAIL'}"
+
+
+def test_non_integral_instantons_print_as_fractions_and_fail(capsys, tmp_path):
+    # the compact-divisor brane on local P2 has non-integral N; each one is
+    # a "p/q" string in the table and on stderr, and its class is flagged
+    doc = json.loads(LOCAL_P2_JOB.read_text())
+    doc["brane"]["charges"] = [[0, -1, 1, 0], [1, -1, 0, 0]]
+    doc["brane"]["av_indices"] = [1, 2, 0]
+    path = tmp_path / "compact.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "disc-invariants", "--input", str(path), "--order", "7")
+    assert code == 0
+    payload = json.loads(out)
+    n = {tuple(row["beta"]): F(row["n"]) for row in payload["table"] if "n" in row}
+    rows, flagged, integral = reference_disc_table(n)
+    assert payload["table"] == rows
+    fractional = [row for row in rows if isinstance(row.get("N"), str)]
+    assert fractional and all("/" in row["N"] for row in fractional)
+    assert payload["flagged"] == flagged == [row["beta"] for row in fractional]
+    assert payload["integral"] is integral is False
+    lines = err.splitlines()
+    assert lines[-1] == "integrality: FAIL"
+    assert [line.split(" N=")[1] for line in lines[:-1] if "/" in line.split(" N=")[1]] == [
+        row["N"] for row in fractional
+    ]
+
+
+class _CountingRaw(io.RawIOBase):
+    """A raw stream that keeps the bytes it is given and counts its writes."""
+
+    def __init__(self):
+        self.writes, self.data = 0, bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes += 1
+        self.data += data
+        return len(data)
+
+
+# SHA-256 of the local P2 order-20 disc-invariants summary: the stderr of a
+# JSON run and the stdout of a pretty one, as printed one line per write
+KP2_ORDER_20_SUMMARY = "1a44e80eee35155b9d112f8405eed958a11ed0c3ba24c06fd31b719ba22d01c0"
+
+
+@pytest.mark.parametrize("output,stream", [("json", "stderr"), ("pretty", "stdout")])
+def test_summary_is_written_in_one_call(monkeypatch, output, stream):
+    # like sys.stderr, the stream is write-through: each write reaches the
+    # raw stream, one system call apiece on a real file (221 at this order
+    # with one write per line)
+    raw = _CountingRaw()
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    monkeypatch.setattr(sys, stream, io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+    argv = ["disc-invariants", "--input", str(LOCAL_P2_JOB), "--order", "20", "--output", output]
+    assert main(argv) == 0
+    assert raw.writes == 1
+    assert hashlib.sha256(raw.data).hexdigest() == KP2_ORDER_20_SUMMARY
 
 
 class TestBoundaryGrading:

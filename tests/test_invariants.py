@@ -206,6 +206,50 @@ def test_inversion_matches_divisor_closure(n):
         assert cover_sum(filled, beta) == n[beta]
 
 
+def reference_rows(n, N):
+    """(beta, n, N) per class in sorted order as ``InvariantTable.rows``
+    prints them, from ``Fraction`` maps: an integral N as an int."""
+    def printed(value):
+        return int(value) if value.denominator == 1 else str(value)
+
+    return [
+        (beta, str(n[beta]) if beta in n else None, printed(N[beta]) if beta in N else None)
+        for beta in sorted(set(n) | set(N))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_classes, st.fractions(-50, 50, max_denominator=30), max_size=12))
+@example({(12, 0, 12): F(1, 2), (1, 1, 1): F(1), (6, 6, 6): F(-3, 4)})
+def test_rows_and_flags_match_the_fraction_reference(n):
+    # hand-built tables: classes of gcd up to 12 and more, non-integral N
+    frame = Frame(names=("a", "b", "c"), boundary=(1, -1, 2))
+    filled = multiple_cover_inversion(InvariantTable(frame=frame, order=40, n=n))
+    N = divisor_closure_inversion(n)
+    assert list(filled.rows()) == reference_rows(n, N)
+    flagged = tuple((beta, N[beta]) for beta in sorted(N) if N[beta].denominator != 1)
+    assert integrality_check(filled).flagged == flagged
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda e: 2 * e[0] != 3 * e[1]),
+        st.fractions(-20, 20, max_denominator=12).filter(bool),
+        max_size=8,
+    )
+)
+def test_extracted_rows_match_the_fraction_reference(log_terms):
+    # boundary weights of both signs: each n is the row numerator over the
+    # row denominator times a weight that may be negative
+    frame = Frame(names=("a", "b"), boundary=(2, -3))
+    neg_log = TruncatedSeries(frame, 6, log_terms)
+    table = multiple_cover_inversion(extract_open_gw(exp_series(-neg_log)))
+    n = {e: c / frame.boundary_grade(e) for e, c in neg_log.terms.items()}
+    assert table.n == n
+    assert list(table.rows()) == reference_rows(n, divisor_closure_inversion(n))
+
+
 class TestIntegrality:
     def test_conifold_passes(self, conifold, conifold_brane):
         result = av_mirror_brane(conifold, conifold_brane, 8)

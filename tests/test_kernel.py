@@ -16,7 +16,6 @@ from syzmirror import Frame, TruncatedSeries, boundary_derivative, substitute
 from syzmirror._backend import Terms, field_width, mul_terms
 from syzmirror.fps import _lift
 from syzmirror.lattice import unit_vector
-from syzmirror.mirror import _twist
 
 
 # Reference: the Fraction loop the kernel replaced, kept verbatim.
@@ -369,15 +368,20 @@ def reweighted(s, weight):
 def test_row_weights_match_the_dict_reference(s, data):
     frame = s.frame
     index = data.draw(st.integers(min_value=0, max_value=frame.nvars - 1))
+    odd, even = data.draw(st.sampled_from([(-1, 1), (1, -1), (-1, -1), (1, 1)]))
+
+    def twist(series):
+        return series.signed(frame.boundary, odd, even)
+
     results = {
         "log": (s.weighted(unit_vector(frame.nvars, index)), lambda e: e[index]),
         "boundary": (boundary_derivative(s), frame.boundary_grade),
-        "twist": (_twist(s, -1), lambda e: (-1) ** (frame.boundary_grade(e) % 2)),
+        "twist": (twist(s), lambda e: odd if frame.boundary_grade(e) % 2 else even),
     }
     for result, weight in results.values():
         check_normal_form(result)
         assert result == reweighted(s, weight)
-    assert _twist(_twist(s, -1), -1) == s and _twist(s, 1) is s
+    assert twist(twist(s)) == s
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syzmirror import Frame, InputError, TruncatedSeries
 from syzmirror.serialize import (
@@ -138,3 +140,65 @@ class TestStrictIntegers:
             series_from_json(full)
         assert cause in str(info.value)
 
+
+
+# -- printing from the rows against a Fraction reference ------------------
+
+
+def reference_records(terms):
+    """Each term as a record, lexicographic in the exponents, with the
+    coefficient printed by ``Fraction``."""
+    return [{"e": list(e), "c": str(c)} for e, c in sorted(terms.items())]
+
+
+def reference_str(frame, terms):
+    """The series text: terms by grade, then exponent, each coefficient
+    printed by ``Fraction`` and a coefficient +-1 folded into the sign."""
+    bits = []
+    for exps in sorted(terms, key=lambda e: (frame.grade(e), e)):
+        coeff = terms[exps]
+        mono = "*".join(f"{n}^{e}" if e != 1 else n for n, e in zip(frame.names, exps) if e)
+        if not mono:
+            bits.append(str(coeff))
+        elif coeff == 1:
+            bits.append(mono)
+        elif coeff == -1:
+            bits.append(f"-{mono}")
+        else:
+            bits.append(f"{coeff}*{mono}")
+    return " + ".join(bits).replace("+ -", "- ") if bits else "0"
+
+
+_coefficients = st.one_of(
+    st.sampled_from([F(1), F(-1)]),
+    st.integers(-10**12, 10**12).filter(bool).map(F),
+    st.fractions(-10**6, 10**6, max_denominator=10**4).filter(bool),
+)
+
+
+@st.composite
+def printed_series(draw):
+    """A series over 1-4 generators of grading 1-2: possibly zero, with
+    or without a constant term, coefficients of any sign and denominator."""
+    nvars = draw(st.integers(1, 4))
+    grading = tuple(draw(st.integers(1, 2)) for _ in range(nvars))
+    frame = Frame(names=tuple(f"x{i}" for i in range(nvars)), grading=grading)
+    order = draw(st.integers(0, 6))
+    exponents = st.tuples(*[st.integers(0, order)] * nvars).filter(
+        lambda e: frame.grade(e) <= order
+    )
+    terms = draw(st.dictionaries(exponents, _coefficients, max_size=10))
+    constant = draw(st.none() | _coefficients)
+    if constant is not None:
+        terms[(0,) * nvars] = constant
+    return TruncatedSeries(frame, order, terms), terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(printed_series())
+def test_rows_print_as_the_fraction_reference(drawn):
+    series, terms = drawn
+    assert series_to_records(series) == reference_records(terms)
+    assert str(series) == reference_str(series.frame, terms)
+    # both read the integer rows, not the decoded Fraction view
+    assert series.terms._view is None
