@@ -16,7 +16,7 @@ A layout is ``(grading, width)``: exponent i lives in bits
 fields, and so does the sum of two exponents of a kept product term.
 
 :class:`Terms` holds one series in this form and reads it as a
-read-only exponent tuple -> ``Fraction`` mapping, decoded on first read.
+read-only exponent tuple -> ``Fraction`` mapping, decoded on each read.
 """
 
 from bisect import bisect_left
@@ -51,6 +51,11 @@ def ratio_text(num, den):
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
+def monomial_text(names, exponents):
+    """The monomial as "x^2*y" over ``names``, "" when every exponent is 0."""
+    return "*".join([f"{x}^{e}" if e != 1 else x for x, e in zip(names, exponents) if e])
+
+
 class Terms(Mapping):
     """One series' terms in kernel form, read as exponent tuple -> Fraction.
 
@@ -59,11 +64,11 @@ class Terms(Mapping):
     ``den`` >= 1 the common denominator, with gcd(den, *nums) == 1.  The
     form is unique for given terms and layout, so two ``Terms`` of one
     layout are equal exactly when their rows are.  The mapping view is
-    decoded once, on first read, in lexicographic exponent order, and
-    has no item assignment.
+    decoded from the rows on each read, in lexicographic exponent order,
+    and has no item assignment.
     """
 
-    __slots__ = ("grading", "width", "den", "monos", "nums", "_view", "_weights")
+    __slots__ = ("grading", "width", "den", "monos", "nums", "_weights")
 
     def __init__(self, grading, width, den, monos, nums):
         self.grading = grading
@@ -71,15 +76,11 @@ class Terms(Mapping):
         self.den = den
         self.monos = monos
         self.nums = nums
-        self._view = None
         self._weights = None  # (coeffs, row_weights(coeffs)) of the last read
 
     def _decoded(self):
-        view = self._view
-        if view is None:
-            coeffs = [Fraction(n, self.den) for n in self.nums]
-            view = self._view = dict(sorted(zip(self.exponents(), coeffs)))
-        return view
+        coeffs = [Fraction(n, self.den) for n in self.nums]
+        return dict(sorted(zip(self.exponents(), coeffs)))
 
     # -- the mapping view ----------------------------------------------
 

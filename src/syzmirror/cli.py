@@ -18,14 +18,9 @@ from collections import namedtuple
 
 from . import invariants as inv
 from . import lattice, mirror
+from ._backend import monomial_text
 from .errors import InputError, MathDomainError, ValidationError
-from .serialize import (
-    format_rational,
-    parse_int_vector,
-    parse_rational,
-    series_to_json,
-    series_to_records,
-)
+from .serialize import parse_int_vector, parse_rational, series_to_json, series_to_records
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -139,13 +134,6 @@ def _need_brane(job) -> lattice.BraneSpec:
     return job.brane
 
 
-def _monomial_string(names, exponents) -> str:
-    factors = [
-        f"{n}^{e}" if e != 1 else n for n, e in zip(names, exponents) if e != 0
-    ]
-    return "*".join(factors) if factors else "1"
-
-
 # -- command bodies: each returns (json payload, pretty lines) --------
 
 
@@ -187,11 +175,11 @@ def cmd_curve(job):
                 "coefficient": series_to_records(term.coefficient),
             }
         )
-        mono = _monomial_string(q_names + z_names, term.q_exponents + term.z_exponents)
+        mono = monomial_text(q_names + z_names, term.q_exponents + term.z_exponents)
         coeff = str(term.coefficient)
         if coeff == "1":
-            pretty_terms.append(mono)
-        elif mono == "1":
+            pretty_terms.append(mono or "1")
+        elif not mono:
             pretty_terms.append(f"({coeff})")
         else:
             pretty_terms.append(f"({coeff})*{mono}")
@@ -274,7 +262,7 @@ def cmd_disc_invariants(job):
             entry["N"] = N
         rows.append(entry)
         lines.append(
-            f"class {_monomial_string(names, beta)}: "
+            f"class {monomial_text(names, beta) or '1'}: "
             f"n={entry.get('n', '-')} N={entry.get('N', '-')}"
         )
     payload = {
@@ -299,8 +287,8 @@ def cmd_compare_naive(job):
             {
                 "z": list(eq.z_exponents),
                 "Q": list(eq.q_exponents),
-                "constant": format_rational(eq.constant),
-                "phase_pi": format_rational(eq.phase),
+                "constant": str(eq.constant),
+                "phase_pi": str(eq.phase),
             }
             for eq in equations
         ],
@@ -337,7 +325,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser():
+    """The CLI's argument parser, built once per process."""
     parser = _ArgumentParser(
         prog="syzmirror",
         description="Exact mirror-curve and open Gromov-Witten series computations",
@@ -360,12 +350,6 @@ def build_parser():
     )
     parser.add_argument("--output", choices=["json", "pretty"], default="json")
     return parser
-
-
-@functools.cache
-def _shared_parser():
-    """The parser of :func:`build_parser`, built once per process."""
-    return build_parser()
 
 
 @functools.lru_cache(maxsize=64)
@@ -433,7 +417,7 @@ def _batch(path) -> int:
 
 def main(argv=None, *, nested=False) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "batch":
             if nested:
                 raise InputError("batch cannot run inside a batch")

@@ -10,7 +10,7 @@ numerators over one gcd-reduced denominator, keyed by sorted packed
 monomials.  Ring operations, truncation and the settled-grade and
 valuation checks work on those integer rows; products go through
 ``_backend.mul_terms``.  ``TruncatedSeries.terms`` reads the rows as a
-read-only exponent tuple -> ``Fraction`` mapping, decoded on first read
+read-only exponent tuple -> ``Fraction`` mapping, decoded on each read
 and iterated in lexicographic exponent order; ``str`` reads the rows.
 All values are immutable after construction and every operation is a
 pure function, so instances can be shared freely across threads.
@@ -22,7 +22,8 @@ from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
-from ._backend import Terms, _normal, exp_log, graded_root, mul_terms, pack, ratio_text, single
+from ._backend import Terms, _normal, exp_log, graded_root, mul_terms, pack, single
+from ._backend import monomial_text, ratio_text
 from .errors import (
     FixedPointDivergence,
     FrameMismatch,
@@ -74,9 +75,6 @@ class Frame(namedtuple("Frame", "names grading boundary")):
 
     def boundary_grade(self, exponents: Sequence[int]) -> int:
         return sum(b * e for b, e in zip(self.boundary, exponents))
-
-    def zero_exponent(self) -> tuple[int, ...]:
-        return (0,) * self.nvars
 
 
 def _frame_difference(frame: Frame, other: Frame) -> str:
@@ -212,10 +210,6 @@ class TruncatedSeries:
         signed = self.terms.signed(coeffs, odd, even)
         return TruncatedSeries._trusted(self.frame, self.order, signed)
 
-    def filter_terms(self, keep) -> "TruncatedSeries":
-        """The terms whose exponent tuple satisfies ``keep``, on the rows."""
-        return self.selected(list(map(keep, self.terms.exponents())))
-
     def selected(self, flags) -> "TruncatedSeries":
         """The terms of the rows whose entry in ``flags`` is true."""
         t = self.terms
@@ -286,7 +280,7 @@ class TruncatedSeries:
         top, den = t._top(), t.den
         bits = []
         for _, exps, num in sorted(zip([k >> top for k in t.monos], t.exponents(), t.nums)):
-            mono = "*".join([f"{x}^{e}" if e != 1 else x for x, e in zip(names, exps) if e])
+            mono = monomial_text(names, exps)
             if not mono:
                 bits.append(ratio_text(num, den))
             elif num == den:

@@ -493,15 +493,6 @@ class BraneFrame(namedtuple("BraneFrame", "generators boundary")):
                 return None
         return tuple(exps)
 
-    def unpack(self, exps) -> tuple[int, ...]:
-        width = len(self.generators[0])
-        return tuple(
-            sum(e * g[c] for e, g in zip(exps, self.generators)) for c in range(width)
-        )
-
-    def closed_part(self, exps) -> tuple[int, ...]:
-        return self.unpack(exps)[1:]
-
 
 def brane_frame(data: ToricCYData, brane: BraneSpec) -> BraneFrame:
     """The brane's declared frame; explicit input, no heuristics."""

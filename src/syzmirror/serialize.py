@@ -16,10 +16,6 @@ from .errors import InputError
 from .fps import Frame, TruncatedSeries, ratio_text
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 _RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 

@@ -1,10 +1,12 @@
 """Shared geometries and branes for the test suite."""
 
+import contextlib
 from fractions import Fraction
 
 import pytest
 
 from syzmirror import BraneSpec, ToricCYData, cli
+from syzmirror._backend import Terms
 from syzmirror.mirror import (
     brane_frame,
     build_curve,
@@ -116,6 +118,24 @@ def kp2_edge_brane():
     # brane on the bounded edge F_{0,2} of the compact divisor triangle;
     # geometric placement (m0) is exercised separately with offsets
     return av_brane(0, 2, 1, m=4, c=Fraction(1, 2))
+
+
+@contextlib.contextmanager
+def no_decoding():
+    """Fail on any decode of a ``Terms`` mapping view inside the block."""
+
+    def refuse(terms):
+        raise AssertionError("decoded the Fraction view of the rows")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Terms, "_decoded", refuse)
+        yield
+
+
+def kahler_monomial(bframe, exps):
+    """The exponents over (Q0, Q1, ...) of prod_k generators[k] ** exps[k]:
+    the Kahler monomial that the brane-frame exponents ``exps`` stand for."""
+    return tuple(sum(e * x for e, x in zip(exps, column)) for column in zip(*bframe.generators))
 
 
 def brane_table(data, brane, order):

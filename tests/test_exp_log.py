@@ -92,7 +92,7 @@ def series(draw, constant):
         exps = tuple(draw(st.integers(min_value=0, max_value=order // g)) for g in grading)
         numerator = draw(st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30)))
         terms[exps] = Fraction(numerator, draw(st.sampled_from(DENOMINATORS)))
-    terms[frame.zero_exponent()] = Fraction(constant)
+    terms[(0,) * frame.nvars] = Fraction(constant)
     return TruncatedSeries(frame, order, terms)
 
 

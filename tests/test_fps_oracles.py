@@ -209,7 +209,7 @@ def graded_series(draw, frame, constant, max_terms=6):
     for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
         exps = tuple(draw(st.integers(min_value=0, max_value=ORDER // g)) for g in frame.grading)
         terms[exps] = draw(rationals())
-    terms[frame.zero_exponent()] = constant
+    terms[(0,) * frame.nvars] = constant
     return TruncatedSeries(frame, ORDER, terms)
 
 

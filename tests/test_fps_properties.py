@@ -48,7 +48,7 @@ def series_over(draw, frame, zero_constant=False, unit_constant=False, max_terms
         if frame.grade(exps) > ORDER:
             continue
         terms[exps] = draw(rationals())
-    origin = frame.zero_exponent()
+    origin = (0,) * frame.nvars
     if zero_constant:
         terms.pop(origin, None)
     if unit_constant:
@@ -117,8 +117,8 @@ def composition_cases(draw):
     for g in source.grading:
         im = draw(series_over(target, zero_constant=True, max_terms=4))
         # image valuation must cover the source grading for exact truncation
-        im = im.filter_terms(lambda e: target.grade(e) >= g)
-        images.append(im)
+        kept = {e: c for e, c in im.items() if target.grade(e) >= g}
+        images.append(TruncatedSeries(target, im.order, kept))
     return a, b, images
 
 

@@ -15,6 +15,7 @@ import pytest
 from syzmirror import BraneFrame, ToricCYData, TruncatedSeries, a_series, closed_frame
 from syzmirror.lattice import _interior_rays, charge_basis, independent_columns
 from tests import oracle_fiber
+from tests.conftest import kahler_monomial
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED_JOBS = sorted((ROOT / "jobs").glob("*.json")) + sorted(
@@ -143,7 +144,7 @@ def reference_pack(bframe, vec):
     if sol is None or any(x.denominator != 1 or x < 0 for x in sol):
         return None
     exps = tuple(int(x) for x in sol)
-    return exps if bframe.unpack(exps) == tuple(vec) else None
+    return exps if kahler_monomial(bframe, exps) == tuple(vec) else None
 
 
 FRAMES = {

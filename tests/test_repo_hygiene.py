@@ -104,14 +104,50 @@ def test_every_public_name_is_read():
         for name in _defined_names(statement):
             del reads[name]
         library += reads
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    example = readme.split("\n## Worked example\n", 1)[1]
-    example = _read_names(ast.parse(re.search(r"```python\n(.*?)```", example, re.S).group(1)))
+    example = _example_reads()
     traced = {attr for _, _, attr in _load_spans().TARGETS}
     unread = [
         name
         for name in exported
         if not (library[name] or example[name] or name in traced or name in PAPER_FUNCTIONS)
+    ]
+    assert unread == []
+
+
+def _example_reads():
+    """Every name the README worked example reads."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Worked example\n", 1)[1]
+    return _read_names(ast.parse(re.search(r"```python\n(.*?)```", example, re.S).group(1)))
+
+
+def test_every_class_member_is_read():
+    # a method or property that a library class adds to its bases is read
+    # somewhere in the library outside its own body, or by the README
+    # worked example; members that override a base (argparse's ``error``,
+    # the ``Mapping`` protocol) and dunders are the bases' contract
+    package = ROOT / "src" / "syzmirror"
+    members, total = [], Counter()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        total += _read_names(tree)
+        module = importlib.import_module(f"syzmirror.{path.stem}")
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = getattr(module, node.name).__mro__[1:]
+            for member in node.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = member.name
+                if name.startswith("__") or any(hasattr(base, name) for base in bases):
+                    continue
+                members.append((f"{node.name}.{name}", name, _read_names(member)))
+    example = _example_reads()
+    unread = [
+        qualified
+        for qualified, name, own in members
+        if total[name] - own[name] == 0 and not example[name]
     ]
     assert unread == []
 

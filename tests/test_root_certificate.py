@@ -64,7 +64,7 @@ def curve_tables(draw):
     spread = draw(st.sampled_from((2, order)))
     table = {}
     for e, c in constants.items():
-        terms = {frame.zero_exponent(): Fraction(c)}
+        terms = {(0,) * frame.nvars: Fraction(c)}
         for _ in range(draw(st.integers(min_value=0, max_value=4))):
             exps = tuple(draw(st.integers(min_value=0, max_value=spread)) for _ in frame.names)
             if 1 <= frame.grade(exps) <= order:
