@@ -68,7 +68,7 @@ class Terms(Mapping):
     and has no item assignment.
     """
 
-    __slots__ = ("grading", "width", "den", "monos", "nums", "_weights")
+    __slots__ = ("grading", "width", "den", "monos", "nums")
 
     def __init__(self, grading, width, den, monos, nums):
         self.grading = grading
@@ -76,7 +76,6 @@ class Terms(Mapping):
         self.den = den
         self.monos = monos
         self.nums = nums
-        self._weights = None  # (coeffs, row_weights(coeffs)) of the last read
 
     def _decoded(self):
         coeffs = [Fraction(n, self.den) for n in self.nums]
@@ -138,15 +137,12 @@ class Terms(Mapping):
 
     def row_weights(self, coeffs):
         """The integer w = sum coeffs[i] * e_i of every row, read field by
-        field from the keys; the last list is kept for the next read."""
-        memo, coeffs = self._weights, tuple(coeffs)
-        if memo is None or memo[0] != coeffs:
-            mask, weights = (1 << self.width) - 1, [0] * len(self.monos)
-            for s, c in zip(range(0, self._top(), self.width), coeffs):
-                if c:
-                    weights = [w + c * ((k >> s) & mask) for w, k in zip(weights, self.monos)]
-            memo = self._weights = (coeffs, weights)
-        return memo[1]
+        field from the keys."""
+        mask, weights = (1 << self.width) - 1, [0] * len(self.monos)
+        for s, c in zip(range(0, self._top(), self.width), coeffs):
+            if c:
+                weights = [w + c * ((k >> s) & mask) for w, k in zip(weights, self.monos)]
+        return weights
 
     def zero_weight(self, weights):
         """The exponents, sorted, of the rows whose entry in ``weights``
@@ -198,9 +194,7 @@ class Terms(Mapping):
         signs = (even, odd)
         weights = [0] * len(self.nums) if odd == even else self.row_weights(coeffs)
         nums = [n * signs[w & 1] for n, w in zip(self.nums, weights)]
-        signed = Terms(self.grading, self.width, self.den, self.monos, nums)
-        signed._weights = self._weights
-        return signed
+        return Terms(self.grading, self.width, self.den, self.monos, nums)
 
     def truncated(self, order):
         """The rows of grade <= ``order``, at the layout of ``order``."""
@@ -231,10 +225,7 @@ def _recoded(terms, width):
 def _normal(grading, width, den, monos, nums):
     """``Terms`` from sorted rows with nonzero numerators, gcd-reduced."""
     if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            den //= g
-            nums = [n // g for n in nums]
+        den, monos, nums = _reduced(den, monos, nums)
     return Terms(grading, width, den, monos, nums)
 
 

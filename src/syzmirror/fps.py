@@ -165,10 +165,6 @@ class TruncatedSeries:
 
     # -- inspection ---------------------------------------------------
 
-    def items(self):
-        """Terms in lexicographic exponent order (deterministic)."""
-        return list(self.terms.items())
-
     def constant_term(self) -> Fraction:
         return self.terms.constant()
 

@@ -1,10 +1,10 @@
-"""Shared JSON encoding for series, frames and invariant tables.
+"""JSON output of series and frames, and the literal readers of a job.
 
 Series serialize as a list of ``{"e": [ints], "c": "p/q"}`` records
 sorted lexicographically by exponent; rationals are lowest-terms
 strings, read off a series' integer numerators with no ``Fraction``.
-The CLI and every module use this one format, so re-parsing a document
-reproduces the in-memory value exactly.
+Job documents give rationals and integer vectors, which
+``parse_rational`` and ``parse_int_vector`` read strictly.
 """
 
 from __future__ import annotations
@@ -56,50 +56,12 @@ def series_to_records(series: TruncatedSeries) -> list[dict]:
     return [{"e": list(e), "c": ratio_text(n, terms.den)} for e, n in rows]
 
 
-def series_from_records(frame: Frame, order: int, records) -> TruncatedSeries:
-    terms = {}
-    for rec in records:
-        try:
-            exps = parse_int_vector(rec["e"], f"series record {rec!r}")
-            coeff = parse_rational(rec["c"])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed series record {rec!r}: {exc}") from None
-        if len(exps) != frame.nvars or any(e < 0 for e in exps):
-            raise InputError(
-                f"series record {rec!r} needs {frame.nvars} non-negative exponents"
-            )
-        grade = frame.grade(exps)
-        if grade > order:
-            raise InputError(f"series record {rec!r} has grade {grade} above the order {order}")
-        if exps in terms:
-            raise InputError(f"duplicate exponent {exps} in series records")
-        terms[exps] = coeff
-    return TruncatedSeries(frame, order, terms)
-
-
 def frame_to_json(frame: Frame) -> dict:
     return {
         "names": list(frame.names),
         "grading": list(frame.grading),
         "boundary": list(frame.boundary),
     }
-
-
-def frame_from_json(doc) -> Frame:
-    try:
-        names = doc["names"]
-        if not isinstance(names, list):
-            raise InputError(f"frame names must be a list of strings, got {names!r}")
-        bad = [n for n in names if not isinstance(n, str)]
-        if bad:
-            raise InputError(f"frame name {bad[0]!r} is not a string")
-        return Frame(
-            names=tuple(names),
-            grading=parse_int_vector(doc.get("grading", []), "frame.grading"),
-            boundary=parse_int_vector(doc.get("boundary", []), "frame.boundary"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed frame document: {exc}") from None
 
 
 def series_to_json(series: TruncatedSeries) -> dict:
@@ -109,14 +71,3 @@ def series_to_json(series: TruncatedSeries) -> dict:
         "terms": series_to_records(series),
     }
 
-
-def series_from_json(doc) -> TruncatedSeries:
-    try:
-        frame = frame_from_json(doc["frame"])
-        (order,) = parse_int_vector([doc["order"]], "series order")
-        records = doc["terms"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed series document: {exc}") from None
-    if order < 0:
-        raise InputError(f"series order must be non-negative, got {order}")
-    return series_from_records(frame, order, records)

@@ -165,7 +165,7 @@ def test_criterion_6_naive_brane():
         bframe = brane_frame(data, brane)
         # the z1 correction and the mixed part of z2 have no pure-open term
         for series in (report.z1_correction, report.z2_mixed):
-            pure = [e for e, _ in series.items() if not any(kahler_monomial(bframe, e)[1:])]
+            pure = [e for e in series.terms if not any(kahler_monomial(bframe, e)[1:])]
             assert pure == []
 
 

@@ -1,4 +1,4 @@
-"""End-to-end CLI checks: exit codes, determinism, output round trips."""
+"""End-to-end CLI checks: exit codes, determinism, output records."""
 
 import hashlib
 import io
@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from syzmirror import Frame, av_mirror_brane, log_series
+from syzmirror import av_mirror_brane, log_series
 from syzmirror.cli import COMMANDS, main, parse_job
-from syzmirror.serialize import series_from_json, series_from_records
+from syzmirror.serialize import series_to_json
 from tests.test_invariants import divisor_closure_inversion
 
 CONIFOLD_DOC = {
@@ -194,8 +194,7 @@ class TestPipelines:
         payload = json.loads(out)
         assert payload["residual_zero"] is True
         assert payload["z1"]["terms"] == [{"e": [1, 0], "c": "1"}]
-        z2 = series_from_json(payload["z2"])
-        assert z2.constant_term() == 1
+        assert payload["z2"]["terms"][0] == {"e": [0, 0], "c": "1"}
 
     def test_disc_invariants_conifold(self, capsys, conifold_path):
         code, out, _ = run(capsys, "disc-invariants", "--input", conifold_path)
@@ -212,12 +211,10 @@ class TestPipelines:
         assert payload["naive_equations"][0]["z"] == [0, -1]
         assert payload["naive_equations"][1]["z"] == [-1, 0]
 
-    def test_mirror_map_round_trip_series(self, capsys, kp2_path):
+    def test_inverse_map_closed_records(self, capsys, kp2_path):
         code, out, _ = run(capsys, "inverse-map", "--input", kp2_path, "--order", "4")
         payload = json.loads(out)
-        frame = Frame(names=("Q1",))
-        series = series_from_records(frame, 4, payload["closed"][0])
-        assert series.coefficient((2,)) == F(6)
+        assert {"e": [2], "c": "6"} in payload["closed"][0]
 
     def test_normalization_override_flag(self, capsys, conifold_path):
         code, out, _ = run(
@@ -327,7 +324,7 @@ class TestDeterminism:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
-    def test_output_reparses_to_memory_value(self, capsys, conifold_path):
+    def test_output_matches_memory_value(self, capsys, conifold_path):
         code, out, _ = run(capsys, "brane-mirror", "--input", conifold_path)
         payload = json.loads(out)
         from syzmirror import av_mirror_brane
@@ -341,8 +338,8 @@ class TestDeterminism:
         )
         brane = av_brane(0, 2, 1, m=4, c=F(2))
         result = av_mirror_brane(data, brane, 8)
-        assert series_from_json(payload["z2"]) == result.z2
-        assert series_from_json(payload["z1"]) == result.z1
+        assert payload["z2"] == series_to_json(result.z2)
+        assert payload["z1"] == series_to_json(result.z1)
 
 
 def _with(doc, path, value):

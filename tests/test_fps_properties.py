@@ -117,7 +117,7 @@ def composition_cases(draw):
     for g in source.grading:
         im = draw(series_over(target, zero_constant=True, max_terms=4))
         # image valuation must cover the source grading for exact truncation
-        kept = {e: c for e, c in im.items() if target.grade(e) >= g}
+        kept = {e: c for e, c in im.terms.items() if target.grade(e) >= g}
         images.append(TruncatedSeries(target, im.order, kept))
     return a, b, images
 

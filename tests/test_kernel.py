@@ -4,6 +4,7 @@ against a plain Fraction-dict model, with the normal form after each,
 and the integer row weights, coefficient reads and one-row constructors
 likewise."""
 
+from copy import copy
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -374,6 +375,8 @@ def test_row_weights_match_the_dict_reference(s, data):
     def twist(series):
         return series.signed(frame.boundary, odd, even)
 
+    # reading row weights writes no field of the series' rows
+    state = {name: copy(getattr(s.terms, name)) for name in Terms.__slots__}
     results = {
         "log": (s.weighted(unit_vector(frame.nvars, index)), lambda e: e[index]),
         "boundary": (boundary_derivative(s), frame.boundary_grade),
@@ -383,6 +386,7 @@ def test_row_weights_match_the_dict_reference(s, data):
         check_normal_form(result)
         assert result == reweighted(s, weight)
     assert twist(twist(s)) == s
+    assert {name: getattr(s.terms, name) for name in Terms.__slots__} == state
 
 
 @settings(max_examples=200, deadline=None)
