@@ -1,5 +1,5 @@
-"""Kernel form of a truncated series, the sparse convolution and the
-graded exp/log recurrence on it.
+"""Kernel form of a truncated series, the sparse convolution, and the
+graded exp/log recurrence and root solve on its grade slices.
 
 Every series keeps its terms as integer numerators over one common
 denominator, the ``fmpq_poly`` layout of FLINT, so sums, scalings and
@@ -17,6 +17,11 @@ fields, and so does the sum of two exponents of a kept product term.
 
 :class:`Terms` holds one series in this form and reads it as a
 read-only exponent tuple -> ``Fraction`` mapping, decoded on each read.
+:func:`mul_terms` convolves two of them through a dict keyed by the
+product key.  :func:`exp_log` and :func:`graded_root` work grade by
+grade instead, on grade slices held as dense rows (described above
+``EMPTY``): a product of two slices adds into plain lists indexed by
+the exponent fields above the first (:func:`_convolve`).
 """
 
 from bisect import bisect_left
@@ -225,7 +230,7 @@ def _recoded(terms, width):
 def _normal(grading, width, den, monos, nums):
     """``Terms`` from sorted rows with nonzero numerators, gcd-reduced."""
     if den != 1:
-        den, monos, nums = _reduced(den, monos, nums)
+        den, [(monos, nums)] = _reduced(den, [(monos, nums)])
     return Terms(grading, width, den, monos, nums)
 
 
@@ -289,70 +294,202 @@ def mul_terms(a, b, grading, order):
     return _from_rows(grading, width, a.den * b.den, out)
 
 
-def _reduced(den, keys, vals):
-    """A grade slice ``(den, keys, vals)`` with gcd(den, *vals) divided out."""
-    divisor = gcd(den, *vals)
-    if divisor != 1:
-        den //= divisor
-        vals = [v // divisor for v in vals]
-    return den, keys, vals
+def _reduced(den, runs):
+    """``(den, runs)`` with gcd(den, *numerators) divided out of the
+    numerator lists of ``runs``, pairs (start, numerators)."""
+    if den != 1:
+        divisor = den
+        for _, nums in runs:
+            divisor = gcd(divisor, *nums)
+        if divisor != 1:
+            den //= divisor
+            runs = [(start, [n // divisor for n in nums]) for start, nums in runs]
+    return den, runs
 
 
-EMPTY = (1, [], [])
-ONE = (1, [0], [1])
+# A grade slice is ``(den, runs)``.  A run ``(start, numerators)`` lies in
+# one row of the slice, where every exponent field above the second is
+# fixed: numerators[i] is the coefficient at second exponent (start's) +
+# i, and may be 0.  ``start`` is the index of a key, its fields above the
+# first shifted down: in one grade the first exponent follows from them,
+# and the indexes of two keys add with no carry, so the product of two
+# entries sits at the sum of their indexes.  Within a grade keys ascend
+# with their index, so the runs of a slice ascend in key order.  On a
+# layout of at most two generators a slice has one row, and one run
+# unless it is empty.
+EMPTY = (1, [])
+ONE = (1, [(0, [1])])
 
 
 def _scalar(value):
     """The grade-0 slice of the nonzero rational ``value``."""
-    return value.denominator, [0], [value.numerator]
+    return value.denominator, [(0, [value.numerator])]
+
+
+def _row_width(grading, width):
+    """The field width that splits a slice into rows on a layout of
+    three or more generators, 0 on a layout of one row."""
+    return width if len(grading) > 2 else 0
+
+
+def _runs(keys, nums, width, mask, rows):
+    """The runs of a slice's sorted ``keys`` and ``nums`` whose indexes
+    are not consecutive: with ``rows``, one run per stretch of
+    consecutive indexes; on one row, a single run, zero-filled."""
+    at = [(k >> width) & mask for k in keys]
+    if rows:
+        cuts = [i for i in range(1, len(at)) if at[i] - at[i - 1] != 1]
+        return [(at[lo], nums[lo:hi]) for lo, hi in zip([0] + cuts, cuts + [len(at)])]
+    row = [0] * (at[-1] - at[0] + 1)
+    for i, n in zip(at, nums):
+        row[i - at[0]] = n
+    return [(at[0], row)]
 
 
 def _slices(terms, order):
-    """The grade slices ``(den, keys, numerators)`` of ``terms`` for grades
-    0..order, each a range of its sorted rows over its denominator."""
-    top = terms._top()
-    monos, nums = terms.monos, terms.nums
+    """The grade slices ``(den, runs)`` of ``terms`` for grades 0..order.
+
+    A slice is a ``bisect`` range of the sorted rows; one whose indexes
+    are consecutive, checked at its ends, is one run as it stands.
+    """
+    grading, top, width = terms.grading, terms._top(), terms.width
+    mask = (1 << (top - width)) - 1 if grading else 0  # (key >> width) & mask: its index
+    rows = _row_width(grading, width)
+    den, monos, nums = terms.den, terms.monos, terms.nums
     cuts = [bisect_left(monos, g << top) for g in range(order + 2)]
-    return [(terms.den, monos[lo:hi], nums[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    slices = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo == hi:
+            slices.append(EMPTY)
+            continue
+        start = (monos[lo] >> width) & mask
+        if ((monos[hi - 1] >> width) & mask) - start == hi - lo - 1:
+            slices.append((den, [(start, nums[lo:hi])]))
+        else:
+            slices.append((den, _runs(monos[lo:hi], nums[lo:hi], width, mask, rows)))
+    return slices
 
 
-def _convolve(products, divisor=1):
+def _trimmed(start, row):
+    """The run ``(start, row)`` with its zero ends cut, or None when every
+    entry is 0."""
+    if not any(row):
+        return None
+    lo, hi = 0, len(row)
+    while not row[lo]:
+        lo += 1
+    while not row[hi - 1]:
+        hi -= 1
+    return start + lo, row[lo:hi]
+
+
+def _convolve(products, rows=0, divisor=1):
     """sum w * a * b over ``products`` (w, a, b), an integer weight and two
     grade slices, over ``divisor`` > 0, as one gcd-reduced slice.
 
     The slices of one product lie in grades that add up to one grade n,
-    so every pair of their rows lands in grade n and needs no bound test.
+    so every pair of their entries lands in grade n, at the sum of
+    their indexes, and needs no bound test.  The sum accumulates in one
+    list per row, indexed by the second exponent (a dense accumulator:
+    Gustavson, ACM TOMS 4, 1978).  On one row (``rows`` 0) every slice
+    is one run; otherwise each pair of runs looks up its row, the index
+    above ``rows`` bits.
     """
     products = [(w, a, b) for w, a, b in products if w and a[1] and b[1]]
     common = lcm(*[a[0] * b[0] for _, a, b in products])
-    acc = {}
-    get = acc.get
-    for w, (da, keys, vals), (db, other_keys, other_vals) in products:
-        scale = w * (common // (da * db))
-        if len(keys) > len(other_keys):
-            keys, vals, other_keys, other_vals = other_keys, other_vals, keys, vals
-        for ka, na in zip(keys, vals):
-            na *= scale
-            for kb, nb in zip(other_keys, other_vals):
-                k = ka + kb
-                acc[k] = get(k, 0) + na * nb
-    keys = sorted([k for k, v in acc.items() if v])
-    if not keys:
+    if rows:
+        mask = (1 << rows) - 1
+        sums = {}
+        for w, (da, runs), (db, other) in products:
+            scale = w * (common // (da * db))
+            if len(runs) > len(other):
+                runs, other = other, runs
+            for start, nums in runs:
+                for other_start, other_nums in other:
+                    at = start + other_start
+                    acc = sums.get(at >> rows)
+                    if acc is None:
+                        acc = sums[at >> rows] = []
+                    at &= mask
+                    end = at + len(nums) + len(other_nums) - 1
+                    if end > len(acc):
+                        acc += [0] * (end - len(acc))
+                    for na in nums:
+                        if na:
+                            na *= scale
+                            j = at
+                            for nb in other_nums:
+                                acc[j] += na * nb
+                                j += 1
+                        at += 1
+        runs = [_trimmed(r << rows, sums[r]) for r in sorted(sums)]
+        runs = [run for run in runs if run]
+    else:
+        acc = []
+        for w, (da, [(start, nums)]), (db, [(other_start, other_nums)]) in products:
+            scale = w * (common // (da * db))
+            if len(nums) > len(other_nums):
+                nums, other_nums = other_nums, nums
+            at = start + other_start
+            end = at + len(nums) + len(other_nums) - 1
+            if end > len(acc):
+                acc += [0] * (end - len(acc))
+            for na in nums:
+                if na:
+                    na *= scale
+                    j = at
+                    for nb in other_nums:
+                        acc[j] += na * nb
+                        j += 1
+                at += 1
+        run = _trimmed(0, acc)
+        runs = [run] if run else []
+    if not runs:
         return EMPTY
-    return _reduced(common * divisor, keys, [acc[k] for k in keys])
+    return _reduced(common * divisor, runs)
 
 
 def _assembled(grading, width, slices):
-    """``Terms`` from gcd-reduced grade slices in grade order: over the lcm
-    of their denominators the rows are in normal form."""
-    parts = [p for p in slices if p[1]]
-    den = lcm(*[p[0] for p in parts])
-    out_monos, out_nums = [], []
-    for d, keys, vals in parts:
-        out_monos += keys
+    """``Terms`` from gcd-reduced grade slices of grades 0, 1, ...: over
+    the lcm of their denominators the rows are in normal form.
+
+    Entry i of a run in grade n has the run's index plus i, and as its
+    first exponent the rest of grade n over grading[0].  When grading[0]
+    divides grading[1], one more of the second exponent moves the key
+    by one ``step``, so a hole-free run is one key progression.  The
+    runs of a slice are in key order, and so are the slices.
+    """
+    top = width * len(grading)
+    mask = (1 << width) - 1
+    first = grading[0] if grading else 1
+    second = grading[1] if len(grading) > 1 else 0
+    upper = list(zip(grading[1:], range(0, top, width)))  # fields above the first
+    ratio, remainder = divmod(second, first)
+    step = None if remainder else (1 << width) - ratio
+    den = lcm(*[d for d, runs in slices if runs])
+    monos, nums = [], []
+    for n, (d, runs) in enumerate(slices):
+        if not runs:
+            continue
         scale = den // d
-        out_nums += vals if scale == 1 else [v * scale for v in vals]
-    return Terms(grading, width, den, out_monos, out_nums)
+        for start, row in runs:
+            rest = n
+            for g, s in upper:
+                rest -= g * ((start >> s) & mask)
+            key = (n << top) | (start << width) | (rest // first)
+            if len(row) == 1:
+                monos.append(key)
+                nums.append(row[0] * scale)
+            elif step and 0 not in row:
+                monos += range(key, key + len(row) * step, step)
+                nums += row if scale == 1 else [v * scale for v in row]
+            else:
+                for i, v in enumerate(row):
+                    if v:
+                        at = rest - second * i
+                        monos.append((n << top) | ((start + i) << width) | (at // first))
+                        nums.append(v * scale)
+    return Terms(grading, width, den, monos, nums)
 
 
 def exp_log(s, order, log):
@@ -373,13 +510,14 @@ def exp_log(s, order, log):
     n by n only when it assembles the result.  In all about half of one
     truncated product.
     """
-    cut = _slices(s, order)
+    cut, rows = _slices(s, order), _row_width(s.grading, s.width)
     slices = [ONE]  # grade m of h
     for n in range(1, order + 1):
         weights = [(-1 if m else n) if log else n - m for m in range(n)]
-        slices.append(_convolve(zip(weights, slices, cut[n:0:-1]), 1 if log else n))
+        slices.append(_convolve(zip(weights, slices, cut[n:0:-1]), rows, 1 if log else n))
     if log:
-        slices = [_reduced(den * n, keys, vals) for n, (den, keys, vals) in enumerate(slices) if n]
+        slices[0] = EMPTY
+        slices[1:] = [_reduced(den * n, runs) for n, (den, runs) in enumerate(slices[1:], 1)]
     return _assembled(s.grading, s.width, slices)
 
 
@@ -398,7 +536,9 @@ def graded_root(coeffs, root0, slope, order):
     power as z times the one below.
     """
     degree = len(coeffs) - 1
+    grading, width = coeffs[-1].grading, field_width(order)
     cut = [None if c is None else _slices(c, order) for c in coeffs]
+    rows = _row_width(grading, width)
     # powers[e][g]: grade g of z^e; powers[1] is z itself.  Its z_n enters
     # grade n of z^e as pulls[e] * z_n.
     powers = [[ONE]] + [[_scalar(root0**e)] for e in range(1, degree + 1)]
@@ -418,13 +558,13 @@ def graded_root(coeffs, root0, slope, order):
                 below = powers[e - 1]
                 products = [(1, z[j], below[n - j]) for j in range(1, n)]
                 products.append((1, z[0], known[e - 1]))
-            known.append(_convolve(products))
+            known.append(_convolve(products, rows))
         products = []
         for e, c in enumerate(cut):
             if c is not None:
                 products.append((weight, c[0], known[e]))
                 products += [(weight, c[k], powers[e][n - k]) for k in range(1, n + 1)]
-        z.append(_convolve(products, abs(slope.numerator)))
+        z.append(_convolve(products, rows, abs(slope.numerator)))
         for e in range(2, degree + 1):
-            powers[e].append(_convolve([(1, ONE, known[e]), (1, pulls[e], z[n])]))
-    return _assembled(coeffs[-1].grading, field_width(order), z)
+            powers[e].append(_convolve([(1, ONE, known[e]), (1, pulls[e], z[n])], rows))
+    return _assembled(grading, width, z)

@@ -136,36 +136,35 @@ def multiple_cover_inversion(table: InvariantTable) -> InvariantTable:
     has N_beta = n_beta; only the classes with g > 1, and the classes
     beta/p (p < g) they add to the support, run the sum, each as one
     integer numerator over the lcm of its terms' denominators.  A class
-    is d*b with b primitive, and its terms are the classes (d/p)*b over
-    the squarefree p | d.  The forward
-    sum n_beta = sum_{p|beta} N_{beta/p} / p^2 then holds exactly on the
+    is d*b with b primitive: the classes of n are grouped once by b, and
+    the terms of N_{d*b} are the multiples d/p of b over the squarefree
+    p | d, read by that integer.  The forward sum
+    n_beta = sum_{p|beta} N_{beta/p} / p^2 then holds exactly on the
     divisor closure of the support.
     """
     n = _pairs(table.n)
     instanton = {}
-    multiples = set()  # (primitive class b, d) for each class d*b with d > 1
+    multiples = {}  # primitive class b -> {d: n at d*b}, for each b with some d > 1
     for beta, value in n.items():
         g = gcd(*beta)
         if g == 1:
             if value[0]:
                 instanton[beta] = value
-            continue
-        base = tuple(x // g for x in beta)
-        multiples.update((base, d) for d in range(2, g + 1) if g % d == 0)
-    terms = {}  # d -> (p, mu(p), d // p) for each squarefree p | d
-    for base, d in multiples:
-        if d not in terms:
-            squarefree = [(p, _mobius(p)) for p in range(1, d + 1) if d % p == 0]
-            terms[d] = [(p, mu, d // p) for p, mu in squarefree if mu]
-        parts = [
-            (mu, p * p, value)
-            for p, mu, k in terms[d]
-            if (value := n.get(tuple([x * k for x in base])))
-        ]
-        den = lcm(*[q * b for _, q, (_, b) in parts])
-        total = sum([mu * a * (den // (q * b)) for mu, q, (a, b) in parts])
-        if total:
-            instanton[tuple([x * d for x in base])] = (total, den)
+        else:
+            multiples.setdefault(tuple([x // g for x in beta]), {})[g] = value
+    terms = {}  # d -> (mu(p), p^2, d // p) for each squarefree p | d
+    for base, values in multiples.items():
+        if base in n:
+            values[1] = n[base]
+        for d in {d for g in values for d in range(2, g + 1) if g % d == 0}:
+            if d not in terms:
+                squarefree = [(p, _mobius(p)) for p in range(1, d + 1) if d % p == 0]
+                terms[d] = [(mu, p * p, d // p) for p, mu in squarefree if mu]
+            parts = [(mu, q, values[k]) for mu, q, k in terms[d] if k in values]
+            den = lcm(*[q * b for _, q, (_, b) in parts])
+            total = sum([mu * a * (den // (q * b)) for mu, q, (a, b) in parts])
+            if total:
+                instanton[tuple([x * d for x in base])] = (total, den)
     return InvariantTable(table.frame, table.order, _Ratios(n), _Ratios(instanton))
 
 

@@ -4,16 +4,20 @@ The grade-by-grade recurrence is checked for exact equality with the
 power sum ``sum s^k / k!`` and with ``E(s) * inverse(s)`` divided by the
 grade, on drawn series over frames with non-unit gradings (whose grade
 slices can be empty) and on the arguments the pipeline really passes,
-with the kernel normal form asserted on every output.
+with the kernel normal form asserted on every output.  Dense series over
+frames of three and four generators, whose grade slices have several
+rows with holes, are checked against the defining equations
+``E(g) = E(s) g`` and ``E(L) s = E(s)``, each one ``mul_terms`` product.
 """
 
 import json
+import random
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syzmirror import (
@@ -31,6 +35,7 @@ from syzmirror import (
 )
 from syzmirror import fps, invariants, mirror
 from syzmirror.cli import parse_job
+from tests.conftest import dense_series, random_series
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,11 +52,16 @@ def reference_exp(s):
     return acc
 
 
+def euler(s):
+    """E(s): each coefficient times its grade."""
+    frame = s.frame
+    return TruncatedSeries(frame, s.order, {e: c * frame.grade(e) for e, c in s.terms.items()})
+
+
 def reference_log(s):
     """E(s) * inverse(s), then each coefficient divided by its grade."""
     frame = s.frame
-    euler = TruncatedSeries(frame, s.order, {e: c * frame.grade(e) for e, c in s.terms.items()})
-    quotient = euler * inverse(s)
+    quotient = euler(s) * inverse(s)
     return TruncatedSeries(
         frame, s.order, {e: c / frame.grade(e) for e, c in quotient.terms.items()}
     )
@@ -112,6 +122,30 @@ def test_log_matches_euler_quotient(s):
 @given(series(0))
 def test_log_inverts_exp(s):
     assert log_series(exp_series(s)) == s
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_series(0))
+@example(random_series((1, 1, 1), 10, 0, 1.0, random.Random(1)))
+@example(random_series((1, 1, 2, 1), 6, 0, 0.5, random.Random(2)))
+def test_dense_exp_solves_its_equation(s):
+    # g_0 = 1 and E(g) = E(s) g fix g = exp s grade by grade
+    g = exp_series(s)
+    check_normal_form(g)
+    assert g.constant_term() == 1
+    assert euler(g) == euler(s) * g
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_series(1))
+@example(random_series((1, 1, 1, 1), 6, 1, 1.0, random.Random(3)))
+@example(random_series((2, 3, 1), 10, 1, 0.5, random.Random(4)))
+def test_dense_log_solves_its_equation(s):
+    # L_0 = 0 and E(L) s = E(s) fix L = log s grade by grade
+    L = log_series(s)
+    check_normal_form(L)
+    assert L.constant_term() == 0
+    assert euler(L) * s == euler(s)
 
 
 @pytest.mark.parametrize("grading", GRADINGS)

@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction as F
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import mobius
 
 from syzmirror import (
     Frame,
@@ -23,7 +24,7 @@ from syzmirror import (
     multiple_cover_inversion,
     verify_potential,
 )
-from syzmirror.invariants import InvariantTable, _mobius
+from syzmirror.invariants import InvariantTable, _mobius, _Ratios
 
 OPEN = Frame(names=("Q0",), boundary=(1,))
 
@@ -204,6 +205,39 @@ def test_inversion_matches_divisor_closure(n):
     assert filled.N == divisor_closure_inversion(n)
     for beta in n:
         assert cover_sum(filled, beta) == n[beta]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_classes, st.tuples(st.integers(-40, 40), st.integers(1, 36)), max_size=14))
+@example({(12, 0, 12): (0, 4), (6, 0, 6): (3, 6), (2, 0, 2): (-1, 2), (3, 6, 0): (5, 1)})
+def test_inversion_matches_the_mobius_reference(pairs):
+    # unreduced integer pairs as extract_open_gw leaves them, zero values
+    # among them; sympy's Mobius function, Fractions, and every divisor
+    def divisors(beta):
+        g = gcd(*beta)
+        return [(p, tuple(x // p for x in beta)) for p in range(1, g + 1) if g % p == 0]
+
+    n = {beta: F(*pair) for beta, pair in pairs.items()}
+    frame = Frame(names=("a", "b", "c"), boundary=(1, -1, 2))
+    table = InvariantTable(frame=frame, order=40, n=_Ratios(dict(pairs)))
+    filled = multiple_cover_inversion(table)
+    want = {}
+    for beta in {reduced for key in n for _, reduced in divisors(key)}:
+        total = sum(
+            (F(int(mobius(p)), p * p) * n.get(reduced, F(0)) for p, reduced in divisors(beta)),
+            F(0),
+        )
+        if total:
+            want[beta] = total
+    assert dict(filled.N) == want
+    # a class of gcd 1 keeps its pair; any other is over the lcm of the
+    # denominators of the terms it reads
+    for beta, pair in filled.N.pairs.items():
+        if gcd(*beta) == 1:
+            assert pair == pairs[beta]
+        else:
+            read = [p * p * pairs[r][1] for p, r in divisors(beta) if mobius(p) and r in pairs]
+            assert pair[1] == lcm(*read)
 
 
 def reference_rows(n, N):

@@ -2,7 +2,8 @@
 and the stored kernel form of series: chains of ring operations checked
 against a plain Fraction-dict model, with the normal form after each,
 and the integer row weights, coefficient reads and one-row constructors
-likewise."""
+likewise; the grade slices that ``exp_log`` and ``graded_root`` run on
+convert back to the rows they came from."""
 
 from copy import copy
 from fractions import Fraction
@@ -14,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syzmirror import Frame, TruncatedSeries, boundary_derivative, substitute
-from syzmirror._backend import Terms, field_width, mul_terms
+from syzmirror._backend import Terms, _assembled, _slices, field_width, mul_terms
 from syzmirror.fps import _lift
 from syzmirror.lattice import unit_vector
-from tests.conftest import no_decoding
+from tests.conftest import no_decoding, random_series
 
 
 # Reference: the Fraction loop the kernel replaced, kept verbatim.
@@ -428,3 +429,36 @@ def test_one_row_constructors_match_the_checked_constructor(grading, order):
     for index in (-1, frame.nvars):
         with pytest.raises(ValueError):
             TruncatedSeries.generator(frame, order, index)
+
+
+# Frames of 0-4 generators.  Gradings whose first entry divides the
+# second read a hole-free run as one key progression; (2, 1), (2, 3),
+# (2, 3, 1) and (3, 2, 2, 1) take the per-entry path.
+SLICE_GRADINGS = [
+    (), (1,), (3,), (1, 1), (1, 2), (2, 1), (2, 3),
+    (1, 1, 1), (2, 3, 1), (1, 2, 1), (1, 1, 1, 1), (1, 1, 2, 1), (3, 2, 2, 1),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SLICE_GRADINGS),
+    st.integers(0, 9),
+    st.sampled_from((1.0, 0.9, 0.5, 0.1)),
+    st.integers(-2, 2),
+    st.randoms(use_true_random=False),
+)
+def test_slices_assemble_back_to_their_rows(grading, order, keep, constant, rnd):
+    terms = random_series(grading, order, constant, keep, rnd).terms
+    slices = _slices(terms, order)
+    assert len(slices) == order + 1
+    entries = [v for _, runs in slices for _, row in runs for v in row]
+    assert len(entries) - entries.count(0) == len(terms)
+    for _, runs in slices:
+        starts = [start for start, _ in runs]
+        assert starts == sorted(set(starts))
+        if len(grading) <= 2:
+            assert len(runs) <= 1  # one row, so one run, zero-filled
+        for start, row in runs:  # a run stays in its row
+            assert start >> terms.width == (start + len(row) - 1) >> terms.width
+    assert _assembled(grading, terms.width, slices) == terms

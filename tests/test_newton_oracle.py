@@ -3,18 +3,22 @@
 ``solve_curve_root`` and ``fps.inverse`` solve grade by grade on the
 kernel rows.  The bottom-up Newton iteration at precisions 1, 3, 7, ...
 kept here is an independent route to the same series, and both graded
-solvers must reproduce it exactly.
+solvers must reproduce it exactly: on the brane curves of the library
+geometries, and on dense drawn series over frames of three and four
+generators, whose grade slices have several rows with holes.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 from syzmirror import Frame, TruncatedSeries, inverse
 from syzmirror.cli import parse_job
 from syzmirror.mirror import evaluate_curve, solve_curve_root
-from tests.conftest import brane_table
+from tests.conftest import brane_table, dense_series, random_series
 
 ROOT = Path(__file__).resolve().parent.parent
 GEOMETRIES = {
@@ -75,6 +79,27 @@ def test_root_and_inverse_match_bottom_up_newton(name):
         units = [root] + [s for s in table.values() if s.constant_term() != 0]
         for unit in units:
             assert inverse(unit) == bottom_up_inverse(unit), (name, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_series(3))
+@example(random_series((1, 1, 1), 10, 3, 1.0, random.Random(5)))
+@example(random_series((1, 1, 2, 1), 6, 3, 0.5, random.Random(6)))
+def test_dense_inverse_matches_bottom_up_newton(s):
+    g = inverse(s)
+    assert g == bottom_up_inverse(s)
+    assert s * g == TruncatedSeries.one(s.frame, s.order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dense_series(0))
+@example(random_series((1, 1, 1, 1), 5, 0, 1.0, random.Random(7)))
+def test_dense_root_matches_bottom_up_newton(t):
+    # W = (1 + t) + (1 - t) z + t z^2 - t^2 z^3 has the simple grade-0 root -1
+    table = {0: 1 + t, 1: 1 - t, 2: t, 3: -(t * t)}
+    root = solve_curve_root(table, t.frame, t.order)
+    assert evaluate_curve(table, root, t.frame, t.order).is_zero()
+    assert root == bottom_up_root(table, t.frame, t.order)
 
 
 def test_constant_inverse_is_immediate():
