@@ -45,6 +45,7 @@ from .lattice import (
     ValidationReport,
     av_geometry,
     charge_basis,
+    closed_frame,
     dual_exponents,
     effective_charge_basis,
     gross_discriminant,
@@ -62,7 +63,6 @@ from .mirror import (
     av_mirror_brane,
     brane_frame,
     build_curve,
-    closed_frame,
     compare_naive,
     curve_in_brane_frame,
     evaluate_curve,

@@ -148,7 +148,7 @@ def cmd_validate(job):
             report = lattice.ValidationReport((str(exc),))
     brane_report = None
     if job.brane is not None:
-        brane_report = lattice.validate_brane(job.toric, job.brane)
+        brane_report = lattice.brane_report(job.toric, job.brane)
     ok = report.ok and (brane_report is None or brane_report.ok)
     payload = {
         "ok": ok,
@@ -356,10 +356,12 @@ def build_parser():
 def _parse_text(text) -> Job:
     """The job parsed from one document text, shared by every run on it.
 
-    ``Job`` and its ``ToricCYData`` are immutable, so runs on one text
-    also share the lattice data cached on the toric data.  Exceptions
-    are not cached.  The size limit keeps a long batch over many
-    documents from holding them all.
+    ``Job``, its ``ToricCYData`` and its ``BraneSpec`` are immutable, so
+    runs on one text also share what is cached on the toric data: the
+    lattice data, the closed frame, and for its brane the brane checks,
+    the brane frame and the naive equations.  They go when the entry
+    does.  Exceptions are not cached.  The size limit keeps a long
+    batch over many documents from holding them all.
     """
     return parse_job(json.loads(text))
 

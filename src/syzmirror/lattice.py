@@ -15,7 +15,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import MathDomainError
-from .fps import as_rational
+from .fps import Frame, as_rational
 
 
 def _dot(a, b):
@@ -89,7 +89,7 @@ class ToricCYData(
     ray i >= n corresponds to the closed Kahler variable Q_{i-n+1}.
     Offsets default to zero; ``max_cones`` and ``charge_rows`` to None.
     Instances keep a ``__dict__`` (no ``__slots__``) for the cached
-    lattice data below.
+    lattice data and brane set-up below.
     """
 
     def __new__(cls, rays, u, offsets=(), max_cones=None, charge_rows=None):
@@ -123,6 +123,10 @@ class ToricCYData(
         return validate_cy(self)
 
     @cached_property
+    def closed_frame(self) -> Frame:
+        return closed_frame(self)
+
+    @cached_property
     def dual_exponents(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, dual_exponents(self)))
 
@@ -133,6 +137,20 @@ class ToricCYData(
     @cached_property
     def effective_charge_basis(self) -> tuple[tuple[int, ...], ...]:
         return effective_charge_basis(self)
+
+    def kept(self, brane: BraneSpec, name: str, build):
+        """``build(self, brane)``, computed once for the brane object
+        ``brane`` on this toric data and kept here under ``name``.
+
+        The runs on one parsed job document share its ``ToricCYData``
+        and its ``BraneSpec``, so they build the brane's set-up once,
+        and it goes when the parsed job does.  A value kept for another
+        brane object is rebuilt; an exception is not kept.
+        """
+        entry = self.__dict__.get(name)
+        if entry is None or entry[0] is not brane:
+            entry = self.__dict__[name] = (brane, build(self, brane))
+        return entry[1]
 
 
 class BraneSpec(
@@ -182,6 +200,11 @@ class BraneSpec(
     @property
     def k(self) -> int:
         return len(self.charges)
+
+
+def closed_frame(data: ToricCYData) -> Frame:
+    """Frame of the closed Kahler variables Q_1..Q_{m-n}."""
+    return Frame(names=tuple(f"Q{a}" for a in range(1, data.n_closed + 1)))
 
 
 def unit_vector(m: int, i: int) -> tuple[int, ...]:
@@ -346,6 +369,11 @@ def effective_charge_basis(data: ToricCYData) -> tuple[tuple[int, ...], ...]:
     if data.charge_rows is not None:
         return data.charge_rows
     return data.charge_basis
+
+
+def brane_report(data: ToricCYData, brane: BraneSpec) -> ValidationReport:
+    """``validate_brane(data, brane)``, kept on the toric data (:meth:`ToricCYData.kept`)."""
+    return data.kept(brane, "brane_report", validate_brane)
 
 
 def validate_brane(data: ToricCYData, brane: BraneSpec) -> ValidationReport:

@@ -25,17 +25,12 @@ from .fps import Frame, TruncatedSeries, ZERO, exp_series, log_series, pow_int
 from .lattice import (
     BraneSpec,
     ToricCYData,
+    brane_report,
     independent_columns,
     row_reduce,
     unit_vector,
     validate_brane,
 )
-
-
-def closed_frame(data: ToricCYData) -> Frame:
-    """Frame of the closed Kahler variables Q_1..Q_{m-n}."""
-    k = data.n_closed
-    return Frame(names=tuple(f"Q{a}" for a in range(1, k + 1)))
 
 
 def require_valid(data: ToricCYData) -> None:
@@ -56,7 +51,7 @@ def a_series(data: ToricCYData, order: int) -> tuple[TruncatedSeries, ...]:
     off an integer factorial table, and the rows of every A_j go
     straight into kernel form over one denominator.
     """
-    frame = closed_frame(data)
+    frame = data.closed_frame
     iota = data.effective_charge_basis
     k, m = len(iota), data.m
     width = field_width(order)
@@ -176,7 +171,7 @@ def _map_inputs(data, order, brane):
     """Validate, then the closed frame, every A_j and the open charge
     l^(0) (None without a brane)."""
     require_valid(data)
-    frame = closed_frame(data)
+    frame = data.closed_frame
     a_list = a_series(data, order)
     l0 = None if brane is None else open_charge(brane, data.m)
     return frame, a_list, l0
@@ -353,7 +348,7 @@ def build_curve(
     """The curve W at closed order ``order``, with the fiber series of
     ``inverse_map`` (default ``inverse_mirror_map(data, order)``)."""
     require_valid(data)
-    frame = closed_frame(data)
+    frame = data.closed_frame
     n, m = data.n, data.m
     if corrected:
         inv = inverse_mirror_map(data, order) if inverse_map is None else inverse_map
@@ -381,13 +376,18 @@ class BraneEquation(
     __slots__ = ()
 
 
-def naive_brane(data: ToricCYData, brane: BraneSpec) -> list[BraneEquation]:
+def naive_brane(data: ToricCYData, brane: BraneSpec) -> tuple[BraneEquation, ...]:
     """Monomial brane equations prod_j z_j^{-l_j} = e^{c+i*phi}.
 
     Rays beyond the leading basis are eliminated through
     z_i = Q_{i-n+1} prod_j z_j^{<v_j^*, v_i>}, so each charge row
-    leaves a pure (z, Q)-monomial on the left-hand side.
+    leaves a pure (z, Q)-monomial on the left-hand side.  Built once
+    per brane and toric data (:meth:`ToricCYData.kept`).
     """
+    return data.kept(brane, "naive_brane", _naive_equations)
+
+
+def _naive_equations(data, brane):
     require_valid(data)
     # the Aganagic-Vafa shape is not needed for the monomial equations
     report = validate_brane(data, brane._replace(av_indices=None))
@@ -403,7 +403,7 @@ def naive_brane(data: ToricCYData, brane: BraneSpec) -> list[BraneEquation]:
             z_exps.append(e)
         q_exps = [-row[n - 1 + b] for b in range(1, m - n + 1)]
         equations.append(BraneEquation(tuple(z_exps), tuple(q_exps), c, phi))
-    return equations
+    return tuple(equations)
 
 
 class BraneFrame(namedtuple("BraneFrame", "generators boundary")):
@@ -495,7 +495,13 @@ class BraneFrame(namedtuple("BraneFrame", "generators boundary")):
 
 
 def brane_frame(data: ToricCYData, brane: BraneSpec) -> BraneFrame:
-    """The brane's declared frame; explicit input, no heuristics."""
+    """The brane's declared frame; explicit input, no heuristics.  Built
+    once per brane and toric data (:meth:`ToricCYData.kept`), so its
+    solver and ``q0`` are too."""
+    return data.kept(brane, "brane_frame", _declared_frame)
+
+
+def _declared_frame(data, brane):
     if brane.frame_generators is None:
         raise MathDomainError(
             "brane frame generators are required input "
@@ -651,9 +657,10 @@ def _normalize_root(z2_raw, bframe, override=None):
     The twist by eps1 is a ring automorphism that fixes constant terms
     and the support, so eps2 is the same for both candidates, the second
     candidate's -log z2 is the twist of the first one's and one check of
-    its zero-boundary rows covers both: one log serves both.  Its
-    boundary weights, read once, serve the check, the twist (one sign
-    per row by their parity) and ``invariants.extract_open_gw``.
+    its zero-boundary rows covers both: one log serves both.  The check
+    reads its boundary weights; the twist by eps1 = -1 reads them again
+    for one sign per row by their parity (``Terms.signed``), and
+    ``invariants.extract_open_gw`` reads them once more to divide by them.
     """
     frame = bframe.frame
     const = z2_raw.constant_term()
@@ -699,7 +706,7 @@ def av_mirror_brane(
     job reads the inverse map's open unit and fiber series only, never
     its closed images, and maps the open unit into the brane frame once.
     """
-    report = validate_brane(data, brane)
+    report = brane_report(data, brane)
     if not report.ok:
         raise ValidationError(f"invalid brane: {report}")
     if brane.av_indices is None:

@@ -887,6 +887,68 @@ class TestParseCache:
             "charge_basis": 0, "dual_exponents": 0, "validate_cy": 0
         }
 
+    def test_brane_set_up_is_built_once_per_parsed_document(self, capsys, monkeypatch):
+        # the brane checks and the brane frame, solver included, are kept
+        # on the parsed job and go with it
+        from syzmirror import cli, lattice, mirror
+
+        argv = ("disc-invariants", "--input", str(LOCAL_P2_JOB), "--order", "4")
+        first = run(capsys, *argv)
+        reductions = _count_calls(monkeypatch, lattice, "row_reduce")
+        frames = []
+        build_frame = mirror.BraneFrame.__new__
+
+        def counted(cls, *args, **kwargs):
+            frames.append(args)
+            return build_frame(cls, *args, **kwargs)
+
+        monkeypatch.setattr(mirror.BraneFrame, "__new__", counted)
+        assert run(capsys, *argv) == first
+        assert (len(reductions), len(frames)) == (0, 0)
+
+        cli._parse_text.cache_clear()
+        assert run(capsys, *argv) == first
+        assert len(frames) == 1 and len(reductions) > 0
+
+    def test_interleaved_brane_documents_print_their_recorded_outputs(self, capsys):
+        # each run follows a run on another document, so a set-up kept
+        # for the wrong document would change the bytes
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+        if not path.exists():
+            pytest.skip("no benchmark in this checkout")
+        expected = json.loads(path.read_text())
+        documents = dict(zip(("c3", "conifold", "local_p2", "local_p1xp1"), SHIPPED_BRANE_JOBS))
+        checked = 0
+        for order in (3, 4, 5):
+            for command in ("validate", "compare-naive", "brane-mirror", "disc-invariants"):
+                for name, document in documents.items():
+                    code, out, _ = run(capsys, command, "--input", str(document), "--order", str(order))
+                    want = expected[f"{command} {name} {order}"]
+                    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+                        want["exit"], want["sha256"]
+                    ), (command, name, order)
+                    checked += 1
+        assert checked == 48
+
+    def test_documents_differing_in_the_brane_frame_are_not_merged(self, capsys, tmp_path):
+        doc = json.loads(LOCAL_P2_JOB.read_text())
+        paths = []
+        for name, variant in (
+            ("shipped", doc),
+            ("frame", _with(doc, ("brane", "frame"), [[1, 0], [-2, 1]])),
+            ("boundary", _with(doc, ("brane", "boundary_grading"), [2, -2])),
+        ):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(variant))
+        for command in ("disc-invariants", "brane-mirror"):
+            rounds = [
+                [run(capsys, command, "--input", str(path), "--order", "4")[:2] for path in paths]
+                for _ in range(2)
+            ]
+            assert rounds[0] == rounds[1]
+            assert [code for code, _ in rounds[0]] == [0, 0, 0]
+            assert len({out for _, out in rounds[0]}) == 3
+
     def test_rewritten_document_is_read_afresh(self, capsys, conifold_path):
         code, out, _ = run(capsys, "curve", "--input", conifold_path)
         assert (code, json.loads(out)["order"]) == (0, 8)

@@ -1,9 +1,9 @@
 """``exp_series`` and ``log_series`` against the algorithms they replaced.
 
 The grade-by-grade recurrence is checked for exact equality with the
-power sum ``sum s^k / k!`` and with ``E(s) * inverse(s)`` divided by the
-grade, on drawn series over frames with non-unit gradings (whose grade
-slices can be empty) and on the arguments the pipeline really passes,
+power sum ``sum s^k / k!`` and with ``E(s) * 1/s`` divided by the grade,
+1/s a geometric sum of products, on drawn series over frames with
+non-unit gradings (whose grade slices can be empty) and on the arguments the pipeline really passes,
 with the kernel normal form asserted on every output.  Dense series over
 frames of three and four generators, whose grade slices have several
 rows with holes, are checked against the defining equations
@@ -33,7 +33,7 @@ from syzmirror import (
     log_series,
     mirror_map,
 )
-from syzmirror import fps, invariants, mirror
+from syzmirror import _backend, fps, invariants, mirror
 from syzmirror.cli import parse_job
 from tests.conftest import dense_series, random_series
 
@@ -58,10 +58,24 @@ def euler(s):
     return TruncatedSeries(frame, s.order, {e: c * frame.grade(e) for e, c in s.terms.items()})
 
 
+def reference_inverse(s):
+    """1/s as the geometric sum (1/c) sum_k (1 - s/c)^k over k <= order, c
+    the constant term, each power made from the last by one ``mul_terms``
+    product.  ``inverse`` and ``log_series`` both run on the grade-slice
+    kernel (``graded_root``, ``_convolve``), which this never calls."""
+    c = s.constant_term()
+    step = 1 - s * (1 / c)
+    acc = term = TruncatedSeries.one(s.frame, s.order)
+    for _ in range(s.order):
+        term = term * step
+        acc = acc + term
+    return acc * (1 / c)
+
+
 def reference_log(s):
-    """E(s) * inverse(s), then each coefficient divided by its grade."""
+    """E(s) * 1/s, then each coefficient divided by its grade."""
     frame = s.frame
-    quotient = euler(s) * inverse(s)
+    quotient = euler(s) * reference_inverse(s)
     return TruncatedSeries(
         frame, s.order, {e: c / frame.grade(e) for e, c in quotient.terms.items()}
     )
@@ -168,6 +182,20 @@ def test_no_kernel_product(monkeypatch):
     frame = Frame(names=("x", "y"), grading=(1, 2))
     s = TruncatedSeries(frame, 9, {(1, 0): Fraction(2, 3), (0, 1): -5, (3, 2): Fraction(1, 7)})
     assert log_series(exp_series(s)) == s
+
+
+@settings(max_examples=40, deadline=None)
+@given(series(Fraction(-3, 2)))
+def test_reference_inverse_is_independent_of_the_graded_kernel(s):
+    def refuse(*args):
+        raise AssertionError("the reference calls the grade-slice kernel")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fps, "graded_root", refuse)
+        patch.setattr(_backend, "_convolve", refuse)
+        reciprocal = reference_inverse(s)
+    assert reciprocal * s == TruncatedSeries.one(s.frame, s.order)
+    assert reciprocal == inverse(s)
 
 
 def test_non_units_are_refused():

@@ -403,7 +403,7 @@ class TestNaiveBrane:
 
     def test_no_charges(self, conifold):
         brane = BraneSpec(charges=(), constants=(), phases=())
-        assert naive_brane(conifold, brane) == []
+        assert naive_brane(conifold, brane) == ()
 
     def test_non_special_rejected(self, conifold):
         brane = BraneSpec(charges=((1, 1, 0, 0),), constants=(F(1),), phases=(F(0),))
