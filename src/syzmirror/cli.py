@@ -1,7 +1,7 @@
 """Command-line front end: one JSON job document in, JSON out.
 
-Machine-readable JSON goes to stdout (or human tables with
-``--output pretty``); a short human summary always goes to stderr.
+Machine-readable JSON goes to stdout and the human table to stderr;
+``--output pretty`` writes the table to stdout instead.
 Identical input bytes produce identical output bytes.  Exit codes:
 0 success, 2 validation failure, 3 mathematical-precondition failure,
 4 parse error.  ``batch`` runs many such jobs in one process, one JSON
@@ -220,14 +220,18 @@ def cmd_fiber_invariants(job):
     return payload, lines, EXIT_OK
 
 
-def cmd_brane_mirror(job):
-    brane = _need_brane(job)
+def _av_brane(job):
+    """The job's AV brane mirror and the fields every brane payload opens with."""
     result = mirror.av_mirror_brane(
-        job.toric, brane, job.truncation, normalization=job.normalization
+        job.toric, _need_brane(job), job.truncation, normalization=job.normalization
     )
-    payload = {
-        "signs": list(result.signs),
-        "frame_generators": [list(g) for g in brane.frame_generators],
+    generators = [list(g) for g in result.bframe.generators]
+    return result, {"signs": list(result.signs), "frame_generators": generators}
+
+
+def cmd_brane_mirror(job):
+    result, payload = _av_brane(job)
+    payload |= {
         "z1": series_to_json(result.z1),
         "z2": series_to_json(result.z2),
         # z2 is solved grade by grade, so W(z1, z2) vanishes through the
@@ -244,10 +248,7 @@ def cmd_brane_mirror(job):
 
 
 def cmd_disc_invariants(job):
-    brane = _need_brane(job)
-    result = mirror.av_mirror_brane(
-        job.toric, brane, job.truncation, normalization=job.normalization
-    )
+    result, payload = _av_brane(job)
     table = inv.multiple_cover_inversion(
         inv.extract_open_gw(result.z2, neg_log=result.neg_log_z2)
     )
@@ -265,9 +266,7 @@ def cmd_disc_invariants(job):
             f"class {monomial_text(names, beta) or '1'}: "
             f"n={entry.get('n', '-')} N={entry.get('N', '-')}"
         )
-    payload = {
-        "signs": list(result.signs),
-        "frame_generators": [list(g) for g in brane.frame_generators],
+    payload |= {
         "integral": report.ok,
         "flagged": [list(beta) for beta, _ in report.flagged],
         "table": rows,

@@ -334,16 +334,13 @@ def inverse(s: TruncatedSeries) -> TruncatedSeries:
 
     g = 1/s is the root of s*g - 1 = 0 at g_0 = 1/s_0, so grade n reads
     g_n = -(1/s_0) sum_{0<k<=n} s_k g_{n-k} (``_backend.graded_root``),
-    about one truncated product on the kernel rows.  A constant series
-    is inverted at once.
+    about one truncated product on the kernel rows.
     """
     c0 = s.constant_term()
     if c0 == 0:
         raise NonUnitSeries(
             f"cannot invert a series with zero constant term over generators {s.frame.names}"
         )
-    if len(s.terms) == 1:
-        return TruncatedSeries.constant(s.frame, s.order, 1 / c0)
     coeffs = [single(s.frame.grading, s.order, -ONE), s.terms]
     return TruncatedSeries._trusted(s.frame, s.order, graded_root(coeffs, 1 / c0, c0, s.order))
 

@@ -284,7 +284,7 @@ def dual_exponents(data: ToricCYData) -> list[list[int]]:
         [[ray[coord] for ray in data.rays[:n] + data.rays] for coord in range(n)]
     )
     if pivots != list(range(n)):
-        raise MathDomainError("leading rays are not a basis")
+        raise MathDomainError(f"leading rays {[list(r) for r in data.rays[:n]]} are not a basis")
     # Every pivot entry is the last pivot, +-1 on a unimodular block.
     lead = reduced[0][0] if reduced else 1
     table = []

@@ -168,13 +168,12 @@ class MirrorMapData:
 
 
 def _map_inputs(data, order, brane):
-    """Validate, then the closed frame, every A_j and the open charge
-    l^(0) (None without a brane)."""
+    """Validate, then every A_j and the open charge l^(0) (None without
+    a brane)."""
     require_valid(data)
-    frame = data.closed_frame
     a_list = a_series(data, order)
     l0 = None if brane is None else open_charge(brane, data.m)
-    return frame, a_list, l0
+    return a_list, l0
 
 
 def mirror_map(data: ToricCYData, order: int, brane: BraneSpec | None = None) -> MirrorMapData:
@@ -183,7 +182,7 @@ def mirror_map(data: ToricCYData, order: int, brane: BraneSpec | None = None) ->
     Builds every A_j now; the closed images and the open unit, each the
     exp of an integer combination of the A_j, are built when first read.
     """
-    _, a_list, l0 = _map_inputs(data, order, brane)
+    a_list, l0 = _map_inputs(data, order, brane)
     return MirrorMapData(a_list, None, order, data.effective_charge_basis, l0)
 
 
@@ -231,19 +230,18 @@ class LagrangeChain:
 
         [Q^n] exp(-c A(q(Q))) = [n=0] + c sum_g (-1)^g (p(n)+c)^(g-1) R_g[n].
 
-    ``delta`` forces the several-ray chain on one live ray (it is the
-    reference the one-ray formula is tested against); the chain
-    without Delta needs at most one live ray.  Every A_l has
-    valuation >= 1, so R_beta vanishes below grade |beta| and
-    |beta| <= order suffices.  Each read-off is an integer weight on the
-    rows of every R_beta, over the lcm of the chain's denominators, and
-    the pairings p_l(n) of each packed key are decoded once, with the chain.
+    ``delta`` is True on the Delta chain, built exactly when two or more
+    rays are live.  Every A_l has valuation >= 1, so R_beta vanishes
+    below grade |beta| and |beta| <= order suffices.  Each read-off is
+    an integer weight on the rows of every R_beta, over the lcm of the
+    chain's denominators, and the pairings p_l(n) of each packed key are
+    decoded once, with the chain.
     """
 
-    def __init__(self, a_list, rows, one, delta=None):
+    def __init__(self, a_list, rows, one):
         order = one.order
         live = [j for j, a in enumerate(a_list) if not a.is_zero()]
-        self.delta = len(live) > 1 if delta is None else delta
+        self.delta = len(live) > 1
         columns = [[row[l] for row in rows] for l in live]
         chain = {}
         if self.delta:
@@ -307,9 +305,9 @@ def inverse_mirror_map(
     exp.  The chain is all it builds: the fiber series, the closed
     images and the open unit are read off it when first read.
     """
-    frame, a_list, l0 = _map_inputs(data, order, brane)
+    a_list, l0 = _map_inputs(data, order, brane)
     rows = data.effective_charge_basis
-    chain = LagrangeChain(a_list, rows, TruncatedSeries.one(frame, order))
+    chain = LagrangeChain(a_list, rows, TruncatedSeries.one(data.closed_frame, order))
     return MirrorMapData(a_list, chain, order, rows, l0)
 
 
@@ -425,7 +423,9 @@ class BraneFrame(namedtuple("BraneFrame", "generators boundary")):
         if not generators:
             raise MathDomainError("a brane frame needs at least one generator")
         if any(len(g) != len(generators[0]) for g in generators):
-            raise MathDomainError("brane frame generators have mixed arity")
+            raise MathDomainError(
+                f"brane frame generators {[list(g) for g in generators]} have mixed arity"
+            )
         boundary = tuple(g[0] for g in generators) if boundary is None else tuple(boundary)
         if len(boundary) != len(generators):
             raise MathDomainError(
@@ -450,7 +450,8 @@ class BraneFrame(namedtuple("BraneFrame", "generators boundary")):
         # pivot columns by construction; the others (``rest``) are checked.
         cols = independent_columns(self.generators)
         if cols is None:
-            raise MathDomainError("brane frame generators are linearly dependent")
+            named = [list(g) for g in self.generators]
+            raise MathDomainError(f"brane frame generators {named} are linearly dependent")
         k = len(self.generators)
         block = [[g[c] for g in self.generators] for c in cols]
         reduced, _, _ = row_reduce([row + list(unit_vector(k, r)) for r, row in enumerate(block)])
@@ -568,7 +569,9 @@ def curve_in_brane_frame(curve, unit, bframe, order) -> dict[int, TruncatedSerie
     coefficient; a unit that is exactly 1 takes no product.
     """
     if curve.n_z != 2:
-        raise MathDomainError("the curve root solve expects a threefold curve (z1, z2)")
+        raise MathDomainError(
+            f"the curve root solve expects a threefold curve (z1, z2), got n_z = {curve.n_z}"
+        )
     trivial = unit == TruncatedSeries.one(bframe.frame, order)
     collected: dict[int, TruncatedSeries] = {}
     powers: dict[int, TruncatedSeries] = {}

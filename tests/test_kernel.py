@@ -455,10 +455,8 @@ def test_slices_assemble_back_to_their_rows(grading, order, keep, constant, rnd)
     entries = [v for _, runs in slices for _, row in runs for v in row]
     assert len(entries) - entries.count(0) == len(terms)
     for _, runs in slices:
-        starts = [start for start, _ in runs]
-        assert starts == sorted(set(starts))
-        if len(grading) <= 2:
-            assert len(runs) <= 1  # one row, so one run, zero-filled
+        rows = [start >> terms.width for start, _ in runs]
+        assert rows == sorted(set(rows))  # one run per row, in row order
         for start, row in runs:  # a run stays in its row
             assert start >> terms.width == (start + len(row) - 1) >> terms.width
     assert _assembled(grading, terms.width, slices) == terms

@@ -101,6 +101,9 @@ def test_one_ray_read_off_matches_the_delta_chain(inputs):
     assume(not a.is_zero())
     one = TruncatedSeries.one(a.frame, a.order)
     powers = LagrangeChain([a], rows, one)
-    reference = LagrangeChain([a], rows, one, delta=True)
-    assert not powers.delta
-    assert powers.unit([c]) == reference.unit([c])
+    # a second live ray with charge column 0 and weight 0 forces the Delta
+    # chain: Delta is the one-ray determinant, and every chain term that
+    # uses the extra ray carries the weight 0
+    reference = LagrangeChain([a, a], [row + [0] for row in rows], one)
+    assert not powers.delta and reference.delta
+    assert powers.unit([c]) == reference.unit([c, 0])

@@ -200,6 +200,11 @@ class TestDualExponents:
             for row in dual_exponents(data):
                 assert sum(row) == 1
 
+    def test_dependent_leading_rays_are_named(self):
+        data = ToricCYData(rays=((0, 0, 1), (1, 0, 1), (2, 0, 1), (0, 1, 1)), u=(0, 0, 1))
+        with pytest.raises(MathDomainError, match=r"\[\[0, 0, 1\], \[1, 0, 1\], \[2, 0, 1\]\]"):
+            dual_exponents(data)
+
     def test_consistency_with_charge_basis(self, kp2, conifold):
         # each charge row must kill the dual expansion of the rays
         for data in (kp2, conifold):

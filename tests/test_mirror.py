@@ -454,19 +454,25 @@ def conifold_root_expected(order):
 
 class TestBraneFrame:
     @pytest.mark.parametrize(
-        "generators,boundary,error",
+        "generators,boundary,error,named",
         [
-            pytest.param((), None, MathDomainError, id="empty"),
-            pytest.param(((1, 0), (0, 1, 0)), None, MathDomainError, id="mixed-arity"),
-            pytest.param(((1, 0), (-1, 1)), (1,), MathDomainError, id="boundary-count"),
-            pytest.param(((1, 0), (2, 0)), None, MathDomainError, id="dependent"),
-            pytest.param(((1, 1), (0, 1)), None, FrameEscape, id="no-q0"),
+            pytest.param((), None, MathDomainError, None, id="empty"),
+            pytest.param(
+                ((1, 0), (0, 1, 0)), None, MathDomainError, "[[1, 0], [0, 1, 0]]", id="mixed-arity"
+            ),
+            pytest.param(((1, 0), (-1, 1)), (1,), MathDomainError, None, id="boundary-count"),
+            pytest.param(
+                ((1, 0), (2, 0)), None, MathDomainError, "[[1, 0], [2, 0]]", id="dependent"
+            ),
+            pytest.param(((1, 1), (0, 1)), None, FrameEscape, None, id="no-q0"),
         ],
     )
-    def test_refusals_are_math_domain_errors(self, generators, boundary, error):
+    def test_refusals_are_math_domain_errors(self, generators, boundary, error, named):
         with pytest.raises(error) as caught:
             BraneFrame(generators, boundary)
         assert isinstance(caught.value, MathDomainError)
+        if named is not None:
+            assert named in str(caught.value)
 
     def test_frames_of_one_job_are_equal_records(self, conifold, conifold_brane):
         bframe = brane_frame(conifold, conifold_brane)
@@ -512,6 +518,13 @@ class TestSolveCurveRoot:
         unit = TruncatedSeries.one(bad.frame, 8)
         with pytest.raises(FrameEscape):
             solve_curve_root(curve_in_brane_frame(curve, unit, bad, 8), bad.frame, 8)
+
+    def test_surface_curve_is_refused_with_its_n_z(self, conifold, conifold_brane):
+        bframe = brane_frame(conifold, conifold_brane)
+        curve = build_curve(conifold, 4)._replace(n_z=1)
+        unit = TruncatedSeries.one(bframe.frame, 4)
+        with pytest.raises(MathDomainError, match="n_z = 1"):
+            curve_in_brane_frame(curve, unit, bframe, 4)
 
 
 class TestAvMirrorBrane:
