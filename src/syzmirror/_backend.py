@@ -5,15 +5,16 @@ Every series keeps its terms as integer numerators over one common
 denominator, the ``fmpq_poly`` layout of FLINT, so sums, scalings and
 the inner loop of a product work on plain ints.  Monomials are packed
 exponent vectors (Monagan & Pearce, CASC 2007): one int whose
-fixed-width fields hold the exponents, with the weighted grade in the
-field above them, so multiplying two monomials is one int addition and
-sorted keys run grade by grade.
+fixed-width fields hold the exponents, with the total degree (the
+grade) in the field above them, so multiplying two monomials is one
+int addition and sorted keys run grade by grade.
 
-A layout is ``(grading, width)``: exponent i lives in bits
-``[i*width, (i+1)*width)`` of a key and the grade in the bits from
-``width * len(grading)`` up.  A series truncated at ``order`` uses
-``width = field_width(order)``; every term it holds then fits its
-fields, and so does the sum of two exponents of a kept product term.
+A layout is ``(grading, width)``, where ``grading`` gives every
+generator grade 1: exponent i lives in bits ``[i*width, (i+1)*width)``
+of a key and the grade in the bits from ``width * len(grading)`` up.
+A series truncated at ``order`` uses ``width = field_width(order)``;
+every term it holds then fits its fields, and so does the sum of two
+exponents of a kept product term.
 
 :class:`Terms` holds one series in this form and reads it as a
 read-only exponent tuple -> ``Fraction`` mapping, decoded on each read.
@@ -36,7 +37,7 @@ ZERO = Fraction(0)
 def field_width(order):
     """Bits per exponent field at truncation ``order``.
 
-    Every grading entry is >= 1, so a term of grade <= order has
+    Every generator has grade 1, so a term of grade <= order has
     exponents <= order, which fit in order.bit_length() bits; the bit
     of margin also holds the sum of two such exponents, so no field of
     a kept product carries.
@@ -47,7 +48,7 @@ def field_width(order):
 def _weights(grading, width):
     """Per-generator key increments: one weighted sum packs a monomial."""
     top = width * len(grading)
-    return [(g << top) | (1 << (width * i)) for i, g in enumerate(grading)]
+    return [(1 << top) | (1 << (width * i)) for i in range(len(grading))]
 
 
 def ratio_text(num, den):
@@ -255,10 +256,10 @@ def pack(terms, grading, order):
 
 def single(grading, order, value, index=None):
     """The one-row ``Terms`` of ``value * x_index`` at the layout of
-    ``order`` (the constant ``value`` for index None); a zero value or a
-    generator of grade > ``order`` gives no row."""
+    ``order`` (the constant ``value`` for index None); a zero value, or a
+    generator at order 0, gives no row."""
     width = field_width(order)
-    if not value or (index is not None and grading[index] > order):
+    if not value or (index is not None and not order):
         return Terms(grading, width, 1, [], [])
     key = 0 if index is None else _weights(grading, width)[index]
     return Terms(grading, width, value.denominator, [key], [value.numerator])
@@ -454,18 +455,14 @@ def _assembled(grading, width, slices):
     the lcm of their denominators the rows are in normal form.
 
     Entry i of a run in grade n has the run's index plus i, and as its
-    first exponent the rest of grade n over grading[0].  When grading[0]
-    divides grading[1], one more of the second exponent moves the key
-    by one ``step``, so a hole-free run is one key progression.  The
-    runs of a slice are in key order, and so are the slices.
+    first exponent the rest of n.  One more of the second exponent is
+    one less of the first, so the keys of a run step by
+    ``(1 << width) - 1``; its entries of 0 are holes and drop.  The runs
+    of a slice are in key order, and so are the slices.
     """
     top = width * len(grading)
-    mask = (1 << width) - 1
-    first = grading[0] if grading else 1
-    second = grading[1] if len(grading) > 1 else 0
-    upper = list(zip(grading[1:], range(0, top, width)))  # fields above the first
-    ratio, remainder = divmod(second, first)
-    step = None if remainder else (1 << width) - ratio
+    mask = (1 << width) - 1  # one field, and the key step along a run
+    upper = range(0, top - width, width)  # the fields of an index
     den = lcm(*[d for d, runs in slices if runs])
     monos, nums = [], []
     for n, (d, runs) in enumerate(slices):
@@ -474,18 +471,14 @@ def _assembled(grading, width, slices):
         scale = den // d
         for start, row in runs:
             rest = n
-            for g, s in upper:
-                rest -= g * ((start >> s) & mask)
-            key = (n << top) | (start << width) | (rest // first)
-            if step and 0 not in row:
-                monos += range(key, key + len(row) * step, step)
-                nums += row if scale == 1 else [v * scale for v in row]
-            else:
-                for i, v in enumerate(row):
-                    if v:
-                        at = rest - second * i
-                        monos.append((n << top) | ((start + i) << width) | (at // first))
-                        nums.append(v * scale)
+            for s in upper:
+                rest -= (start >> s) & mask
+            key = (n << top) | (start << width) | rest
+            keys = range(key, key + len(row) * mask, mask)
+            if 0 in row:
+                keys, row = zip(*[(k, v) for k, v in zip(keys, row) if v])
+            monos += keys
+            nums += row if scale == 1 else [v * scale for v in row]
     return Terms(grading, width, den, monos, nums)
 
 

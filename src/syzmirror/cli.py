@@ -435,6 +435,8 @@ def main(argv=None, *, nested=False) -> int:
             raise InputError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from None
+        except ValueError as exc:  # a JSON number past the interpreter's digit limit
+            raise InputError(f"{args.input}: {exc}") from None
         if args.order is not None:
             job = job._replace(truncation=_checked_order(args.order, "--order"))
         if args.corrected is not None:

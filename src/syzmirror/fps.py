@@ -1,9 +1,9 @@
 """Exact multivariate truncated formal power series over the rationals.
 
-Series live over a :class:`Frame` (named generators with a positive
-integer grading and an integer boundary grading) and are truncated by
-weighted total grade.  Coefficients are exact rationals; there is no
-floating point anywhere in this module.
+Series live over a :class:`Frame` (named generators, each of grade 1,
+and an integer boundary grading) and are truncated by total degree.
+Coefficients are exact rationals; there is no floating point anywhere
+in this module.
 
 Each series stores its terms in the kernel form of ``_backend``: integer
 numerators over one gcd-reduced denominator, keyed by sorted packed
@@ -46,32 +46,36 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-class Frame(namedtuple("Frame", "names grading boundary")):
-    """Exponent monoid of a series ring: generator names and gradings.
+class Frame(namedtuple("Frame", "names boundary")):
+    """Exponent monoid of a series ring: generator names and a boundary grading.
 
-    ``grading`` entries must be >= 1 so that graded fixed-point passes
-    and grade-by-grade solves terminate; ``boundary`` is the integer
-    functional used for boundary-weighted derivatives (all zero by default).
+    Every generator has grade 1, so the grade of a monomial is its total
+    degree, and graded fixed-point passes and grade-by-grade solves
+    terminate; ``boundary`` is the integer functional used for
+    boundary-weighted derivatives (all zero by default).
     """
 
     __slots__ = ()
 
-    def __new__(cls, names, grading=(), boundary=()):
+    def __new__(cls, names, boundary=()):
         names = tuple(names)
-        grading = tuple(grading) if grading else (1,) * len(names)
         boundary = tuple(boundary) if boundary else (0,) * len(names)
-        if len(grading) != len(names) or len(boundary) != len(names):
-            raise ValueError("grading/boundary length must match generator count")
-        if any(g < 1 for g in grading):
-            raise ValueError("every grading entry must be >= 1")
-        return super().__new__(cls, names, grading, boundary)
+        if len(boundary) != len(names):
+            raise ValueError("boundary length must match generator count")
+        return super().__new__(cls, names, boundary)
 
     @property
     def nvars(self) -> int:
         return len(self.names)
 
+    @property
+    def grading(self) -> tuple[int, ...]:
+        """The grade of every generator, all 1: the kernel layout and the
+        JSON frame record carry it."""
+        return (1,) * len(self.names)
+
     def grade(self, exponents: Sequence[int]) -> int:
-        return sum(g * e for g, e in zip(self.grading, exponents))
+        return sum(exponents)
 
     def boundary_grade(self, exponents: Sequence[int]) -> int:
         return sum(b * e for b, e in zip(self.boundary, exponents))
@@ -83,7 +87,7 @@ def _frame_difference(frame: Frame, other: Frame) -> str:
     def generator(f, i):
         if i >= f.nvars:
             return "absent"
-        return f"{f.names[i]!r} (grading {f.grading[i]}, boundary {f.boundary[i]})"
+        return f"{f.names[i]!r} (boundary {f.boundary[i]})"
 
     i = next(
         i
@@ -130,8 +134,8 @@ class TruncatedSeries:
         """A series from kernel-form terms, without re-checking.
 
         Only for the results of ring operations, whose terms hold by
-        construction what ``__init__`` checks: the frame's grading, the
-        layout of ``order``, grades <= ``order`` and nonzero numerators.
+        construction what ``__init__`` checks: the frame's generator count,
+        the layout of ``order``, grades <= ``order`` and nonzero numerators.
         """
         series = object.__new__(cls)
         series.frame = frame
@@ -372,9 +376,10 @@ def substitute(
 ) -> TruncatedSeries:
     """Formal composition: replace generator i of ``s`` by ``images[i]``.
 
-    Every image must have zero constant term (grade >= 1), which makes
-    the truncated composition well defined.  For a frame with no
-    generators pass the target ``frame`` and ``order`` explicitly.
+    Every image must have zero constant term, hence valuation >= 1, the
+    grade of the generator it replaces, which makes the truncated
+    composition well defined.  For a frame with no generators pass the
+    target ``frame`` and ``order`` explicitly.
     """
     if len(images) != s.frame.nvars:
         raise ValueError("one image per generator is required")
@@ -392,16 +397,10 @@ def substitute(
                 "images live over different frames: image 0 vs image "
                 f"{i}: {_frame_difference(target, im.frame)}"
             )
-        where = f"image {i} (for {s.frame.names[i]}, grading {s.frame.grading[i]})"
         if im.constant_term() != 0:
             raise NonUnitSeries(
-                f"substitution image has a nonzero constant term {im.constant_term()}: {where}"
-            )
-        val = im.valuation()
-        if val is not None and val < s.frame.grading[i]:
-            raise NonUnitSeries(
-                "substitution image valuation is below the source grading; "
-                f"the truncated composition would not be exact: {where} has valuation {val}"
+                f"substitution image has a nonzero constant term {im.constant_term()}: "
+                f"image {i} (for {s.frame.names[i]})"
             )
 
     # powers[i][e] = images[i]**e, grown on demand
@@ -409,7 +408,7 @@ def substitute(
     total = TruncatedSeries.zero(target, target_order)
     for exps, coeff in s.terms.items():
         if s.frame.grade(exps) > target_order:
-            continue  # every image has valuation >= its source grading
+            continue  # every image has valuation >= 1
         term = TruncatedSeries.constant(target, target_order, coeff)
         for cache, e in zip(powers, exps):
             if e:

@@ -24,8 +24,8 @@ def parse_rational(text) -> Fraction:
 
     The string holds an optional sign and decimal digits, with
     surrounding whitespace allowed; booleans, floats, decimal or
-    exponent notation and digit separators are input errors that name
-    the value.
+    exponent notation, digit separators and more digits than ``int``
+    converts are input errors that name the value.
     """
     if type(text) is int:
         return Fraction(text)
@@ -38,6 +38,9 @@ def parse_rational(text) -> Fraction:
         return Fraction(literal)
     except ZeroDivisionError:
         raise InputError(f"malformed rational literal {text!r}: zero denominator") from None
+    except ValueError as exc:  # past the interpreter's digit limit
+        short = f"{literal[:12]}...{literal[-4:]} ({len(literal)} characters)"
+        raise InputError(f"malformed rational literal {short}: {exc}") from None
 
 
 def parse_int_vector(raw, where) -> tuple[int, ...]:

@@ -150,39 +150,41 @@ def brane_table(data, brane, order):
     return bframe, curve_in_brane_frame(curve, unit, bframe, order)
 
 
-# Frames of three and four generators, two with non-unit gradings: a grade
-# slice of a series over them has several rows (fixed exponents past the
-# second), and leaving monomials out puts holes inside those rows.
-DENSE_GRADINGS = ((1, 1, 1), (2, 3, 1), (1, 1, 1, 1), (1, 1, 2, 1))
+# Frames of three and four generators: a grade slice of a series over
+# them has several rows (fixed exponents past the second), and leaving
+# monomials out puts holes inside those rows.
+DENSE_NVARS = (3, 4)
 
 
-def monomials(grading, order):
-    """Every exponent vector of grade 1..``order`` over ``grading``."""
+def monomials(nvars, order):
+    """Every exponent vector over ``nvars`` generators of total degree
+    1..``order``."""
     vectors = [()]
-    for g in grading:
-        vectors = [e + (k,) for e in vectors for k in range(order // g + 1)]
-    return [e for e in vectors if 0 < sum(g * k for g, k in zip(grading, e)) <= order]
+    for _ in range(nvars):
+        vectors = [e + (k,) for e in vectors for k in range(order + 1)]
+    return [e for e in vectors if 0 < sum(e) <= order]
 
 
-def random_series(grading, order, constant, keep, rnd):
+def random_series(nvars, order, constant, keep, rnd):
     """``constant`` plus each monomial of grade 1..``order`` with chance
     ``keep``, with small rational coefficients drawn from ``rnd``."""
-    frame = Frame(names=tuple(f"x{i}" for i in range(len(grading))), grading=grading)
+    frame = Frame(names=tuple(f"x{i}" for i in range(nvars)))
     terms = {
         e: Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 9), rnd.choice((1, 1, 2, 3)))
-        for e in monomials(grading, order)
+        for e in monomials(nvars, order)
         if rnd.random() < keep
     }
-    terms[(0,) * len(grading)] = Fraction(constant)
+    terms[(0,) * nvars] = Fraction(constant)
     return TruncatedSeries(frame, order, terms)
 
 
 @st.composite
-def dense_series(draw, constant, gradings=DENSE_GRADINGS):
-    """A series with ``constant`` plus up to every monomial of grade <=
-    order (order <= 10 on three generators, <= 6 on four); a drawn share
-    of the monomials is left out."""
-    grading = draw(st.sampled_from(gradings))
-    order = draw(st.integers(min_value=0, max_value=10 if len(grading) < 4 else 6))
+def dense_series(draw, constant):
+    """A series over three or four generators with ``constant`` plus up
+    to every monomial of grade <= order (order <= 10 on three
+    generators, <= 6 on four); a drawn share of the monomials is left
+    out."""
+    nvars = draw(st.sampled_from(DENSE_NVARS))
+    order = draw(st.integers(min_value=0, max_value=10 if nvars < 4 else 6))
     keep = draw(st.sampled_from((1.0, 0.9, 0.5, 0.2)))
-    return random_series(grading, order, constant, keep, draw(st.randoms(use_true_random=False)))
+    return random_series(nvars, order, constant, keep, draw(st.randoms(use_true_random=False)))

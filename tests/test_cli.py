@@ -134,6 +134,37 @@ class TestValidate:
         assert record["code"] == "parse"
         assert "nested too deeply" in record["message"]
 
+    def test_huge_rational_literal_exits_four(self, capsys, tmp_path):
+        path, _ = _huge_literal_documents(tmp_path)
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert (code, out) == (4, "")
+        record = json.loads(err)["error"]
+        assert record["code"] == "parse"
+        assert record["message"].startswith("bad rational in brane.constants: ")
+        assert "(5000 characters)" in record["message"]
+        assert "1" * 100 not in record["message"]
+
+    def test_huge_integer_literal_exits_four(self, capsys, tmp_path):
+        _, path = _huge_literal_documents(tmp_path)
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert (code, out) == (4, "")
+        record = json.loads(err)["error"]
+        assert record["code"] == "parse"
+        assert record["message"].startswith(f"{path}: ")
+
+
+def _huge_literal_documents(tmp_path):
+    """Local P2 with a 5000-digit brane constant, and with a 5000-digit
+    truncation: both past the interpreter's integer conversion limit."""
+    text = (JOBS / "local_p2.json").read_text()
+    doc = json.loads(text)
+    doc["brane"]["constants"] = ["0", "1" * 5000]
+    rational = tmp_path / "huge_rational.json"
+    rational.write_text(json.dumps(doc))
+    integer = tmp_path / "huge_int.json"
+    integer.write_text(text.replace('"truncation": 8', '"truncation": ' + "1" * 5000))
+    return rational, integer
+
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_empty_geometry_exits_with_a_record(capsys, tmp_path, command):
@@ -969,6 +1000,7 @@ class TestParseCache:
             pytest.param(
                 json.dumps(_with(CONIFOLD_DOC, ("truncation",), "abc")).encode(), id="bad-field"
             ),
+            pytest.param(b'{"truncation": ' + b"1" * 5000 + b"}", id="huge-int"),
         ],
     )
     def test_malformed_document_fails_alike_on_every_repeat(self, capsys, tmp_path, content):
@@ -1024,6 +1056,12 @@ class TestBatch:
         assert "error" not in records[-2] and "error" not in records[-1]
         assert "batch line 1" in records[0]["error"]["message"]
         assert "inside a batch" in records[6]["error"]["message"]
+
+    def test_huge_literals_each_get_a_parse_record(self, capsys, tmp_path):
+        lines = [_argv_line("validate", "--input", str(p)) for p in _huge_literal_documents(tmp_path)]
+        code, records = _run_batch(capsys, tmp_path, lines)
+        assert code == 0
+        assert [(r["exit"], r["stdout"], r["error"]["code"]) for r in records] == [(4, "", "parse")] * 2
 
     def test_records_match_single_runs(self, capsys, tmp_path, conifold_path):
         argvs = [

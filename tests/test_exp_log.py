@@ -2,8 +2,8 @@
 
 The grade-by-grade recurrence is checked for exact equality with the
 power sum ``sum s^k / k!`` and with ``E(s) * 1/s`` divided by the grade,
-1/s a geometric sum of products, on drawn series over frames with
-non-unit gradings (whose grade slices can be empty) and on the arguments the pipeline really passes,
+1/s a geometric sum of products, on drawn series over frames of one to
+three generators and on the arguments the pipeline really passes,
 with the kernel normal form asserted on every output.  Dense series over
 frames of three and four generators, whose grade slices have several
 rows with holes, are checked against the defining equations
@@ -102,18 +102,19 @@ def check_log(s):
 
 # -- drawn series -------------------------------------------------------
 
-GRADINGS = [(1,), (1, 1, 1), (2, 3), (1, 4), (1, 2), (3,)]
+# The grading of a frame of one to six generators: every generator has grade 1.
+GRADINGS = [(1,) * n for n in range(1, 7)]
 DENOMINATORS = [1, 2, 3, 7, 97, 2**61 - 1, 10**12 + 39, 3**40]
 
 
 @st.composite
 def series(draw, constant):
-    grading = draw(st.sampled_from(GRADINGS))
-    frame = Frame(names=tuple(f"x{i}" for i in range(len(grading))), grading=grading)
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    frame = Frame(names=tuple(f"x{i}" for i in range(nvars)))
     order = draw(st.integers(min_value=0, max_value=8))
     terms = {}
     for _ in range(draw(st.integers(min_value=0, max_value=7))):
-        exps = tuple(draw(st.integers(min_value=0, max_value=order // g)) for g in grading)
+        exps = tuple(draw(st.integers(min_value=0, max_value=order)) for _ in range(nvars))
         numerator = draw(st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30)))
         terms[exps] = Fraction(numerator, draw(st.sampled_from(DENOMINATORS)))
     terms[(0,) * frame.nvars] = Fraction(constant)
@@ -140,8 +141,8 @@ def test_log_inverts_exp(s):
 
 @settings(max_examples=40, deadline=None)
 @given(dense_series(0))
-@example(random_series((1, 1, 1), 10, 0, 1.0, random.Random(1)))
-@example(random_series((1, 1, 2, 1), 6, 0, 0.5, random.Random(2)))
+@example(random_series(3, 10, 0, 1.0, random.Random(1)))
+@example(random_series(4, 6, 0, 0.5, random.Random(2)))
 def test_dense_exp_solves_its_equation(s):
     # g_0 = 1 and E(g) = E(s) g fix g = exp s grade by grade
     g = exp_series(s)
@@ -152,8 +153,8 @@ def test_dense_exp_solves_its_equation(s):
 
 @settings(max_examples=40, deadline=None)
 @given(dense_series(1))
-@example(random_series((1, 1, 1, 1), 6, 1, 1.0, random.Random(3)))
-@example(random_series((2, 3, 1), 10, 1, 0.5, random.Random(4)))
+@example(random_series(4, 6, 1, 1.0, random.Random(3)))
+@example(random_series(3, 10, 1, 0.5, random.Random(4)))
 def test_dense_log_solves_its_equation(s):
     # L_0 = 0 and E(L) s = E(s) fix L = log s grade by grade
     L = log_series(s)
@@ -165,7 +166,8 @@ def test_dense_log_solves_its_equation(s):
 @pytest.mark.parametrize("grading", GRADINGS)
 @pytest.mark.parametrize("order", range(9))
 def test_edge_series(grading, order):
-    frame = Frame(names=tuple(f"x{i}" for i in range(len(grading))), grading=grading)
+    frame = Frame(names=tuple(f"x{i}" for i in range(len(grading))))
+    assert frame.grading == grading
     zero = TruncatedSeries.zero(frame, order)
     assert exp_series(zero) == TruncatedSeries.one(frame, order)
     assert log_series(TruncatedSeries.one(frame, order)) == zero
@@ -179,7 +181,7 @@ def test_no_kernel_product(monkeypatch):
         raise AssertionError("exp and log make no mul_terms call")
 
     monkeypatch.setattr(fps, "mul_terms", refuse)
-    frame = Frame(names=("x", "y"), grading=(1, 2))
+    frame = Frame(names=("x", "y"))
     s = TruncatedSeries(frame, 9, {(1, 0): Fraction(2, 3), (0, 1): -5, (3, 2): Fraction(1, 7)})
     assert log_series(exp_series(s)) == s
 
@@ -199,7 +201,7 @@ def test_reference_inverse_is_independent_of_the_graded_kernel(s):
 
 
 def test_non_units_are_refused():
-    frame = Frame(names=("x", "y"), grading=(2, 3))
+    frame = Frame(names=("x", "y"))
     x = TruncatedSeries.generator(frame, 6, 0)
     for constant in (1, Fraction(-1, 2)):
         with pytest.raises(NonUnitSeries):

@@ -193,21 +193,20 @@ def test_substitute_matches_sympy(sympy_t, s, f, g):
     assert substitute(s, [f, g]).terms == expected
 
 
-# -- multivariate graded frames: the full-order references -------------
+# -- multivariate frames: the full-order references -------------------
 
 
 @st.composite
-def graded_frames(draw):
+def multivariate_frames(draw):
     nvars = draw(st.integers(min_value=1, max_value=3))
-    grading = tuple(draw(st.integers(min_value=1, max_value=2)) for _ in range(nvars))
-    return Frame(names=tuple(f"x{i}" for i in range(nvars)), grading=grading)
+    return Frame(names=tuple(f"x{i}" for i in range(nvars)))
 
 
 @st.composite
-def graded_series(draw, frame, constant, max_terms=6):
+def multivariate_series(draw, frame, constant, max_terms=6):
     terms = {}
     for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
-        exps = tuple(draw(st.integers(min_value=0, max_value=ORDER // g)) for g in frame.grading)
+        exps = tuple(draw(st.integers(min_value=0, max_value=ORDER)) for _ in frame.names)
         terms[exps] = draw(rationals())
     terms[(0,) * frame.nvars] = constant
     return TruncatedSeries(frame, ORDER, terms)
@@ -216,25 +215,25 @@ def graded_series(draw, frame, constant, max_terms=6):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_inverse_matches_geometric_series(data):
-    frame = data.draw(graded_frames())
-    s = data.draw(graded_series(frame, data.draw(nonzero_rationals())))
+    frame = data.draw(multivariate_frames())
+    s = data.draw(multivariate_series(frame, data.draw(nonzero_rationals())))
     assert inverse(s) == reference_inverse(s)
 
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_log_matches_mercator_series(data):
-    frame = data.draw(graded_frames())
-    s = data.draw(graded_series(frame, Fraction(1)))
+    frame = data.draw(multivariate_frames())
+    s = data.draw(multivariate_series(frame, Fraction(1)))
     assert log_series(s) == reference_log(s)
 
 
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_fixed_point_matches_full_order_passes(data):
-    frame = data.draw(graded_frames())
+    frame = data.draw(multivariate_frames())
     multipliers = [
-        data.draw(graded_series(frame, Fraction(0), max_terms=3)) for _ in range(frame.nvars)
+        data.draw(multivariate_series(frame, Fraction(0), max_terms=3)) for _ in range(frame.nvars)
     ]
 
     def make_update(mult):

@@ -146,7 +146,7 @@ class TestMobius:
             return out
 
         rng = random.Random(11)
-        frame = Frame(names=("a", "b", "c"), grading=(1, 2, 1), boundary=(1, -1, 2))
+        frame = Frame(names=("a", "b", "c"), boundary=(1, -1, 2))
         for _ in range(150):
             n = {}
             for _ in range(rng.randint(0, 10)):

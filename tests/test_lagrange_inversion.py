@@ -73,15 +73,14 @@ def test_closed_and_composed_match_the_references(request, geometry, order):
 
 @st.composite
 def one_ray_inputs(draw):
-    """A series A of valuation >= 1 over a frame of 1-3 generators with
-    gradings 1 or 2, its order, a charge column and a unit weight c."""
+    """A series A of valuation >= 1 over a frame of 1-3 generators, its
+    order, a charge column and a unit weight c."""
     nvars = draw(st.integers(min_value=1, max_value=3))
-    grading = tuple(draw(st.integers(min_value=1, max_value=2)) for _ in range(nvars))
-    frame = Frame(names=tuple(f"x{i}" for i in range(nvars)), grading=grading)
+    frame = Frame(names=tuple(f"x{i}" for i in range(nvars)))
     order = draw(st.integers(min_value=1, max_value=8))
     terms = {}
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        exps = tuple(draw(st.integers(min_value=0, max_value=order // g)) for g in grading)
+        exps = tuple(draw(st.integers(min_value=0, max_value=order)) for _ in range(nvars))
         value = Fraction(
             draw(st.integers(min_value=-20, max_value=20)),
             draw(st.integers(min_value=1, max_value=6)),

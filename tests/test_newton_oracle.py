@@ -83,8 +83,8 @@ def test_root_and_inverse_match_bottom_up_newton(name):
 
 @settings(max_examples=40, deadline=None)
 @given(dense_series(3))
-@example(random_series((1, 1, 1), 10, 3, 1.0, random.Random(5)))
-@example(random_series((1, 1, 2, 1), 6, 3, 0.5, random.Random(6)))
+@example(random_series(3, 10, 3, 1.0, random.Random(5)))
+@example(random_series(4, 6, 3, 0.5, random.Random(6)))
 def test_dense_inverse_matches_bottom_up_newton(s):
     g = inverse(s)
     assert g == bottom_up_inverse(s)
@@ -93,7 +93,7 @@ def test_dense_inverse_matches_bottom_up_newton(s):
 
 @settings(max_examples=25, deadline=None)
 @given(dense_series(0))
-@example(random_series((1, 1, 1, 1), 5, 0, 1.0, random.Random(7)))
+@example(random_series(4, 5, 0, 1.0, random.Random(7)))
 def test_dense_root_matches_bottom_up_newton(t):
     # W = (1 + t) + (1 - t) z + t z^2 - t^2 z^3 has the simple grade-0 root -1
     table = {0: 1 + t, 1: 1 - t, 2: t, 3: -(t * t)}

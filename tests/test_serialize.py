@@ -101,11 +101,10 @@ _coefficients = st.one_of(
 
 @st.composite
 def printed_series(draw):
-    """A series over 1-4 generators of grading 1-2: possibly zero, with
-    or without a constant term, coefficients of any sign and denominator."""
+    """A series over 1-4 generators: possibly zero, with or without a
+    constant term, coefficients of any sign and denominator."""
     nvars = draw(st.integers(1, 4))
-    grading = tuple(draw(st.integers(1, 2)) for _ in range(nvars))
-    frame = Frame(names=tuple(f"x{i}" for i in range(nvars)), grading=grading)
+    frame = Frame(names=tuple(f"x{i}" for i in range(nvars)))
     order = draw(st.integers(0, 6))
     exponents = st.tuples(*[st.integers(0, order)] * nvars).filter(
         lambda e: frame.grade(e) <= order
