@@ -9,15 +9,15 @@ fixed-width fields hold the exponents, with the total degree (the
 grade) in the field above them, so multiplying two monomials is one
 int addition and sorted keys run grade by grade.
 
-A layout is ``(grading, width)``, where ``grading`` gives every
-generator grade 1: exponent i lives in bits ``[i*width, (i+1)*width)``
-of a key and the grade in the bits from ``width * len(grading)`` up.
+A layout is ``(nvars, width)``: every generator has grade 1, exponent i
+lives in bits ``[i*width, (i+1)*width)`` of a key and the grade in the
+bits from ``width * nvars`` up.
 A series truncated at ``order`` uses ``width = field_width(order)``;
 every term it holds then fits its fields, and so does the sum of two
 exponents of a kept product term.
 
-:class:`Terms` holds one series in this form and reads it as a
-read-only exponent tuple -> ``Fraction`` mapping, decoded on each read.
+:class:`Terms` holds one series in this form and reads it as a read-only
+exponent tuple -> ``Fraction`` mapping that decodes rows only to iterate.
 :func:`mul_terms` convolves two of them through a dict keyed by the
 product key.  :func:`exp_log` and :func:`graded_root` work grade by
 grade instead, on grade slices held as dense rows (described above
@@ -45,10 +45,10 @@ def field_width(order):
     return order.bit_length() + 1
 
 
-def _weights(grading, width):
+def _weights(nvars, width):
     """Per-generator key increments: one weighted sum packs a monomial."""
-    top = width * len(grading)
-    return [(1 << top) | (1 << (width * i)) for i in range(len(grading))]
+    top = width * nvars
+    return [(1 << top) | (1 << (width * i)) for i in range(nvars)]
 
 
 def ratio_text(num, den):
@@ -69,15 +69,15 @@ class Terms(Mapping):
     grade comes first; ``nums`` are their nonzero integer numerators and
     ``den`` >= 1 the common denominator, with gcd(den, *nums) == 1.  The
     form is unique for given terms and layout, so two ``Terms`` of one
-    layout are equal exactly when their rows are.  The mapping view is
-    decoded from the rows on each read, in lexicographic exponent order,
-    and has no item assignment.
+    layout are equal exactly when their rows are.  The mapping view
+    bisects the rows for one key and decodes them all only to iterate,
+    in lexicographic exponent order; it has no item assignment.
     """
 
-    __slots__ = ("grading", "width", "den", "monos", "nums")
+    __slots__ = ("nvars", "width", "den", "monos", "nums")
 
-    def __init__(self, grading, width, den, monos, nums):
-        self.grading = grading
+    def __init__(self, nvars, width, den, monos, nums):
+        self.nvars = nvars
         self.width = width
         self.den = den
         self.monos = monos
@@ -90,7 +90,15 @@ class Terms(Mapping):
     # -- the mapping view ----------------------------------------------
 
     def __getitem__(self, exponents):
-        return self._decoded()[exponents]
+        # a tuple that does not fit the layout could pack to another row's key
+        mask = (1 << self.width) - 1
+        if len(exponents) != self.nvars or not all(0 <= e <= mask for e in exponents):
+            raise KeyError(exponents)
+        key = sum(map(mul, _weights(self.nvars, self.width), exponents))
+        j = bisect_left(self.monos, key)
+        if j == len(self.monos) or self.monos[j] != key:
+            raise KeyError(exponents)
+        return Fraction(self.nums[j], self.den)
 
     def __iter__(self):
         return iter(self._decoded())
@@ -102,7 +110,7 @@ class Terms(Mapping):
         return self._decoded().items()
 
     def __eq__(self, other):
-        if isinstance(other, Terms) and (self.width, self.grading) == (other.width, other.grading):
+        if isinstance(other, Terms) and (self.width, self.nvars) == (other.width, other.nvars):
             return self.den == other.den and self.monos == other.monos and self.nums == other.nums
         return super().__eq__(other)
 
@@ -114,7 +122,7 @@ class Terms(Mapping):
     # -- inspection on the rows ----------------------------------------
 
     def _top(self):
-        return self.width * len(self.grading)
+        return self.width * self.nvars
 
     def constant(self):
         """The coefficient of the empty monomial (key 0, the first row)."""
@@ -125,15 +133,6 @@ class Terms(Mapping):
     def min_grade(self):
         """Grade of the first row, or None when there are no terms."""
         return self.monos[0] >> self._top() if self.monos else None
-
-    def coefficient(self, exponents):
-        """The coefficient of ``exponents``, which must fit the layout,
-        found by bisection on its packed key."""
-        key = sum(map(mul, _weights(self.grading, self.width), exponents))
-        j = bisect_left(self.monos, key)
-        if j < len(self.monos) and self.monos[j] == key:
-            return Fraction(self.nums[j], self.den)
-        return ZERO
 
     def exponents(self):
         """The exponent tuple of every row, in row order, decoded field by field."""
@@ -158,7 +157,7 @@ class Terms(Mapping):
     # -- ring operations on the rows -----------------------------------
 
     def __neg__(self):
-        return Terms(self.grading, self.width, self.den, self.monos, [-n for n in self.nums])
+        return Terms(self.nvars, self.width, self.den, self.monos, [-n for n in self.nums])
 
     def __add__(self, other):
         """Sum of two ``Terms`` of one layout."""
@@ -173,7 +172,7 @@ class Terms(Mapping):
         scale = den // other.den
         for k, n in zip(other.monos, other.nums):
             merged[k] = get(k, 0) + n * scale
-        return _from_rows(self.grading, self.width, den, merged)
+        return _from_rows(self.nvars, self.width, den, merged)
 
     def scaled(self, value):
         """Every coefficient times the nonzero rational ``value``."""
@@ -181,7 +180,7 @@ class Terms(Mapping):
         if p == q == 1:
             return self
         nums = self.nums if p == 1 else [n * p for n in self.nums]
-        return _normal(self.grading, self.width, self.den * q, self.monos, nums)
+        return _normal(self.nvars, self.width, self.den * q, self.monos, nums)
 
     def weighted(self, coeffs):
         """Every row's numerator times the integer w = sum coeffs[i] * e_i,
@@ -192,7 +191,7 @@ class Terms(Mapping):
             if w:
                 monos.append(k)
                 nums.append(n * w)
-        return _normal(self.grading, self.width, self.den, monos, nums)
+        return _normal(self.nvars, self.width, self.den, monos, nums)
 
     def signed(self, coeffs, odd, even=1):
         """Every row's numerator times ``odd`` where its weight under ``coeffs``
@@ -200,14 +199,14 @@ class Terms(Mapping):
         signs = (even, odd)
         weights = [0] * len(self.nums) if odd == even else self.row_weights(coeffs)
         nums = [n * signs[w & 1] for n, w in zip(self.nums, weights)]
-        return Terms(self.grading, self.width, self.den, self.monos, nums)
+        return Terms(self.nvars, self.width, self.den, self.monos, nums)
 
     def truncated(self, order):
         """The rows of grade <= ``order``, at the layout of ``order``."""
         j = bisect_left(self.monos, (order + 1) << self._top())
         kept = self
         if j < len(self.monos):
-            kept = _normal(self.grading, self.width, self.den, self.monos[:j], self.nums[:j])
+            kept = _normal(self.nvars, self.width, self.den, self.monos[:j], self.nums[:j])
         return kept.at_order(order)
 
     def at_order(self, order):
@@ -215,7 +214,7 @@ class Terms(Mapping):
         width = field_width(order)
         if width == self.width:
             return self
-        return Terms(self.grading, width, self.den, _recoded(self, width), self.nums)
+        return Terms(self.nvars, width, self.den, _recoded(self, width), self.nums)
 
 
 def _recoded(terms, width):
@@ -224,52 +223,52 @@ def _recoded(terms, width):
     Re-encoding keeps the grade and the field order, so the keys stay
     sorted as long as every decoded exponent fits the new width.
     """
-    weights = _weights(terms.grading, width)
+    weights = _weights(terms.nvars, width)
     return [sum(map(mul, weights, e)) for e in terms.exponents()]
 
 
-def _normal(grading, width, den, monos, nums):
+def _normal(nvars, width, den, monos, nums):
     """``Terms`` from sorted rows with nonzero numerators, gcd-reduced."""
     if den != 1:
         den, [(monos, nums)] = _reduced(den, [(monos, nums)])
-    return Terms(grading, width, den, monos, nums)
+    return Terms(nvars, width, den, monos, nums)
 
 
-def _from_rows(grading, width, den, rows):
+def _from_rows(nvars, width, den, rows):
     """``Terms`` from a packed key -> numerator dict; zero numerators drop."""
     monos = sorted([k for k, n in rows.items() if n])
-    return _normal(grading, width, den, monos, [rows[k] for k in monos])
+    return _normal(nvars, width, den, monos, [rows[k] for k in monos])
 
 
-def pack(terms, grading, order):
+def pack(terms, nvars, order):
     """Kernel form, at the layout of ``order``, of a mapping from distinct
     exponent tuples of grade <= ``order`` to nonzero exact rationals."""
     width = field_width(order)
-    weights = _weights(grading, width)
+    weights = _weights(nvars, width)
     den = lcm(*[c.denominator for c in terms.values()])
     rows = {
         sum(map(mul, weights, e)): c.numerator * (den // c.denominator) for e, c in terms.items()
     }
     monos = sorted(rows)
-    return Terms(grading, width, den, monos, [rows[k] for k in monos])
+    return Terms(nvars, width, den, monos, [rows[k] for k in monos])
 
 
-def single(grading, order, value, index=None):
+def single(nvars, order, value, index=None):
     """The one-row ``Terms`` of ``value * x_index`` at the layout of
     ``order`` (the constant ``value`` for index None); a zero value, or a
     generator at order 0, gives no row."""
     width = field_width(order)
     if not value or (index is not None and not order):
-        return Terms(grading, width, 1, [], [])
-    key = 0 if index is None else _weights(grading, width)[index]
-    return Terms(grading, width, value.denominator, [key], [value.numerator])
+        return Terms(nvars, width, 1, [], [])
+    key = 0 if index is None else _weights(nvars, width)[index]
+    return Terms(nvars, width, value.denominator, [key], [value.numerator])
 
 
 def mul_terms(a, b, grading, order):
-    """Convolve two ``Terms`` of ``grading``, dropping grades > order.
+    """Convolve two ``Terms`` over the unit ``grading``, dropping grades > order.
 
     The product is a :class:`Terms` at the layout of ``order``, with
-    zero coefficients pruned.
+    zero coefficients pruned.  Only the length of ``grading`` is read.
     """
     width = field_width(order)
     bound = (order + 1) << (width * len(grading))  # a key below it has grade <= order
@@ -292,7 +291,7 @@ def mul_terms(a, b, grading, order):
         for kb, nb in zip(monos_b[:j], nums_b[:j]):
             k = ka + kb
             out[k] = get(k, 0) + na * nb
-    return _from_rows(grading, width, a.den * b.den, out)
+    return _from_rows(len(grading), width, a.den * b.den, out)
 
 
 def _reduced(den, runs):
@@ -327,10 +326,10 @@ def _scalar(value):
     return value.denominator, [(0, [value.numerator])]
 
 
-def _row_width(grading, width):
+def _row_width(nvars, width):
     """The field width that splits a slice into rows on a layout of
     three or more generators, 0 on a layout of one row."""
-    return width if len(grading) > 2 else 0
+    return width if nvars > 2 else 0
 
 
 def _runs(keys, nums, width, mask):
@@ -354,8 +353,8 @@ def _slices(terms, order):
     A slice is a ``bisect`` range of the sorted rows; one whose indexes
     are consecutive, checked at its ends, is one run as it stands.
     """
-    grading, top, width = terms.grading, terms._top(), terms.width
-    mask = (1 << (top - width)) - 1 if grading else 0  # (key >> width) & mask: its index
+    top, width = terms._top(), terms.width
+    mask = (1 << (top - width)) - 1 if terms.nvars else 0  # (key >> width) & mask: its index
     den, monos, nums = terms.den, terms.monos, terms.nums
     cuts = [bisect_left(monos, g << top) for g in range(order + 2)]
     slices = []
@@ -450,7 +449,7 @@ def _convolve(products, rows=0, divisor=1):
     return _reduced(common * divisor, runs)
 
 
-def _assembled(grading, width, slices):
+def _assembled(nvars, width, slices):
     """``Terms`` from gcd-reduced grade slices of grades 0, 1, ...: over
     the lcm of their denominators the rows are in normal form.
 
@@ -460,7 +459,7 @@ def _assembled(grading, width, slices):
     ``(1 << width) - 1``; its entries of 0 are holes and drop.  The runs
     of a slice are in key order, and so are the slices.
     """
-    top = width * len(grading)
+    top = width * nvars
     mask = (1 << width) - 1  # one field, and the key step along a run
     upper = range(0, top - width, width)  # the fields of an index
     den = lcm(*[d for d, runs in slices if runs])
@@ -479,7 +478,7 @@ def _assembled(grading, width, slices):
                 keys, row = zip(*[(k, v) for k, v in zip(keys, row) if v])
             monos += keys
             nums += row if scale == 1 else [v * scale for v in row]
-    return Terms(grading, width, den, monos, nums)
+    return Terms(nvars, width, den, monos, nums)
 
 
 def exp_log(s, order, log):
@@ -500,7 +499,7 @@ def exp_log(s, order, log):
     n by n only when it assembles the result.  In all about half of one
     truncated product.
     """
-    cut, rows = _slices(s, order), _row_width(s.grading, s.width)
+    cut, rows = _slices(s, order), _row_width(s.nvars, s.width)
     slices = [ONE]  # grade m of h
     for n in range(1, order + 1):
         weights = [(-1 if m else n) if log else n - m for m in range(n)]
@@ -508,7 +507,7 @@ def exp_log(s, order, log):
     if log:
         slices[0] = EMPTY
         slices[1:] = [_reduced(den * n, runs) for n, (den, runs) in enumerate(slices[1:], 1)]
-    return _assembled(s.grading, s.width, slices)
+    return _assembled(s.nvars, s.width, slices)
 
 
 def graded_root(coeffs, root0, slope, order):
@@ -526,9 +525,9 @@ def graded_root(coeffs, root0, slope, order):
     power as z times the one below.
     """
     degree = len(coeffs) - 1
-    grading, width = coeffs[-1].grading, field_width(order)
+    nvars, width = coeffs[-1].nvars, field_width(order)
     cut = [None if c is None else _slices(c, order) for c in coeffs]
-    rows = _row_width(grading, width)
+    rows = _row_width(nvars, width)
     # powers[e][g]: grade g of z^e; powers[1] is z itself.  Its z_n enters
     # grade n of z^e as pulls[e] * z_n.
     powers = [[ONE]] + [[_scalar(root0**e)] for e in range(1, degree + 1)]
@@ -557,4 +556,4 @@ def graded_root(coeffs, root0, slope, order):
         z.append(_convolve(products, rows, abs(slope.numerator)))
         for e in range(2, degree + 1):
             powers[e].append(_convolve([(1, ONE, known[e]), (1, pulls[e], z[n])], rows))
-    return _assembled(grading, width, z)
+    return _assembled(nvars, width, z)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from collections import namedtuple
 
@@ -21,6 +22,7 @@ from . import lattice, mirror
 from ._backend import monomial_text
 from .errors import InputError, MathDomainError, ValidationError
 from .serialize import parse_int_vector, parse_rational, series_to_json, series_to_records
+from .serialize import short_repr
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -317,11 +319,16 @@ COMMANDS = {
 }
 
 
+# a value past 40 characters that argparse names in an error, quoted or
+# (an unrecognized argument) bare: the parse record names it shortened
+_LONG_VALUE = re.compile(r"'([^']{41,})'|\"([^\"]{41,})\"|(\S{41,})")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Argument errors exit 4 with the JSON parse record, like bad job fields."""
 
     def error(self, message):
-        raise InputError(message)
+        raise InputError(_LONG_VALUE.sub(lambda m: short_repr(m[1] or m[2] or m[3]), message))
 
 
 @functools.cache

@@ -10,8 +10,8 @@ numerators over one gcd-reduced denominator, keyed by sorted packed
 monomials.  Ring operations, truncation and the settled-grade and
 valuation checks work on those integer rows; products go through
 ``_backend.mul_terms``.  ``TruncatedSeries.terms`` reads the rows as a
-read-only exponent tuple -> ``Fraction`` mapping, decoded on each read
-and iterated in lexicographic exponent order; ``str`` reads the rows.
+read-only exponent tuple -> ``Fraction`` mapping: a lookup bisects the
+rows and iteration decodes them; ``str`` reads the rows.
 All values are immutable after construction and every operation is a
 pure function, so instances can be shared freely across threads.
 """
@@ -70,8 +70,8 @@ class Frame(namedtuple("Frame", "names boundary")):
 
     @property
     def grading(self) -> tuple[int, ...]:
-        """The grade of every generator, all 1: the kernel layout and the
-        JSON frame record carry it."""
+        """The grade of every generator, all 1: ``TruncatedSeries.__mul__``
+        passes it to ``mul_terms`` and ``serialize.frame_to_json`` prints it."""
         return (1,) * len(self.names)
 
     def grade(self, exponents: Sequence[int]) -> int:
@@ -127,7 +127,7 @@ class TruncatedSeries:
                 clean[exps] = value
         self.frame = frame
         self.order = order
-        self.terms = pack(clean, frame.grading, order)
+        self.terms = pack(clean, frame.nvars, order)
 
     @classmethod
     def _trusted(cls, frame: Frame, order: int, terms: Terms) -> "TruncatedSeries":
@@ -147,21 +147,21 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, frame: Frame, order: int) -> "TruncatedSeries":
-        return cls._trusted(frame, order, single(frame.grading, order, ZERO))
+        return cls._trusted(frame, order, single(frame.nvars, order, ZERO))
 
     @classmethod
     def constant(cls, frame: Frame, order: int, value) -> "TruncatedSeries":
-        return cls._trusted(frame, order, single(frame.grading, order, as_rational(value)))
+        return cls._trusted(frame, order, single(frame.nvars, order, as_rational(value)))
 
     @classmethod
     def one(cls, frame: Frame, order: int) -> "TruncatedSeries":
-        return cls._trusted(frame, order, single(frame.grading, order, ONE))
+        return cls._trusted(frame, order, single(frame.nvars, order, ONE))
 
     @classmethod
     def generator(cls, frame: Frame, order: int, index: int) -> "TruncatedSeries":
         if not 0 <= index < frame.nvars:
             raise ValueError(f"generator index {index} out of range for {frame.names}")
-        return cls._trusted(frame, order, single(frame.grading, order, ONE, index))
+        return cls._trusted(frame, order, single(frame.nvars, order, ONE, index))
 
     @classmethod
     def monomial(cls, frame: Frame, order: int, exponents, coefficient=1) -> "TruncatedSeries":
@@ -180,8 +180,8 @@ class TruncatedSeries:
         return self.terms.min_grade()
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        """The coefficient of ``exponents``, 0 when one is negative; read
-        off the rows without decoding the mapping view."""
+        """The coefficient of ``exponents``, 0 when one is negative; one
+        bisection of the rows, without decoding the mapping view."""
         exps = tuple(exponents)
         if len(exps) != self.frame.nvars:
             raise ValueError("exponent arity does not match frame")
@@ -189,9 +189,7 @@ class TruncatedSeries:
             raise TruncationExceeded(
                 f"exponent {exps} has grade beyond truncation order {self.order}"
             )
-        if min(exps, default=0) < 0:
-            return ZERO
-        return self.terms.coefficient(exps)
+        return self.terms.get(exps, ZERO)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
@@ -214,7 +212,7 @@ class TruncatedSeries:
         """The terms of the rows whose entry in ``flags`` is true."""
         t = self.terms
         rows = [(k, n) for k, n, flag in zip(t.monos, t.nums, flags) if flag]
-        terms = _normal(t.grading, t.width, t.den, [k for k, _ in rows], [n for _, n in rows])
+        terms = _normal(t.nvars, t.width, t.den, [k for k, _ in rows], [n for _, n in rows])
         return TruncatedSeries._trusted(self.frame, self.order, terms)
 
     # -- ring operations ----------------------------------------------
@@ -277,9 +275,9 @@ class TruncatedSeries:
 
     def __str__(self):
         t, names = self.terms, self.frame.names
-        top, den = t._top(), t.den
+        exponents, den = t.exponents(), t.den
         bits = []
-        for _, exps, num in sorted(zip([k >> top for k in t.monos], t.exponents(), t.nums)):
+        for _, exps, num in sorted(zip(map(sum, exponents), exponents, t.nums)):
             mono = monomial_text(names, exps)
             if not mono:
                 bits.append(ratio_text(num, den))
@@ -345,7 +343,7 @@ def inverse(s: TruncatedSeries) -> TruncatedSeries:
         raise NonUnitSeries(
             f"cannot invert a series with zero constant term over generators {s.frame.names}"
         )
-    coeffs = [single(s.frame.grading, s.order, -ONE), s.terms]
+    coeffs = [single(s.frame.nvars, s.order, -ONE), s.terms]
     return TruncatedSeries._trusted(s.frame, s.order, graded_root(coeffs, 1 / c0, c0, s.order))
 
 

@@ -19,7 +19,7 @@ from itertools import product
 from math import lcm
 from operator import mul
 
-from ._backend import _from_rows, _normal, _weights, field_width, graded_root
+from ._backend import _from_rows, _weights, field_width, graded_root
 from .errors import BranchError, FrameEscape, MathDomainError, ValidationError
 from .fps import Frame, TruncatedSeries, ZERO, exp_series, log_series, pow_int
 from .lattice import (
@@ -55,7 +55,7 @@ def a_series(data: ToricCYData, order: int) -> tuple[TruncatedSeries, ...]:
     iota = data.effective_charge_basis
     k, m = len(iota), data.m
     width = field_width(order)
-    steps = _weights(frame.grading, width)
+    steps = _weights(frame.nvars, width)
     factorials = [1]
     for x in range(1, order * max((abs(c) for row in iota for c in row), default=0) + 1):
         factorials.append(factorials[-1] * x)
@@ -91,7 +91,7 @@ def a_series(data: ToricCYData, order: int) -> tuple[TruncatedSeries, ...]:
     series = []
     for rows in found:
         den = lcm(*[d for _, _, d in rows])
-        terms = _from_rows(frame.grading, width, den, {key: n * (den // d) for key, n, d in rows})
+        terms = _from_rows(frame.nvars, width, den, {key: n * (den // d) for key, n, d in rows})
         series.append(TruncatedSeries._trusted(frame, order, terms))
     return tuple(series)
 
@@ -289,7 +289,7 @@ class LagrangeChain:
         if not self.delta:
             acc[0] = get(0, 0) + self._den
         one = self.one
-        terms = _from_rows(one.frame.grading, one.terms.width, self._den, acc)
+        terms = _from_rows(one.frame.nvars, one.terms.width, self._den, acc)
         return TruncatedSeries._trusted(one.frame, one.order, terms)
 
 
@@ -528,7 +528,7 @@ def map_closed_series(
     """
     frame = bframe.frame
     width = field_width(order)
-    weights = _weights(frame.grading, width)
+    weights = _weights(frame.nvars, width)
     base, limit = 0, order
     if shift is not None:
         base, limit = sum(map(mul, weights, shift)), order - frame.grade(shift)
@@ -544,8 +544,7 @@ def map_closed_series(
         raise FrameEscape(
             f"closed monomials escape the brane frame: {sorted(escapes)[:4]}", escapes
         )
-    monos = sorted(rows)
-    terms = _normal(frame.grading, width, series.terms.den, monos, [rows[k] for k in monos])
+    terms = _from_rows(frame.nvars, width, series.terms.den, rows)
     return TruncatedSeries._trusted(frame, order, terms)
 
 

@@ -19,13 +19,23 @@ from .fps import Frame, TruncatedSeries, ratio_text
 _RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
+def short_repr(text: str) -> str:
+    """``text`` quoted as ``repr`` quotes it, or, past 40 characters, its
+    first 12 and last 4 characters and its length: an error message
+    names a long value without repeating it."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:12]}...{text[-4:]} ({len(text)} characters)"
+
+
 def parse_rational(text) -> Fraction:
     """Parse a JSON integer or a string "p" or "p/q" with q > 0.
 
     The string holds an optional sign and decimal digits, with
     surrounding whitespace allowed; booleans, floats, decimal or
     exponent notation, digit separators and more digits than ``int``
-    converts are input errors that name the value.
+    converts are input errors that name the value, shortened past 40
+    characters.
     """
     if type(text) is int:
         return Fraction(text)
@@ -33,14 +43,14 @@ def parse_rational(text) -> Fraction:
         raise InputError(f"rational literal must be an integer or a string, got {text!r}")
     literal = text.strip()
     if not _RATIONAL_LITERAL.fullmatch(literal):
-        raise InputError(f"malformed rational literal {text!r}: expected p or p/q")
+        raise InputError(f"malformed rational literal {short_repr(text)}: expected p or p/q")
     try:
         return Fraction(literal)
     except ZeroDivisionError:
-        raise InputError(f"malformed rational literal {text!r}: zero denominator") from None
+        message = f"malformed rational literal {short_repr(text)}: zero denominator"
+        raise InputError(message) from None
     except ValueError as exc:  # past the interpreter's digit limit
-        short = f"{literal[:12]}...{literal[-4:]} ({len(literal)} characters)"
-        raise InputError(f"malformed rational literal {short}: {exc}") from None
+        raise InputError(f"malformed rational literal {short_repr(literal)}: {exc}") from None
 
 
 def parse_int_vector(raw, where) -> tuple[int, ...]:

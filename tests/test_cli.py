@@ -321,6 +321,26 @@ class TestArgumentErrors:
         assert out == ""
         assert json.loads(err)["error"]["code"] == "parse"
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            pytest.param(["curve", "--order", "1" * 5000], "argument --order: ", id="order"),
+            pytest.param(["curve", "--output", "x" * 5000], "argument --output: ", id="output"),
+            pytest.param(["c" * 5000], "argument command: ", id="command"),
+            # argparse quotes a value holding ' with double quotes
+            pytest.param(["curve", "--order", "'" + "1" * 4999], "argument --order: ", id="quote"),
+            pytest.param(["curve", "1" * 5000], "unrecognized arguments: ", id="unrecognized"),
+        ],
+    )
+    def test_long_value_is_named_shortened(self, capsys, conifold_path, argv, named):
+        code, out, err = run(capsys, *argv, "--input", conifold_path)
+        assert (code, out) == (4, "")
+        assert len(err.encode()) < 300
+        record = json.loads(err)["error"]
+        assert record["code"] == "parse"
+        assert record["message"].startswith(named)
+        assert "(5000 characters)" in record["message"]
+
     def test_negative_first_sign_with_equals(self, capsys, conifold_path):
         code, out, _ = run(
             capsys, "brane-mirror", "--input", conifold_path, "--normalization=-1,-1"

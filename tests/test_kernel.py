@@ -9,6 +9,7 @@ from copy import copy
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -104,14 +105,14 @@ def check_contract(result, a, b, order):
 @given(kernel_inputs())
 def test_kernel_matches_reference(inputs):
     a, b, order = inputs
-    check_contract(mul_terms(a, b, a.grading, order), a, b, order)
+    check_contract(mul_terms(a, b, (1,) * a.nvars, order), a, b, order)
 
 
 @settings(max_examples=100, deadline=None)
 @given(cancelling_inputs())
 def test_cancelled_products_are_pruned(inputs):
     a, b, order, cancelled = inputs
-    result = mul_terms(a, b, a.grading, order)
+    result = mul_terms(a, b, (1,) * a.nvars, order)
     check_contract(result, a, b, order)
     assert cancelled not in result
 
@@ -138,7 +139,7 @@ def test_field_boundaries(order):
     }
     a, b = operand(a, 3, high), operand(b, 3, high)
     assert field_width(high) > field_width(order)
-    result = mul_terms(a, b, a.grading, order)
+    result = mul_terms(a, b, (1,) * a.nvars, order)
     check_contract(result, a, b, order)
     assert result[(order, 0, 0)] == (
         a[(order, 0, 0)] * b[(0, 0, 0)] + a[(order - 1, 0, 0)] * b[(1, 0, 0)]
@@ -163,7 +164,7 @@ def check_normal_form(r):
     """The stored rows are the unique kernel form of ``r``'s terms."""
     t = r.terms
     assert isinstance(t, Terms)
-    assert (t.grading, t.width) == (r.frame.grading, field_width(r.order))
+    assert (t.nvars, t.width) == (r.frame.nvars, field_width(r.order))
     assert all(a < b for a, b in zip(t.monos, t.monos[1:]))
     assert all(t.nums) and len(t.nums) == len(t.monos)
     assert t.den >= 1 and gcd(t.den, *t.nums) == 1
@@ -396,6 +397,63 @@ def test_coefficient_reads_the_rows_without_decoding(s, data):
     assert read == [view.get(e, 0) if min(e) >= 0 else 0 for e in asked]
 
 
+# Frames of 0-4 generators; a lookup bisects the rows for one packed key.
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.integers(0, 6),
+    st.sampled_from((1.0, 0.5, 0.1)),
+    st.integers(-2, 2),
+    st.randoms(use_true_random=False),
+    st.data(),
+)
+def test_lookup_agrees_with_the_decoded_mapping(nvars, order, keep, constant, rnd, data):
+    t = random_series(nvars, order, constant, keep, rnd).terms
+    decoded = dict(t.items())
+    assert dict(t) == decoded
+    entries = st.integers(min_value=-2, max_value=(1 << t.width) + 1)
+    drawn = data.draw(st.lists(st.tuples(*[entries] * nvars), max_size=6))
+    for e in list(decoded) + drawn:
+        assert t.get(e) == decoded.get(e)
+        assert (e in t) == (e in decoded)
+
+
+def test_dict_of_terms_decodes_the_rows_once(monkeypatch):
+    t = random_series(3, 6, 1, 1.0, Random(0)).terms
+    decoded, calls = Terms._decoded, []
+
+    def counted(terms):
+        calls.append(terms)
+        return decoded(terms)
+
+    monkeypatch.setattr(Terms, "_decoded", counted)
+    plain = dict(t)
+    assert len(calls) <= 1
+    assert len(plain) == len(t) == 84
+
+
+def test_lookup_refuses_a_tuple_of_another_length():
+    t = TruncatedSeries(Frame(names=("x", "y")), 3, {(0, 0): 1, (1, 0): 2}).terms
+    # zipped with the two key increments, each would read a present row
+    for e in [(0,), (1, 0, 0), (1, 0, 5)]:
+        with pytest.raises(KeyError):
+            t[e]
+        assert e not in t and t.get(e) is None
+
+
+def test_lookup_refuses_entries_outside_the_field():
+    frame = Frame(names=("x0", "x1", "x2"))
+    s = TruncatedSeries.generator(frame, 4, 2)
+    assert field_width(4) == 4
+    assert s.terms[(0, 0, 1)] == 1
+    # both pack to the key of x2: -16 + 17 * 2**4 == 2**8, at grade 1
+    for e in [(-16, 17, 0), (-32, 34, -1)]:
+        with pytest.raises(KeyError):
+            s.terms[e]
+        assert e not in s.terms
+        assert s.coefficient(e) == 0
+
+
 # the grading of a frame of one to four generators: every generator has grade 1
 @pytest.mark.parametrize("grading", [(1,), (1, 1), (1, 1, 1), (1, 1, 1, 1)])
 @pytest.mark.parametrize("order", range(6))
@@ -440,4 +498,4 @@ def test_slices_assemble_back_to_their_rows(nvars, order, keep, constant, rnd):
         assert rows == sorted(set(rows))  # one run per row, in row order
         for start, row in runs:  # a run stays in its row
             assert start >> terms.width == (start + len(row) - 1) >> terms.width
-    assert _assembled(terms.grading, terms.width, slices) == terms
+    assert _assembled(terms.nvars, terms.width, slices) == terms

@@ -46,6 +46,18 @@ class TestRationals:
             parse_rational(literal)
         assert repr(literal) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["1" * 5000 + "x", "1/0" + " " * 60, "1" * 5000],
+        ids=["malformed", "zero-denominator", "past-digit-limit"],
+    )
+    def test_long_literals_are_named_shortened(self, literal):
+        with pytest.raises(InputError) as info:
+            parse_rational(literal)
+        message = str(info.value)
+        assert f"{literal[:12]}...{literal[-4:]} ({len(literal)} characters)" in message
+        assert len(message) < 300
+
 
 class TestSeriesRecords:
     def test_lexicographic_order(self):
