@@ -372,6 +372,13 @@ def _parse_text(text) -> Job:
     return parse_job(json.loads(text))
 
 
+def _path_repr(path):
+    """An input path as an error names it: whole up to 255 characters, so
+    a real file stays named.  A message names it once, with the
+    ``strerror`` of an ``OSError``, whose text would repeat it."""
+    return short_repr(path, limit=255)
+
+
 def _emit_error(code, message, exit_code):
     record = {"error": {"code": code, "message": message}}
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
@@ -404,7 +411,7 @@ def _batch(path) -> int:
         with open(path, "rb") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        raise InputError(f"cannot read {_path_repr(path)}: {exc.strerror}") from None
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -440,7 +447,9 @@ def main(argv=None, *, nested=False) -> int:
             raise InputError(f"{args.input}: JSON nested too deeply to parse") from None
         except json.JSONDecodeError as exc:
             raise InputError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-        except (OSError, UnicodeDecodeError) as exc:
+        except OSError as exc:
+            raise InputError(f"cannot read {_path_repr(args.input)}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from None
         except ValueError as exc:  # a JSON number past the interpreter's digit limit
             raise InputError(f"{args.input}: {exc}") from None

@@ -10,6 +10,7 @@ describing the fibration discriminant.
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
@@ -67,6 +68,12 @@ def independent_columns(rows) -> tuple[int, ...] | None:
     return tuple(pivots) if len(pivots) == len(rows) else None
 
 
+# the closed orders whose mirror-map core one toric data keeps at once
+# (:meth:`ToricCYData.at_order`); a batch reads a few orders per document
+ORDERS_KEPT = 8
+_ORDERS_LOCK = threading.Lock()
+
+
 class ValidationReport(namedtuple("ValidationReport", "failures")):
     __slots__ = ()
 
@@ -89,7 +96,7 @@ class ToricCYData(
     ray i >= n corresponds to the closed Kahler variable Q_{i-n+1}.
     Offsets default to zero; ``max_cones`` and ``charge_rows`` to None.
     Instances keep a ``__dict__`` (no ``__slots__``) for the cached
-    lattice data and brane set-up below.
+    lattice data, brane set-up and mirror-map cores below.
     """
 
     def __new__(cls, rays, u, offsets=(), max_cones=None, charge_rows=None):
@@ -151,6 +158,29 @@ class ToricCYData(
         if entry is None or entry[0] is not brane:
             entry = self.__dict__[name] = (brane, build(self, brane))
         return entry[1]
+
+    def at_order(self, order: int, build):
+        """``build(self, order)``, computed once for the closed order
+        ``order`` on this toric data and kept here, like :meth:`kept`.
+
+        The ``ORDERS_KEPT`` orders read last are kept, and reading an
+        order past them evicts the least recently read one.  An exception
+        is not kept.  The bookkeeping takes a lock, so threads may share
+        the toric data; two threads that miss one order both build it,
+        and the first one kept is the one returned.
+        """
+        with _ORDERS_LOCK:
+            store = self.__dict__.setdefault("_orders", {})
+            value = store.pop(order, None)
+            if value is not None:
+                store[order] = value  # now the most recently read
+                return value
+        value = build(self, order)
+        with _ORDERS_LOCK:
+            value = store[order] = store.pop(order, value)
+            while len(store) > ORDERS_KEPT:
+                del store[next(iter(store))]
+        return value
 
 
 class BraneSpec(

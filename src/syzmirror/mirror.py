@@ -116,40 +116,30 @@ class MirrorMapData:
     the unit factor of the open direction (the open variable itself is
     not a generator of the closed frame), None without a brane; and
     ``fiber``, 1 + delta_j = exp(-A_j(q(Q))) for every ray j, None for
-    q_to_Q; A_j(q(Q)) itself is -log ``fiber[j]``.  The unit of row
-    weights w is exp(sum_j w_j A_j) for q_to_Q, one exp over the live
-    rays j (A_j != 0), and exp(-sum_j w_j A_j(q(Q))) for Q_to_q, read
-    off the inverse map's Lagrange chain (``LagrangeChain``) with no exp
-    at all.  A unit whose live weights are all 0 is 1.
+    q_to_Q; A_j(q(Q)) itself is -log ``fiber[j]``.  Every unit comes
+    from the map's core (``_MapCore``), which the maps of one toric data
+    at one order share.
     """
 
-    def __init__(self, a_series, chain, order, charge_rows, open_charge):
-        self.direction = "q_to_Q" if chain is None else "Q_to_q"
-        self.a_series = a_series
-        self.order = order
-        self._chain = chain
-        self._charge_rows = charge_rows
+    def __init__(self, core, direction, open_charge):
+        self.direction = direction
+        self.a_series = core.a_series
+        self.order = core.one.order
+        self._core = core
         self._open_charge = open_charge
-        self._one = TruncatedSeries.one(a_series[0].frame, order)
-        self._live = [j for j, a in enumerate(a_series) if not a.is_zero()]
 
     def _unit(self, row):
-        """The unit of row weights ``row``, 1 when no live weight is nonzero."""
-        if not any(row[j] for j in self._live):
-            return self._one
-        if self._chain is not None:
-            return self._chain.unit([row[j] for j in self._live])
-        terms = [self.a_series[j] * row[j] for j in self._live if row[j]]
-        return exp_series(sum(terms[1:], terms[0]))
+        """The unit of row weights ``row``."""
+        return self._core.unit(self.direction, row)
 
     @cached_property
     def closed(self) -> tuple[TruncatedSeries, ...]:
         """The image of each closed variable: its generator times the unit
         of its charge row."""
-        frame, order = self._one.frame, self.order
+        frame, order = self._core.one.frame, self.order
         return tuple(
             TruncatedSeries.generator(frame, order, a) * self._unit(row)
-            for a, row in enumerate(self._charge_rows)
+            for a, row in enumerate(self._core.rows)
         )
 
     @cached_property
@@ -161,29 +151,72 @@ class MirrorMapData:
     def fiber(self) -> tuple[TruncatedSeries, ...] | None:
         """1 + delta_j = exp(-A_j(q(Q))), the unit of the row e_j, for
         every ray j (Q_to_q only)."""
-        if self._chain is None:
+        if self.direction == "q_to_Q":
             return None
         m = len(self.a_series)
         return tuple(self._unit(unit_vector(m, j)) for j in range(m))
 
 
-def _map_inputs(data, order, brane):
-    """Validate, then every A_j and the open charge l^(0) (None without
-    a brane)."""
+class _MapCore:
+    """What the mirror maps of one toric data at one closed order share,
+    built once per pair and kept on the toric data
+    (:meth:`ToricCYData.at_order`), so every run on a parsed job document
+    at that order reads it.
+
+    It holds every A_j, the live rays (A_j != 0), the series 1, the
+    inverse map's ``LagrangeChain`` (built on first read) and each unit
+    read so far, keyed by the direction and the full weight row.  The
+    unit of row weights w is exp(sum_j w_j A_j) for q_to_Q, one exp over
+    the live rays, and exp(-sum_j w_j A_j(q(Q))) for Q_to_q, read off
+    the chain with no exp at all; a unit whose live weights are all 0
+    is 1.
+    """
+
+    def __init__(self, data, order):
+        self.a_series = a_series(data, order)
+        self.rows = data.effective_charge_basis
+        self.one = TruncatedSeries.one(data.closed_frame, order)
+        self._live = [j for j, a in enumerate(self.a_series) if not a.is_zero()]
+        self._units = {}
+
+    @cached_property
+    def chain(self) -> LagrangeChain:
+        return LagrangeChain(self.a_series, self.rows, self.one)
+
+    def unit(self, direction, row) -> TruncatedSeries:
+        key = (direction, tuple(row))
+        unit = self._units.get(key)
+        if unit is None:
+            # a unit another thread kept first wins, so each key has one
+            unit = self._units.setdefault(key, self._build_unit(direction, row))
+        return unit
+
+    def _build_unit(self, direction, row):
+        if not any(row[j] for j in self._live):
+            return self.one
+        if direction == "Q_to_q":
+            return self.chain.unit([row[j] for j in self._live])
+        terms = [self.a_series[j] * row[j] for j in self._live if row[j]]
+        return exp_series(sum(terms[1:], terms[0]))
+
+
+def _map(data, order, brane, direction):
+    """The map of ``direction`` over the core of ``data`` at ``order``,
+    with the open charge l^(0) of ``brane`` (None without one)."""
     require_valid(data)
-    a_list = a_series(data, order)
+    core = data.at_order(order, _MapCore)
     l0 = None if brane is None else open_charge(brane, data.m)
-    return a_list, l0
+    return MirrorMapData(core, direction, l0)
 
 
 def mirror_map(data: ToricCYData, order: int, brane: BraneSpec | None = None) -> MirrorMapData:
     """Q_a = q_a exp(sum_j iota_j^(a) A_j(q)), open direction likewise.
 
-    Builds every A_j now; the closed images and the open unit, each the
-    exp of an integer combination of the A_j, are built when first read.
+    Reads every A_j from the core of ``data`` at ``order``; the closed
+    images and the open unit, each the exp of an integer combination of
+    the A_j, are built when first read.
     """
-    a_list, l0 = _map_inputs(data, order, brane)
-    return MirrorMapData(a_list, None, order, data.effective_charge_basis, l0)
+    return _map(data, order, brane, "q_to_Q")
 
 
 def _determinant(matrix, one):
@@ -302,13 +335,10 @@ def inverse_mirror_map(
     gives every unit exp(-sum_j w_j A_j(q(Q))) coefficient by
     coefficient, from one product chain of the nonzero A_j
     (``LagrangeChain``), with no fixed point, no ``substitute`` and no
-    exp.  The chain is all it builds: the fiber series, the closed
-    images and the open unit are read off it when first read.
+    exp.  The chain is built on the first unit read, once per core: the
+    fiber series, the closed images and the open unit are read off it.
     """
-    a_list, l0 = _map_inputs(data, order, brane)
-    rows = data.effective_charge_basis
-    chain = LagrangeChain(a_list, rows, TruncatedSeries.one(data.closed_frame, order))
-    return MirrorMapData(a_list, chain, order, rows, l0)
+    return _map(data, order, brane, "Q_to_q")
 
 
 def fiber_open_gw(data: ToricCYData, order: int) -> list[TruncatedSeries]:

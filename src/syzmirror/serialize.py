@@ -19,12 +19,13 @@ from .fps import Frame, TruncatedSeries, ratio_text
 _RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-def short_repr(text: str) -> str:
-    """``text`` quoted as ``repr`` quotes it, or, past 40 characters, its
-    first 12 and last 4 characters and its length: an error message
-    names a long value without repeating it."""
-    if len(text) <= 40:
-        return repr(text)
+def short_repr(value, limit: int = 40) -> str:
+    """``repr(value)``, or, past ``limit`` characters of ``value`` (of its
+    ``repr`` if it is not a string), their first 12 and last 4 and their
+    count: an error message names a long value without repeating it."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= limit:
+        return repr(value)
     return f"{text[:12]}...{text[-4:]} ({len(text)} characters)"
 
 
@@ -40,7 +41,7 @@ def parse_rational(text) -> Fraction:
     if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
-        raise InputError(f"rational literal must be an integer or a string, got {text!r}")
+        raise InputError(f"rational literal must be an integer or a string, got {short_repr(text)}")
     literal = text.strip()
     if not _RATIONAL_LITERAL.fullmatch(literal):
         raise InputError(f"malformed rational literal {short_repr(text)}: expected p or p/q")
@@ -59,7 +60,7 @@ def parse_int_vector(raw, where) -> tuple[int, ...]:
         raise InputError(f"bad integer vector in {where}: expected a list")
     bad = [x for x in raw if type(x) is not int]
     if bad:
-        raise InputError(f"bad integer vector in {where}: {bad[0]!r} is not an integer")
+        raise InputError(f"bad integer vector in {where}: {short_repr(bad[0])} is not an integer")
     return tuple(raw)
 
 

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -340,6 +342,25 @@ class TestArgumentErrors:
         assert record["code"] == "parse"
         assert record["message"].startswith(named)
         assert "(5000 characters)" in record["message"]
+
+    @pytest.mark.parametrize("command", ["curve", "batch"])
+    def test_long_input_path_is_named_once_shortened(self, capsys, command):
+        # the OSError text would name the path a second time
+        path = "1" * 5000
+        code, out, err = run(capsys, command, "--input", path)
+        assert (code, out) == (4, "")
+        assert len(err.encode()) < 300
+        record = json.loads(err)["error"]
+        assert record["code"] == "parse"
+        message = "cannot read 111111111111...1111 (5000 characters): File name too long"
+        assert record["message"] == message
+
+    def test_missing_input_is_named_whole(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "curve", "--input", path)
+        assert (code, out) == (4, "")
+        message = json.loads(err)["error"]["message"]
+        assert message == f"cannot read {path!r}: No such file or directory"
 
     def test_negative_first_sign_with_equals(self, capsys, conifold_path):
         code, out, _ = run(
@@ -921,6 +942,85 @@ class TestRepeatedWork:
         code, _, _ = run(capsys, "compare-naive", "--input", str(LOCAL_P2_JOB), "--order", "4")
         assert code == 0
         assert len(frames) == 1
+
+    def test_runs_on_one_document_and_order_share_one_map_core(self, capsys, monkeypatch):
+        # the A-series, the Lagrange chain and each unit are kept on the
+        # parsed document per closed order; local P2's brane frame needs
+        # no higher closed order than the job's
+        from syzmirror import mirror
+
+        units = []
+        read_off = mirror.LagrangeChain.unit
+
+        def unit(self, weights):
+            units.append(tuple(weights))
+            return read_off(self, weights)
+
+        monkeypatch.setattr(mirror.LagrangeChain, "unit", unit)
+        passes = _count_calls(monkeypatch, mirror, "a_series")
+        chains = _count_calls(monkeypatch, mirror, "LagrangeChain")
+        commands = ("curve", "fiber-invariants", "inverse-map", "disc-invariants",
+                    "brane-mirror", "compare-naive", "mirror-map")
+        for command in commands:
+            code, _, _ = run(capsys, command, "--input", str(LOCAL_P2_JOB), "--order", "4")
+            assert code == 0, command
+        assert (len(passes), len(chains)) == (1, 1)
+        # one read-off each for the fiber of the live ray (weight 1) and
+        # the closed image (weight -3); the open unit has no live weight
+        assert sorted(units) == [(-3,), (1,)]
+
+    def test_orders_past_the_bound_are_evicted_and_rebuilt_alike(self, capsys, monkeypatch):
+        from syzmirror import cli, lattice, mirror
+
+        passes = _count_calls(monkeypatch, mirror, "a_series")
+        orders = list(range(2, 3 + lattice.ORDERS_KEPT)) + [2]
+        outs = []
+        for order in orders:
+            code, out, _ = run(capsys, "fiber-invariants", "--input", str(LOCAL_P2_JOB),
+                               "--order", str(order))
+            assert code == 0
+            outs.append(out)
+        # order 2 was read least recently when the ninth order came in
+        assert len(passes) == len(orders)
+        store = cli._parse_text(LOCAL_P2_JOB.read_text()).toric.__dict__["_orders"]
+        assert list(store) == orders[2:]
+        assert outs[-1] == outs[0]
+        root = Path(__file__).resolve().parent.parent
+        alone = subprocess.run(
+            [sys.executable, "-m", "syzmirror.cli", "fiber-invariants",
+             "--input", str(LOCAL_P2_JOB), "--order", "2"],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=str(root / "src")), check=True,
+        )
+        assert alone.stdout.decode() == outs[-1]
+
+    def test_clearing_the_parse_cache_drops_the_map_cores(self, capsys, monkeypatch):
+        from syzmirror import cli, mirror
+
+        passes = _count_calls(monkeypatch, mirror, "a_series")
+        argv = ("curve", "--input", str(LOCAL_P2_JOB), "--order", "3")
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first
+        assert len(passes) == 1
+        cli._parse_text.cache_clear()
+        assert run(capsys, *argv) == first
+        assert len(passes) == 2
+
+    def test_refused_document_keeps_no_map_core(self, capsys, monkeypatch, tmp_path):
+        # two interior points and no charge_basis: the charge basis is
+        # refused inside the A-series, and the refusal is not kept
+        from syzmirror import cli, mirror
+
+        doc = {"toric": {"rays": [[1, 1, 1], [1, 0, 1], [0, 0, 1], [2, 5, 1], [1, 2, 1]],
+                         "u": [0, 0, 1]}}
+        path = tmp_path / "c3_z5.json"
+        path.write_text(json.dumps(doc))
+        passes = _count_calls(monkeypatch, mirror, "a_series")
+        results = [run(capsys, "fiber-invariants", "--input", str(path)) for _ in range(2)]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert (code, out, json.loads(err)["error"]["code"]) == (3, "", "math")
+        assert len(passes) == 2
+        assert not cli._parse_text(path.read_text()).toric.__dict__.get("_orders")
 
 
 class TestParseCache:

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syzmirror import Frame, InputError, TruncatedSeries
-from syzmirror.serialize import parse_rational, series_to_json, series_to_records
+from syzmirror.serialize import (
+    parse_int_vector,
+    parse_rational,
+    series_to_json,
+    series_to_records,
+)
 from tests.conftest import no_decoding
 
 
@@ -56,6 +61,20 @@ class TestRationals:
             parse_rational(literal)
         message = str(info.value)
         assert f"{literal[:12]}...{literal[-4:]} ({len(literal)} characters)" in message
+        assert len(message) < 300
+
+    @pytest.mark.parametrize(
+        "read",
+        [parse_rational, lambda value: parse_int_vector([1, value], "toric.u")],
+        ids=["rational", "int-vector"],
+    )
+    def test_long_non_string_values_are_named_shortened(self, read):
+        # a job field holding a long list is named by its repr, shortened
+        value = [1] * 5000
+        with pytest.raises(InputError) as info:
+            read(value)
+        message = str(info.value)
+        assert "[1, 1, 1, 1,..., 1] (15000 characters)" in message
         assert len(message) < 300
 
 
