@@ -91,9 +91,11 @@ def parse_job(doc) -> Job:
         frame_generators = None
         if "frame" in bdoc:
             frame_generators = _int_matrix(bdoc["frame"], "brane.frame")
-        boundary = None
         if "boundary_grading" in bdoc:
-            boundary = parse_int_vector(bdoc["boundary_grading"], "brane.boundary_grading")
+            raise InputError(
+                "brane.boundary_grading is not an input: the boundary grading "
+                "is the Q0 exponent of each brane.frame generator"
+            )
         brane = lattice.BraneSpec(
             charges=charges,
             constants=constants,
@@ -101,7 +103,6 @@ def parse_job(doc) -> Job:
             av_indices=av_indices,
             m0=m0,
             frame_generators=frame_generators,
-            boundary_grading=boundary,
         )
 
     (truncation,) = parse_int_vector([doc.get("truncation", 8)], "truncation")
@@ -444,15 +445,15 @@ def main(argv=None, *, nested=False) -> int:
                 text = handle.read()
             job = _parse_text(text)
         except RecursionError:
-            raise InputError(f"{args.input}: JSON nested too deeply to parse") from None
+            raise InputError(f"{_path_repr(args.input)}: JSON nested too deeply to parse") from None
         except json.JSONDecodeError as exc:
             raise InputError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
         except OSError as exc:
             raise InputError(f"cannot read {_path_repr(args.input)}: {exc.strerror}") from None
         except UnicodeDecodeError as exc:
-            raise InputError(f"cannot read {args.input}: {exc}") from None
+            raise InputError(f"cannot read {_path_repr(args.input)}: {exc}") from None
         except ValueError as exc:  # a JSON number past the interpreter's digit limit
-            raise InputError(f"{args.input}: {exc}") from None
+            raise InputError(f"{_path_repr(args.input)}: {exc}") from None
         if args.order is not None:
             job = job._replace(truncation=_checked_order(args.order, "--order"))
         if args.corrected is not None:

@@ -77,9 +77,6 @@ class Frame(namedtuple("Frame", "names boundary")):
     def grade(self, exponents: Sequence[int]) -> int:
         return sum(exponents)
 
-    def boundary_grade(self, exponents: Sequence[int]) -> int:
-        return sum(b * e for b, e in zip(self.boundary, exponents))
-
 
 def _frame_difference(frame: Frame, other: Frame) -> str:
     """Both frames' generators and the first generator where they differ."""

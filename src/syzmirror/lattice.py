@@ -186,7 +186,7 @@ class ToricCYData(
 class BraneSpec(
     namedtuple(
         "BraneSpec",
-        "charges constants phases av_indices m0 frame_generators boundary_grading",
+        "charges constants phases av_indices m0 frame_generators",
     )
 ):
     """Charge-defined Lagrangian data, Aganagic-Vafa or general.
@@ -210,7 +210,6 @@ class BraneSpec(
         av_indices=None,
         m0=None,
         frame_generators=None,
-        boundary_grading=None,
     ):
         charges = tuple(tuple(int(x) for x in row) for row in charges)
         constants = tuple(as_rational(c) for c in constants)
@@ -221,11 +220,7 @@ class BraneSpec(
             m0 = tuple(as_rational(x) for x in m0)
         if frame_generators is not None:
             frame_generators = tuple(tuple(int(x) for x in g) for g in frame_generators)
-        if boundary_grading is not None:
-            boundary_grading = tuple(int(b) for b in boundary_grading)
-        return super().__new__(
-            cls, charges, constants, phases, av_indices, m0, frame_generators, boundary_grading
-        )
+        return super().__new__(cls, charges, constants, phases, av_indices, m0, frame_generators)
 
     @property
     def k(self) -> int:

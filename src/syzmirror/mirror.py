@@ -434,21 +434,21 @@ def _naive_equations(data, brane):
     return tuple(equations)
 
 
-class BraneFrame(namedtuple("BraneFrame", "generators boundary")):
+class BraneFrame(namedtuple("BraneFrame", "generators")):
     """Brane exponent monoid: generators packaging (Q0, Q_closed) monomials.
 
     ``generators[k]`` is the integer exponent vector of generator k
     over (Q0, Q1, ..., Q_{m-n}); entries may be negative (for example
     Q1*Q0^-1), but series over the frame only use non-negative powers
-    of the generators.  The boundary grading defaults to the
-    Q0-exponent of each generator, which is the winding functional.
-    Two frames are equal when their generators and boundary are.
-    ``q0`` is the frame exponent of the open variable Q0; a frame that
-    cannot hold Q0 is rejected with FrameEscape.  Instances keep a
-    ``__dict__`` (no ``__slots__``) for the cached data below.
+    of the generators.  The boundary grading of ``frame`` is the
+    Q0-exponent of each generator, the winding functional, so two
+    frames are equal when their generators are.  ``q0`` is the frame
+    exponent of the open variable Q0; a frame that cannot hold Q0 is
+    rejected with FrameEscape.  Instances keep a ``__dict__`` (no
+    ``__slots__``) for the cached data below.
     """
 
-    def __new__(cls, generators, boundary=None):
+    def __new__(cls, generators):
         generators = tuple(tuple(int(x) for x in g) for g in generators)
         if not generators:
             raise MathDomainError("a brane frame needs at least one generator")
@@ -456,20 +456,14 @@ class BraneFrame(namedtuple("BraneFrame", "generators boundary")):
             raise MathDomainError(
                 f"brane frame generators {[list(g) for g in generators]} have mixed arity"
             )
-        boundary = tuple(g[0] for g in generators) if boundary is None else tuple(boundary)
-        if len(boundary) != len(generators):
-            raise MathDomainError(
-                f"brane boundary grading must have {len(generators)} entries, "
-                "one per frame generator"
-            )
-        self = super().__new__(cls, generators, boundary)
+        self = super().__new__(cls, generators)
         self.q0  # raises unless the generators are independent and hold Q0
         return self
 
     @cached_property
     def frame(self) -> Frame:
         names = tuple(f"P{k}" for k in range(1, len(self.generators) + 1))
-        return Frame(names=names, boundary=self.boundary)
+        return Frame(names=names, boundary=tuple(g[0] for g in self.generators))
 
     @cached_property
     def _solver(self):
@@ -543,7 +537,7 @@ def _declared_frame(data, brane):
         raise MathDomainError(
             f"brane frame generators must have {width} entries (Q0 and closed variables)"
         )
-    return BraneFrame(brane.frame_generators, boundary=brane.boundary_grading)
+    return BraneFrame(brane.frame_generators)
 
 
 def map_closed_series(
@@ -718,8 +712,8 @@ def _normalize_root(z2_raw, bframe, override=None):
     q0 = bframe.q0
     basic = -log.coefficient(q0) if frame.grade(q0) <= log.order else ZERO
     eps1_options = [override[0]] if override else [1, -1]
-    # the twist by eps1 multiplies the Q0 coefficient by eps1 ** boundary(q0)
-    positive = [e for e in eps1_options if basic * e ** (frame.boundary_grade(q0) % 2) > 0]
+    # boundary(q0) = 1, so the twist by eps1 multiplies the Q0 coefficient by eps1
+    positive = [e for e in eps1_options if basic * e > 0]
     eps1 = positive[0] if positive else eps1_options[0]
     twist = frame.boundary
     return (eps1, eps2), z2_raw.signed(twist, eps2 * eps1, eps2), log.signed(twist, -eps1, -1)
@@ -754,7 +748,7 @@ def av_mirror_brane(
     z1 = TruncatedSeries.monomial(bframe.frame, order, bframe.q0) * unit
     return BraneMirrorSeries(
         # z1 twisted by eps1 and times eps1: eps1 ** (boundary(e) + 1)
-        z1=z1.signed(bframe.boundary, 1, signs[0]),
+        z1=z1.signed(bframe.frame.boundary, 1, signs[0]),
         z2=z2,
         signs=signs,
         neg_log_z2=neg_log_z2,

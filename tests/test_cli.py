@@ -125,7 +125,7 @@ class TestValidate:
         assert (code, out) == (4, "")
         record = json.loads(err)["error"]
         assert record["code"] == "parse"
-        assert record["message"].startswith(f"cannot read {path}: ")
+        assert record["message"].startswith(f"cannot read {str(path)!r}: ")
 
     def test_deeply_nested_json_exits_four(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -152,7 +152,7 @@ class TestValidate:
         assert (code, out) == (4, "")
         record = json.loads(err)["error"]
         assert record["code"] == "parse"
-        assert record["message"].startswith(f"{path}: ")
+        assert record["message"].startswith(f"{str(path)!r}: ")
 
 
 def _huge_literal_documents(tmp_path):
@@ -355,6 +355,32 @@ class TestArgumentErrors:
         message = "cannot read 111111111111...1111 (5000 characters): File name too long"
         assert record["message"] == message
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            pytest.param("latin1.json", b'{"toric": "\xff"}', id="not-utf8"),
+            pytest.param("deep.json", b"[" * 100_000 + b"]" * 100_000, id="too-deep"),
+            pytest.param("huge_int.json", b'{"truncation": ' + b"1" * 5000 + b"}", id="huge-int"),
+            pytest.param("missing.json", None, id="missing"),
+        ],
+    )
+    def test_long_input_path_is_named_shortened_by_every_read_error(
+        self, capsys, tmp_path, name, content
+    ):
+        # twelve nested directories of 200 characters each: a real path
+        # past 2400 characters, every component under the 255 limit
+        directory = tmp_path.joinpath(*[str(i % 10) * 200 for i in range(12)])
+        directory.mkdir(parents=True)
+        path = directory / name
+        if content is not None:
+            path.write_bytes(content)
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert (code, out) == (4, "")
+        assert len(err.encode()) < 300
+        record = json.loads(err)["error"]
+        assert record["code"] == "parse"
+        assert f"...{name[-4:]} ({len(str(path))} characters)" in record["message"]
+
     def test_missing_input_is_named_whole(self, capsys, tmp_path):
         path = str(tmp_path / "missing.json")
         code, out, err = run(capsys, "curve", "--input", path)
@@ -551,7 +577,8 @@ def test_shipped_disc_tables_match_the_fraction_reference(capsys, path):
         payload = json.loads(out)
         z2 = av_mirror_brane(job.toric, job.brane, order).z2
         neg_log = -log_series(z2)
-        n = {e: c / z2.frame.boundary_grade(e) for e, c in neg_log.terms.items()}
+        boundary = z2.frame.boundary
+        n = {e: c / sum(b * x for b, x in zip(boundary, e)) for e, c in neg_log.terms.items()}
         rows, flagged, integral = reference_disc_table(n)
         assert (payload["table"], payload["flagged"], payload["integral"]) == (
             rows, flagged, integral
@@ -620,18 +647,38 @@ def test_summary_is_written_in_one_call(monkeypatch, output, stream):
 
 
 class TestBoundaryGrading:
+    # the boundary grading is the Q0 exponent of each frame generator; a
+    # document that names one is refused, even with the value read off
     @pytest.mark.parametrize("command", ["brane-mirror", "disc-invariants", "compare-naive"])
-    @pytest.mark.parametrize("grading", [[1], [1, 1, 1], []], ids=["short", "long", "empty"])
-    def test_wrong_length_exits_three(self, capsys, tmp_path, command, grading):
+    @pytest.mark.parametrize(
+        "grading",
+        [[1], [1, 1, 1], [], [1, -1], [2, -2], [-1, 1]],
+        ids=["short", "long", "empty", "default", "doubled", "negated"],
+    )
+    def test_exits_four_naming_the_field(self, capsys, tmp_path, command, grading):
         doc = json.loads(LOCAL_P2_JOB.read_text())
         file = tmp_path / "job.json"
         file.write_text(json.dumps(_with(doc, ("brane", "boundary_grading"), grading)))
         code, out, err = run(capsys, command, "--input", str(file), "--order", "3")
-        assert code == 3
-        assert out == ""
-        record = json.loads(err)
-        assert record["error"]["code"] == "math"
-        assert "boundary grading must have 2 entries" in record["error"]["message"]
+        assert (code, out) == (4, "")
+        record = json.loads(err)["error"]
+        assert record["code"] == "parse"
+        assert "brane.boundary_grading" in record["message"]
+
+    def test_batch_line_gets_a_parse_record(self, capsys, tmp_path):
+        doc = json.loads(LOCAL_P2_JOB.read_text())
+        file = tmp_path / "job.json"
+        file.write_text(json.dumps(_with(doc, ("brane", "boundary_grading"), [1, -1])))
+        lines = [
+            _argv_line("disc-invariants", "--input", str(file), "--order", "3"),
+            _argv_line("disc-invariants", "--input", str(LOCAL_P2_JOB), "--order", "3"),
+        ]
+        code, records = _run_batch(capsys, tmp_path, lines)
+        assert code == 0
+        refused, shipped = records
+        assert (refused["exit"], refused["stdout"], refused["error"]["code"]) == (4, "", "parse")
+        assert "brane.boundary_grading" in refused["error"]["message"]
+        assert shipped["exit"] == 0 and "error" not in shipped
 
 
 class TestInvalidBrane:
@@ -1087,7 +1134,6 @@ class TestParseCache:
         for name, variant in (
             ("shipped", doc),
             ("frame", _with(doc, ("brane", "frame"), [[1, 0], [-2, 1]])),
-            ("boundary", _with(doc, ("brane", "boundary_grading"), [2, -2])),
         ):
             paths.append(tmp_path / f"{name}.json")
             paths[-1].write_text(json.dumps(variant))
@@ -1097,8 +1143,8 @@ class TestParseCache:
                 for _ in range(2)
             ]
             assert rounds[0] == rounds[1]
-            assert [code for code, _ in rounds[0]] == [0, 0, 0]
-            assert len({out for _, out in rounds[0]}) == 3
+            assert [code for code, _ in rounds[0]] == [0, 0]
+            assert len({out for _, out in rounds[0]}) == 2
 
     def test_rewritten_document_is_read_afresh(self, capsys, conifold_path):
         code, out, _ = run(capsys, "curve", "--input", conifold_path)

@@ -1,7 +1,8 @@
 """Fuzz the CLI exit-code contract on mutated shipped job documents.
 
 Whatever a job document holds, ``cli.main`` must return one of the
-documented exit codes (0, 2, 3, 4) and never raise.
+documented exit codes (0, 2, 3, 4) and never raise.  A brane carrying
+``boundary_grading``, which is not an input, always exits 4.
 """
 
 import contextlib
@@ -102,6 +103,11 @@ def test_exit_code_is_documented(tmp_path, doc, command, order, extra):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc))
     argv = [command, "--input", str(path), "--order", str(order), *extra]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in EXIT_CODES
+    brane = doc.get("brane")
+    if isinstance(brane, dict) and "boundary_grading" in brane:
+        assert code == 4
+        assert json.loads(err.getvalue())["error"]["code"] == "parse"

@@ -64,7 +64,9 @@ class TestExtract:
         # building z2 from a table and extracting returns the table
         frame = Frame(names=("Q0", "Q1"), boundary=(1, -1))
         wanted = {(1, 0): F(3, 2), (0, 2): F(-1, 4), (2, 1): F(5)}
-        log_terms = {e: F(c) * frame.boundary_grade(e) for e, c in wanted.items()}
+        log_terms = {
+            e: F(c) * sum(b * x for b, x in zip(frame.boundary, e)) for e, c in wanted.items()
+        }
         z2 = z2_from_log(frame, 6, log_terms)
         assert extract_open_gw(z2).n == wanted
 
@@ -279,7 +281,7 @@ def test_extracted_rows_match_the_fraction_reference(log_terms):
     frame = Frame(names=("a", "b"), boundary=(2, -3))
     neg_log = TruncatedSeries(frame, 6, log_terms)
     table = multiple_cover_inversion(extract_open_gw(exp_series(-neg_log)))
-    n = {e: c / frame.boundary_grade(e) for e, c in neg_log.terms.items()}
+    n = {e: c / sum(b * x for b, x in zip(frame.boundary, e)) for e, c in neg_log.terms.items()}
     assert table.n == n
     assert list(table.rows()) == reference_rows(n, divisor_closure_inversion(n))
 

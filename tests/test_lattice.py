@@ -88,7 +88,7 @@ class TestBraneSpecRecord:
         [
             (([[-1, 1, 0, 0]], ["1/2"], [0]), {}),
             ((), {"charges": [[-1, 1, 0, 0]], "constants": [F(1, 2)], "phases": ["0"]}),
-            ((((-1, 1, 0, 0),), (F(1, 2),), (F(0),), None, None, None, None), {}),
+            ((((-1, 1, 0, 0),), (F(1, 2),), (F(0),), None, None, None), {}),
         ],
     )
     def test_normalized_with_defaults(self, args, kwargs):
@@ -97,7 +97,7 @@ class TestBraneSpecRecord:
         assert brane.constants == (F(1, 2),) and type(brane.constants[0]) is F
         assert brane.phases == (F(0),) and type(brane.phases[0]) is F
         assert brane.av_indices is None and brane.m0 is None
-        assert brane.frame_generators is None and brane.boundary_grading is None
+        assert brane.frame_generators is None
         assert brane == BraneSpec(((-1, 1, 0, 0),), (F(1, 2),), (F(0),))
         assert hash(brane) == hash(BraneSpec(((-1, 1, 0, 0),), (F(1, 2),), (F(0),)))
 
@@ -105,13 +105,10 @@ class TestBraneSpecRecord:
     def test_optional_fields_normalized(self, by_keyword):
         fields = (
             [[-1, 1, 0, 0], [-1, 0, 1, 0]], [0, "2"], ["0", "1/3"],
-            [0, 1, 2], ["1/2", 0, 0], [[1, 0], [-1, 1]], [1, 0],
+            [0, 1, 2], ["1/2", 0, 0], [[1, 0], [-1, 1]],
         )
+        names = ("charges", "constants", "phases", "av_indices", "m0", "frame_generators")
         if by_keyword:
-            names = (
-                "charges", "constants", "phases",
-                "av_indices", "m0", "frame_generators", "boundary_grading",
-            )
             brane = BraneSpec(**dict(zip(names, fields)))
         else:
             brane = BraneSpec(*fields)
@@ -119,7 +116,7 @@ class TestBraneSpecRecord:
         assert brane.av_indices == (0, 1, 2)
         assert brane.m0 == (F(1, 2), F(0), F(0)) and all(type(x) is F for x in brane.m0)
         assert brane.frame_generators == ((1, 0), (-1, 1))
-        assert brane.boundary_grading == (1, 0)
+        assert BraneSpec._fields == names
         assert brane.k == 2
 
     @pytest.mark.parametrize("field", ["charges", "constants", "av_indices", "other"])

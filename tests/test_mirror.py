@@ -12,6 +12,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from syzmirror import (
     BraneFrame,
@@ -454,22 +456,19 @@ def conifold_root_expected(order):
 
 class TestBraneFrame:
     @pytest.mark.parametrize(
-        "generators,boundary,error,named",
+        "generators,error,named",
         [
-            pytest.param((), None, MathDomainError, None, id="empty"),
+            pytest.param((), MathDomainError, None, id="empty"),
             pytest.param(
-                ((1, 0), (0, 1, 0)), None, MathDomainError, "[[1, 0], [0, 1, 0]]", id="mixed-arity"
+                ((1, 0), (0, 1, 0)), MathDomainError, "[[1, 0], [0, 1, 0]]", id="mixed-arity"
             ),
-            pytest.param(((1, 0), (-1, 1)), (1,), MathDomainError, None, id="boundary-count"),
-            pytest.param(
-                ((1, 0), (2, 0)), None, MathDomainError, "[[1, 0], [2, 0]]", id="dependent"
-            ),
-            pytest.param(((1, 1), (0, 1)), None, FrameEscape, None, id="no-q0"),
+            pytest.param(((1, 0), (2, 0)), MathDomainError, "[[1, 0], [2, 0]]", id="dependent"),
+            pytest.param(((1, 1), (0, 1)), FrameEscape, None, id="no-q0"),
         ],
     )
-    def test_refusals_are_math_domain_errors(self, generators, boundary, error, named):
+    def test_refusals_are_math_domain_errors(self, generators, error, named):
         with pytest.raises(error) as caught:
-            BraneFrame(generators, boundary)
+            BraneFrame(generators)
         assert isinstance(caught.value, MathDomainError)
         if named is not None:
             assert named in str(caught.value)
@@ -478,12 +477,33 @@ class TestBraneFrame:
         bframe = brane_frame(conifold, conifold_brane)
         again = brane_frame(conifold, conifold_brane)
         assert bframe == again and hash(bframe) == hash(again)
-        assert bframe == BraneFrame(((1, 0), (-1, 1)), boundary=(1, -1))
-        assert bframe.generators == ((1, 0), (-1, 1)) and bframe.boundary == (1, -1)
+        assert BraneFrame._fields == ("generators",)
+        assert bframe == BraneFrame(((1, 0), (-1, 1)))
+        assert bframe.generators == ((1, 0), (-1, 1)) and bframe.frame.boundary == (1, -1)
         with pytest.raises(AttributeError):
-            bframe.boundary = (1, 0)
-        moved = bframe._replace(boundary=(1, 0))
-        assert moved.frame.boundary == (1, 0) and moved.q0 == bframe.q0
+            bframe.generators = ((1, 0),)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_boundary_is_the_q0_exponent_of_each_generator(self, data):
+        # Q0 = g0 + sum_j a_j g_j with a_j >= 0, so every frame drawn holds Q0
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        width = data.draw(st.integers(min_value=k, max_value=4))
+        entries = st.integers(min_value=-2, max_value=2)
+        others = [data.draw(st.tuples(*[entries] * width)) for _ in range(k - 1)]
+        counts = [data.draw(st.integers(min_value=0, max_value=2)) for _ in others]
+        g0 = tuple(
+            int(c == 0) - sum(a * g[c] for a, g in zip(counts, others)) for c in range(width)
+        )
+        at = data.draw(st.integers(min_value=0, max_value=k - 1))
+        generators = others[:at] + [g0] + others[at:]
+        try:
+            bframe = BraneFrame(generators)
+        except MathDomainError:
+            assume(False)  # dependent generators
+        assert bframe.frame.boundary == tuple(g[0] for g in generators)
+        assert bframe.q0 == tuple(counts[:at] + [1] + counts[at:])
+        assert sum(b * x for b, x in zip(bframe.frame.boundary, bframe.q0)) == 1
 
     def test_brane_series_of_one_job_are_equal(self, conifold, conifold_brane):
         first = av_mirror_brane(conifold, conifold_brane, 8)
@@ -584,7 +604,8 @@ class TestAvMirrorBrane:
         for e, c in unit.terms.items():
             packed = bframe.pack((1,) + e)
             if frame.grade(packed) <= order:
-                expected[packed] = c * eps1 ** ((frame.boundary_grade(packed) + 1) % 2)
+                winding = sum(b * x for b, x in zip(frame.boundary, packed))
+                expected[packed] = c * eps1 ** ((winding + 1) % 2)
         assert z1 == TruncatedSeries(frame, order, expected)
 
     def test_z1_is_open_variable_times_unit(self, kp2, conifold, kp2_leg_brane, conifold_brane):
