@@ -116,9 +116,9 @@ class MirrorMapData:
     the unit factor of the open direction (the open variable itself is
     not a generator of the closed frame), None without a brane; and
     ``fiber``, 1 + delta_j = exp(-A_j(q(Q))) for every ray j, None for
-    q_to_Q; A_j(q(Q)) itself is -log ``fiber[j]``.  Every unit comes
-    from the map's core (``_MapCore``), which the maps of one toric data
-    at one order share.
+    q_to_Q; A_j(q(Q)) itself is -log ``fiber[j]``.  Every unit and the
+    closed images come from the map's core (``_MapCore``), which the maps
+    of one toric data at one order share.
     """
 
     def __init__(self, core, direction, open_charge):
@@ -132,15 +132,11 @@ class MirrorMapData:
         """The unit of row weights ``row``."""
         return self._core.unit(self.direction, row)
 
-    @cached_property
+    @property
     def closed(self) -> tuple[TruncatedSeries, ...]:
         """The image of each closed variable: its generator times the unit
         of its charge row."""
-        frame, order = self._core.one.frame, self.order
-        return tuple(
-            TruncatedSeries.generator(frame, order, a) * self._unit(row)
-            for a, row in enumerate(self._core.rows)
-        )
+        return self._core.closed(self.direction)
 
     @cached_property
     def open_unit(self) -> TruncatedSeries | None:
@@ -169,7 +165,9 @@ class _MapCore:
     unit of row weights w is exp(sum_j w_j A_j) for q_to_Q, one exp over
     the live rays, and exp(-sum_j w_j A_j(q(Q))) for Q_to_q, read off
     the chain with no exp at all; a unit whose live weights are all 0
-    is 1.
+    is 1.  It also keeps the closed images of each direction and the
+    brane series solved at this closed order (``av_mirror_brane``), all
+    built on first read.
     """
 
     def __init__(self, data, order):
@@ -178,6 +176,8 @@ class _MapCore:
         self.one = TruncatedSeries.one(data.closed_frame, order)
         self._live = [j for j, a in enumerate(self.a_series) if not a.is_zero()]
         self._units = {}
+        self._closed = {}
+        self.branes = {}  # (brane order, normalization) -> (brane, BraneMirrorSeries)
 
     @cached_property
     def chain(self) -> LagrangeChain:
@@ -190,6 +190,19 @@ class _MapCore:
             # a unit another thread kept first wins, so each key has one
             unit = self._units.setdefault(key, self._build_unit(direction, row))
         return unit
+
+    def closed(self, direction) -> tuple[TruncatedSeries, ...]:
+        """The image of each closed variable in ``direction``: its
+        generator times the unit of its charge row."""
+        images = self._closed.get(direction)
+        if images is None:
+            frame, order = self.one.frame, self.one.order
+            images = tuple(
+                TruncatedSeries.generator(frame, order, a) * self.unit(direction, row)
+                for a, row in enumerate(self.rows)
+            )
+            images = self._closed.setdefault(direction, images)
+        return images
 
     def _build_unit(self, direction, row):
         if not any(row[j] for j in self._live):
@@ -731,6 +744,12 @@ def av_mirror_brane(
     graded root of the corrected curve at z1, then sign-normalized.  The
     job reads the inverse map's open unit and fiber series only, never
     its closed images, and maps the open unit into the brane frame once.
+
+    The result is kept on the map core of the brane's closed order, per
+    brane order and ``normalization``, for the brane object ``brane``
+    (like :meth:`ToricCYData.kept`), so the brane commands on one parsed
+    job document solve it once.  The checks run on every call, and an
+    exception is not kept.
     """
     report = brane_report(data, brane)
     if not report.ok:
@@ -738,6 +757,20 @@ def av_mirror_brane(
     if brane.av_indices is None:
         raise MathDomainError("av_mirror_brane needs Aganagic-Vafa indices")
     bframe = brane_frame(data, brane)
+    require_valid(data)
+    kept = data.at_order(bframe.closed_order_for(order), _MapCore).branes
+    key = (order, None if normalization is None else tuple(normalization))
+    entry = kept.get(key)
+    if entry is None or entry[0] is not brane:
+        built = (brane, _brane_series(data, brane, bframe, order, normalization))
+        # a result another thread kept first for this brane wins
+        entry = kept.setdefault(key, built)
+        if entry[0] is not brane:
+            entry = kept[key] = built
+    return entry[1]
+
+
+def _brane_series(data, brane, bframe, order, normalization):
     closed_order = bframe.closed_order_for(order)
     inv = inverse_mirror_map(data, closed_order, brane)
     curve = build_curve(data, closed_order, corrected=True, inverse_map=inv)

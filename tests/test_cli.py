@@ -780,6 +780,67 @@ class TestRepeatedWork:
         assert len(roots) == 1
         assert len(audits) == 0
 
+    def _brane_solves(self, monkeypatch):
+        from syzmirror import fps, mirror
+
+        return [
+            _count_calls(monkeypatch, mirror, "curve_in_brane_frame"),
+            _count_calls(monkeypatch, mirror, "solve_curve_root"),
+            _count_calls(monkeypatch, fps, "log_series"),
+        ]
+
+    def test_brane_commands_on_one_document_solve_the_brane_once(self, capsys, monkeypatch):
+        solves = self._brane_solves(monkeypatch)
+        for command in ("brane-mirror", "disc-invariants", "compare-naive"):
+            code, _, _ = run(capsys, command, "--input", str(LOCAL_P2_JOB), "--order", "6")
+            assert code == 0
+        assert [len(calls) for calls in solves] == [1, 1, 1]
+
+    def test_another_order_or_frame_solves_the_brane_again(self, capsys, monkeypatch, tmp_path):
+        # the second document's brane differs only in its frame: its
+        # generators are listed the other way round
+        doc = json.loads(LOCAL_P2_JOB.read_text())
+        doc["brane"]["frame"] = doc["brane"]["frame"][::-1]
+        swapped = tmp_path / "local_p2_swapped.json"
+        swapped.write_text(json.dumps(doc))
+        solves = self._brane_solves(monkeypatch)
+        runs = [(LOCAL_P2_JOB, "6"), (LOCAL_P2_JOB, "5"), (swapped, "6"), (LOCAL_P2_JOB, "6")]
+        counts = []
+        for job, order in runs:
+            code, _, _ = run(capsys, "disc-invariants", "--input", str(job), "--order", order)
+            assert code == 0
+            counts.append([len(calls) for calls in solves])
+        assert counts == [[1, 1, 1], [2, 2, 2], [3, 3, 3], [3, 3, 3]]
+
+    def test_refused_normalization_is_refused_on_every_repeat(self, capsys, monkeypatch):
+        # a refusal keeps nothing: each repeat solves and refuses again
+        from syzmirror import cli
+
+        argv = ("brane-mirror", "--input", str(LOCAL_P2_JOB), "--order", "6")
+        roots = self._brane_solves(monkeypatch)[1]
+        for repeat in range(1, 4):
+            code, out, err = run(capsys, *argv, "--normalization=-1,1")
+            assert (code, out) == (3, "")
+            assert json.loads(err.splitlines()[-1])["error"]["code"] == "math"
+            assert len(roots) == repeat
+        code, after_refusal, _ = run(capsys, *argv)
+        cli._parse_text.cache_clear()
+        cold = run(capsys, *argv)
+        assert (code, after_refusal) == cold[:2] and code == 0
+
+    def test_kept_brane_series_belongs_to_the_brane_passed(self, kp2, kp2_leg_brane):
+        # both branes have one frame, so they share the core of one closed
+        # order and one key there; each call gets its own brane's series
+        from syzmirror import ToricCYData
+        from tests.conftest import av_brane
+
+        other = av_brane(1, 2, 0, m=4)
+        leg = av_mirror_brane(kp2, kp2_leg_brane, 4)
+        through_compact = av_mirror_brane(kp2, other, 4)
+        assert through_compact == av_mirror_brane(ToricCYData(*kp2), other, 4)
+        assert through_compact != leg
+        assert av_mirror_brane(kp2, kp2_leg_brane, 4) == leg
+
     def test_brane_job_maps_the_open_unit_into_the_frame_once(self, monkeypatch, kp2):
         # through the compact divisor the open unit is not 1; z1 = Q0 u
         # reuses the brane-frame u that the curve table was built with
@@ -924,13 +985,13 @@ class TestRepeatedWork:
         from syzmirror import fps, mirror
 
         closed_reads = []
-        build_closed = mirror.MirrorMapData.__dict__["closed"].func
+        build_closed = mirror._MapCore.closed
 
-        def closed(self):
-            closed_reads.append(self)
-            return build_closed(self)
+        def closed(self, direction):
+            closed_reads.append(direction)
+            return build_closed(self, direction)
 
-        monkeypatch.setattr(mirror.MirrorMapData, "closed", property(closed))
+        monkeypatch.setattr(mirror._MapCore, "closed", closed)
         in_unit = []
         build_unit = mirror.MirrorMapData._unit
 

@@ -3,9 +3,9 @@
 The ``fps`` module documents its values as immutable and every
 operation as a pure function, so series can be shared freely across
 threads.  ``ToricCYData`` and ``BraneFrame`` fill their cached lattice
-data on first read, and ``ToricCYData`` keeps a mirror-map core for
-each of its last few closed orders; these tests run jobs on one shared
-geometry from four threads at once.
+data on first read, and ``ToricCYData`` keeps a mirror-map core, with
+its brane series, for each of its last few closed orders; these tests
+run jobs on one shared geometry from four threads at once.
 """
 
 import sys
@@ -36,14 +36,17 @@ def _run_together(work):
 
 
 def test_av_mirror_brane_on_one_shared_geometry(kp2, kp2_leg_brane):
-    # kp2 has read none of its cached lattice data yet; the threads fill it
+    # kp2 has read none of its cached lattice data yet; the threads fill
+    # it, and the brane series the first thread keeps is the one all get
     def work(i, barrier):
         barrier.wait()
         return av_mirror_brane(kp2, kp2_leg_brane, 8)
 
     results = _run_together(work)
+    assert all(result is results[0] for result in results)
     serial = av_mirror_brane(ToricCYData(*kp2), kp2_leg_brane, 8)
     assert results == [serial] * THREADS
+    assert av_mirror_brane(kp2, kp2_leg_brane, 8) is results[0]
 
 
 def _maps(data, order):
