@@ -136,7 +136,7 @@ def _need_brane(job) -> lattice.BraneSpec:
     return job.brane
 
 
-# -- command bodies: each returns (json payload, pretty lines) --------
+# -- command bodies: each returns (json payload, pretty lines, exit code)
 
 
 def cmd_validate(job):
@@ -252,19 +252,15 @@ def cmd_brane_mirror(job):
 def cmd_disc_invariants(job):
     result, payload = _av_brane(job)
     table, report = result.discs
-    names = result.z2.frame.names
     rows, lines = [], []
-    for beta, n, N in table.rows():
+    for beta, label, n, N in table.printed:
         entry = {"beta": list(beta)}
         if n is not None:
             entry["n"] = n
         if N is not None:
             entry["N"] = N
         rows.append(entry)
-        lines.append(
-            f"class {monomial_text(names, beta) or '1'}: "
-            f"n={entry.get('n', '-')} N={entry.get('N', '-')}"
-        )
+        lines.append(f"class {label}: n={entry.get('n', '-')} N={entry.get('N', '-')}")
     payload |= {
         "integral": report.ok,
         "flagged": [list(beta) for beta, _ in report.flagged],

@@ -11,7 +11,9 @@ monomials.  Ring operations, truncation and the settled-grade and
 valuation checks work on those integer rows; products go through
 ``_backend.mul_terms``.  ``TruncatedSeries.terms`` reads the rows as a
 read-only exponent tuple -> ``Fraction`` mapping: a lookup bisects the
-rows and iteration decodes them; ``str`` reads the rows.
+rows and iteration decodes them.  A series prints from its rows, once:
+its printed rows (``TruncatedSeries.printed_rows``) and its ``str`` are
+built on first read and kept on it.
 All values are immutable after construction and every operation is a
 pure function, so instances can be shared freely across threads.
 """
@@ -104,10 +106,12 @@ class TruncatedSeries:
     definition (unknown, not zero).  Two series over the same frame and
     order form a commutative ring with exact arithmetic.  ``terms`` is a
     read-only :class:`~syzmirror._backend.Terms` at the layout of
-    ``order``.
+    ``order``.  ``printed_rows`` and ``str`` are built on first read and
+    kept (``_rows`` and ``_text``, None until then), so a series kept
+    by a store is decoded and printed once.
     """
 
-    __slots__ = ("frame", "order", "terms")
+    __slots__ = ("frame", "order", "terms", "_rows", "_text")
 
     def __init__(self, frame: Frame, order: int, terms: Mapping[tuple[int, ...], Fraction]):
         clean = {}
@@ -125,6 +129,7 @@ class TruncatedSeries:
         self.frame = frame
         self.order = order
         self.terms = pack(clean, frame.nvars, order)
+        self._rows = self._text = None
 
     @classmethod
     def _trusted(cls, frame: Frame, order: int, terms: Terms) -> "TruncatedSeries":
@@ -138,6 +143,7 @@ class TruncatedSeries:
         series.frame = frame
         series.order = order
         series.terms = terms
+        series._rows = series._text = None
         return series
 
     # -- constructors -------------------------------------------------
@@ -187,6 +193,19 @@ class TruncatedSeries:
                 f"exponent {exps} has grade beyond truncation order {self.order}"
             )
         return self.terms.get(exps, ZERO)
+
+    @property
+    def printed_rows(self) -> tuple[tuple[tuple[int, ...], str], ...]:
+        """Every term as (exponent tuple, coefficient text), lexicographic
+        in the exponents: the rows decoded once (``Terms.exponents``),
+        each numerator printed over the denominator with one gcd
+        (``ratio_text``); built on first read and kept."""
+        rows = self._rows
+        if rows is None:
+            t = self.terms
+            pairs = sorted(zip(t.exponents(), t.nums))
+            rows = self._rows = tuple([(e, ratio_text(n, t.den)) for e, n in pairs])
+        return rows
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
@@ -271,20 +290,24 @@ class TruncatedSeries:
         return f"TruncatedSeries({self!s}; order={self.order})"
 
     def __str__(self):
-        t, names = self.terms, self.frame.names
-        exponents, den = t.exponents(), t.den
-        bits = []
-        for _, exps, num in sorted(zip(map(sum, exponents), exponents, t.nums)):
-            mono = monomial_text(names, exps)
-            if not mono:
-                bits.append(ratio_text(num, den))
-            elif num == den:
-                bits.append(mono)
-            elif num == -den:
-                bits.append(f"-{mono}")
-            else:
-                bits.append(f"{ratio_text(num, den)}*{mono}")
-        return " + ".join(bits).replace("+ -", "- ") or "0"
+        """The terms by grade, then exponent (the printed rows, sorted
+        stably by grade), a coefficient +-1 folded into the sign; built on
+        first read and kept."""
+        text = self._text
+        if text is None:
+            names, bits = self.frame.names, []
+            for exps, coeff in sorted(self.printed_rows, key=lambda row: sum(row[0])):
+                mono = monomial_text(names, exps)
+                if not mono:
+                    bits.append(coeff)
+                elif coeff == "1":
+                    bits.append(mono)
+                elif coeff == "-1":
+                    bits.append(f"-{mono}")
+                else:
+                    bits.append(f"{coeff}*{mono}")
+            text = self._text = " + ".join(bits).replace("+ -", "- ") or "0"
+        return text
 
 
 # -- transcendental and structural operations ------------------------

@@ -16,10 +16,12 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import MathDomainError
-from .fps import ZERO, TruncatedSeries, boundary_derivative, log_series, ratio_text
+from .fps import ZERO, TruncatedSeries, boundary_derivative, log_series
+from .fps import monomial_text, ratio_text
 
 
 class _Ratios(Mapping):
@@ -56,18 +58,30 @@ class InvariantTable(namedtuple("InvariantTable", "frame order n N", defaults=(N
     Keys are frame exponent vectors with positive total grade; when N
     is present the two maps satisfy the multiple-cover relation on
     every key within the truncation.  ``N`` defaults to None.
+
+    ``printed`` is built on first read and kept with the table
+    (instances keep a ``__dict__``, no ``__slots__``), so a table kept
+    with a brane solve is sorted and printed once.
     """
 
-    __slots__ = ()
-
-    def rows(self):
-        """(beta, n, N) for each class in sorted order, each printed with
-        one gcd, except that an integral N is an int; None where absent."""
-        n, N = _pairs(self.n), _pairs(self.N or {})
+    @cached_property
+    def printed(self) -> tuple:
+        """(beta, label, n, N) for each class in sorted order: the label
+        is the class's monomial over the frame's names ("1" for the empty
+        one), n and N are printed with one gcd each, except that an
+        integral N is an int; None where absent."""
+        n, N, names = _pairs(self.n), _pairs(self.N or {}), self.frame.names
+        rows = []
         for beta in sorted(n.keys() | N.keys()):
             p, q = N.get(beta, (0, 0))  # q = 0: no N
             value = None if not q else p // q if p % q == 0 else ratio_text(p, q)
-            yield beta, ratio_text(*n[beta]) if beta in n else None, value
+            text = ratio_text(*n[beta]) if beta in n else None
+            rows.append((beta, monomial_text(names, beta) or "1", text, value))
+        return tuple(rows)
+
+    def rows(self):
+        """(beta, n, N) for each class in sorted order, read off ``printed``."""
+        return [(beta, n, N) for beta, _, n, N in self.printed]
 
 
 def _neg_log(z2: TruncatedSeries) -> TruncatedSeries:

@@ -170,6 +170,10 @@ class _MapCore:
     is 1.  It also keeps the closed images of each direction and the
     brane series solved at this closed order (``av_mirror_brane``), with
     their disc tables and naive comparisons, all built on first read.
+    Every series and table it keeps also keeps its printed form once
+    printed (``TruncatedSeries.printed_rows`` and ``str``,
+    ``InvariantTable.printed``), so a run that prints what an earlier
+    run printed decodes and formats nothing.
     """
 
     def __init__(self, data, order):
@@ -397,7 +401,7 @@ def build_curve(
         inv = inverse_mirror_map(data, order) if inverse_map is None else inverse_map
         coefficients = inv.fiber
     else:
-        coefficients = [TruncatedSeries.one(frame, order) for _ in range(m)]
+        coefficients = [TruncatedSeries.one(frame, order)] * m  # one series, printed once
     duals = data.dual_exponents
     terms = []
     for i in range(m):
@@ -810,15 +814,15 @@ def _brane_series(data, brane, bframe, order, normalization):
 class NaiveComparison(
     namedtuple(
         "NaiveComparison",
-        "z1_correction z2_correction z1_in_closed_ideal z2_pure_open z2_mixed signs",
+        "z1_correction z1_in_closed_ideal z2_pure_open z2_mixed signs",
     )
 ):
     """How far the corrected brane mirror sits from the naive one.
 
     ``z1_correction`` (= z1 - Q0) must vanish modulo the ideal of the
-    closed Kahler variables.  ``z2_correction`` (= z2 - 1) splits into
-    the pure-open part (the brane's own disc series, reported
-    separately) and the mixed part supported on the closed ideal.
+    closed Kahler variables.  z2 - 1 is kept as its two parts: the
+    pure-open part ``z2_pure_open`` (the brane's own disc series) and
+    the mixed part ``z2_mixed`` supported on the closed ideal.
     """
 
     __slots__ = ()
@@ -838,7 +842,6 @@ def _naive_comparison(mirror: BraneMirrorSeries) -> NaiveComparison:
     mixed = in_closed_ideal(z2_corr)
     return NaiveComparison(
         z1_correction=z1_corr,
-        z2_correction=z2_corr,
         z1_in_closed_ideal=all(in_closed_ideal(z1_corr)),
         z2_pure_open=z2_corr.selected([not f for f in mixed]),
         z2_mixed=z2_corr.selected(mixed),

@@ -2,7 +2,8 @@
 
 Series serialize as a list of ``{"e": [ints], "c": "p/q"}`` records
 sorted lexicographically by exponent; rationals are lowest-terms
-strings, read off a series' integer numerators with no ``Fraction``.
+strings, read off a series' integer numerators with no ``Fraction``,
+once per series (``TruncatedSeries.printed_rows``).
 Job documents give rationals and integer vectors, which
 ``parse_rational`` and ``parse_int_vector`` read strictly.
 """
@@ -13,7 +14,7 @@ import re
 from fractions import Fraction
 
 from .errors import InputError
-from .fps import Frame, TruncatedSeries, ratio_text
+from .fps import Frame, TruncatedSeries
 
 
 _RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
@@ -65,9 +66,9 @@ def parse_int_vector(raw, where) -> tuple[int, ...]:
 
 
 def series_to_records(series: TruncatedSeries) -> list[dict]:
-    terms = series.terms
-    rows = sorted(zip(terms.exponents(), terms.nums))
-    return [{"e": list(e), "c": ratio_text(n, terms.den)} for e, n in rows]
+    """New records from the series' kept printed rows: a caller may edit
+    them without changing the next print."""
+    return [{"e": list(e), "c": c} for e, c in series.printed_rows]
 
 
 def frame_to_json(frame: Frame) -> dict:

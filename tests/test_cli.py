@@ -891,6 +891,24 @@ class TestRepeatedWork:
         cold = run(capsys, *argv)
         assert (code, after_refusal) == cold[:2] and code == 0
 
+    @pytest.mark.parametrize("output", ["json", "pretty"])
+    def test_a_repeated_run_decodes_no_printed_rows(self, capsys, monkeypatch, output):
+        # every series and disc table a run prints is kept with its
+        # printed form, so the runs repeated decode no row
+        from syzmirror import cli
+        from syzmirror._backend import Terms
+
+        argvs = [
+            (command, "--input", str(LOCAL_P2_JOB), "--order", "6", "--output", output)
+            for command in sorted(set(cli.COMMANDS) - {"validate"})
+        ]
+        first = [run(capsys, *argv) for argv in argvs]
+        assert {code for code, _, _ in first} == {0}
+        decodes, decode = [], Terms.exponents
+        monkeypatch.setattr(Terms, "exponents", lambda t: decodes.append(t) or decode(t))
+        assert [run(capsys, *argv) for argv in argvs] == first
+        assert decodes == []
+
     def test_kept_brane_series_belongs_to_the_brane_passed(self, kp2, kp2_leg_brane):
         # both branes have one frame, so they share the core of one closed
         # order and one key there; each call gets its own brane's series

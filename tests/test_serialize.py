@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syzmirror import Frame, InputError, TruncatedSeries
+from syzmirror._backend import Terms
 from syzmirror.serialize import (
     parse_int_vector,
     parse_rational,
@@ -96,6 +97,46 @@ class TestSeriesRecords:
         }
 
 
+class TestKeptPrints:
+    """A series decodes and prints its rows once and keeps the result."""
+
+    frame = Frame(names=("a", "b"))
+
+    def series(self):
+        return TruncatedSeries(self.frame, 4, {(1, 0): F(2), (0, 2): F(-1, 3), (0, 0): F(1)})
+
+    def test_a_second_print_decodes_nothing(self, monkeypatch):
+        s, calls = self.series(), []
+        records, text = series_to_records(s), str(s)
+        decode = Terms.exponents
+        monkeypatch.setattr(Terms, "exponents", lambda t: calls.append(t) or decode(t))
+        assert series_to_records(s) == records and str(s) == text
+        assert calls == []
+        # a new series decodes its rows once for both forms
+        fresh = self.series()
+        assert str(fresh) == text and series_to_records(fresh) == records
+        assert len(calls) == 1
+
+    def test_editing_a_returned_record_leaves_the_next_print(self):
+        s = self.series()
+        first = series_to_records(s)
+        edited = series_to_records(s)
+        edited[0]["e"].append(9)
+        edited[0]["c"] = "0"
+        edited[1].clear()
+        edited.append({"e": [], "c": "1"})
+        assert series_to_records(s) == first == series_to_json(s)["terms"]
+
+    def test_ring_results_print_like_constructed_series(self):
+        a = TruncatedSeries(self.frame, 4, {(1, 0): F(1, 2), (0, 1): F(3)})
+        for computed in (a * a - a, -a, a + 1, a.truncate(2)):
+            built = TruncatedSeries(self.frame, computed.order, dict(computed.terms))
+            assert computed == built
+            assert str(computed) == str(built)
+            assert series_to_records(computed) == series_to_records(built)
+            assert computed.printed_rows == built.printed_rows
+
+
 # -- printing from the rows against a Fraction reference ------------------
 
 
@@ -151,8 +192,10 @@ def printed_series(draw):
 @given(printed_series())
 def test_rows_print_as_the_fraction_reference(drawn):
     series, terms = drawn
-    # both read the integer rows, not the decoded Fraction view
+    # both read the integer rows, not the decoded Fraction view; the
+    # second print reads what the first kept
     with no_decoding():
-        records, text = series_to_records(series), str(series)
-    assert records == reference_records(terms)
-    assert text == reference_str(series.frame, terms)
+        for _ in range(2):
+            records, text = series_to_records(series), str(series)
+            assert records == reference_records(terms)
+            assert text == reference_str(series.frame, terms)

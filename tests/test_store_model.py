@@ -2,17 +2,23 @@
 
 The process keeps parsed documents (``cli._parse_text``) and, on their
 toric data, lattice data, map cores, brane solves and the disc tables
-and comparisons built from them.  A run's exit code and stdout must not
-depend on any of it.  A ``hypothesis`` state machine draws a sequence
-of runs through ``cli.main``, with ``cli._parse_text.cache_clear()`` as
-one more step, and checks each run against a reference taken with
-nothing kept:
+and comparisons built from them, and on each kept series and table its
+printed form (``TruncatedSeries.printed_rows`` and ``str``, and
+``InvariantTable.printed`` with the class labels).  A run's exit code
+and stdout must not depend on any of it.  A ``hypothesis`` state
+machine draws a sequence of runs through ``cli.main``, with
+``cli._parse_text.cache_clear()`` as one more step, and checks each run
+against a reference taken with nothing kept:
 
 - a job of the benchmark's mix against its recorded exit code and
   stdout SHA-256 (``perfbench/expected.json``);
+- the same job with ``--output pretty``, whose stdout holds the series
+  texts and disc labels, against that run after a ``cache_clear()``;
 - a brane command with a ``--normalization`` override, refused or not,
-  against the same run after a ``cache_clear()``, taken once per argv
-  before the machine starts.
+  against the same run after a ``cache_clear()``.
+
+Each run-after-``cache_clear()`` reference is taken once per argv
+before the machine starts.
 """
 
 import contextlib
@@ -32,6 +38,7 @@ OVERRIDE_ARGVS = [
     for order in (3, 4, 5)
     for signs in ("-1,1", "1,-1", "-1,-1")
 ]
+PRETTY = ("--output", "pretty")
 
 
 def _run(argv):
@@ -61,6 +68,11 @@ class Runs(RuleBasedStateMachine):
         code, out = _run(job.argv())
         assert self.workloads.check_output(job, code, out, self.expected) == []
 
+    @rule(data=st.data())
+    def pretty_mix_job(self, data):
+        argv = (*data.draw(self.jobs, label="job").argv(), *PRETTY)
+        assert _run(argv) == self.references[argv]
+
     @rule(argv=st.sampled_from(OVERRIDE_ARGVS))
     def override_run(self, argv):
         assert _run(argv) == self.references[argv]
@@ -75,6 +87,8 @@ def test_every_run_prints_what_it_prints_with_nothing_kept(monkeypatch):
     expected = workloads.load_expected()
     references = {argv: _cold(argv) for argv in OVERRIDE_ARGVS}
     assert {code for code, _ in references.values()} == {0, 3}
+    pretty = [(*job.argv(), *PRETTY) for job in workloads.mix_space()]
+    references |= {argv: _cold(argv) for argv in pretty}
     run_state_machine_as_test(
         lambda: Runs(workloads, expected, references),
         settings=settings(max_examples=30, stateful_step_count=40, deadline=None),

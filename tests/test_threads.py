@@ -5,14 +5,16 @@ operation as a pure function, so series can be shared freely across
 threads.  ``ToricCYData`` and ``BraneFrame`` fill their cached lattice
 data on first read, and ``ToricCYData`` keeps a mirror-map core, with
 its brane series, for each of its last few closed orders; a brane
-series builds its disc table and naive comparison on first read.  These
-tests run jobs on one shared geometry from four threads at once.
+series builds its disc table and naive comparison on first read, and a
+series or table its printed form.  These tests run jobs on one shared
+geometry from four threads at once.
 """
 
 import sys
 import threading
+from pathlib import Path
 
-from syzmirror import ToricCYData, av_mirror_brane, inverse_mirror_map, mirror_map
+from syzmirror import ToricCYData, av_mirror_brane, cli, inverse_mirror_map, mirror_map
 from syzmirror.lattice import ORDERS_KEPT
 
 THREADS = 4
@@ -91,3 +93,49 @@ def test_maps_at_many_orders_on_one_shared_geometry(kp2):
     serial = [[_maps(ToricCYData(*kp2), order) for order in row] for row in orders]
     assert results == serial
     assert len(kp2.__dict__["_orders"]) == ORDERS_KEPT
+
+
+class _PerThread:
+    """A text stream that keeps what each thread writes apart."""
+
+    def __init__(self):
+        self.texts = {}
+
+    def write(self, text):
+        key = threading.get_ident()
+        self.texts[key] = self.texts.get(key, "") + text
+        return len(text)
+
+    def take(self):
+        return self.texts.pop(threading.get_ident(), "")
+
+
+def test_warm_brane_runs_print_one_text(monkeypatch):
+    # the brane solve is kept but neither z1, z2 nor the disc table has
+    # been printed: the threads race to build the printed forms in the
+    # first round and read them in the second
+    path = str(Path(__file__).resolve().parent.parent / "jobs" / "local_p2.json")
+    argvs = [[cmd, "--input", path, "--order", "8"] for cmd in ("disc-invariants", "brane-mirror")]
+    out = _PerThread()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", _PerThread())
+
+    def run(argv):
+        assert cli.main(argv) == 0
+        return out.take()
+
+    cli._parse_text.cache_clear()
+    reference = [run(argv) for argv in argvs]
+    cli._parse_text.cache_clear()
+    run(["compare-naive", "--input", path, "--order", "8"])
+
+    def work(i, barrier):
+        texts = []
+        for _ in range(2):
+            barrier.wait()
+            texts.append([run(argvs[(i + k) % 2]) for k in range(2)])
+        return texts
+
+    results = _run_together(work)
+    for i, texts in enumerate(results):
+        assert texts == [[reference[(i + k) % 2] for k in range(2)]] * 2
