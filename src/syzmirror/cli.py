@@ -164,7 +164,7 @@ def cmd_validate(job):
 
 
 def cmd_curve(job):
-    curve = mirror.build_curve(job.toric, job.truncation, corrected=job.corrected)
+    curve = job.toric.kept(("curve", job.truncation, job.corrected), mirror.build_curve)
     z_names = tuple(f"z{i}" for i in range(1, curve.n_z + 1))
     q_names = tuple(f"Q{a}" for a in range(1, job.toric.n_closed + 1))
     terms = []
@@ -357,10 +357,11 @@ def _parse_text(text) -> Job:
 
     ``Job``, its ``ToricCYData`` and its ``BraneSpec`` are immutable, so
     runs on one text also share what is cached on the toric data: the
-    lattice data, the closed frame, and for its brane the brane checks,
-    the brane frame and the naive equations.  They go when the entry
-    does.  Exceptions are not cached.  The size limit keeps a long
-    batch over many documents from holding them all.
+    lattice data, the closed frame, and every intermediate it keeps
+    (:meth:`lattice.ToricCYData.kept`), from the brane checks to the
+    brane solve.  They go when the entry does.  Exceptions are not
+    cached.  The size limit keeps a long batch over many documents from
+    holding them all.
     """
     return parse_job(json.loads(text))
 

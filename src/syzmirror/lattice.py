@@ -68,10 +68,11 @@ def independent_columns(rows) -> tuple[int, ...] | None:
     return tuple(pivots) if len(pivots) == len(rows) else None
 
 
-# the closed orders whose mirror-map core one toric data keeps at once
-# (:meth:`ToricCYData.at_order`); a batch reads a few orders per document
-ORDERS_KEPT = 8
-_ORDERS_LOCK = threading.Lock()
+# The entries one toric data keeps at once (:meth:`ToricCYData.kept`).
+# One pass over the benchmark's mix keeps 24 to 87 entries per document,
+# at most 16 per closed order, so 128 hold 8 closed orders of any mix.
+KEPT = 128
+_KEPT_LOCK = threading.Lock()
 
 
 class ValidationReport(namedtuple("ValidationReport", "failures")):
@@ -96,7 +97,8 @@ class ToricCYData(
     ray i >= n corresponds to the closed Kahler variable Q_{i-n+1}.
     Offsets default to zero; ``max_cones`` and ``charge_rows`` to None.
     Instances keep a ``__dict__`` (no ``__slots__``) for the cached
-    lattice data, brane set-up and mirror-map cores below.
+    lattice data below and for every intermediate built from them
+    (:meth:`kept`).
     """
 
     def __new__(cls, rays, u, offsets=(), max_cones=None, charge_rows=None):
@@ -145,40 +147,28 @@ class ToricCYData(
     def effective_charge_basis(self) -> tuple[tuple[int, ...], ...]:
         return effective_charge_basis(self)
 
-    def kept(self, brane: BraneSpec, name: str, build):
-        """``build(self, brane)``, computed once for the brane object
-        ``brane`` on this toric data and kept here under ``name``.
+    def kept(self, key: tuple, build):
+        """``build(self, *key[1:])``, computed once for the value key
+        ``key`` on this toric data and kept here.
 
-        The runs on one parsed job document share its ``ToricCYData``
-        and its ``BraneSpec``, so they build the brane's set-up once,
-        and it goes when the parsed job does.  A value kept for another
-        brane object is rebuilt; an exception is not kept.
+        ``key[0]`` names the kind of value (``"a_series"``, ``"unit"``,
+        ``"brane"``, ...) and the rest are the arguments it is built
+        from, compared by value, so equal branes share their entries.
+        The runs on one parsed job document share its ``ToricCYData``,
+        and what it keeps goes when the parsed job does.  Past ``KEPT``
+        entries the one kept first is dropped.  An exception is not
+        kept.  A hit takes no lock; two threads that miss one key both
+        build it, and the first value kept is the one returned.
         """
-        entry = self.__dict__.get(name)
-        if entry is None or entry[0] is not brane:
-            entry = self.__dict__[name] = (brane, build(self, brane))
-        return entry[1]
-
-    def at_order(self, order: int, build):
-        """``build(self, order)``, computed once for the closed order
-        ``order`` on this toric data and kept here, like :meth:`kept`.
-
-        The ``ORDERS_KEPT`` orders read last are kept, and reading an
-        order past them evicts the least recently read one.  An exception
-        is not kept.  The bookkeeping takes a lock, so threads may share
-        the toric data; two threads that miss one order both build it,
-        and the first one kept is the one returned.
-        """
-        with _ORDERS_LOCK:
-            store = self.__dict__.setdefault("_orders", {})
-            value = store.pop(order, None)
-            if value is not None:
-                store[order] = value  # now the most recently read
-                return value
-        value = build(self, order)
-        with _ORDERS_LOCK:
-            value = store[order] = store.pop(order, value)
-            while len(store) > ORDERS_KEPT:
+        try:
+            return self.__dict__["_kept"][key]
+        except KeyError:
+            pass
+        value = build(self, *key[1:])
+        with _KEPT_LOCK:
+            store = self.__dict__.setdefault("_kept", {})
+            value = store.setdefault(key, value)
+            if len(store) > KEPT:
                 del store[next(iter(store))]
         return value
 
@@ -398,7 +388,7 @@ def effective_charge_basis(data: ToricCYData) -> tuple[tuple[int, ...], ...]:
 
 def brane_report(data: ToricCYData, brane: BraneSpec) -> ValidationReport:
     """``validate_brane(data, brane)``, kept on the toric data (:meth:`ToricCYData.kept`)."""
-    return data.kept(brane, "brane_report", validate_brane)
+    return data.kept(("brane_report", brane), validate_brane)
 
 
 def validate_brane(data: ToricCYData, brane: BraneSpec) -> ValidationReport:

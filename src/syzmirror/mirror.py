@@ -118,27 +118,29 @@ class MirrorMapData:
     the unit factor of the open direction (the open variable itself is
     not a generator of the closed frame), None without a brane; and
     ``fiber``, 1 + delta_j = exp(-A_j(q(Q))) for every ray j, None for
-    q_to_Q; A_j(q(Q)) itself is -log ``fiber[j]``.  Every unit and the
-    closed images come from the map's core (``_MapCore``), which the maps
-    of one toric data at one order share.
+    q_to_Q; A_j(q(Q)) itself is -log ``fiber[j]``.  A map is a view of
+    ``(data, order)``: the A_j, the Lagrange chain, every unit and the
+    closed images are kept on the toric data (:meth:`ToricCYData.kept`),
+    so the maps of one toric data at one order share them.
     """
 
-    def __init__(self, core, direction, open_charge):
+    def __init__(self, data, order, direction, brane=None):
+        require_valid(data)
         self.direction = direction
-        self.a_series = core.a_series
-        self.order = core.one.order
-        self._core = core
-        self._open_charge = open_charge
+        self.a_series = data.kept(("a_series", order), a_series)
+        self.order = order
+        self._data = data
+        self._open_charge = None if brane is None else open_charge(brane, data.m)
 
     def _unit(self, row):
         """The unit of row weights ``row``."""
-        return self._core.unit(self.direction, row)
+        return self._data.kept(("unit", self.order, self.direction, row), _build_unit)
 
     @property
     def closed(self) -> tuple[TruncatedSeries, ...]:
         """The image of each closed variable: its generator times the unit
         of its charge row."""
-        return self._core.closed(self.direction)
+        return self._data.kept(("closed", self.order, self.direction), _closed_images)
 
     @cached_property
     def open_unit(self) -> TruncatedSeries | None:
@@ -155,87 +157,46 @@ class MirrorMapData:
         return tuple(self._unit(unit_vector(m, j)) for j in range(m))
 
 
-class _MapCore:
-    """What the mirror maps of one toric data at one closed order share,
-    built once per pair and kept on the toric data
-    (:meth:`ToricCYData.at_order`), so every run on a parsed job document
-    at that order reads it.
-
-    It holds every A_j, the live rays (A_j != 0), the series 1, the
-    inverse map's ``LagrangeChain`` (built on first read) and each unit
-    read so far, keyed by the direction and the full weight row.  The
-    unit of row weights w is exp(sum_j w_j A_j) for q_to_Q, one exp over
-    the live rays, and exp(-sum_j w_j A_j(q(Q))) for Q_to_q, read off
-    the chain with no exp at all; a unit whose live weights are all 0
-    is 1.  It also keeps the closed images of each direction and the
-    brane series solved at this closed order (``av_mirror_brane``), with
-    their disc tables and naive comparisons, all built on first read.
-    Every series and table it keeps also keeps its printed form once
-    printed (``TruncatedSeries.printed_rows`` and ``str``,
-    ``InvariantTable.printed``), so a run that prints what an earlier
-    run printed decodes and formats nothing.
-    """
-
-    def __init__(self, data, order):
-        self.a_series = a_series(data, order)
-        self.rows = data.effective_charge_basis
-        self.one = TruncatedSeries.one(data.closed_frame, order)
-        self._live = [j for j, a in enumerate(self.a_series) if not a.is_zero()]
-        self._units = {}
-        self._closed = {}
-        self.branes = {}  # (brane order, normalization) -> (brane, BraneMirrorSeries)
-
-    @cached_property
-    def chain(self) -> LagrangeChain:
-        return LagrangeChain(self.a_series, self.rows, self.one)
-
-    def unit(self, direction, row) -> TruncatedSeries:
-        key = (direction, tuple(row))
-        unit = self._units.get(key)
-        if unit is None:
-            # a unit another thread kept first wins, so each key has one
-            unit = self._units.setdefault(key, self._build_unit(direction, row))
-        return unit
-
-    def closed(self, direction) -> tuple[TruncatedSeries, ...]:
-        """The image of each closed variable in ``direction``: its
-        generator times the unit of its charge row."""
-        images = self._closed.get(direction)
-        if images is None:
-            frame, order = self.one.frame, self.one.order
-            images = tuple(
-                TruncatedSeries.generator(frame, order, a) * self.unit(direction, row)
-                for a, row in enumerate(self.rows)
-            )
-            images = self._closed.setdefault(direction, images)
-        return images
-
-    def _build_unit(self, direction, row):
-        if not any(row[j] for j in self._live):
-            return self.one
-        if direction == "Q_to_q":
-            return self.chain.unit([row[j] for j in self._live])
-        terms = [self.a_series[j] * row[j] for j in self._live if row[j]]
-        return exp_series(sum(terms[1:], terms[0]))
+def _build_unit(data, order, direction, row):
+    """The unit of row weights w: exp(sum_j w_j A_j) for q_to_Q, one exp
+    over the live rays (A_j != 0), and exp(-sum_j w_j A_j(q(Q))) for
+    Q_to_q, read off the Lagrange chain with no exp at all; a unit whose
+    live weights are all 0 is 1."""
+    a_list = data.kept(("a_series", order), a_series)
+    live = [j for j, a in enumerate(a_list) if not a.is_zero()]
+    if not any(row[j] for j in live):
+        return TruncatedSeries.one(data.closed_frame, order)
+    if direction == "Q_to_q":
+        return data.kept(("chain", order), _chain).unit([row[j] for j in live])
+    terms = [a_list[j] * row[j] for j in live if row[j]]
+    return exp_series(sum(terms[1:], terms[0]))
 
 
-def _map(data, order, brane, direction):
-    """The map of ``direction`` over the core of ``data`` at ``order``,
-    with the open charge l^(0) of ``brane`` (None without one)."""
-    require_valid(data)
-    core = data.at_order(order, _MapCore)
-    l0 = None if brane is None else open_charge(brane, data.m)
-    return MirrorMapData(core, direction, l0)
+def _chain(data, order):
+    a_list = data.kept(("a_series", order), a_series)
+    one = TruncatedSeries.one(data.closed_frame, order)
+    return LagrangeChain(a_list, data.effective_charge_basis, one)
+
+
+def _closed_images(data, order, direction):
+    """The image of each closed variable in ``direction``: its generator
+    times the unit of its charge row."""
+    frame = data.closed_frame
+    return tuple(
+        TruncatedSeries.generator(frame, order, a)
+        * data.kept(("unit", order, direction, row), _build_unit)
+        for a, row in enumerate(data.effective_charge_basis)
+    )
 
 
 def mirror_map(data: ToricCYData, order: int, brane: BraneSpec | None = None) -> MirrorMapData:
     """Q_a = q_a exp(sum_j iota_j^(a) A_j(q)), open direction likewise.
 
-    Reads every A_j from the core of ``data`` at ``order``; the closed
-    images and the open unit, each the exp of an integer combination of
-    the A_j, are built when first read.
+    Reads every A_j kept on ``data`` at ``order``; the closed images and
+    the open unit, each the exp of an integer combination of the A_j,
+    are built when first read.
     """
-    return _map(data, order, brane, "q_to_Q")
+    return MirrorMapData(data, order, "q_to_Q", brane)
 
 
 def _determinant(matrix, one):
@@ -354,10 +315,11 @@ def inverse_mirror_map(
     gives every unit exp(-sum_j w_j A_j(q(Q))) coefficient by
     coefficient, from one product chain of the nonzero A_j
     (``LagrangeChain``), with no fixed point, no ``substitute`` and no
-    exp.  The chain is built on the first unit read, once per core: the
-    fiber series, the closed images and the open unit are read off it.
+    exp.  The chain is built on the first unit read and kept on ``data``
+    at ``order``: the fiber series, the closed images and the open unit
+    are read off it.
     """
-    return _map(data, order, brane, "Q_to_q")
+    return MirrorMapData(data, order, "Q_to_q", brane)
 
 
 def fiber_open_gw(data: ToricCYData, order: int) -> list[TruncatedSeries]:
@@ -386,22 +348,16 @@ class MirrorCurve(namedtuple("MirrorCurve", "n_z terms")):
     __slots__ = ()
 
 
-def build_curve(
-    data: ToricCYData,
-    order: int,
-    corrected: bool = True,
-    inverse_map: MirrorMapData | None = None,
-) -> MirrorCurve:
-    """The curve W at closed order ``order``, with the fiber series of
-    ``inverse_map`` (default ``inverse_mirror_map(data, order)``)."""
+def build_curve(data: ToricCYData, order: int, corrected: bool = True) -> MirrorCurve:
+    """The curve W at closed order ``order``, with the fiber series of the
+    inverse map when ``corrected``.  Kept per order and ``corrected`` on
+    the toric data (:meth:`ToricCYData.kept`) by the commands that read it."""
     require_valid(data)
-    frame = data.closed_frame
     n, m = data.n, data.m
     if corrected:
-        inv = inverse_mirror_map(data, order) if inverse_map is None else inverse_map
-        coefficients = inv.fiber
+        coefficients = MirrorMapData(data, order, "Q_to_q").fiber
     else:
-        coefficients = [TruncatedSeries.one(frame, order)] * m  # one series, printed once
+        coefficients = [TruncatedSeries.one(data.closed_frame, order)] * m  # printed once
     duals = data.dual_exponents
     terms = []
     for i in range(m):
@@ -428,10 +384,10 @@ def naive_brane(data: ToricCYData, brane: BraneSpec) -> tuple[BraneEquation, ...
 
     Rays beyond the leading basis are eliminated through
     z_i = Q_{i-n+1} prod_j z_j^{<v_j^*, v_i>}, so each charge row
-    leaves a pure (z, Q)-monomial on the left-hand side.  Built once
-    per brane and toric data (:meth:`ToricCYData.kept`).
+    leaves a pure (z, Q)-monomial on the left-hand side.  Kept per
+    brane value on the toric data (:meth:`ToricCYData.kept`).
     """
-    return data.kept(brane, "naive_brane", _naive_equations)
+    return data.kept(("naive", brane), _naive_equations)
 
 
 def _naive_equations(data, brane):
@@ -539,10 +495,10 @@ class BraneFrame(namedtuple("BraneFrame", "generators")):
 
 
 def brane_frame(data: ToricCYData, brane: BraneSpec) -> BraneFrame:
-    """The brane's declared frame; explicit input, no heuristics.  Built
-    once per brane and toric data (:meth:`ToricCYData.kept`), so its
-    solver and ``q0`` are too."""
-    return data.kept(brane, "brane_frame", _declared_frame)
+    """The brane's declared frame; explicit input, no heuristics.  Kept
+    per brane value on the toric data (:meth:`ToricCYData.kept`), so its
+    solver and ``q0`` are built once."""
+    return data.kept(("brane_frame", brane), _declared_frame)
 
 
 def _declared_frame(data, brane):
@@ -766,36 +722,27 @@ def av_mirror_brane(
     job reads the inverse map's open unit and fiber series only, never
     its closed images, and maps the open unit into the brane frame once.
 
-    The result is kept on the map core of the brane's closed order, per
-    brane order and ``normalization``, for the brane object ``brane``
-    (like :meth:`ToricCYData.kept`), so the brane commands on one parsed
-    job document solve it once, and its disc table and naive comparison
-    are built once with it.  The checks run on every call, and an
-    exception is not kept.
+    The result is kept on the toric data per brane value, order and
+    ``normalization`` (:meth:`ToricCYData.kept`), so the brane commands
+    on one parsed job document solve it once, and its disc table and
+    naive comparison are built once with it.  The brane checks run on
+    every call; the frame and the toric data are checked when the result
+    is built, and an exception is not kept.
     """
     report = brane_report(data, brane)
     if not report.ok:
         raise ValidationError(f"invalid brane: {report}")
     if brane.av_indices is None:
         raise MathDomainError("av_mirror_brane needs Aganagic-Vafa indices")
+    normalization = None if normalization is None else tuple(normalization)
+    return data.kept(("brane", brane, order, normalization), _brane_series)
+
+
+def _brane_series(data, brane, order, normalization):
     bframe = brane_frame(data, brane)
-    require_valid(data)
-    kept = data.at_order(bframe.closed_order_for(order), _MapCore).branes
-    key = (order, None if normalization is None else tuple(normalization))
-    entry = kept.get(key)
-    if entry is None or entry[0] is not brane:
-        built = (brane, _brane_series(data, brane, bframe, order, normalization))
-        # a result another thread kept first for this brane wins
-        entry = kept.setdefault(key, built)
-        if entry[0] is not brane:
-            entry = kept[key] = built
-    return entry[1]
-
-
-def _brane_series(data, brane, bframe, order, normalization):
     closed_order = bframe.closed_order_for(order)
     inv = inverse_mirror_map(data, closed_order, brane)
-    curve = build_curve(data, closed_order, corrected=True, inverse_map=inv)
+    curve = data.kept(("curve", closed_order, True), build_curve)
     unit = open_series(inv, bframe, order)
     table = curve_in_brane_frame(curve, unit, bframe, order)
     z2_raw = solve_curve_root(table, bframe.frame, order)

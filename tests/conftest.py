@@ -145,7 +145,7 @@ def brane_table(data, brane, order):
     bframe = brane_frame(data, brane)
     closed_order = bframe.closed_order_for(order)
     inv = inverse_mirror_map(data, closed_order, brane)
-    curve = build_curve(data, closed_order, corrected=True, inverse_map=inv)
+    curve = build_curve(data, closed_order)
     unit = open_series(inv, bframe, order)
     return bframe, curve_in_brane_frame(curve, unit, bframe, order)
 

@@ -902,6 +902,8 @@ class TestRepeatedWork:
             (command, "--input", str(LOCAL_P2_JOB), "--order", "6", "--output", output)
             for command in sorted(set(cli.COMMANDS) - {"validate"})
         ]
+        argvs.append(("curve", "--input", str(LOCAL_P2_JOB), "--order", "6", "--output", output,
+                      "--corrected=false"))
         first = [run(capsys, *argv) for argv in argvs]
         assert {code for code, _, _ in first} == {0}
         decodes, decode = [], Terms.exponents
@@ -910,8 +912,8 @@ class TestRepeatedWork:
         assert decodes == []
 
     def test_kept_brane_series_belongs_to_the_brane_passed(self, kp2, kp2_leg_brane):
-        # both branes have one frame, so they share the core of one closed
-        # order and one key there; each call gets its own brane's series
+        # both branes have one frame, so they solve at one closed order and
+        # one brane order; each call gets its own brane's series
         from syzmirror import ToricCYData
         from tests.conftest import av_brane
 
@@ -921,6 +923,15 @@ class TestRepeatedWork:
         assert through_compact == av_mirror_brane(ToricCYData(*kp2), other, 4)
         assert through_compact != leg
         assert av_mirror_brane(kp2, kp2_leg_brane, 4) == leg
+
+    def test_equal_branes_share_one_kept_brane_series(self, kp2, kp2_leg_brane):
+        # the toric data keeps what it builds by the brane's value, so an
+        # equal brane object reads the series kept for the first
+        from syzmirror import BraneSpec
+
+        equal = BraneSpec(*kp2_leg_brane)
+        assert equal == kp2_leg_brane and equal is not kp2_leg_brane
+        assert av_mirror_brane(kp2, equal, 4) is av_mirror_brane(kp2, kp2_leg_brane, 4)
 
     def test_brane_job_maps_the_open_unit_into_the_frame_once(self, monkeypatch, kp2):
         # through the compact divisor the open unit is not 1; z1 = Q0 u
@@ -1066,13 +1077,14 @@ class TestRepeatedWork:
         from syzmirror import fps, mirror
 
         closed_reads = []
-        build_closed = mirror._MapCore.closed
+        read_closed = mirror.MirrorMapData.closed.fget
 
-        def closed(self, direction):
-            closed_reads.append(direction)
-            return build_closed(self, direction)
+        def closed(self):
+            closed_reads.append(self.direction)
+            return read_closed(self)
 
-        monkeypatch.setattr(mirror._MapCore, "closed", closed)
+        monkeypatch.setattr(mirror.MirrorMapData, "closed", property(closed))
+        closed_builds = _count_calls(monkeypatch, mirror, "_closed_images")
         in_unit = []
         build_unit = mirror.MirrorMapData._unit
 
@@ -1095,7 +1107,7 @@ class TestRepeatedWork:
         monkeypatch.setattr(fps, "inverse", inverse)
         code, _, _ = run(capsys, command, "--input", str(job), "--order", "4")
         assert code == 0
-        assert closed_reads == []
+        assert closed_reads == closed_builds == []
         assert unit_inverses == []
 
     def test_forward_map_takes_one_exp_per_live_a_series(self, capsys, monkeypatch):
@@ -1162,17 +1174,28 @@ class TestRepeatedWork:
         from syzmirror import cli, lattice, mirror
 
         passes = _count_calls(monkeypatch, mirror, "a_series")
-        orders = list(range(2, 3 + lattice.ORDERS_KEPT)) + [2]
-        outs = []
-        for order in orders:
-            code, out, _ = run(capsys, "fiber-invariants", "--input", str(LOCAL_P2_JOB),
-                               "--order", str(order))
-            assert code == 0
-            outs.append(out)
-        # order 2 was read least recently when the ninth order came in
-        assert len(passes) == len(orders)
-        store = cli._parse_text(LOCAL_P2_JOB.read_text()).toric.__dict__["_orders"]
-        assert list(store) == orders[2:]
+        orders, outs = [], []
+        # read order 2 between new orders until their entries push its
+        # A-series out: the entry kept first goes first, however recently
+        # it was read
+        for new in range(3, 3 + lattice.KEPT):
+            for order in (2, new):
+                code, out, _ = run(capsys, "fiber-invariants", "--input", str(LOCAL_P2_JOB),
+                                   "--order", str(order))
+                assert code == 0
+                orders.append(order)
+                outs.append(out)
+            store = cli._parse_text(LOCAL_P2_JOB.read_text()).toric.__dict__["_kept"]
+            if ("a_series", 2) not in store:
+                break
+        assert ("a_series", 2) not in store
+        assert len(passes) == len(set(orders))
+        assert len(store) == lattice.KEPT
+        code, out, _ = run(capsys, "fiber-invariants", "--input", str(LOCAL_P2_JOB), "--order", "2")
+        orders.append(2)
+        outs.append(out)
+        assert len(passes) == len(set(orders)) + 1
+        assert len(store) == lattice.KEPT and ("a_series", 2) in store
         assert outs[-1] == outs[0]
         root = Path(__file__).resolve().parent.parent
         alone = subprocess.run(
@@ -1209,7 +1232,7 @@ class TestRepeatedWork:
         code, out, err = results[0]
         assert (code, out, json.loads(err)["error"]["code"]) == (3, "", "math")
         assert len(passes) == 2
-        assert not cli._parse_text(path.read_text()).toric.__dict__.get("_orders")
+        assert not cli._parse_text(path.read_text()).toric.__dict__.get("_kept")
 
 
 class TestParseCache:

@@ -1,8 +1,11 @@
 """A run prints what it prints with nothing kept, whatever ran before it.
 
-The process keeps parsed documents (``cli._parse_text``) and, on their
-toric data, lattice data, map cores, brane solves and the disc tables
-and comparisons built from them, and on each kept series and table its
+The process keeps parsed documents (``cli._parse_text``) and, on the
+toric data of each, lattice data and one store of intermediates keyed
+by value (``ToricCYData.kept``): the A-series, Lagrange chains, units,
+closed images, curves, brane set-ups and brane solves, at most ``KEPT``
+of them, the first kept dropped first.  A brane solve keeps the disc
+table and comparison built from it, and each kept series and table its
 printed form (``TruncatedSeries.printed_rows`` and ``str``, and
 ``InvariantTable.printed`` with the class labels).  A run's exit code
 and stdout must not depend on any of it.  A ``hypothesis`` state
@@ -15,20 +18,31 @@ against a reference taken with nothing kept:
 - the same job with ``--output pretty``, whose stdout holds the series
   texts and disc labels, against that run after a ``cache_clear()``;
 - a brane command with a ``--normalization`` override, refused or not,
-  against the same run after a ``cache_clear()``.
+  against the same run after a ``cache_clear()``;
+- a sweep of ``curve``, ``mirror-map`` and ``inverse-map`` over orders
+  enough to keep more than ``KEPT`` entries on local P2, so entries are
+  dropped in the middle of the sequence, each run against the same run
+  after a ``cache_clear()``;
+- any command on a perturbed document, local P2 with its brane frame
+  listed the other way round or the same document serialized anew (a
+  new text, so a new toric data of equal value), against the same run
+  after a ``cache_clear()``.
 
 Each run-after-``cache_clear()`` reference is taken once per argv
-before the machine starts.
+before the machine starts.  A last test runs each benchmark workload
+twice and checks that the second pass builds nothing.
 """
 
 import contextlib
 import io
+import json
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
 
-from syzmirror import cli
+from syzmirror import cli, lattice, mirror
 
+from tests.test_cli import _count_calls
 from tests.test_recorded_outputs import ROOT, _load_workloads
 
 OVERRIDE_ARGVS = [
@@ -39,6 +53,8 @@ OVERRIDE_ARGVS = [
     for signs in ("-1,1", "1,-1", "-1,-1")
 ]
 PRETTY = ("--output", "pretty")
+LOCAL_P2 = ROOT / "jobs" / "local_p2.json"
+SWEPT = ("curve", "mirror-map", "inverse-map")
 
 
 def _run(argv):
@@ -53,13 +69,49 @@ def _cold(argv):
     return _run(argv)
 
 
+def _sweep_argvs(orders):
+    return [
+        (command, "--input", str(LOCAL_P2), "--order", str(order))
+        for order in orders
+        for command in SWEPT
+    ]
+
+
+def _sweep():
+    """``SWEPT`` over consecutive orders of local P2 from 3, keeping more
+    than ``KEPT`` entries on a fresh document."""
+    cli._parse_text.cache_clear()
+    for argv in _sweep_argvs([3]):
+        _run(argv)
+    per_order = len(cli._parse_text(LOCAL_P2.read_text()).toric.__dict__["_kept"])
+    return _sweep_argvs(range(3, 4 + lattice.KEPT // per_order))
+
+
+def _perturbed_argvs(directory):
+    """Every command at orders 3-5 on local P2 serialized anew and on
+    local P2 with its brane frame reversed."""
+    doc = json.loads(LOCAL_P2.read_text())
+    paths = [directory / "reserialized.json", directory / "reversed_frame.json"]
+    paths[0].write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    doc["brane"]["frame"].reverse()
+    paths[1].write_text(json.dumps(doc))
+    return [
+        (command, "--input", str(path), "--order", str(order))
+        for command in sorted(cli.COMMANDS)
+        for path in paths
+        for order in (3, 4, 5)
+    ]
+
+
 class Runs(RuleBasedStateMachine):
-    def __init__(self, workloads, expected, references):
+    def __init__(self, workloads, expected, references, sweep, perturbed):
         super().__init__()
         self.workloads = workloads
         self.jobs = st.sampled_from(workloads.mix_space())
         self.expected = expected
         self.references = references
+        self.sweep = sweep
+        self.perturbed = st.sampled_from(perturbed)
         cli._parse_text.cache_clear()  # each example starts with nothing kept
 
     @rule(data=st.data())
@@ -78,18 +130,59 @@ class Runs(RuleBasedStateMachine):
         assert _run(argv) == self.references[argv]
 
     @rule()
+    def orders_past_the_bound(self):
+        for argv in self.sweep:
+            assert _run(argv) == self.references[argv]
+
+    @rule(data=st.data())
+    def perturbed_document(self, data):
+        argv = data.draw(self.perturbed, label="argv")
+        assert _run(argv) == self.references[argv]
+
+    @rule()
     def drop_parsed_documents(self):
         cli._parse_text.cache_clear()
 
 
-def test_every_run_prints_what_it_prints_with_nothing_kept(monkeypatch):
+def test_every_run_prints_what_it_prints_with_nothing_kept(monkeypatch, tmp_path):
     workloads = _load_workloads(monkeypatch)
     expected = workloads.load_expected()
     references = {argv: _cold(argv) for argv in OVERRIDE_ARGVS}
     assert {code for code, _ in references.values()} == {0, 3}
     pretty = [(*job.argv(), *PRETTY) for job in workloads.mix_space()]
-    references |= {argv: _cold(argv) for argv in pretty}
+    sweep = _sweep()
+    perturbed = _perturbed_argvs(tmp_path)
+    for argv in [*pretty, *sweep, *perturbed]:
+        references[argv] = _cold(argv)
+    assert {references[argv][0] for argv in perturbed} == {0}
     run_state_machine_as_test(
-        lambda: Runs(workloads, expected, references),
+        lambda: Runs(workloads, expected, references, sweep, perturbed),
         settings=settings(max_examples=30, stateful_step_count=40, deadline=None),
     )
+
+
+BUILDS = (
+    (mirror, "a_series"),
+    (mirror, "LagrangeChain"),
+    (mirror, "build_curve"),
+    (lattice, "validate_brane"),
+    (mirror, "solve_curve_root"),
+)
+
+
+def test_a_second_pass_of_each_workload_builds_nothing(monkeypatch):
+    # one pass keeps every intermediate of its documents, so the next
+    # pass reads them all and prints the recorded bytes
+    workloads = _load_workloads(monkeypatch)
+    expected = workloads.load_expected()
+    for name, make_jobs in workloads.WORKLOADS.items():
+        cli._parse_text.cache_clear()
+        jobs = make_jobs(1)
+        for job in jobs:
+            _run(job.argv())
+        with monkeypatch.context() as patch:
+            calls = [_count_calls(patch, module, attr) for module, attr in BUILDS]
+            for job in jobs:
+                code, out = _run(job.argv())
+                assert workloads.check_output(job, code, out, expected) == [], (name, job.key)
+        assert [len(found) for found in calls] == [0] * len(BUILDS), name

@@ -3,11 +3,13 @@
 The ``fps`` module documents its values as immutable and every
 operation as a pure function, so series can be shared freely across
 threads.  ``ToricCYData`` and ``BraneFrame`` fill their cached lattice
-data on first read, and ``ToricCYData`` keeps a mirror-map core, with
-its brane series, for each of its last few closed orders; a brane
-series builds its disc table and naive comparison on first read, and a
-series or table its printed form.  These tests run jobs on one shared
-geometry from four threads at once.
+data on first read, and ``ToricCYData`` keeps its last ``KEPT``
+intermediates (the A-series, Lagrange chains, units, closed images,
+curves and brane series of any order) in one store, keyed by value,
+whose hits take no lock; a brane series builds its disc table and
+naive comparison on first read, and a series or table its printed
+form.  These tests run jobs on one shared geometry from four threads
+at once.
 """
 
 import sys
@@ -15,7 +17,7 @@ import threading
 from pathlib import Path
 
 from syzmirror import ToricCYData, av_mirror_brane, cli, inverse_mirror_map, mirror_map
-from syzmirror.lattice import ORDERS_KEPT
+from syzmirror.lattice import KEPT
 
 THREADS = 4
 
@@ -72,10 +74,15 @@ def _maps(data, order):
 
 
 def test_maps_at_many_orders_on_one_shared_geometry(kp2):
-    # twelve orders, more than the geometry keeps, so the threads evict
-    # one another's cores while they read them
-    orders = [[3 + i + 4 * k for k in range(3)] for i in range(THREADS)]
-    assert len({o for row in orders for o in row}) > ORDERS_KEPT
+    # the maps of one order keep ``per_order`` entries; the threads read
+    # orders enough for more than the geometry keeps, so they evict one
+    # another's entries while they read them, the first kept first
+    alone = ToricCYData(*kp2)
+    _maps(alone, 3)
+    per_order = len(alone.__dict__["_kept"])
+    rounds = KEPT // (per_order * THREADS) + 1
+    orders = [[3 + i + THREADS * k for k in range(rounds)] for i in range(THREADS)]
+    assert THREADS * rounds * per_order > KEPT
 
     def work(i, barrier):
         results = []
@@ -92,7 +99,9 @@ def test_maps_at_many_orders_on_one_shared_geometry(kp2):
         sys.setswitchinterval(interval)
     serial = [[_maps(ToricCYData(*kp2), order) for order in row] for row in orders]
     assert results == serial
-    assert len(kp2.__dict__["_orders"]) == ORDERS_KEPT
+    store = kp2.__dict__["_kept"]
+    assert len(store) == KEPT
+    assert ("a_series", 3) not in store
 
 
 class _PerThread:
