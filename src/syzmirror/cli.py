@@ -5,7 +5,8 @@ Machine-readable JSON goes to stdout and the human table to stderr;
 Identical input bytes produce identical output bytes.  Exit codes:
 0 success, 2 validation failure, 3 mathematical-precondition failure,
 4 parse error.  ``batch`` runs many such jobs in one process, one JSON
-record per job, and the jobs on one document share its parsed form.
+record per job, and the jobs on one document share its parsed form and
+what is kept on it, the printed output of each run included.
 """
 
 from __future__ import annotations
@@ -197,16 +198,17 @@ def cmd_curve(job):
 def cmd_map(job, compute):
     """Shared body of mirror-map and inverse-map; ``compute`` picks the direction."""
     data = compute(job.toric, job.truncation, brane=job.brane)
+    closed = data.closed
     payload = {
         "direction": data.direction,
         "order": data.order,
         "A": [series_to_records(a) for a in data.a_series],
-        "closed": [series_to_records(s) for s in data.closed],
+        "closed": [series_to_records(s) for s in closed],
         "open_unit": (
             series_to_records(data.open_unit) if data.open_unit is not None else None
         ),
     }
-    lines = [f"{data.direction}: closed image {i + 1}: {s}" for i, s in enumerate(data.closed)]
+    lines = [f"{data.direction}: closed image {i + 1}: {s}" for i, s in enumerate(closed)]
     if data.open_unit is not None:
         lines.append(f"open unit: {data.open_unit}")
     return payload, lines, EXIT_OK
@@ -312,6 +314,17 @@ COMMANDS = {
 }
 
 
+def _output(toric, command, *options):
+    """What a run of ``command`` on the job ``(toric, *options)`` prints:
+    its JSON document with its newline, its summary lines as one text,
+    and its exit code.  Kept per command and job options on the toric
+    data (:meth:`lattice.ToricCYData.kept`), so a repeated run runs no
+    command body."""
+    payload, lines, exit_code = COMMANDS[command](Job(toric, *options))
+    document = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return document, "".join([line + "\n" for line in lines]), exit_code
+
+
 # a value past 40 characters that argparse names in an error, quoted or
 # (an unrecognized argument) bare: the parse record names it shortened
 _LONG_VALUE = re.compile(r"'([^']{41,})'|\"([^\"]{41,})\"|(\S{41,})")
@@ -359,9 +372,9 @@ def _parse_text(text) -> Job:
     runs on one text also share what is cached on the toric data: the
     lattice data, the closed frame, and every intermediate it keeps
     (:meth:`lattice.ToricCYData.kept`), from the brane checks to the
-    brane solve.  They go when the entry does.  Exceptions are not
-    cached.  The size limit keeps a long batch over many documents from
-    holding them all.
+    brane solve and the output of each run.  They go when the entry
+    does.  Exceptions are not cached.  The size limit keeps a long batch
+    over many documents from holding them all.
     """
     return parse_job(json.loads(text))
 
@@ -460,7 +473,8 @@ def main(argv=None, *, nested=False) -> int:
             except ValueError:
                 raise InputError("--normalization takes two comma-separated signs") from None
             job = job._replace(normalization=_checked_signs(pair, "--normalization"))
-        payload, lines, exit_code = COMMANDS[args.command](job)
+        options = (job.brane, job.truncation, job.corrected, job.normalization)
+        document, summary, exit_code = job.toric.kept(("output", args.command, *options), _output)
     except InputError as exc:
         return _emit_error("parse", str(exc), EXIT_PARSE)
     except ValidationError as exc:
@@ -470,10 +484,10 @@ def main(argv=None, *, nested=False) -> int:
 
     out = sys.stdout
     if args.output == "json":
-        out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        out.write(document)
         out = sys.stderr
-    # the lines in one write: stderr is write-through, one system call per write
-    out.write("".join([line + "\n" for line in lines]))
+    # the summary in one write: stderr is write-through, one system call per write
+    out.write(summary)
     return exit_code
 
 

@@ -11,9 +11,8 @@ monomials.  Ring operations, truncation and the settled-grade and
 valuation checks work on those integer rows; products go through
 ``_backend.mul_terms``.  ``TruncatedSeries.terms`` reads the rows as a
 read-only exponent tuple -> ``Fraction`` mapping: a lookup bisects the
-rows and iteration decodes them.  A series prints from its rows, once:
-its printed rows (``TruncatedSeries.printed_rows``) and its ``str`` are
-built on first read and kept on it.
+rows and iteration decodes them.  A series prints from its rows
+(``TruncatedSeries.printed_rows`` and ``str``).
 All values are immutable after construction and every operation is a
 pure function, so instances can be shared freely across threads.
 """
@@ -106,12 +105,10 @@ class TruncatedSeries:
     definition (unknown, not zero).  Two series over the same frame and
     order form a commutative ring with exact arithmetic.  ``terms`` is a
     read-only :class:`~syzmirror._backend.Terms` at the layout of
-    ``order``.  ``printed_rows`` and ``str`` are built on first read and
-    kept (``_rows`` and ``_text``, None until then), so a series kept
-    by a store is decoded and printed once.
+    ``order``.
     """
 
-    __slots__ = ("frame", "order", "terms", "_rows", "_text")
+    __slots__ = ("frame", "order", "terms")
 
     def __init__(self, frame: Frame, order: int, terms: Mapping[tuple[int, ...], Fraction]):
         clean = {}
@@ -129,7 +126,6 @@ class TruncatedSeries:
         self.frame = frame
         self.order = order
         self.terms = pack(clean, frame.nvars, order)
-        self._rows = self._text = None
 
     @classmethod
     def _trusted(cls, frame: Frame, order: int, terms: Terms) -> "TruncatedSeries":
@@ -143,7 +139,6 @@ class TruncatedSeries:
         series.frame = frame
         series.order = order
         series.terms = terms
-        series._rows = series._text = None
         return series
 
     # -- constructors -------------------------------------------------
@@ -197,15 +192,11 @@ class TruncatedSeries:
     @property
     def printed_rows(self) -> tuple[tuple[tuple[int, ...], str], ...]:
         """Every term as (exponent tuple, coefficient text), lexicographic
-        in the exponents: the rows decoded once (``Terms.exponents``),
+        in the exponents: the rows decoded in one pass (``Terms.exponents``),
         each numerator printed over the denominator with one gcd
-        (``ratio_text``); built on first read and kept."""
-        rows = self._rows
-        if rows is None:
-            t = self.terms
-            pairs = sorted(zip(t.exponents(), t.nums))
-            rows = self._rows = tuple([(e, ratio_text(n, t.den)) for e, n in pairs])
-        return rows
+        (``ratio_text``)."""
+        t = self.terms
+        return tuple([(e, ratio_text(n, t.den)) for e, n in sorted(zip(t.exponents(), t.nums))])
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
@@ -291,23 +282,19 @@ class TruncatedSeries:
 
     def __str__(self):
         """The terms by grade, then exponent (the printed rows, sorted
-        stably by grade), a coefficient +-1 folded into the sign; built on
-        first read and kept."""
-        text = self._text
-        if text is None:
-            names, bits = self.frame.names, []
-            for exps, coeff in sorted(self.printed_rows, key=lambda row: sum(row[0])):
-                mono = monomial_text(names, exps)
-                if not mono:
-                    bits.append(coeff)
-                elif coeff == "1":
-                    bits.append(mono)
-                elif coeff == "-1":
-                    bits.append(f"-{mono}")
-                else:
-                    bits.append(f"{coeff}*{mono}")
-            text = self._text = " + ".join(bits).replace("+ -", "- ") or "0"
-        return text
+        stably by grade), a coefficient +-1 folded into the sign."""
+        names, bits = self.frame.names, []
+        for exps, coeff in sorted(self.printed_rows, key=lambda row: sum(row[0])):
+            mono = monomial_text(names, exps)
+            if not mono:
+                bits.append(coeff)
+            elif coeff == "1":
+                bits.append(mono)
+            elif coeff == "-1":
+                bits.append(f"-{mono}")
+            else:
+                bits.append(f"{coeff}*{mono}")
+        return " + ".join(bits).replace("+ -", "- ") or "0"
 
 
 # -- transcendental and structural operations ------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .errors import MathDomainError
@@ -58,13 +57,11 @@ class InvariantTable(namedtuple("InvariantTable", "frame order n N", defaults=(N
     Keys are frame exponent vectors with positive total grade; when N
     is present the two maps satisfy the multiple-cover relation on
     every key within the truncation.  ``N`` defaults to None.
-
-    ``printed`` is built on first read and kept with the table
-    (instances keep a ``__dict__``, no ``__slots__``), so a table kept
-    with a brane solve is sorted and printed once.
     """
 
-    @cached_property
+    __slots__ = ()
+
+    @property
     def printed(self) -> tuple:
         """(beta, label, n, N) for each class in sorted order: the label
         is the class's monomial over the frame's names ("1" for the empty

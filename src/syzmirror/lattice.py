@@ -69,8 +69,10 @@ def independent_columns(rows) -> tuple[int, ...] | None:
 
 
 # The entries one toric data keeps at once (:meth:`ToricCYData.kept`).
-# One pass over the benchmark's mix keeps 24 to 87 entries per document,
-# at most 16 per closed order, so 128 hold 8 closed orders of any mix.
+# One seed-1 pass over the benchmark's mix keeps 36 to 122 entries per
+# document, at most 20 per closed order (8 of them run outputs), so 128
+# hold the six closed orders the mix reads on any document; its second
+# pass makes 183 store reads, one per run.
 KEPT = 128
 _KEPT_LOCK = threading.Lock()
 
@@ -152,7 +154,7 @@ class ToricCYData(
         ``key`` on this toric data and kept here.
 
         ``key[0]`` names the kind of value (``"a_series"``, ``"unit"``,
-        ``"brane"``, ...) and the rest are the arguments it is built
+        ``"brane"``, ``"output"``, ...) and the rest are the arguments it is built
         from, compared by value, so equal branes share their entries.
         The runs on one parsed job document share its ``ToricCYData``,
         and what it keeps goes when the parsed job does.  Past ``KEPT``

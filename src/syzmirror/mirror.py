@@ -113,15 +113,15 @@ class MirrorMapData:
     A_j, the factorial series the map is built from; A_j is identically
     zero whenever every effective pairing <D_j, alpha> is non-negative.
 
-    The rest is built on first read, so a caller pays only for what it
+    The rest is built when read, so a caller pays only for what it
     reads: ``closed``, the image of each closed variable; ``open_unit``,
     the unit factor of the open direction (the open variable itself is
     not a generator of the closed frame), None without a brane; and
     ``fiber``, 1 + delta_j = exp(-A_j(q(Q))) for every ray j, None for
     q_to_Q; A_j(q(Q)) itself is -log ``fiber[j]``.  A map is a view of
-    ``(data, order)``: the A_j, the Lagrange chain, every unit and the
-    closed images are kept on the toric data (:meth:`ToricCYData.kept`),
-    so the maps of one toric data at one order share them.
+    ``(data, order)``: the A_j, the Lagrange chain and every unit are
+    kept on the toric data (:meth:`ToricCYData.kept`), so the maps of
+    one toric data at one order share them.
     """
 
     def __init__(self, data, order, direction, brane=None):
@@ -140,7 +140,11 @@ class MirrorMapData:
     def closed(self) -> tuple[TruncatedSeries, ...]:
         """The image of each closed variable: its generator times the unit
         of its charge row."""
-        return self._data.kept(("closed", self.order, self.direction), _closed_images)
+        frame = self._data.closed_frame
+        return tuple(
+            TruncatedSeries.generator(frame, self.order, a) * self._unit(row)
+            for a, row in enumerate(self._data.effective_charge_basis)
+        )
 
     @cached_property
     def open_unit(self) -> TruncatedSeries | None:
@@ -178,23 +182,12 @@ def _chain(data, order):
     return LagrangeChain(a_list, data.effective_charge_basis, one)
 
 
-def _closed_images(data, order, direction):
-    """The image of each closed variable in ``direction``: its generator
-    times the unit of its charge row."""
-    frame = data.closed_frame
-    return tuple(
-        TruncatedSeries.generator(frame, order, a)
-        * data.kept(("unit", order, direction, row), _build_unit)
-        for a, row in enumerate(data.effective_charge_basis)
-    )
-
-
 def mirror_map(data: ToricCYData, order: int, brane: BraneSpec | None = None) -> MirrorMapData:
     """Q_a = q_a exp(sum_j iota_j^(a) A_j(q)), open direction likewise.
 
     Reads every A_j kept on ``data`` at ``order``; the closed images and
     the open unit, each the exp of an integer combination of the A_j,
-    are built when first read.
+    are built when read.
     """
     return MirrorMapData(data, order, "q_to_Q", brane)
 
@@ -357,7 +350,7 @@ def build_curve(data: ToricCYData, order: int, corrected: bool = True) -> Mirror
     if corrected:
         coefficients = MirrorMapData(data, order, "Q_to_q").fiber
     else:
-        coefficients = [TruncatedSeries.one(data.closed_frame, order)] * m  # printed once
+        coefficients = [TruncatedSeries.one(data.closed_frame, order)] * m
     duals = data.dual_exponents
     terms = []
     for i in range(m):
@@ -384,13 +377,8 @@ def naive_brane(data: ToricCYData, brane: BraneSpec) -> tuple[BraneEquation, ...
 
     Rays beyond the leading basis are eliminated through
     z_i = Q_{i-n+1} prod_j z_j^{<v_j^*, v_i>}, so each charge row
-    leaves a pure (z, Q)-monomial on the left-hand side.  Kept per
-    brane value on the toric data (:meth:`ToricCYData.kept`).
+    leaves a pure (z, Q)-monomial on the left-hand side.
     """
-    return data.kept(("naive", brane), _naive_equations)
-
-
-def _naive_equations(data, brane):
     require_valid(data)
     # the Aganagic-Vafa shape is not needed for the monomial equations
     report = validate_brane(data, brane._replace(av_indices=None))
@@ -647,20 +635,18 @@ class BraneMirrorSeries(namedtuple("BraneMirrorSeries", "z1 z2 signs neg_log_z2 
     disc class entering positively.  ``neg_log_z2`` is -log z2, which
     the normalization already needs, and ``bframe`` the brane frame
     both series live over.
-
-    ``discs`` and ``naive`` are built on first read and kept with the
-    series (instances keep a ``__dict__``, no ``__slots__``), so a solve
-    kept by :func:`av_mirror_brane` builds each once.
     """
 
-    @cached_property
+    __slots__ = ()
+
+    @property
     def discs(self) -> tuple[InvariantTable, IntegralityReport]:
         """The disc table read off -log z2, with N filled by the
         multiple-cover inversion, and its integrality report."""
         table = multiple_cover_inversion(extract_open_gw(self.z2, neg_log=self.neg_log_z2))
         return table, integrality_check(table)
 
-    @cached_property
+    @property
     def naive(self) -> NaiveComparison:
         """How far the series sit from the naive brane mirror."""
         return _naive_comparison(self)
@@ -675,8 +661,8 @@ def _normalize_root(z2_raw, bframe, override=None):
     its zero-boundary rows covers both: one log serves both.  The check
     reads its boundary weights; the twist by eps1 = -1 reads them again
     for one sign per row by their parity (``Terms.signed``), and
-    ``invariants.extract_open_gw`` reads them once more, once per kept
-    solve (``BraneMirrorSeries.discs``), to divide by them.
+    ``invariants.extract_open_gw`` reads them once more
+    (``BraneMirrorSeries.discs``), to divide by them.
     """
     frame = bframe.frame
     const = z2_raw.constant_term()
@@ -724,8 +710,7 @@ def av_mirror_brane(
 
     The result is kept on the toric data per brane value, order and
     ``normalization`` (:meth:`ToricCYData.kept`), so the brane commands
-    on one parsed job document solve it once, and its disc table and
-    naive comparison are built once with it.  The brane checks run on
+    on one parsed job document solve it once.  The brane checks run on
     every call; the frame and the toric data are checked when the result
     is built, and an exception is not kept.
     """
@@ -802,5 +787,5 @@ def compare_naive(
     order: int,
     normalization: tuple[int, int] | None = None,
 ) -> NaiveComparison:
-    """The naive comparison of the brane's mirror series, kept with them."""
+    """The naive comparison of the brane's mirror series."""
     return av_mirror_brane(data, brane, order, normalization=normalization).naive

@@ -2,8 +2,8 @@
 
 Series serialize as a list of ``{"e": [ints], "c": "p/q"}`` records
 sorted lexicographically by exponent; rationals are lowest-terms
-strings, read off a series' integer numerators with no ``Fraction``,
-once per series (``TruncatedSeries.printed_rows``).
+strings, read off a series' integer numerators with no ``Fraction``
+(``TruncatedSeries.printed_rows``).
 Job documents give rationals and integer vectors, which
 ``parse_rational`` and ``parse_int_vector`` read strictly.
 """
@@ -66,8 +66,8 @@ def parse_int_vector(raw, where) -> tuple[int, ...]:
 
 
 def series_to_records(series: TruncatedSeries) -> list[dict]:
-    """New records from the series' kept printed rows: a caller may edit
-    them without changing the next print."""
+    """The series' printed rows as new records: a caller may edit them
+    without changing the next print."""
     return [{"e": list(e), "c": c} for e, c in series.printed_rows]
 
 

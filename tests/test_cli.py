@@ -739,6 +739,18 @@ class TestSeveralCompactDivisors:
         assert json.loads(out)
 
 
+def _count_bodies(monkeypatch):
+    """Count the calls of every command body in ``COMMANDS``, by command."""
+    calls = []
+    for command, body in list(COMMANDS.items()):
+        def counted(job, command=command, body=body):
+            calls.append(command)
+            return body(job)
+
+        monkeypatch.setitem(COMMANDS, command, counted)
+    return calls
+
+
 def _count_calls(monkeypatch, module, name):
     """Count calls of ``module.name`` through every binding in the package."""
     original = getattr(module, name)
@@ -891,10 +903,41 @@ class TestRepeatedWork:
         cold = run(capsys, *argv)
         assert (code, after_refusal) == cold[:2] and code == 0
 
+    def test_a_repeated_run_runs_no_command_body(self, capsys, monkeypatch):
+        # a run's output is kept per command and job options, whatever
+        # --output picks, so the first run of each key runs its body once
+        # and every repeat writes the kept texts
+        argvs = [
+            (command, "--input", str(LOCAL_P2_JOB), "--order", "4", "--output", output, *options)
+            for command in sorted(COMMANDS)
+            for options in ((), ("--corrected=false",), ("--normalization=1,-1",))
+            for output in ("json", "pretty")
+        ]
+        bodies = _count_bodies(monkeypatch)
+        first = [run(capsys, *argv) for argv in argvs]
+        assert {code for code, _, _ in first} == {0}
+        assert len(bodies) == len(argvs) // 2
+        assert [run(capsys, *argv) for argv in argvs] == first
+        assert len(bodies) == len(argvs) // 2
+
+    def test_the_output_entry_holds_what_the_run_wrote(self, capsys):
+        # one entry per command and job options: the JSON document with
+        # its newline, the summary, and the exit code
+        from syzmirror import cli
+
+        argv = ("validate", "--input", str(LOCAL_P2_JOB), "--corrected=false")
+        code, out, err = run(capsys, *argv)
+        job = cli._parse_text(LOCAL_P2_JOB.read_text())
+        entry = job.toric.__dict__["_kept"][("output", "validate", job.brane, 8, False, None)]
+        assert entry == (out, err, code) == (out, "toric data: ok\nbrane: ok\n", 0)
+        assert out.endswith("}\n") and json.loads(out)["ok"] is True
+        _, pretty, _ = run(capsys, *argv, "--output", "pretty")
+        assert pretty == err
+
     @pytest.mark.parametrize("output", ["json", "pretty"])
     def test_a_repeated_run_decodes_no_printed_rows(self, capsys, monkeypatch, output):
-        # every series and disc table a run prints is kept with its
-        # printed form, so the runs repeated decode no row
+        # each run's output is kept with its document, so the runs
+        # repeated decode no row
         from syzmirror import cli
         from syzmirror._backend import Terms
 
@@ -1084,7 +1127,6 @@ class TestRepeatedWork:
             return read_closed(self)
 
         monkeypatch.setattr(mirror.MirrorMapData, "closed", property(closed))
-        closed_builds = _count_calls(monkeypatch, mirror, "_closed_images")
         in_unit = []
         build_unit = mirror.MirrorMapData._unit
 
@@ -1107,7 +1149,7 @@ class TestRepeatedWork:
         monkeypatch.setattr(fps, "inverse", inverse)
         code, _, _ = run(capsys, command, "--input", str(job), "--order", "4")
         assert code == 0
-        assert closed_reads == closed_builds == []
+        assert closed_reads == []
         assert unit_inverses == []
 
     def test_forward_map_takes_one_exp_per_live_a_series(self, capsys, monkeypatch):
@@ -1174,10 +1216,13 @@ class TestRepeatedWork:
         from syzmirror import cli, lattice, mirror
 
         passes = _count_calls(monkeypatch, mirror, "a_series")
+        bodies = _count_bodies(monkeypatch)
+        job = cli._parse_text(LOCAL_P2_JOB.read_text())
+        key = ("output", "fiber-invariants", job.brane, 2, job.corrected, job.normalization)
         orders, outs = [], []
         # read order 2 between new orders until their entries push its
-        # A-series out: the entry kept first goes first, however recently
-        # it was read
+        # output out: the entry kept first goes first, however recently
+        # it was read, so order 2's A-series goes before its output
         for new in range(3, 3 + lattice.KEPT):
             for order in (2, new):
                 code, out, _ = run(capsys, "fiber-invariants", "--input", str(LOCAL_P2_JOB),
@@ -1185,17 +1230,17 @@ class TestRepeatedWork:
                 assert code == 0
                 orders.append(order)
                 outs.append(out)
-            store = cli._parse_text(LOCAL_P2_JOB.read_text()).toric.__dict__["_kept"]
-            if ("a_series", 2) not in store:
+            store = job.toric.__dict__["_kept"]
+            if key not in store:
                 break
-        assert ("a_series", 2) not in store
-        assert len(passes) == len(set(orders))
+        assert key not in store and ("a_series", 2) not in store
+        assert len(bodies) == len(passes) == len(set(orders))
         assert len(store) == lattice.KEPT
         code, out, _ = run(capsys, "fiber-invariants", "--input", str(LOCAL_P2_JOB), "--order", "2")
         orders.append(2)
         outs.append(out)
-        assert len(passes) == len(set(orders)) + 1
-        assert len(store) == lattice.KEPT and ("a_series", 2) in store
+        assert len(bodies) == len(passes) == len(set(orders)) + 1
+        assert len(store) == lattice.KEPT and key in store
         assert outs[-1] == outs[0]
         root = Path(__file__).resolve().parent.parent
         alone = subprocess.run(

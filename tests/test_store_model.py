@@ -3,18 +3,17 @@
 The process keeps parsed documents (``cli._parse_text``) and, on the
 toric data of each, lattice data and one store of intermediates keyed
 by value (``ToricCYData.kept``): the A-series, Lagrange chains, units,
-closed images, curves, brane set-ups and brane solves, at most ``KEPT``
-of them, the first kept dropped first.  A brane solve keeps the disc
-table and comparison built from it, and each kept series and table its
-printed form (``TruncatedSeries.printed_rows`` and ``str``, and
-``InvariantTable.printed`` with the class labels).  A run's exit code
-and stdout must not depend on any of it.  A ``hypothesis`` state
-machine draws a sequence of runs through ``cli.main``, with
-``cli._parse_text.cache_clear()`` as one more step, and checks each run
-against a reference taken with nothing kept:
+curves, brane set-ups, brane solves and the output of each run (its
+JSON text, its summary text and its exit code, per command and job
+options), at most ``KEPT`` of them, the first kept dropped first.  A
+run's exit code, stdout and stderr must not depend on any of it.  A
+``hypothesis`` state machine draws a sequence of runs through
+``cli.main``, with ``cli._parse_text.cache_clear()`` as one more step,
+and checks each run against a reference taken with nothing kept:
 
 - a job of the benchmark's mix against its recorded exit code and
-  stdout SHA-256 (``perfbench/expected.json``);
+  stdout SHA-256 (``perfbench/expected.json``), and against that run
+  after a ``cache_clear()``, stderr included;
 - the same job with ``--output pretty``, whose stdout holds the series
   texts and disc labels, against that run after a ``cache_clear()``;
 - a brane command with a ``--normalization`` override, refused or not,
@@ -29,8 +28,9 @@ against a reference taken with nothing kept:
   after a ``cache_clear()``.
 
 Each run-after-``cache_clear()`` reference is taken once per argv
-before the machine starts.  A last test runs each benchmark workload
-twice and checks that the second pass builds nothing.
+before the machine starts.  The last tests run each benchmark workload
+twice and check that the second pass builds nothing and runs no
+command body.
 """
 
 import contextlib
@@ -42,7 +42,7 @@ from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_a
 
 from syzmirror import cli, lattice, mirror
 
-from tests.test_cli import _count_calls
+from tests.test_cli import _count_bodies, _count_calls
 from tests.test_recorded_outputs import ROOT, _load_workloads
 
 OVERRIDE_ARGVS = [
@@ -58,10 +58,10 @@ SWEPT = ("curve", "mirror-map", "inverse-map")
 
 
 def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _cold(argv):
@@ -117,8 +117,10 @@ class Runs(RuleBasedStateMachine):
     @rule(data=st.data())
     def mix_job(self, data):
         job = data.draw(self.jobs, label="job")
-        code, out = _run(job.argv())
+        argv = tuple(job.argv())
+        code, out, err = _run(argv)
         assert self.workloads.check_output(job, code, out, self.expected) == []
+        assert (code, out, err) == self.references[argv]
 
     @rule(data=st.data())
     def pretty_mix_job(self, data):
@@ -148,11 +150,11 @@ def test_every_run_prints_what_it_prints_with_nothing_kept(monkeypatch, tmp_path
     workloads = _load_workloads(monkeypatch)
     expected = workloads.load_expected()
     references = {argv: _cold(argv) for argv in OVERRIDE_ARGVS}
-    assert {code for code, _ in references.values()} == {0, 3}
-    pretty = [(*job.argv(), *PRETTY) for job in workloads.mix_space()]
+    assert {code for code, _, _ in references.values()} == {0, 3}
+    mix = [(*job.argv(), *output) for job in workloads.mix_space() for output in ((), PRETTY)]
     sweep = _sweep()
     perturbed = _perturbed_argvs(tmp_path)
-    for argv in [*pretty, *sweep, *perturbed]:
+    for argv in [*mix, *sweep, *perturbed]:
         references[argv] = _cold(argv)
     assert {references[argv][0] for argv in perturbed} == {0}
     run_state_machine_as_test(
@@ -183,6 +185,19 @@ def test_a_second_pass_of_each_workload_builds_nothing(monkeypatch):
         with monkeypatch.context() as patch:
             calls = [_count_calls(patch, module, attr) for module, attr in BUILDS]
             for job in jobs:
-                code, out = _run(job.argv())
+                code, out, _ = _run(job.argv())
                 assert workloads.check_output(job, code, out, expected) == [], (name, job.key)
         assert [len(found) for found in calls] == [0] * len(BUILDS), name
+
+
+def test_a_second_mix_pass_runs_no_command_body(monkeypatch):
+    # a pass keeps the output of each of its runs, and no document of the
+    # mix keeps more than ``KEPT`` entries, so the next pass only writes
+    # kept texts; a store kind that pushes a document past the bound
+    # makes the second pass run bodies again
+    workloads = _load_workloads(monkeypatch)
+    jobs = workloads.mix_jobs(1)
+    first = [_run(job.argv()) for job in jobs]
+    bodies = _count_bodies(monkeypatch)
+    assert [_run(job.argv()) for job in jobs] == first
+    assert bodies == []

@@ -4,12 +4,10 @@ The ``fps`` module documents its values as immutable and every
 operation as a pure function, so series can be shared freely across
 threads.  ``ToricCYData`` and ``BraneFrame`` fill their cached lattice
 data on first read, and ``ToricCYData`` keeps its last ``KEPT``
-intermediates (the A-series, Lagrange chains, units, closed images,
-curves and brane series of any order) in one store, keyed by value,
-whose hits take no lock; a brane series builds its disc table and
-naive comparison on first read, and a series or table its printed
-form.  These tests run jobs on one shared geometry from four threads
-at once.
+intermediates (the A-series, Lagrange chains, units, curves, brane
+series of any order and the output of each CLI run) in one store,
+keyed by value, whose hits take no lock.  These tests run jobs on one
+shared geometry from four threads at once.
 """
 
 import sys
@@ -54,18 +52,20 @@ def test_av_mirror_brane_on_one_shared_geometry(kp2, kp2_leg_brane):
     assert av_mirror_brane(kp2, kp2_leg_brane, 8) is results[0]
 
 
-def test_disc_table_and_comparison_of_one_kept_brane_series(kp2, kp2_leg_brane):
-    # the first read of each builds it; every thread gets the one kept
-    series = av_mirror_brane(kp2, kp2_leg_brane, 8)
+def test_four_threads_on_one_output_key_get_equal_texts(kp2, kp2_leg_brane):
+    # the brane solve is kept but no run has printed it: the threads miss
+    # the output key together, each prints the texts of a run alone, and
+    # the store keeps the first triple kept
+    av_mirror_brane(kp2, kp2_leg_brane, 8)
+    key = ("output", "disc-invariants", kp2_leg_brane, 8, True, None)
 
     def work(i, barrier):
         barrier.wait()
-        return series.discs, series.naive
+        return kp2.kept(key, cli._output)
 
     results = _run_together(work)
-    assert all(a is b for result in results for a, b in zip(result, results[0]))
-    serial = av_mirror_brane(ToricCYData(*kp2), kp2_leg_brane, 8)
-    assert results == [(serial.discs, serial.naive)] * THREADS
+    assert results == [cli._output(ToricCYData(*kp2), *key[1:])] * THREADS
+    assert any(kp2.kept(key, cli._output) is result for result in results)
 
 
 def _maps(data, order):
@@ -120,9 +120,9 @@ class _PerThread:
 
 
 def test_warm_brane_runs_print_one_text(monkeypatch):
-    # the brane solve is kept but neither z1, z2 nor the disc table has
-    # been printed: the threads race to build the printed forms in the
-    # first round and read them in the second
+    # the brane solve is kept but neither run's output is: the threads
+    # race to build and keep the outputs in the first round and read
+    # them in the second
     path = str(Path(__file__).resolve().parent.parent / "jobs" / "local_p2.json")
     argvs = [[cmd, "--input", path, "--order", "8"] for cmd in ("disc-invariants", "brane-mirror")]
     out = _PerThread()
