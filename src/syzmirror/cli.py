@@ -6,13 +6,17 @@ Identical input bytes produce identical output bytes.  Exit codes:
 0 success, 2 validation failure, 3 mathematical-precondition failure,
 4 parse error.  ``batch`` runs many such jobs in one process, one JSON
 record per job, and the jobs on one document share its parsed form and
-what is kept on it, the printed output of each run included.
+what is kept on it, the printed output of each run included.  A process
+parses each distinct argv once (``_parse_argv``), and each run reads
+its job file afresh as bytes, decoded only when they are new
+(``_parse_text``).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import re
 import sys
@@ -364,19 +368,38 @@ def build_parser():
     return parser
 
 
-@functools.lru_cache(maxsize=64)
-def _parse_text(text) -> Job:
-    """The job parsed from one document text, shared by every run on it.
+Args = namedtuple("Args", "command input order corrected normalization output")
 
-    ``Job``, its ``ToricCYData`` and its ``BraneSpec`` are immutable, so
-    runs on one text also share what is cached on the toric data: the
-    lattice data, the closed frame, and every intermediate it keeps
+# A seed-1 pass of the benchmark's mix makes 183 distinct argvs, and an
+# LRU smaller than a batch's cycle of distinct argvs hits nothing.  One
+# entry holds about 250 bytes besides the argv's strings (tracemalloc),
+# so a full cache holds about 0.25 MB.
+ARGVS_KEPT = 1024
+
+
+@functools.lru_cache(maxsize=ARGVS_KEPT)
+def _parse_argv(argv: tuple) -> Args:
+    """The fields ``build_parser`` parses from ``argv``, parsed once per
+    distinct argv.  An argument error (:class:`InputError`) and
+    ``--help`` (``SystemExit``) are raised, so never kept."""
+    return Args(**vars(build_parser().parse_args(argv)))
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_text(data: bytes) -> Job:
+    """The job parsed from one document's bytes, shared by every run on it.
+
+    The bytes are decoded only on a miss, as a text-mode read decodes
+    them: UTF-8 with universal newlines.  ``Job``, its ``ToricCYData``
+    and its ``BraneSpec`` are immutable, so runs on one document also
+    share what is cached on the toric data: the lattice data, the closed
+    frame, and every intermediate it keeps
     (:meth:`lattice.ToricCYData.kept`), from the brane checks to the
     brane solve and the output of each run.  They go when the entry
     does.  Exceptions are not cached.  The size limit keeps a long batch
     over many documents from holding them all.
     """
-    return parse_job(json.loads(text))
+    return parse_job(json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()))
 
 
 def _path_repr(path):
@@ -412,7 +435,6 @@ def _batch(path) -> int:
     one.  A bad line gets an exit-4 record and the batch goes on.
     """
     import contextlib
-    import io
 
     try:
         with open(path, "rb") as handle:
@@ -439,7 +461,7 @@ def _batch(path) -> int:
 
 def main(argv=None, *, nested=False) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_argv(tuple(sys.argv[1:] if argv is None else argv))
         if args.command == "batch":
             if nested:
                 raise InputError("batch cannot run inside a batch")
@@ -447,9 +469,9 @@ def main(argv=None, *, nested=False) -> int:
                 raise InputError("batch takes only --input; give run options on each line")
             return _batch(args.input)
         try:
-            with open(args.input, "r", encoding="utf-8") as handle:
-                text = handle.read()
-            job = _parse_text(text)
+            with open(args.input, "rb") as handle:
+                data = handle.read()
+            job = _parse_text(data)
         except RecursionError:
             raise InputError(f"{_path_repr(args.input)}: JSON nested too deeply to parse") from None
         except json.JSONDecodeError as exc:

@@ -19,7 +19,9 @@ from syzmirror.mirror import (
 
 @pytest.fixture(autouse=True)
 def cold_job_cache():
-    """Each test starts with no parsed job, so call counts do not depend on test order."""
+    """Each test starts with no parsed argv or job, so call counts do not
+    depend on test order."""
+    cli._parse_argv.cache_clear()
     cli._parse_text.cache_clear()
 
 

@@ -413,6 +413,57 @@ class TestArgumentErrors:
         assert json.loads(out)["order"] == CONIFOLD_DOC["truncation"]
 
 
+def _count_parses(monkeypatch):
+    """Count the argv parses of the CLI's parser."""
+    from syzmirror import cli
+
+    calls, parse = [], cli._ArgumentParser.parse_args
+    monkeypatch.setattr(
+        cli._ArgumentParser, "parse_args", lambda self, *args: calls.append(args) or parse(self, *args)
+    )
+    return calls
+
+
+class TestArgvCache:
+    @pytest.mark.parametrize(
+        "options", [(), ("--output", "pretty"), ("--corrected=false",), ("--normalization=1,-1",)]
+    )
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_repeated_argv_is_parsed_once(
+        self, capsys, monkeypatch, conifold_path, command, options
+    ):
+        parses = _count_parses(monkeypatch)
+        argv = (command, "--input", conifold_path, "--order", "3", *options)
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        assert [run(capsys, *argv) for _ in range(2)] == [first, first]
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("argv", [("--order", "x"), ("--bogus",)], ids=["order", "unknown"])
+    def test_an_argument_error_is_raised_on_every_repeat(self, capsys, conifold_path, argv):
+        from syzmirror import cli
+
+        results = [run(capsys, "curve", "--input", conifold_path, *argv) for _ in range(3)]
+        code, out, err = results[0]
+        assert (code, out, json.loads(err)["error"]["code"]) == (4, "", "parse")
+        assert results == [results[0]] * 3
+        assert cli._parse_argv.cache_info().currsize == 0
+
+    def test_help_prints_usage_on_every_repeat(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: syzmirror")
+
+    def test_no_argv_reads_the_process_arguments(self, capsys, monkeypatch, conifold_path):
+        argv = ["curve", "--input", conifold_path, "--order", "2"]
+        given = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["syzmirror", *argv])
+        assert (main(None), *capsys.readouterr()) == given
+        assert given[0] == 0 and json.loads(given[1])["order"] == 2
+
+
 class TestDeterminism:
     def test_identical_bytes(self, conifold_path, capsys):
         outputs = []
@@ -525,6 +576,7 @@ class TestParseErrors:
         assert json.loads(out)["corrected"] is value
 
 
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
 LOCAL_P2_JOB = Path(__file__).resolve().parent.parent / "jobs" / "local_p2.json"
 LOCAL_DP3_JOB = Path(__file__).resolve().parent.parent / "perfbench" / "jobs" / "local_dp3.json"
 LOCAL_P1XP1_JOB = (
@@ -927,7 +979,7 @@ class TestRepeatedWork:
 
         argv = ("validate", "--input", str(LOCAL_P2_JOB), "--corrected=false")
         code, out, err = run(capsys, *argv)
-        job = cli._parse_text(LOCAL_P2_JOB.read_text())
+        job = cli._parse_text(LOCAL_P2_JOB.read_bytes())
         entry = job.toric.__dict__["_kept"][("output", "validate", job.brane, 8, False, None)]
         assert entry == (out, err, code) == (out, "toric data: ok\nbrane: ok\n", 0)
         assert out.endswith("}\n") and json.loads(out)["ok"] is True
@@ -1217,7 +1269,7 @@ class TestRepeatedWork:
 
         passes = _count_calls(monkeypatch, mirror, "a_series")
         bodies = _count_bodies(monkeypatch)
-        job = cli._parse_text(LOCAL_P2_JOB.read_text())
+        job = cli._parse_text(LOCAL_P2_JOB.read_bytes())
         key = ("output", "fiber-invariants", job.brane, 2, job.corrected, job.normalization)
         orders, outs = [], []
         # read order 2 between new orders until their entries push its
@@ -1277,7 +1329,7 @@ class TestRepeatedWork:
         code, out, err = results[0]
         assert (code, out, json.loads(err)["error"]["code"]) == (3, "", "math")
         assert len(passes) == 2
-        assert not cli._parse_text(path.read_text()).toric.__dict__.get("_kept")
+        assert not cli._parse_text(path.read_bytes()).toric.__dict__.get("_kept")
 
 
 class TestParseCache:
@@ -1368,18 +1420,38 @@ class TestParseCache:
         assert run(capsys, "curve", "--input", conifold_path) == rewritten
 
     @pytest.mark.parametrize(
-        "content",
+        "content, message",
         [
-            pytest.param(b'{\n  "toric": [,]\n}', id="bad-json"),
-            pytest.param(b"[" * 100_000 + b"]" * 100_000, id="too-deep"),
-            pytest.param(b'{"toric": "\xff"}', id="not-utf8"),
+            pytest.param(b'{\n  "toric": [,]\n}', None, id="bad-json"),
+            pytest.param(b"[" * 100_000 + b"]" * 100_000, None, id="too-deep"),
+            pytest.param(b'{"toric": "\xff"}', None, id="not-utf8"),
             pytest.param(
-                json.dumps(_with(CONIFOLD_DOC, ("truncation",), "abc")).encode(), id="bad-field"
+                json.dumps(_with(CONIFOLD_DOC, ("truncation",), "abc")).encode(), None,
+                id="bad-field",
             ),
-            pytest.param(b'{"truncation": ' + b"1" * 5000 + b"}", id="huge-int"),
+            pytest.param(b'{"truncation": ' + b"1" * 5000 + b"}", None, id="huge-int"),
+            # the bytes are decoded as a text-mode read decodes them:
+            # universal newlines, no BOM stripped, positions in bytes
+            pytest.param(
+                b'{\r\n  "toric": [,]\r\n}', "line 2 column 13: Expecting value", id="crlf"
+            ),
+            pytest.param(b'{\r  "toric":\r [,]\r}', "line 3 column 3: Expecting value", id="cr"),
+            pytest.param(
+                b"\xef\xbb\xbf" + (JOBS / "conifold.json").read_bytes(),
+                "line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                id="bom",
+            ),
+            pytest.param(
+                (JOBS / "conifold.json").read_bytes()[:338] + b"\xff",
+                "cannot read {path!r}: 'utf-8' codec can't decode byte 0xff in position 338: "
+                "invalid start byte",
+                id="late-byte",
+            ),
         ],
     )
-    def test_malformed_document_fails_alike_on_every_repeat(self, capsys, tmp_path, content):
+    def test_malformed_document_fails_alike_on_every_repeat(
+        self, capsys, tmp_path, content, message
+    ):
         from syzmirror import cli
 
         path = tmp_path / "job.json"
@@ -1387,8 +1459,25 @@ class TestParseCache:
         results = [run(capsys, "curve", "--input", str(path)) for _ in range(3)]
         code, out, err = results[0]
         assert (code, out, json.loads(err)["error"]["code"]) == (4, "", "parse")
+        if message is not None:
+            assert json.loads(err)["error"]["message"] == message.format(path=str(path))
         assert results == [results[0]] * 3
         assert cli._parse_text.cache_info().currsize == 0
+
+    def test_line_endings_do_not_change_the_output(self, capsys, tmp_path):
+        # each copy is parsed from its own bytes, and each prints what the
+        # LF file prints
+        from syzmirror import cli
+
+        lf = (JOBS / "conifold.json").read_bytes()
+        assert b"\r" not in lf and lf.count(b"\n") > 1
+        paths = [JOBS / "conifold.json", tmp_path / "crlf.json", tmp_path / "cr.json"]
+        paths[1].write_bytes(lf.replace(b"\n", b"\r\n"))
+        paths[2].write_bytes(lf.replace(b"\n", b"\r"))
+        for command in sorted(COMMANDS):
+            outputs = [run(capsys, command, "--input", str(p), "--order", "3") for p in paths]
+            assert outputs[0][0] == 0 and outputs == [outputs[0]] * 3, command
+        assert cli._parse_text.cache_info().currsize == 3
 
 
 def _run_batch(capsys, tmp_path, lines):
@@ -1402,9 +1491,6 @@ def _run_batch(capsys, tmp_path, lines):
 
 def _argv_line(*argv):
     return json.dumps({"argv": list(argv)}).encode()
-
-
-JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
 
 class TestBatch:

@@ -1,33 +1,37 @@
 """A run prints what it prints with nothing kept, whatever ran before it.
 
-The process keeps parsed documents (``cli._parse_text``) and, on the
-toric data of each, lattice data and one store of intermediates keyed
-by value (``ToricCYData.kept``): the A-series, Lagrange chains, units,
-curves, brane set-ups, brane solves and the output of each run (its
-JSON text, its summary text and its exit code, per command and job
-options), at most ``KEPT`` of them, the first kept dropped first.  A
-run's exit code, stdout and stderr must not depend on any of it.  A
-``hypothesis`` state machine draws a sequence of runs through
-``cli.main``, with ``cli._parse_text.cache_clear()`` as one more step,
-and checks each run against a reference taken with nothing kept:
+The process keeps parsed argvs (``cli._parse_argv``), parsed documents
+(``cli._parse_text``) and, on the toric data of each, lattice data and
+one store of intermediates keyed by value (``ToricCYData.kept``): the
+A-series, Lagrange chains, units, curves, brane set-ups, brane solves
+and the output of each run (its JSON text, its summary text and its
+exit code, per command and job options), at most ``KEPT`` of them, the
+first kept dropped first.  A run's exit code, stdout and stderr must
+not depend on any of it.  A ``hypothesis`` state machine draws a
+sequence of runs through ``cli.main``, with dropping both caches
+(``_drop_kept``) as one more step, and checks each run against a
+reference taken with nothing kept:
 
 - a job of the benchmark's mix against its recorded exit code and
   stdout SHA-256 (``perfbench/expected.json``), and against that run
-  after a ``cache_clear()``, stderr included;
+  after a ``_drop_kept()``, stderr included;
+- the same job spelled another way (``--order=3``, abbreviated flags,
+  options before the command), a distinct argv, against the reference
+  of the mix job;
 - the same job with ``--output pretty``, whose stdout holds the series
-  texts and disc labels, against that run after a ``cache_clear()``;
+  texts and disc labels, against that run after a ``_drop_kept()``;
 - a brane command with a ``--normalization`` override, refused or not,
-  against the same run after a ``cache_clear()``;
+  against the same run after a ``_drop_kept()``;
 - a sweep of ``curve``, ``mirror-map`` and ``inverse-map`` over orders
   enough to keep more than ``KEPT`` entries on local P2, so entries are
   dropped in the middle of the sequence, each run against the same run
-  after a ``cache_clear()``;
+  after a ``_drop_kept()``;
 - any command on a perturbed document, local P2 with its brane frame
-  listed the other way round or the same document serialized anew (a
-  new text, so a new toric data of equal value), against the same run
-  after a ``cache_clear()``.
+  listed the other way round or the same document serialized anew (new
+  bytes, so a new toric data of equal value), against the same run
+  after a ``_drop_kept()``.
 
-Each run-after-``cache_clear()`` reference is taken once per argv
+Each run-after-``_drop_kept()`` reference is taken once per argv
 before the machine starts.  The last tests run each benchmark workload
 twice and check that the second pass builds nothing and runs no
 command body.
@@ -64,9 +68,25 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _cold(argv):
+def _drop_kept():
+    cli._parse_argv.cache_clear()
     cli._parse_text.cache_clear()
+
+
+def _cold(argv):
+    _drop_kept()
     return _run(argv)
+
+
+def _respelled(argv, spelling):
+    """The mix argv ``(command, --input, path, --order, n, *extra)`` spelled
+    another way that parses to the same run."""
+    command, _, path, _, order, *extra = argv
+    return {
+        "equals": (command, f"--input={path}", f"--order={order}", *extra),
+        "options first": ("--order", order, *extra, "--input", path, command),
+        "abbreviated": (*extra, "--ord", order, command, "--in", path),
+    }[spelling]
 
 
 def _sweep_argvs(orders):
@@ -80,10 +100,10 @@ def _sweep_argvs(orders):
 def _sweep():
     """``SWEPT`` over consecutive orders of local P2 from 3, keeping more
     than ``KEPT`` entries on a fresh document."""
-    cli._parse_text.cache_clear()
+    _drop_kept()
     for argv in _sweep_argvs([3]):
         _run(argv)
-    per_order = len(cli._parse_text(LOCAL_P2.read_text()).toric.__dict__["_kept"])
+    per_order = len(cli._parse_text(LOCAL_P2.read_bytes()).toric.__dict__["_kept"])
     return _sweep_argvs(range(3, 4 + lattice.KEPT // per_order))
 
 
@@ -112,7 +132,7 @@ class Runs(RuleBasedStateMachine):
         self.references = references
         self.sweep = sweep
         self.perturbed = st.sampled_from(perturbed)
-        cli._parse_text.cache_clear()  # each example starts with nothing kept
+        _drop_kept()  # each example starts with nothing kept
 
     @rule(data=st.data())
     def mix_job(self, data):
@@ -121,6 +141,12 @@ class Runs(RuleBasedStateMachine):
         code, out, err = _run(argv)
         assert self.workloads.check_output(job, code, out, self.expected) == []
         assert (code, out, err) == self.references[argv]
+
+    @rule(data=st.data())
+    def respelled_mix_job(self, data):
+        argv = tuple(data.draw(self.jobs, label="job").argv())
+        spelling = data.draw(st.sampled_from(("equals", "options first", "abbreviated")))
+        assert _run(_respelled(argv, spelling)) == self.references[argv]
 
     @rule(data=st.data())
     def pretty_mix_job(self, data):
@@ -142,8 +168,8 @@ class Runs(RuleBasedStateMachine):
         assert _run(argv) == self.references[argv]
 
     @rule()
-    def drop_parsed_documents(self):
-        cli._parse_text.cache_clear()
+    def drop_parsed_argvs_and_documents(self):
+        _drop_kept()
 
 
 def test_every_run_prints_what_it_prints_with_nothing_kept(monkeypatch, tmp_path):
