@@ -8,8 +8,9 @@ Identical input bytes produce identical output bytes.  Exit codes:
 record per job, and the jobs on one document share its parsed form and
 what is kept on it, the printed output of each run included.  A process
 parses each distinct argv once (``_parse_argv``), and each run reads
-its job file afresh as bytes, decoded only when they are new
-(``_parse_text``).
+its job file afresh as bytes in one unbuffered read, decoded only when
+they are new (``_parse_text``).  The flags override the job's options
+as locals, which key the run's kept output.
 """
 
 from __future__ import annotations
@@ -437,7 +438,7 @@ def _batch(path) -> int:
     import contextlib
 
     try:
-        with open(path, "rb") as handle:
+        with open(path, "rb", buffering=0) as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read {_path_repr(path)}: {exc.strerror}") from None
@@ -469,7 +470,7 @@ def main(argv=None, *, nested=False) -> int:
                 raise InputError("batch takes only --input; give run options on each line")
             return _batch(args.input)
         try:
-            with open(args.input, "rb") as handle:
+            with open(args.input, "rb", buffering=0) as handle:
                 data = handle.read()
             job = _parse_text(data)
         except RecursionError:
@@ -482,21 +483,22 @@ def main(argv=None, *, nested=False) -> int:
             raise InputError(f"cannot read {_path_repr(args.input)}: {exc}") from None
         except ValueError as exc:  # a JSON number past the interpreter's digit limit
             raise InputError(f"{_path_repr(args.input)}: {exc}") from None
+        toric, brane, truncation, corrected, normalization = job
         if args.order is not None:
-            job = job._replace(truncation=_checked_order(args.order, "--order"))
+            truncation = _checked_order(args.order, "--order")
         if args.corrected is not None:
             text = args.corrected.lower()
             if text not in ("true", "false", "1", "0"):
                 raise InputError("--corrected takes true or false")
-            job = job._replace(corrected=text in ("true", "1"))
+            corrected = text in ("true", "1")
         if args.normalization is not None:
             try:
                 pair = tuple(int(x) for x in args.normalization.split(","))
             except ValueError:
                 raise InputError("--normalization takes two comma-separated signs") from None
-            job = job._replace(normalization=_checked_signs(pair, "--normalization"))
-        options = (job.brane, job.truncation, job.corrected, job.normalization)
-        document, summary, exit_code = job.toric.kept(("output", args.command, *options), _output)
+            normalization = _checked_signs(pair, "--normalization")
+        key = ("output", args.command, brane, truncation, corrected, normalization)
+        document, summary, exit_code = toric.kept(key, _output)
     except InputError as exc:
         return _emit_error("parse", str(exc), EXIT_PARSE)
     except ValidationError as exc:

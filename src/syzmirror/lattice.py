@@ -190,9 +190,17 @@ class BraneSpec(
     charge and e^{-c-i*phi} of that row is the open parameter Q0.
     Phases are exact rational multiples of pi.  The optional fields
     default to None.
+
+    A record hashes by its integer fields alone, so a store key that
+    holds one hashes no ``Fraction``; equal records still hash equal.
+    It compares equal to a plain tuple of its fields but does not hash
+    like one; no caller mixes the two.
     """
 
     __slots__ = ()
+
+    def __hash__(self):
+        return hash((self.charges, self.av_indices, self.frame_generators))
 
     def __new__(
         cls,

@@ -62,7 +62,7 @@ def run(capsys, *argv):
 
 
 def test_parsed_job_is_an_immutable_record():
-    # main applies --order, --corrected and --normalization with _replace
+    # every run on one document shares its parsed job, so it cannot change
     job = parse_job(CONIFOLD_DOC)
     assert job == parse_job(CONIFOLD_DOC) and hash(job) == hash(parse_job(CONIFOLD_DOC))
     with pytest.raises(AttributeError):
@@ -387,6 +387,24 @@ class TestArgumentErrors:
         assert (code, out) == (4, "")
         message = json.loads(err)["error"]["message"]
         assert message == f"cannot read {path!r}: No such file or directory"
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [("directory", "cannot read {path!r}: Is a directory"),
+         ("empty.json", "line 1 column 1: Expecting value")],
+        ids=["directory", "empty"],
+    )
+    def test_read_error_record_is_the_same_in_a_batch(self, capsys, tmp_path, name, message):
+        path = tmp_path / name
+        if name == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"")
+        record = {"code": "parse", "message": message.format(path=str(path))}
+        code, out, err = run(capsys, "curve", "--input", str(path))
+        assert (code, out, json.loads(err)) == (4, "", {"error": record})
+        _, records = _run_batch(capsys, tmp_path, [_argv_line("curve", "--input", str(path))])
+        assert records == [{"exit": 4, "stdout": "", "error": record}]
 
     def test_negative_first_sign_with_equals(self, capsys, conifold_path):
         code, out, _ = run(
@@ -971,6 +989,18 @@ class TestRepeatedWork:
         assert len(bodies) == len(argvs) // 2
         assert [run(capsys, *argv) for argv in argvs] == first
         assert len(bodies) == len(argvs) // 2
+
+    @pytest.mark.parametrize("command", ["brane-mirror", "disc-invariants", "compare-naive"])
+    def test_a_repeated_brane_run_hashes_no_fraction(self, capsys, monkeypatch, command):
+        # a brane hashes by its integer fields, so the repeat's store read,
+        # keyed by the brane, hashes none of its rationals
+        argv = (command, "--input", str(LOCAL_P2_JOB), "--order", "6")
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        hashes, fraction_hash = [], F.__hash__
+        monkeypatch.setattr(F, "__hash__", lambda q: hashes.append(q) or fraction_hash(q))
+        assert run(capsys, *argv) == first
+        assert hashes == []
 
     def test_the_output_entry_holds_what_the_run_wrote(self, capsys):
         # one entry per command and job options: the JSON document with
@@ -1561,3 +1591,9 @@ class TestBatch:
         code, out, err = run(capsys, "batch", "--input", str(tmp_path / "missing.jsonl"))
         assert (code, out) == (4, "")
         assert json.loads(err)["error"]["message"].startswith("cannot read ")
+
+    def test_directory_exits_four(self, capsys, tmp_path):
+        code, out, err = run(capsys, "batch", "--input", str(tmp_path))
+        assert (code, out) == (4, "")
+        message = f"cannot read {str(tmp_path)!r}: Is a directory"
+        assert json.loads(err) == {"error": {"code": "parse", "message": message}}

@@ -125,6 +125,31 @@ class TestBraneSpecRecord:
         with pytest.raises(AttributeError):
             setattr(brane, field, ())
 
+    @pytest.mark.parametrize(
+        "field, value", [("constants", [0, 3]), ("phases", [0, "1/2"]), ("m0", [0, 1, 0])]
+    )
+    def test_hashed_by_its_integer_fields(self, field, value):
+        # a rational field takes no part in the hash, only in equality,
+        # so a store told both branes keeps each one's own value
+        fields = {
+            "charges": [[-1, 1, 0, 0], [-1, 0, 1, 0]], "constants": [0, 2], "phases": [0, 0],
+            "av_indices": [0, 1, 2], "m0": [0, 0, 0], "frame_generators": [[1, 0], [0, 1]],
+        }
+        one, other = BraneSpec(**fields), BraneSpec(**fields | {field: value})
+        assert hash(one) == hash(other) and one != other
+        assert one == tuple(one) and other == tuple(other)
+        data = ToricCYData(KP2_RAYS, (0, 0, 1))
+        built = []
+
+        def build(data, brane):
+            built.append(brane)
+            return getattr(brane, field)
+
+        for _ in range(2):
+            assert data.kept(("probe", one), build) == getattr(one, field)
+            assert data.kept(("probe", other), build) == getattr(other, field)
+        assert len(built) == 2 and built[0] is one and built[1] is other
+
 
 class TestValidateCY:
     def test_kp2_is_valid(self, kp2):
